@@ -15,6 +15,7 @@ import numpy as np
 
 from .errors import (
     EvenDegreeError,
+    InvariantError,
     NotQuadraticFormError,
     PreconditionFailedError,
     SizeLimitError,
@@ -157,25 +158,17 @@ def quadratic_rank(F: Field, f: FuncSpec) -> QuadraticRank:
         if not _is_quadratic_exponent(F.p, e):
             raise NotQuadraticFormError(f"exponent {e} is not of the form p^i+p^j")
     m = F.m
-    basis = F.basis()
+    basis = np.asarray(F.basis(), dtype=np.int64)
     # bilinear values B(a_i, a_j) = f(a_i + a_j) - f(a_i) - f(a_j)
-    fb = [f.evaluate(F, b) for b in basis]
-    rows = []
+    fb = f.evaluate(F, basis)
+    fpair = f.evaluate(F, F.add_arrays(basis[:, None], basis[None, :]))
     if f.to_prime_subfield:
-        mat = [[0] * m for _ in range(m)]
-        for i in range(m):
-            for j in range(m):
-                v = (f.evaluate(F, F.add(basis[i], basis[j])) - fb[i] - fb[j]) % F.p
-                mat[i][j] = v
-        rows = mat
+        rows = (fpair - fb[:, None] - fb[None, :]) % F.p
     else:
-        for j in range(m):
-            block = [[0] * m for _ in range(m)]
-            for i in range(m):
-                v = F.sub(F.sub(f.evaluate(F, F.add(basis[i], basis[j])), fb[i]), fb[j])
-                for d, dig in enumerate(F.digits(v)):
-                    block[d][i] = dig
-            rows.extend(block)
+        neg_fb = F.mul_arrays(fb, F.p - 1)
+        bilin = F.add_arrays(F.add_arrays(fpair, neg_fb[:, None]), neg_fb[None, :])
+        # row (j, d) holds digit d of B(a_i, a_j) for every i
+        rows = F.digit_matrix[bilin].transpose(1, 2, 0).reshape(m * m, m)
     r = gfp_rank(rows, F.p)
     return QuadraticRank(r, m - r)
 
@@ -191,7 +184,8 @@ def quadratic_galois_sum(F: Field, f: FuncSpec) -> int:
     for y in range(1, F.p):
         total = total + base.galois(y)
     val = is_rational(total)
-    assert val is not None, "Galois-orbit sum must be rational"
+    if val is None:
+        raise InvariantError("Galois-orbit sum must be rational")
     return val
 
 
@@ -203,7 +197,7 @@ def lambda_spectrum(F: Field, g: FuncSpec, a, b) -> int:
     if g.to_prime_subfield:
         raise ValueError("lambda spectrum needs a GF(q)-valued function")
     gt = g.table(F)
-    inner = F.add_arrays(F.scale_table(a)[gt], F.scale_table(b)[np.arange(F.q)])
+    inner = F.add_arrays(F.mul_arrays(gt, a), F.mul_arrays(np.arange(F.q), b))
     tv = F.trace_table[inner].astype(np.int64)
     return int(np.sum(1 - 2 * tv))
 
@@ -219,7 +213,7 @@ def is_almost_bent(F: Field, g: FuncSpec) -> bool:
     allowed = {0, 1 << ((F.m + 1) // 2), -(1 << ((F.m + 1) // 2))}
     gt = g.table(F)
     for a in range(1, F.q):
-        fa = F.trace_table[F.scale_table(a)[gt]]
+        fa = F.trace_table[F.mul_arrays(gt, a)]
         spec = walsh_from_table(F, fa)
         if not set(spec.values) <= allowed:
             return False
@@ -281,14 +275,15 @@ def hyperoval_spectrum_check(F: Field, i: int, j: int) -> HyperovalCheck:
             "gcd(2^kappa+1, 2^m-1) = 1", f"kappa = {kappa}, m = {m}"
         )
     rho = 2**i + 2**j
-    gamma = F.add_arrays(F.pow_all(rho), np.arange(F.q, dtype=np.int64))
+    xs = np.arange(F.q, dtype=np.int64)
+    gamma = F.add_arrays(F.pow_arrays(xs, rho), xs)
     fibers = np.bincount(gamma, minlength=F.q)
     if not np.all((fibers == 0) | (fibers == 2)):
         raise PreconditionFailedError("Gamma_rho two-to-one", f"rho = {rho}")
     indicator = (fibers > 0).astype(np.int64)
     spec = walsh_from_table(F, indicator)
     ell = (rho - 1) * pow(2**kappa + 1, -1, 2**m - 1) % (2**m - 1)
-    tr_ell = F.trace_table[F.pow_all(ell)]
+    tr_ell = F.trace_table[F.pow_arrays(xs, ell)]
     amp = 1 << ((m + 1) // 2)
     violations = []
     for b in range(F.q):

@@ -12,7 +12,7 @@ import sys
 from . import boolfn, codes, designs, verify
 from .designs import AdditiveGroup, CyclicGroup
 from .errors import ToolkitError
-from .gf import DEFAULT_MAX_FIELD_BITS, field_new, parse_modulus
+from .gf import MAX_FIELD_BITS, Field, parse_modulus
 
 
 class UsageError(Exception):
@@ -31,15 +31,17 @@ def _add_field_flags(sp):
     sp.add_argument("--m", type=int, default=1, help="extension degree")
     sp.add_argument("--modulus", default=None,
                     help="field modulus as c0,c1,...,cm (constant first)")
-    sp.add_argument("--max-field-bits", type=int, default=DEFAULT_MAX_FIELD_BITS,
-                    dest="max_field_bits", help="refuse fields larger than 2^BITS")
+    sp.add_argument("--max-field-bits", type=int, default=MAX_FIELD_BITS,
+                    dest="max_field_bits",
+                    help=f"refuse fields larger than 2^BITS; can only lower the "
+                         f"2^{MAX_FIELD_BITS} exp/log table cap")
 
 
 def _field(args, p=None, m=None):
     mod = parse_modulus(args.modulus) if args.modulus else None
-    return field_new(p if p is not None else args.p,
-                     m if m is not None else args.m,
-                     mod, max_bits=args.max_field_bits)
+    return Field(p if p is not None else args.p,
+                 m if m is not None else args.m,
+                 mod, max_bits=args.max_field_bits)
 
 
 def _resolve_family(args):

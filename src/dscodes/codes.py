@@ -23,6 +23,7 @@ import numpy as np
 from .cyclotomic import CycInt, char_sum, is_rational
 from .designs import DefiningSet
 from .errors import (
+    InvariantError,
     NonIntegralWeightError,
     NonRationalSumError,
     PreconditionFailedError,
@@ -57,7 +58,7 @@ def generator_matrix(C: DefiningSetCode):
     darr = np.asarray(C.D.elems, dtype=np.int64)
     G = np.zeros((F.m, C.n), dtype=np.int8)
     for i, b in enumerate(F.basis()):
-        G[i] = F.trace_table[F.scale_table(b)[darr]]
+        G[i] = F.trace_table[F.mul_arrays(b, darr)]
     return G
 
 
@@ -107,11 +108,14 @@ def weight_enumerator(C: DefiningSetCode, max_work=DEFAULT_MAX_WORK) -> WeightEn
     k = F.m
     t = kersize
     while t > 1:
-        assert t % F.p == 0, "zero-weight fiber must be a p-power"
+        if t % F.p:
+            raise InvariantError("zero-weight fiber must be a p-power")
         t //= F.p
         k -= 1
-    assert np.all(counts % kersize == 0), "all fibers of the quotient have equal size"
-    assert k == gfp_rank(G.tolist(), F.p), "kernel size disagrees with matrix rank"
+    if np.any(counts % kersize):
+        raise InvariantError("all fibers of the quotient must have equal size")
+    if k != gfp_rank(G.tolist(), F.p):
+        raise InvariantError("kernel size disagrees with matrix rank")
     amounts = counts // kersize
     cdict = {int(w): int(a) for w, a in enumerate(amounts) if a}
     return WeightEnumerator(F.p, F.m, n, k, cdict)

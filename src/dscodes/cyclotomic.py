@@ -109,18 +109,6 @@ class CycInt:
         return " + ".join(f"{c}*z^{k}" for k, c in enumerate(self.coeffs, start=1))
 
 
-def cyc_root_power(p, k):
-    return CycInt.root_power(p, k)
-
-
-def cyc_add(a, b):
-    return a + b
-
-
-def cyc_mul(a, b):
-    return a * b
-
-
 def is_rational(a):
     """The integer n with a == n, or None if a is irrational."""
     c = a.coeffs[0]
@@ -131,15 +119,6 @@ def is_rational(a):
 
 def char_sum(F: Field, S, b) -> CycInt:
     """sum of zeta_p^trace(b*x) over x in S, exactly."""
-    elems = list(S)
-    if b == 0 or not elems:
-        return CycInt.integer(F.p, len(elems))
-    if F.q <= 1 << 22:
-        arr = np.asarray(elems, dtype=np.int64)
-        tv = F.trace_table[F.scale_table(b)[arr]]
-        counts = np.bincount(tv, minlength=F.p)
-        return CycInt.from_counts(F.p, counts.tolist())
-    counts = [0] * F.p
-    for x in elems:
-        counts[F.trace(F.mul(b, x))] += 1
-    return CycInt.from_counts(F.p, counts)
+    arr = np.asarray(list(S), dtype=np.int64)
+    tv = F.trace_table[F.mul_arrays(arr, b)]
+    return CycInt.from_counts(F.p, np.bincount(tv, minlength=F.p).tolist())

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -19,6 +20,8 @@ from .errors import (
     EmptySetError,
     EvenCharacteristicError,
     EvenDegreeError,
+    InvariantError,
+    LogOfZeroError,
     NotTwoToOneError,
     UnknownKindError,
 )
@@ -46,7 +49,7 @@ class AdditiveGroup:
     def _difference_counts(self, elems):
         F = self.field
         arr = np.asarray(elems, dtype=np.int64)
-        neg = F.scale_table(F.p - 1)[arr]
+        neg = F.mul_arrays(arr, F.p - 1)
         diffs = F.add_arrays(arr[:, None], neg[None, :]).ravel()
         return np.bincount(diffs, minlength=self.order)
 
@@ -123,13 +126,15 @@ def classify_design(G, D):
             spec[val] = int(cnt)
     if len(spec) == 1:
         lam = next(iter(spec))
-        assert k * (k - 1) == lam * (v - 1)
+        if k * (k - 1) != lam * (v - 1):
+            raise InvariantError("difference counts do not sum to k(k-1)")
         return DifferenceSet(v, k, lam)
     if len(spec) == 2:
         lo, hi = sorted(spec)
         if hi == lo + 1:
             t = spec[lo]
-            assert k * (k - 1) == t * lo + (v - 1 - t) * hi
+            if k * (k - 1) != t * lo + (v - 1 - t) * hi:
+                raise InvariantError("difference counts do not sum to k(k-1)")
             return AlmostDifferenceSet(v, k, lo, t)
     return IrregularDesign(v, k, tuple(sorted(spec.items())))
 
@@ -171,7 +176,10 @@ def to_cyclic_residues(D: DefiningSet, v=None):
     F = D.field
     if v is None:
         v = F.q - 1
-    return sorted(F.dlog(d) % v for d in D.elems)
+    logs = F.log_table[np.asarray(D.elems, dtype=np.int64)]
+    if np.any(logs < 0):
+        raise LogOfZeroError("dlog(0) is undefined")
+    return sorted((logs % v).tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -197,22 +205,18 @@ class FuncSpec:
         if any(e < 1 for e in exps):
             raise ValueError("exponents must be positive")
 
-    def evaluate(self, F: Field, x):
-        acc = 0
-        for c, e in self.terms:
-            acc = F.add(acc, F.mul(c, F.pow(x, e)))
-        if self.to_prime_subfield:
-            acc = F.trace(acc)
-        return acc
-
-    def table(self, F: Field):
-        """Vector of f(x) over all x in field-index order."""
-        out = np.zeros(F.q, dtype=np.int64)
-        for c, e in self.terms:
-            out = F.add_arrays(out, F.scale_table(c)[F.pow_all(e)])
+    def evaluate(self, F: Field, xs):
+        """Array of f(x) for every element index x in xs."""
+        xs = np.asarray(xs, dtype=np.int64)
+        out = reduce(F.add_arrays,
+                     (F.mul_arrays(F.pow_arrays(xs, e), c) for c, e in self.terms))
         if self.to_prime_subfield:
             out = F.trace_table[out].astype(np.int64)
         return out
+
+    def table(self, F: Field):
+        """Vector of f(x) over all x in field-index order."""
+        return self.evaluate(F, np.arange(F.q, dtype=np.int64))
 
 
 _TERM_RE = re.compile(r"^(-)?(\d+)(?:\*(?:u|a|alpha)(?:\^(\d+))?)?$")
@@ -310,7 +314,8 @@ def maschietti_set(F: Field, case: str) -> DefiningSet:
     rho = maschietti_rho(F.m, case)
     if F.p != 2:
         raise EvenCharacteristicError("hyperoval constructions live in GF(2^m)")
-    gamma = F.add_arrays(F.pow_all(rho), np.arange(F.q, dtype=np.int64))
+    xs = np.arange(F.q, dtype=np.int64)
+    gamma = F.add_arrays(F.pow_arrays(xs, rho), xs)
     fibers = np.bincount(gamma, minlength=F.q)
     if not np.all((fibers == 0) | (fibers == 2)):
         raise NotTwoToOneError(f"x^{rho}+x is not two-to-one on GF(2^{F.m})")
@@ -330,7 +335,8 @@ def hkm_set(h: int, max_bits=None) -> DefiningSet:
     ys = F.exp_table[(t * ell) % (F.q - 1)]
     tr = F.trace_table[F.add_arrays(xs, ys)]
     elems = xs[tr == 0]
-    assert len(elems) == (3 ** (m - 1) - 1) // 2
+    if len(elems) != (3 ** (m - 1) - 1) // 2:
+        raise InvariantError(f"HKM set has {len(elems)} elements")
     return defining_set(F, elems.tolist(), "hkm")
 
 
@@ -340,12 +346,11 @@ def boolean_support(F: Field, f: FuncSpec) -> DefiningSet:
     return defining_set(F, np.nonzero(tbl == 1)[0].tolist(), "bool-support")
 
 
-def joint_counts(F: Field, f: FuncSpec, b) -> tuple:
-    """Counts of {x: f(x)=0, Tr(bx)=a} indexed by a in GF(p)."""
-    tbl = f.table(F)
-    kernel = np.nonzero(tbl == 0)[0]
-    if b == 0:
-        return (len(kernel),) + (0,) * (F.p - 1)
-    tv = F.trace_table[F.scale_table(b)[kernel]]
-    counts = np.bincount(tv, minlength=F.p)
-    return tuple(int(c) for c in counts)
+def joint_counts(F: Field, f: FuncSpec, bs) -> list:
+    """For each b in bs, the counts of {x: f(x)=0, Tr(bx)=a} indexed by a in GF(p)."""
+    kernel = np.nonzero(f.table(F) == 0)[0]
+    out = []
+    for b in bs:
+        tv = F.trace_table[F.mul_arrays(kernel, b)]
+        out.append(tuple(np.bincount(tv, minlength=F.p).tolist()))
+    return out

@@ -84,3 +84,7 @@ class NonIntegralWeightError(ToolkitError):
 
 class ZeroDimensionalError(ToolkitError):
     """The code has no nonzero codewords."""
+
+
+class InvariantError(ToolkitError):
+    """An internal consistency check failed; this is a bug, not bad input."""

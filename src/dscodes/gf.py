@@ -19,11 +19,12 @@ certifies irreducibility for free.
 from __future__ import annotations
 
 from functools import lru_cache
-from math import gcd, isqrt
+from math import gcd
 
 import numpy as np
 
 from .errors import (
+    InvariantError,
     LogOfZeroError,
     NotDivisorError,
     NotPrimeError,
@@ -32,8 +33,8 @@ from .errors import (
     ZeroInputError,
 )
 
-DEFAULT_MAX_FIELD_BITS = 26
-DLOG_TABLE_LIMIT = 1 << 22
+# Every field carries exp/log tables, so the field cap is the table cap.
+MAX_FIELD_BITS = 22
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -154,17 +155,16 @@ class Field:
     """GF(p^m) with elements encoded as ints in [0, p^m)."""
 
     def __init__(self, p: int, m: int, modulus=None, *,
-                 max_bits: int = DEFAULT_MAX_FIELD_BITS,
-                 dlog_table_limit: int = DLOG_TABLE_LIMIT):
+                 max_bits: int = MAX_FIELD_BITS):
         if not isinstance(p, int) or not is_prime(p):
             raise NotPrimeError(f"characteristic {p} is not prime")
         if m < 1:
             raise ValueError("extension degree m must be >= 1")
         q = p**m
-        if q > (1 << max_bits):
-            raise SizeLimitError(f"p^m = {q} exceeds 2^{max_bits}")
+        bits = min(max_bits, MAX_FIELD_BITS)  # max_bits can only lower the cap
+        if q > (1 << bits):
+            raise SizeLimitError(f"p^m = {q} exceeds 2^{bits}")
         self.p, self.m, self.q = p, m, q
-        self._dlog_table_limit = dlog_table_limit
         self._qm1_primes = sorted(factorize(q - 1)) if q > 2 else []
         if modulus is not None:
             mod = tuple(int(c) % p for c in modulus)
@@ -248,12 +248,8 @@ class Field:
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
             return 0
-        if self.q <= self._dlog_table_limit:
-            self._ensure_tables()
-            return int(self._exp[(int(self._log[a]) + int(self._log[b])) % (self.q - 1)])
-        prod = _poly_mulmod(self._digits_of(a), self._digits_of(b),
-                            self.modulus, self.p)
-        return self.from_digits(prod)
+        self._ensure_tables()
+        return int(self._exp[(int(self._log[a]) + int(self._log[b])) % (self.q - 1)])
 
     def _mul_by_alpha(self, a: int) -> int:
         """a * alpha without exp/log tables (used to build them)."""
@@ -276,17 +272,8 @@ class Field:
             e = -e
         if a == 0:
             return 0 if e else 1
-        e %= self.q - 1
-        if self.q <= self._dlog_table_limit:
-            self._ensure_tables()
-            return int(self._exp[int(self._log[a]) * e % (self.q - 1)])
-        acc, b = 1, a
-        while e:
-            if e & 1:
-                acc = self.mul(acc, b)
-            b = self.mul(b, b)
-            e >>= 1
-        return acc
+        self._ensure_tables()
+        return int(self._exp[int(self._log[a]) * e % (self.q - 1)])
 
     def inv(self, a: int) -> int:
         if a == 0:
@@ -299,7 +286,8 @@ class Field:
         for _ in range(self.m - 1):
             t = self.pow(t, self.p)
             acc = self.add(acc, t)
-        assert acc < self.p, "trace left the prime subfield"
+        if acc >= self.p:
+            raise InvariantError("trace left the prime subfield")
         return acc
 
     def relative_trace(self, d: int, a: int) -> int:
@@ -314,25 +302,10 @@ class Field:
         return acc
 
     def dlog(self, a: int) -> int:
-        """Discrete log base alpha; table-backed when q is small, else BSGS."""
+        """Discrete log base alpha, read from the log table."""
         if a == 0:
             raise LogOfZeroError("dlog(0) is undefined")
-        if self.q <= self._dlog_table_limit:
-            self._ensure_tables()
-            return int(self._log[a])
-        s = isqrt(self.q - 1) + 1
-        baby: dict[int, int] = {}
-        cur = 1
-        for j in range(s):
-            baby.setdefault(cur, j)
-            cur = self.mul(cur, self.alpha)
-        giant = self.inv(cur)  # alpha^(-s)
-        y = a
-        for i in range(s + 1):
-            if y in baby:
-                return (i * s + baby[y]) % (self.q - 1)
-            y = self.mul(y, giant)
-        raise AssertionError("BSGS failed; alpha is not primitive?")
+        return int(self.log_table[a])
 
     def is_square(self, a: int) -> bool:
         if a == 0:
@@ -353,15 +326,13 @@ class Field:
     def _ensure_tables(self):
         if self._log is not None:
             return
-        if self.q > self._dlog_table_limit:
-            raise SizeLimitError(
-                f"exp/log tables for q = {self.q} exceed the table limit")
         exp = np.empty(self.q - 1, dtype=np.int64)
         cur = 1
         for t in range(self.q - 1):
             exp[t] = cur
             cur = self._mul_by_alpha(cur)
-        assert cur == 1, "alpha order is not q-1"
+        if cur != 1:
+            raise InvariantError("alpha order is not q-1")
         log = np.full(self.q, -1, dtype=np.int64)
         log[exp] = np.arange(self.q - 1)
         self._exp, self._log = exp, log
@@ -417,35 +388,21 @@ class Field:
             mult *= self.p
         return acc
 
-    def pow_all(self, e: int) -> np.ndarray:
-        """Array t with t[x] = x^e over every element x (e >= 0)."""
-        self._ensure_tables()
-        out = np.zeros(self.q, dtype=np.int64)
-        if e == 0:
-            out[:] = 1
-            return out
-        out[self._exp] = self._exp[(e % (self.q - 1)) * np.arange(self.q - 1) % (self.q - 1)]
-        return out
-
-    def scale_table(self, c: int) -> np.ndarray:
-        """Array t with t[x] = c*x over every element x."""
-        self._ensure_tables()
-        out = np.zeros(self.q, dtype=np.int64)
-        if c == 0:
-            return out
-        out[self._exp] = self._exp[(int(self._log[c]) + np.arange(self.q - 1)) % (self.q - 1)]
-        return out
-
-    def mul_arrays(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Elementwise field multiplication of arrays of element indices."""
-        self._ensure_tables()
+    def mul_arrays(self, a, b) -> np.ndarray:
+        """Elementwise product of element indices; scalars broadcast, 0 maps to 0."""
+        log = self.log_table
         a = np.asarray(a, dtype=np.int64)
         b = np.asarray(b, dtype=np.int64)
-        a, b = np.broadcast_arrays(a, b)
-        out = np.zeros(a.shape, dtype=np.int64)
-        nz = (a != 0) & (b != 0)
-        out[nz] = self._exp[(self._log[a[nz]] + self._log[b[nz]]) % (self.q - 1)]
-        return out
+        t = log[a] + log[b]
+        t %= self.q - 1
+        return np.where((a == 0) | (b == 0), 0, self._exp[t])
+
+    def pow_arrays(self, a, e: int) -> np.ndarray:
+        """Elementwise a^e for an int e >= 0 (0^e = 0 for e > 0, 0^0 = 1)."""
+        a = np.asarray(a, dtype=np.int64)
+        t = self.log_table[a] * (e % (self.q - 1))
+        t %= self.q - 1
+        return np.where(a == 0, 0 if e else 1, self._exp[t])
 
     # -- presentation --------------------------------------------------------
 
@@ -473,12 +430,6 @@ class Field:
 
     def __repr__(self):
         return f"Field(p={self.p}, m={self.m}, modulus={self.modulus_poly_str()})"
-
-
-def field_new(p: int, m: int, modulus=None, *,
-              max_bits: int = DEFAULT_MAX_FIELD_BITS) -> Field:
-    """Construct GF(p^m); modulus defaults to the documented scan result."""
-    return Field(p, m, modulus, max_bits=max_bits)
 
 
 @lru_cache(maxsize=None)

@@ -445,8 +445,7 @@ def _hkm_lemma_case(h):
         }
         d0 = sorted(set(D.elems) | {F.neg(d) for d in D.elems})
         allowed_chi = {-1, 3 ** (2 * h - 1) - 1, -(3 ** (2 * h - 1)) - 1}
-        for b in bs:
-            triple = designs.joint_counts(F, f_hkm, b)
+        for b, triple in zip(bs, designs.joint_counts(F, f_hkm, bs)):
             if triple not in allowed_triples:
                 problems.append(f"N_(b,a) triple {triple} at b={b}")
             chi = is_rational(char_sum(F, d0, b))

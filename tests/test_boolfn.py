@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from dscodes import boolfn, errors
 from dscodes.boolfn import WalshSpectrum
@@ -84,6 +86,47 @@ def test_quadratic_rank_rejects_other_exponents():
     with pytest.raises(errors.NotQuadraticFormError):
         boolfn.quadratic_rank(F27, FuncSpec(((1, 5),), True))
     boolfn.quadratic_rank(F27, FuncSpec(((1, 6),), True))  # 6 = 3 + 3 is fine
+
+
+def brute_rank(F, f):
+    """m - log_p |{a : B(a, x) = 0 for all x}| with B(a,x) = f(a+x) - f(a) - f(x)."""
+    vals = []
+    for x in range(F.q):
+        acc = 0
+        for c, e in f.terms:
+            acc = F.add(acc, F.mul(c, F.pow(x, e)))
+        vals.append(F.trace(acc) if f.to_prime_subfield else acc)
+    sub = (lambda u, v: (u - v) % F.p) if f.to_prime_subfield else F.sub
+
+    def bilinear(a, x):
+        return sub(sub(vals[F.add(a, x)], vals[a]), vals[x])
+
+    size = sum(1 for a in range(F.q) if all(bilinear(a, x) == 0 for x in range(F.q)))
+    dim = 0
+    while size > 1:
+        assert size % F.p == 0
+        size //= F.p
+        dim += 1
+    return F.m - dim
+
+
+@st.composite
+def quadratic_forms(draw):
+    p, m = draw(st.sampled_from(((2, 5), (3, 3), (5, 2))))
+    F = default_field(p, m)
+    exps = sorted({p**i + p**j for i in range(m) for j in range(i, m)})
+    coeffs = draw(st.lists(st.integers(0, F.q - 1), min_size=len(exps), max_size=len(exps)))
+    terms = tuple((c, e) for c, e in zip(coeffs, exps) if c)
+    assume(terms)
+    return F, FuncSpec(terms, draw(st.booleans()))
+
+
+@given(quadratic_forms())
+def test_quadratic_rank_matches_brute_force_radical(form):
+    F, f = form
+    rank = boolfn.quadratic_rank(F, f)
+    assert rank.r == brute_rank(F, f)
+    assert rank.radical_dim == F.m - rank.r
 
 
 def test_galois_sum_frozen_values():

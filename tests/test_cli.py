@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -101,6 +105,22 @@ def test_precondition_failure_maps_to_1(capsys):
     rc, _, err = run(capsys, "construct", "--family", "paley", "--p", "2", "--m", "4")
     assert rc == 1
     assert err
+
+
+@pytest.mark.parametrize("extra", [(), ("--max-field-bits", "26")])
+def test_field_above_table_cap_exits_1(extra):
+    # 3^15 > 2^22: no flag value admits a field without exp/log tables
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "dscodes.cli", "construct", "--family", "paley",
+         "--p", "3", "--m", "15", *extra],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error:")
+    assert "Traceback" not in proc.stderr
 
 
 def test_export_gen_writes_file(tmp_path, capsys):

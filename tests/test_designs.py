@@ -85,6 +85,16 @@ def test_complement_and_residues():
     assert designs.to_cyclic_residues(D) == [0, 5, 11]
     assert designs.to_cyclic_residues(D, v=13) == [0, 5, 11]
     assert designs.to_cyclic_residues(D, v=5) == [0, 0, 1]
+    with pytest.raises(errors.LogOfZeroError):
+        designs.to_cyclic_residues(designs.defining_set(F, [0, 1]))
+
+
+def scalar_eval(F, f, x):
+    """sum c*x^e (then Tr if traced) with scalar field ops: the reference oracle."""
+    acc = 0
+    for c, e in f.terms:
+        acc = F.add(acc, F.mul(c, F.pow(x, e)))
+    return F.trace(acc) if f.to_prime_subfield else acc
 
 
 def test_func_spec_table_matches_scalar_evaluate():
@@ -93,7 +103,9 @@ def test_func_spec_table_matches_scalar_evaluate():
         f = FuncSpec(terms, traced)
         tbl = f.table(F)
         for x in range(F.q):
-            assert tbl[x] == f.evaluate(F, x)
+            assert tbl[x] == scalar_eval(F, f, x)
+        xs = np.array([5, 0, 26, 5])
+        assert f.evaluate(F, xs).tolist() == [scalar_eval(F, f, int(x)) for x in xs]
 
 
 def test_parse_func_spec_grammar():
@@ -178,12 +190,15 @@ def test_joint_counts_matches_brute_force():
     F = default_field(3, 3)
     ell = 7
     f = FuncSpec(((1, 1), (1, ell)), True)
-    for b in (1, 5, 14):
+    bs = (1, 5, 14, 0)
+    wants = []
+    for b in bs:
         want = [0, 0, 0]
         for x in range(F.q):
-            if f.evaluate(F, x) == 0:
+            if scalar_eval(F, f, x) == 0:
                 want[F.trace(F.mul(b, x))] += 1
-        assert designs.joint_counts(F, f, b) == tuple(want)
+        wants.append(tuple(want))
+    assert designs.joint_counts(F, f, bs) == wants
 
 
 def test_additive_group_difference_counts_match_brute_force():

@@ -4,7 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from dscodes import errors
-from dscodes.gf import Field, default_field, field_new, gfp_rank, parse_modulus
+from dscodes.gf import MAX_FIELD_BITS, Field, default_field, gfp_rank, parse_modulus
 
 
 def test_default_moduli_are_the_documented_scan_results():
@@ -36,9 +36,15 @@ def test_rejects_composite_characteristic():
 
 
 def test_field_size_cap():
+    assert MAX_FIELD_BITS == 22
+    Field(2, 22)
     with pytest.raises(errors.SizeLimitError):
-        Field(2, 30)
-    Field(2, 30, max_bits=30)  # raising the cap admits it
+        Field(2, 23)
+    with pytest.raises(errors.SizeLimitError):
+        Field(3, 15, max_bits=26)  # max_bits cannot raise the table cap
+    Field(3, 4, max_bits=7)
+    with pytest.raises(errors.SizeLimitError):
+        Field(3, 5, max_bits=7)  # but it can lower it
 
 
 def test_inverse_and_order_exhaustive_gf27():
@@ -98,12 +104,6 @@ def test_dlog_round_trip_and_zero():
         F.dlog(0)
 
 
-def test_dlog_bsgs_path():
-    F = Field(3, 3, dlog_table_limit=1)  # force the table-free branch
-    for t in (0, 1, 5, 13, 25):
-        assert F.dlog(F.pow(F.alpha, t)) == t
-
-
 def test_is_square_matches_brute_force():
     for p, m in ((7, 1), (3, 2)):
         F = default_field(p, m)
@@ -140,13 +140,27 @@ def test_array_kernels_match_scalar_ops():
     b = (a * 7 + 3) % F.q
     add = F.add_arrays(a, b)
     mul = F.mul_arrays(a, b)
-    p5 = F.pow_all(5)
-    s4 = F.scale_table(4)
+    p5 = F.pow_arrays(a, 5)
+    s4 = F.mul_arrays(4, a)
     for x in range(F.q):
         assert add[x] == F.add(x, int(b[x]))
         assert mul[x] == F.mul(x, int(b[x]))
         assert p5[x] == F.pow(x, 5)
         assert s4[x] == F.mul(4, x)
+
+
+def test_pow_arrays_zero_and_full_period():
+    for p, m in ((2, 4), (3, 3), (7, 1)):
+        F = default_field(p, m)
+        xs = np.arange(F.q, dtype=np.int64)
+        for e in (0, 1, F.q - 1, 2 * (F.q - 1), F.q, 3 * (F.q - 1) + 2):
+            got = F.pow_arrays(xs, e)
+            assert got.tolist() == [F.pow(x, e) for x in range(F.q)]
+        # x^(k(q-1)) is 1 off zero and 0 at zero; x^0 is 1 everywhere
+        assert F.pow_arrays(xs, F.q - 1).tolist() == [0] + [1] * (F.q - 1)
+        assert F.pow_arrays(xs, 0).tolist() == [1] * F.q
+        assert int(F.pow_arrays(0, 5)) == 0 and int(F.pow_arrays(0, 0)) == 1
+        assert F.mul_arrays(0, xs).tolist() == [0] * F.q
 
 
 def test_add_arrays_does_not_mutate_inputs():
@@ -169,7 +183,7 @@ def test_gfp_rank_known_matrices():
 
 def test_parse_modulus_and_field_new():
     assert parse_modulus("1,2,0,1") == (1, 2, 0, 1)
-    F = field_new(3, 3, parse_modulus("1,2,0,1"))
+    F = Field(3, 3, parse_modulus("1,2,0,1"))
     assert F.modulus == default_field(3, 3).modulus
 
 
