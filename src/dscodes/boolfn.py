@@ -68,15 +68,11 @@ def _trace_pairing_map(F: Field):
     umap = getattr(F, "_walsh_umap", None)
     if umap is not None:
         return umap
-    m = F.m
-    ubasis = []
-    for i in range(m):
-        row = 0
-        for j in range(m):
-            row |= F.trace(F.mul(1 << i, 1 << j)) << j
-        ubasis.append(row)
+    basis = np.asarray(F.basis(), dtype=np.int64)
+    # bit j of ubasis[i] is Tr(alpha^i alpha^j)
+    ubasis = F.trace(F.mul(basis[:, None], basis[None, :])) @ basis
     umap = np.zeros(F.q, dtype=np.int64)
-    for i in range(m):
+    for i in range(F.m):
         step = 1 << i
         umap[step : 2 * step] = umap[:step] ^ ubasis[i]
     F._walsh_umap = umap
@@ -93,7 +89,7 @@ def walsh_from_table(F: Field, ftable) -> WalshSpectrum:
 def walsh_transform(F: Field, f: FuncSpec) -> WalshSpectrum:
     if F.p != 2:
         raise ValueError("Walsh transform is defined over GF(2^m)")
-    tbl = f.table(F) if f.to_prime_subfield else F.trace_table[f.table(F)]
+    tbl = f.table(F) if f.to_prime_subfield else F.trace(f.table(F))
     return walsh_from_table(F, tbl)
 
 
@@ -161,14 +157,13 @@ def quadratic_rank(F: Field, f: FuncSpec) -> QuadraticRank:
     basis = np.asarray(F.basis(), dtype=np.int64)
     # bilinear values B(a_i, a_j) = f(a_i + a_j) - f(a_i) - f(a_j)
     fb = f.evaluate(F, basis)
-    fpair = f.evaluate(F, F.add_arrays(basis[:, None], basis[None, :]))
+    fpair = f.evaluate(F, F.add(basis[:, None], basis[None, :]))
     if f.to_prime_subfield:
         rows = (fpair - fb[:, None] - fb[None, :]) % F.p
     else:
-        neg_fb = F.mul_arrays(fb, F.p - 1)
-        bilin = F.add_arrays(F.add_arrays(fpair, neg_fb[:, None]), neg_fb[None, :])
+        bilin = F.sub(F.sub(fpair, fb[:, None]), fb[None, :])
         # row (j, d) holds digit d of B(a_i, a_j) for every i
-        rows = F.digit_matrix[bilin].transpose(1, 2, 0).reshape(m * m, m)
+        rows = F.digits(bilin).transpose(1, 2, 0).reshape(m * m, m)
     r = gfp_rank(rows, F.p)
     return QuadraticRank(r, m - r)
 
@@ -177,7 +172,7 @@ def quadratic_galois_sum(F: Field, f: FuncSpec) -> int:
     """sum over y in GF(p)*, x in GF(q) of zeta^(y*f(x)), a rational integer."""
     tbl = f.table(F)
     if not f.to_prime_subfield:
-        tbl = F.trace_table[tbl]
+        tbl = F.trace(tbl)
     counts = np.bincount(np.asarray(tbl, dtype=np.int64), minlength=F.p)
     base = CycInt.from_counts(F.p, counts.tolist())
     total = CycInt.integer(F.p, 0)
@@ -197,8 +192,8 @@ def lambda_spectrum(F: Field, g: FuncSpec, a, b) -> int:
     if g.to_prime_subfield:
         raise ValueError("lambda spectrum needs a GF(q)-valued function")
     gt = g.table(F)
-    inner = F.add_arrays(F.mul_arrays(gt, a), F.mul_arrays(np.arange(F.q), b))
-    tv = F.trace_table[inner].astype(np.int64)
+    inner = F.add(F.mul(gt, a), F.mul(np.arange(F.q), b))
+    tv = F.trace(inner).astype(np.int64)
     return int(np.sum(1 - 2 * tv))
 
 
@@ -213,7 +208,7 @@ def is_almost_bent(F: Field, g: FuncSpec) -> bool:
     allowed = {0, 1 << ((F.m + 1) // 2), -(1 << ((F.m + 1) // 2))}
     gt = g.table(F)
     for a in range(1, F.q):
-        fa = F.trace_table[F.mul_arrays(gt, a)]
+        fa = F.trace(F.mul(gt, a))
         spec = walsh_from_table(F, fa)
         if not set(spec.values) <= allowed:
             return False
@@ -276,14 +271,14 @@ def hyperoval_spectrum_check(F: Field, i: int, j: int) -> HyperovalCheck:
         )
     rho = 2**i + 2**j
     xs = np.arange(F.q, dtype=np.int64)
-    gamma = F.add_arrays(F.pow_arrays(xs, rho), xs)
+    gamma = F.add(F.pow(xs, rho), xs)
     fibers = np.bincount(gamma, minlength=F.q)
     if not np.all((fibers == 0) | (fibers == 2)):
         raise PreconditionFailedError("Gamma_rho two-to-one", f"rho = {rho}")
     indicator = (fibers > 0).astype(np.int64)
     spec = walsh_from_table(F, indicator)
     ell = (rho - 1) * pow(2**kappa + 1, -1, 2**m - 1) % (2**m - 1)
-    tr_ell = F.trace_table[F.pow_arrays(xs, ell)]
+    tr_ell = F.trace(F.pow(xs, ell))
     amp = 1 << ((m + 1) // 2)
     violations = []
     for b in range(F.q):

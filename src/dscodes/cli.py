@@ -298,10 +298,7 @@ def entry(argv=None):
     try:
         args = parser.parse_args(argv)
         return args.fn(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ToolkitError, ValueError) as exc:
+    except (UsageError, ToolkitError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -3,8 +3,8 @@
 The code C_D = {(Tr(x d))_{d in D} : x in GF(p^m)} is enumerated exhaustively:
 every codeword is a GF(p)-combination of the rows of the m x n generator
 matrix G[i][j] = Tr(alpha^i d_j), so weights come from chunked matrix products
-against the digit matrix of the field.  Dimension is derived twice (kernel
-size and matrix rank) and the two must agree.
+of the messages' base-p digit vectors with G.  Dimension is derived twice
+(kernel size and matrix rank) and the two must agree.
 
 predicted_enumerator() turns each closed-form claim (identified by an opaque
 claim id) into an exact expected enumerator for comparison against the
@@ -47,19 +47,16 @@ def make_code(D: DefiningSet) -> DefiningSetCode:
 
 
 def codeword(C: DefiningSetCode, x):
-    """Reference path: coordinate-wise trace lookups, nothing fancier."""
+    """c_x = (Tr(x d))_{d in D}."""
     F = C.field
-    return np.array([F.trace_table[F.mul(x, d)] for d in C.D.elems], dtype=np.int64)
+    return F.trace(F.mul(x, np.asarray(C.D.elems, dtype=np.int64)))
 
 
 def generator_matrix(C: DefiningSetCode):
     """Row i is the codeword of the basis element alpha^i."""
     F = C.field
     darr = np.asarray(C.D.elems, dtype=np.int64)
-    G = np.zeros((F.m, C.n), dtype=np.int8)
-    for i, b in enumerate(F.basis()):
-        G[i] = F.trace_table[F.mul_arrays(b, darr)]
-    return G
+    return np.stack([F.trace(F.mul(b, darr)) for b in F.basis()])
 
 
 @dataclass(frozen=True)
@@ -97,7 +94,7 @@ def weight_enumerator(C: DefiningSetCode, max_work=DEFAULT_MAX_WORK) -> WeightEn
     counts = np.zeros(n + 1, dtype=np.int64)
     chunk = max(1, (1 << 22) // max(n, 1))
     for lo in range(0, F.q, chunk):
-        block = F.digit_matrix[lo : lo + chunk].astype(Gt.dtype)
+        block = F.digits(np.arange(lo, min(lo + chunk, F.q))).astype(Gt.dtype)
         prod = block @ Gt
         if exact_f32:
             prod = prod.astype(np.int64)
@@ -162,14 +159,10 @@ class DualDistanceWitness:
 def dual_distance_witness(C: DefiningSetCode) -> DualDistanceWitness:
     F = C.field
     no_zero = 0 not in C.D.elems
-    reps = set()
-    clean = True
-    for d in C.D.elems:
-        rep = min(F.mul(c, d) for c in range(1, F.p))
-        if rep in reps:
-            clean = False
-            break
-        reps.add(rep)
+    # GF(p)* is generated by alpha^((q-1)/(p-1)), so d and d' are GF(p)-proportional
+    # iff their logs agree mod (q-1)/(p-1); this needs no (p-1) x n product
+    logs = F.log_table[np.asarray(C.D.elems, dtype=np.int64)] % ((F.q - 1) // (F.p - 1))
+    clean = np.unique(logs).size == logs.size
     return DualDistanceWitness(no_zero, no_zero and clean)
 
 

@@ -119,6 +119,5 @@ def is_rational(a):
 
 def char_sum(F: Field, S, b) -> CycInt:
     """sum of zeta_p^trace(b*x) over x in S, exactly."""
-    arr = np.asarray(list(S), dtype=np.int64)
-    tv = F.trace_table[F.mul_arrays(arr, b)]
+    tv = F.trace(F.mul(np.asarray(S, dtype=np.int64), b))
     return CycInt.from_counts(F.p, np.bincount(tv, minlength=F.p).tolist())

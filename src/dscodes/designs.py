@@ -49,8 +49,7 @@ class AdditiveGroup:
     def _difference_counts(self, elems):
         F = self.field
         arr = np.asarray(elems, dtype=np.int64)
-        neg = F.mul_arrays(arr, F.p - 1)
-        diffs = F.add_arrays(arr[:, None], neg[None, :]).ravel()
+        diffs = F.sub(arr[:, None], arr[None, :]).ravel()
         return np.bincount(diffs, minlength=self.order)
 
 
@@ -208,8 +207,7 @@ class FuncSpec:
     def evaluate(self, F: Field, xs):
         """Array of f(x) for every element index x in xs."""
         xs = np.asarray(xs, dtype=np.int64)
-        out = reduce(F.add_arrays,
-                     (F.mul_arrays(F.pow_arrays(xs, e), c) for c, e in self.terms))
+        out = reduce(F.add, (F.mul(F.pow(xs, e), c) for c, e in self.terms))
         if self.to_prime_subfield:
             out = F.trace_table[out].astype(np.int64)
         return out
@@ -260,11 +258,9 @@ def paley_set(F: Field) -> DefiningSet:
 
 def is_skew_set(F: Field, D) -> bool:
     """True iff D, -D and {0} partition GF(q)."""
-    dset = set(D)
-    if 0 in dset:
-        return False
-    neg = {F.neg(d) for d in dset}
-    return not (dset & neg) and len(dset) + len(neg) + 1 == F.q
+    arr = np.unique(np.fromiter(D, dtype=np.int64))
+    return bool(2 * arr.size + 1 == F.q and arr[0] != 0
+                and not np.isin(F.neg(arr), arr).any())
 
 
 def image_set(F: Field, f: FuncSpec) -> DefiningSet:
@@ -315,7 +311,7 @@ def maschietti_set(F: Field, case: str) -> DefiningSet:
     if F.p != 2:
         raise EvenCharacteristicError("hyperoval constructions live in GF(2^m)")
     xs = np.arange(F.q, dtype=np.int64)
-    gamma = F.add_arrays(F.pow_arrays(xs, rho), xs)
+    gamma = F.add(F.pow(xs, rho), xs)
     fibers = np.bincount(gamma, minlength=F.q)
     if not np.all((fibers == 0) | (fibers == 2)):
         raise NotTwoToOneError(f"x^{rho}+x is not two-to-one on GF(2^{F.m})")
@@ -333,7 +329,7 @@ def hkm_set(h: int, max_bits=None) -> DefiningSet:
     t = np.arange(n, dtype=np.int64)
     xs = F.exp_table[t]
     ys = F.exp_table[(t * ell) % (F.q - 1)]
-    tr = F.trace_table[F.add_arrays(xs, ys)]
+    tr = F.trace(F.add(xs, ys))
     elems = xs[tr == 0]
     if len(elems) != (3 ** (m - 1) - 1) // 2:
         raise InvariantError(f"HKM set has {len(elems)} elements")
@@ -342,7 +338,7 @@ def hkm_set(h: int, max_bits=None) -> DefiningSet:
 
 def boolean_support(F: Field, f: FuncSpec) -> DefiningSet:
     """D_f = {x: f(x) = 1} for a Boolean (trace-valued) function on GF(2^m)."""
-    tbl = f.table(F) if f.to_prime_subfield else F.trace_table[f.table(F)]
+    tbl = f.table(F) if f.to_prime_subfield else F.trace(f.table(F))
     return defining_set(F, np.nonzero(tbl == 1)[0].tolist(), "bool-support")
 
 
@@ -351,6 +347,6 @@ def joint_counts(F: Field, f: FuncSpec, bs) -> list:
     kernel = np.nonzero(f.table(F) == 0)[0]
     out = []
     for b in bs:
-        tv = F.trace_table[F.mul_arrays(kernel, b)]
+        tv = F.trace(F.mul(kernel, b))
         out.append(tuple(np.bincount(tv, minlength=F.p).tolist()))
     return out

@@ -21,10 +21,6 @@ class SizeLimitError(ToolkitError):
     """A requested object exceeds the configured size/work budget."""
 
 
-class NotDivisorError(ToolkitError):
-    """Subfield degree does not divide the extension degree."""
-
-
 class LogOfZeroError(ToolkitError):
     """Discrete log of the zero element requested."""
 

@@ -26,7 +26,6 @@ import numpy as np
 from .errors import (
     InvariantError,
     LogOfZeroError,
-    NotDivisorError,
     NotPrimeError,
     NotPrimitivePolynomialError,
     SizeLimitError,
@@ -151,8 +150,17 @@ def _x_order_is_maximal(mod: tuple[int, ...], p: int, prime_divisors) -> bool:
     return all(xpow(qm1 // r) != one for r in prime_divisors)
 
 
+def _int_if_scalar(x):
+    """A 0-d kernel result as a Python int; arrays pass through unchanged."""
+    return int(x) if np.ndim(x) == 0 else x
+
+
 class Field:
-    """GF(p^m) with elements encoded as ints in [0, p^m)."""
+    """GF(p^m) with elements encoded as ints in [0, p^m).
+
+    Each arithmetic method is one kernel: it takes ints or integer arrays,
+    broadcasts them, and returns an int for 0-d inputs.
+    """
 
     def __init__(self, p: int, m: int, modulus=None, *,
                  max_bits: int = MAX_FIELD_BITS):
@@ -160,11 +168,15 @@ class Field:
             raise NotPrimeError(f"characteristic {p} is not prime")
         if m < 1:
             raise ValueError("extension degree m must be >= 1")
-        q = p**m
         bits = min(max_bits, MAX_FIELD_BITS)  # max_bits can only lower the cap
-        if q > (1 << bits):
-            raise SizeLimitError(f"p^m = {q} exceeds 2^{bits}")
+        # p^m >= 2^m, so an m above the cap is refused before p**m is computed
+        if m > bits or p**m > 1 << bits:
+            raise SizeLimitError(f"GF({p}^{m}) exceeds the field cap 2^{bits}")
+        q = p**m
         self.p, self.m, self.q = p, m, q
+        # digits, traces and generator entries lie in [0, p)
+        self._digit_dtype = np.min_scalar_type(p - 1)
+        self._powers = p ** np.arange(m, dtype=np.int64)
         self._qm1_primes = sorted(factorize(q - 1)) if q > 2 else []
         if modulus is not None:
             mod = tuple(int(c) % p for c in modulus)
@@ -181,6 +193,7 @@ class Field:
         self._pm1 = p ** (m - 1)
         self._exp = None
         self._log = None
+        self._trace_table = None
 
     # -- construction ------------------------------------------------------
 
@@ -192,64 +205,47 @@ class Field:
             for g in range(2, p):
                 if all(pow(g, (p - 1) // r, p) != 1 for r in self._qm1_primes):
                     return ((-g) % p, 1)
-            raise AssertionError("no primitive root found")  # unreachable
+            raise InvariantError("no primitive root found")  # unreachable
         for idx in range(1, q):
             if idx % p == 0:
                 continue  # constant term 0 => x divides f
-            mod = tuple(self._digits_of(idx)) + (1,)
+            mod = tuple(self.digits(idx).tolist()) + (1,)
             if _x_order_is_maximal(mod, p, self._qm1_primes):
                 return mod
-        raise AssertionError("no primitive polynomial found")  # unreachable
+        raise InvariantError("no primitive polynomial found")  # unreachable
 
-    def _digits_of(self, a: int) -> list[int]:
-        out = []
-        for _ in range(self.m):
-            out.append(a % self.p)
-            a //= self.p
-        return out
+    # -- arithmetic kernels -------------------------------------------------
 
-    # -- scalar arithmetic -------------------------------------------------
+    def digits(self, a) -> np.ndarray:
+        """Base-p digits of element indices along a new last axis, constant digit first."""
+        a = np.asarray(a, dtype=np.int64)[..., None]
+        return (a // self._powers % self.p).astype(self._digit_dtype)
 
-    def digits(self, a: int) -> tuple[int, ...]:
-        """Base-p digit tuple of an element index, constant digit first."""
-        return tuple(self._digits_of(a))
-
-    def from_digits(self, ds) -> int:
-        acc, mult = 0, 1
-        for d in ds:
-            acc += (d % self.p) * mult
-            mult *= self.p
-        return acc
-
-    def add(self, a: int, b: int) -> int:
+    def add(self, a, b):
+        """Elementwise a + b: XOR for p = 2, digit-wise sums mod p otherwise."""
         if self.p == 2:
-            return a ^ b
-        acc, mult = 0, 1
-        while a or b:
-            acc += ((a + b) % self.p) * mult
-            a //= self.p
-            b //= self.p
-            mult *= self.p
-        return acc
+            return _int_if_scalar(np.bitwise_xor(a, b))
+        a = np.asarray(a, dtype=np.int64)
+        b = np.asarray(b, dtype=np.int64)
+        acc = np.zeros(np.broadcast_shapes(a.shape, b.shape), dtype=np.int64)
+        for pj in self._powers.tolist():
+            acc += (a // pj + b // pj) % self.p * pj
+        return _int_if_scalar(acc)
 
-    def neg(self, a: int) -> int:
-        if self.p == 2:
-            return a
-        acc, mult = 0, 1
-        while a:
-            acc += ((-a) % self.p) * mult
-            a //= self.p
-            mult *= self.p
-        return acc
+    def neg(self, a):
+        return self.mul(a, self.p - 1)
 
-    def sub(self, a: int, b: int) -> int:
+    def sub(self, a, b):
         return self.add(a, self.neg(b))
 
-    def mul(self, a: int, b: int) -> int:
-        if a == 0 or b == 0:
-            return 0
-        self._ensure_tables()
-        return int(self._exp[(int(self._log[a]) + int(self._log[b])) % (self.q - 1)])
+    def mul(self, a, b):
+        """Elementwise product through the exp/log tables; 0 maps to 0."""
+        log = self.log_table
+        a = np.asarray(a, dtype=np.int64)
+        b = np.asarray(b, dtype=np.int64)
+        t = log[a] + log[b]
+        t %= self.q - 1
+        return _int_if_scalar(np.where((a == 0) | (b == 0), 0, self._exp[t]))
 
     def _mul_by_alpha(self, a: int) -> int:
         """a * alpha without exp/log tables (used to build them)."""
@@ -266,40 +262,24 @@ class Field:
             mult *= self.p
         return acc
 
-    def pow(self, a: int, e: int) -> int:
-        if e < 0:
-            a = self.inv(a)
-            e = -e
-        if a == 0:
-            return 0 if e else 1
-        self._ensure_tables()
-        return int(self._exp[int(self._log[a]) * e % (self.q - 1)])
+    def pow(self, a, e: int):
+        """Elementwise a^e for an int e (0^0 = 1, 0^e = 0 for e > 0).
 
-    def inv(self, a: int) -> int:
-        if a == 0:
+        A negative e inverts first, so a 0 among the inputs raises ZeroInputError.
+        """
+        a = np.asarray(a, dtype=np.int64)
+        if e < 0 and np.any(a == 0):
             raise ZeroInputError("zero has no inverse")
-        return self.pow(a, self.q - 2)
+        t = self.log_table[a] * (e % (self.q - 1))
+        t %= self.q - 1
+        return _int_if_scalar(np.where(a == 0, 0 if e else 1, self._exp[t]))
 
-    def trace(self, a: int) -> int:
-        """Absolute trace to GF(p), returned as an int in [0, p)."""
-        acc = t = a
-        for _ in range(self.m - 1):
-            t = self.pow(t, self.p)
-            acc = self.add(acc, t)
-        if acc >= self.p:
-            raise InvariantError("trace left the prime subfield")
-        return acc
+    def inv(self, a):
+        return self.pow(a, -1)
 
-    def relative_trace(self, d: int, a: int) -> int:
-        """Trace to the subfield GF(p^d); d must divide m."""
-        if d < 1 or self.m % d != 0:
-            raise NotDivisorError(f"{d} does not divide {self.m}")
-        pd = self.p**d
-        acc = t = a
-        for _ in range(self.m // d - 1):
-            t = self.pow(t, pd)
-            acc = self.add(acc, t)
-        return acc
+    def trace(self, a):
+        """Absolute trace to GF(p), as ints in [0, p)."""
+        return _int_if_scalar(self.trace_table[a])
 
     def dlog(self, a: int) -> int:
         """Discrete log base alpha, read from the log table."""
@@ -307,19 +287,9 @@ class Field:
             raise LogOfZeroError("dlog(0) is undefined")
         return int(self.log_table[a])
 
-    def is_square(self, a: int) -> bool:
-        if a == 0:
-            raise ZeroInputError("squareness of 0 is not defined here")
-        if self.p == 2:
-            return True  # squaring is a bijection in characteristic 2
-        return self.pow(a, (self.q - 1) // 2) == 1
-
-    def elements(self) -> range:
-        return range(self.q)
-
     def basis(self) -> list[int]:
         """Polynomial basis 1, alpha, ..., alpha^(m-1) as element indices."""
-        return [self.p**i for i in range(self.m)]
+        return self._powers.tolist()
 
     # -- bulk table views (lazy, exact) -------------------------------------
 
@@ -349,60 +319,24 @@ class Field:
         return self._log
 
     @property
-    def digit_matrix(self) -> np.ndarray:
-        """q x m int8 matrix of base-p digits of every element index."""
-        cached = getattr(self, "_digit_matrix", None)
-        if cached is None:
-            idx = np.arange(self.q, dtype=np.int64)
-            cols = [(idx // self.p**j) % self.p for j in range(self.m)]
-            cached = np.stack(cols, axis=1).astype(np.int8)
-            self._digit_matrix = cached
-        return cached
-
-    @property
     def trace_table(self) -> np.ndarray:
-        """trace_table[x] = Tr(x), exploiting GF(p)-linearity of the trace."""
-        cached = getattr(self, "_trace_table", None)
-        if cached is None:
-            tr_basis = np.array([self.trace(self.p**j) for j in range(self.m)],
-                                dtype=np.int64)
-            cached = ((self.digit_matrix.astype(np.int64) @ tr_basis) % self.p
-                      ).astype(np.int8)
-            self._trace_table = cached
-        return cached
-
-    def add_arrays(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Elementwise field addition of two arrays of element indices."""
-        if self.p == 2:
-            return np.bitwise_xor(a, b)
-        # copy after broadcasting: the digit peel below floor-divides in place
-        a, b = np.broadcast_arrays(np.asarray(a, dtype=np.int64),
-                                   np.asarray(b, dtype=np.int64))
-        a, b = a.copy(), b.copy()
-        acc = np.zeros(a.shape, dtype=np.int64)
-        mult = 1
-        for _ in range(self.m):
-            acc += ((a + b) % self.p) * mult
-            a //= self.p
-            b //= self.p
-            mult *= self.p
-        return acc
-
-    def mul_arrays(self, a, b) -> np.ndarray:
-        """Elementwise product of element indices; scalars broadcast, 0 maps to 0."""
-        log = self.log_table
-        a = np.asarray(a, dtype=np.int64)
-        b = np.asarray(b, dtype=np.int64)
-        t = log[a] + log[b]
-        t %= self.q - 1
-        return np.where((a == 0) | (b == 0), 0, self._exp[t])
-
-    def pow_arrays(self, a, e: int) -> np.ndarray:
-        """Elementwise a^e for an int e >= 0 (0^e = 0 for e > 0, 0^0 = 1)."""
-        a = np.asarray(a, dtype=np.int64)
-        t = self.log_table[a] * (e % (self.q - 1))
-        t %= self.q - 1
-        return np.where(a == 0, 0 if e else 1, self._exp[t])
+        """trace_table[x] = Tr(x) = sum_j digit_j(x) Tr(alpha^j) mod p, by linearity."""
+        if self._trace_table is None:
+            # Frobenius sums on the m basis elements only
+            tr_basis = t = np.asarray(self.basis(), dtype=np.int64)
+            for _ in range(self.m - 1):
+                t = self.pow(t, self.p)
+                tr_basis = self.add(tr_basis, t)
+            if np.any(tr_basis >= self.p):
+                raise InvariantError("trace left the prime subfield")
+            idx = np.arange(self.q, dtype=np.int64)
+            acc = np.zeros(self.q, dtype=np.int64)
+            for pj, tj in zip(self._powers.tolist(), tr_basis.tolist()):
+                if tj:
+                    acc += idx // pj % self.p * tj
+            acc %= self.p
+            self._trace_table = acc.astype(self._digit_dtype)
+        return self._trace_table
 
     # -- presentation --------------------------------------------------------
 

@@ -443,7 +443,8 @@ def _hkm_lemma_case(h):
             (base + dev, base - dev // 2, base - dev // 2),
             (base - dev, base + dev // 2, base + dev // 2),
         }
-        d0 = sorted(set(D.elems) | {F.neg(d) for d in D.elems})
+        elems = np.asarray(D.elems, dtype=np.int64)
+        d0 = np.union1d(elems, F.neg(elems))
         allowed_chi = {-1, 3 ** (2 * h - 1) - 1, -(3 ** (2 * h - 1)) - 1}
         for b, triple in zip(bs, designs.joint_counts(F, f_hkm, bs)):
             if triple not in allowed_triples:

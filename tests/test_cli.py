@@ -168,3 +168,54 @@ def test_qf_image_family(capsys):
     assert rc == 0
     assert "[13,3,9] over GF(3)" in out
     assert "enumerator 1 + 26z^9" in out
+
+
+def test_export_gen_unwritable_out_exits_1(tmp_path, capsys):
+    dest = tmp_path / "missing" / "g.txt"
+    rc, out, err = run(capsys, "export-gen", "--family", "paley", "--p", "7",
+                       "--out", str(dest))
+    assert rc == 1
+    assert out == ""
+    assert err.startswith("error:") and str(dest) in err
+    assert not dest.exists()
+
+
+@pytest.mark.parametrize("extra,cap", [
+    (("--m", "30000000"), "2^22"),
+    (("--m", "1000000"), "2^22"),
+    (("--max-field-bits", "-1"), "2^-1"),
+])
+def test_field_cap_is_checked_before_the_field_size(capsys, extra, cap):
+    rc, out, err = run(capsys, "construct", "--family", "paley", "--p", "3", *extra)
+    assert rc == 1
+    assert out == ""
+    assert err.startswith("error:") and f"field cap {cap}" in err
+
+
+# p >= 131 has digits, traces and generator entries above the int8 range.
+
+def test_paley_p131_m2_has_the_two_predicted_weights(capsys):
+    rc, out, _ = run(capsys, "code", "--family", "paley", "--p", "131", "--m", "2",
+                     "--expect", "thm-part1")
+    assert rc == 0
+    assert "enumerator 1 + 8580z^8450 + 8580z^8580" in out.splitlines()
+    assert "expect thm-part1: pass" in out
+
+
+def test_paley_p257_matches_thm_part1(capsys):
+    rc, out, _ = run(capsys, "code", "--family", "paley", "--p", "257",
+                     "--expect", "thm-part1")
+    assert rc == 0
+    assert "enumerator 1 + 256z^128" in out.splitlines()
+
+
+def test_export_gen_p131_first_row_is_the_defining_set(capsys):
+    # over GF(p), Tr(1 * d) = d, so row 0 of G lists D itself
+    rc, out, _ = run(capsys, "construct", "--family", "paley", "--p", "131")
+    assert rc == 0
+    elements = out.splitlines()[1]
+    rc, out, _ = run(capsys, "export-gen", "--family", "paley", "--p", "131")
+    assert rc == 0
+    header, row0 = out.splitlines()
+    assert header == "131 1 65"
+    assert row0 == elements
