@@ -1,6 +1,7 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 usage/input error, 2 verification mismatch.
+Exit codes: 0 success, 1 usage/input error, 2 verification mismatch (including
+a verify-paper case that raised an unexpected exception).
 """
 
 from __future__ import annotations
@@ -232,16 +233,17 @@ def cmd_verify_paper(args):
     else:
         for r in reports:
             print(f"{r.case_id:<28} {r.verdict:<7} {r.seconds:8.3f}s")
-            if r.verdict == "fail":
+            if r.verdict in ("fail", "error"):
                 print(f"    expected: {r.expected}")
                 print(f"    actual:   {r.actual}")
                 if r.detail:
                     print(f"    detail:   {r.detail}")
-        counts = {"pass": 0, "fail": 0, "skipped": 0}
+        counts = {"pass": 0, "fail": 0, "error": 0, "skipped": 0}
         for r in reports:
             counts[r.verdict] += 1
+        errors = f", {counts['error']} errors" if counts["error"] else ""
         print(f"{counts['pass']} passed, {counts['fail']} failed, "
-              f"{counts['skipped']} skipped")
+              f"{counts['skipped']} skipped{errors}")
     return 0 if all(r.verdict in ("pass", "skipped") for r in reports) else 2
 
 
@@ -275,7 +277,9 @@ def build_parser():
     sp.add_argument("--family", required=True)
     sp.add_argument("--expect", default="none", help="claim id to compare against")
     sp.add_argument("--max-work", type=int, default=codes.DEFAULT_MAX_WORK,
-                    dest="max_work")
+                    dest="max_work",
+                    help="refuse an enumeration whose route costs more operations: "
+                         "q*m*p^2 for the transform, q*n for the direct product")
     sp.add_argument("--json", action="store_true")
     sp.set_defaults(fn=cmd_code)
 

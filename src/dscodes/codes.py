@@ -1,9 +1,17 @@
 """Exact weight enumeration of defining-set codes and closed-form predictions.
 
-The code C_D = {(Tr(x d))_{d in D} : x in GF(p^m)} is enumerated exhaustively:
-every codeword is a GF(p)-combination of the rows of the m x n generator
-matrix G[i][j] = Tr(alpha^i d_j), so weights come from chunked matrix products
-of the messages' base-p digit vectors with G.  Dimension is derived twice
+The code C_D = {(Tr(x d))_{d in D} : x in GF(p^m)} is enumerated exhaustively.
+Writing d = sum_j d_j alpha^j, the coordinate Tr(x d) is <u, d> with
+u_j = Tr(x alpha^j), and x -> u is a GF(p)-linear bijection, so the weight
+histogram over x equals the histogram over u of n - Z(u), where
+Z(u) = #{d in D : <u, d> = 0}.  Z comes from an exact integer transform of the
+multiplicity vector of D over GF(p)^m -- the paper's character-sum route
+wt(c_x) = ((p-1)n - sum_y chi(yxD))/p, run for all x at once -- at a cost of
+q*m*p^2 operations: the Walsh-Hadamard butterfly for p = 2 and the
+Vilenkin-Chrestenson transform in counting form for odd p.  When p^2 >= n
+(large p, small m) the direct route is cheaper: chunked matrix products of
+the messages' base-p digit vectors with the m x n generator matrix
+G[i][j] = Tr(alpha^i d_j), q*n operations.  Dimension is derived twice
 (kernel size and matrix rank) and the two must agree.
 
 predicted_enumerator() turns each closed-form claim (identified by an opaque
@@ -20,6 +28,7 @@ from math import isqrt
 
 import numpy as np
 
+from .boolfn import _fwht
 from .cyclotomic import CycInt, char_sum, is_rational
 from .designs import DefiningSet
 from .errors import (
@@ -33,6 +42,8 @@ from .errors import (
 from .gf import Field, gfp_rank
 
 DEFAULT_MAX_WORK = 1 << 34
+# entries of the transform state: two int32 buffers of q*p counts for odd p
+MAX_TRANSFORM_STATE = 1 << 26
 
 
 @dataclass(frozen=True)
@@ -81,9 +92,52 @@ class WeightEnumerator:
         return " + ".join(parts)
 
 
-def weight_enumerator(C: DefiningSetCode, max_work=DEFAULT_MAX_WORK) -> WeightEnumerator:
-    F = C.field
-    n = C.n
+def _transform_counts(C: DefiningSetCode, max_work=DEFAULT_MAX_WORK):
+    """Weight histogram over all q messages by the exact transform route."""
+    F, n = C.field, C.n
+    p, q = F.p, F.q
+    work = q * F.m * p * p
+    if work > max_work:
+        raise SizeLimitError(f"q*m*p^2 = {work} exceeds the work budget {max_work}")
+    if q * p > MAX_TRANSFORM_STATE:
+        raise SizeLimitError(f"transform state q*p = {q * p} exceeds {MAX_TRANSFORM_STATE}")
+    mult = np.bincount(np.asarray(C.D.elems, dtype=np.int64), minlength=q)
+    if p == 2:
+        # Walsh coefficient S(u) = Z(u) - (n - Z(u))
+        zeros = (n + _fwht(mult)) // 2
+    else:
+        zeros = _counting_transform(mult, p, F.m)
+    return np.bincount(n - zeros, minlength=n + 1)
+
+
+def _counting_transform(mult, p, m):
+    """Z(u) = #{d : <u, d> = 0 (mod p)} for every u, each d counted mult[d] times.
+
+    The state A[c, index] starts as A[0, d] = mult[d].  Each pass replaces the
+    leading digit b of the index by a and moves it to the end:
+    A'[c, rest, a] = sum_b A[c - a*b, b, rest], so after m passes
+    A[c, u] = #{d : <u, d> = c}.  Counts never exceed n, so int32 is exact.
+    """
+    rest = mult.size // p
+    state = np.zeros((p, mult.size), dtype=np.int32)
+    state[0] = mult
+    out = np.empty_like(state)
+    for _ in range(m):
+        src = state.reshape(p, p, rest)
+        dst = out.reshape(p, rest, p)
+        dst[...] = src[:, 0, :, None]  # b = 0 shifts nothing, for every a
+        for a in range(p):
+            for b in range(1, p):
+                s = a * b % p
+                dst[s:, :, a] += src[: p - s, b]
+                dst[:s, :, a] += src[p - s :, b]
+        state, out = out, state
+    return state[0]
+
+
+def _direct_counts(C: DefiningSetCode, max_work=DEFAULT_MAX_WORK):
+    """Weight histogram over all q messages by products of digit vectors with G."""
+    F, n = C.field, C.n
     if F.q * n > max_work:
         raise SizeLimitError(f"q*n = {F.q * n} exceeds the work budget {max_work}")
     G = generator_matrix(C)
@@ -91,16 +145,31 @@ def weight_enumerator(C: DefiningSetCode, max_work=DEFAULT_MAX_WORK) -> WeightEn
     # which buys the BLAS route; otherwise fall back to int64 products.
     exact_f32 = F.m * (F.p - 1) ** 2 <= 1 << 24
     Gt = G.astype(np.float32 if exact_f32 else np.int64)
+    rows = min(F.q, max(1, (1 << 22) // max(n, 1)))
+    # one product buffer and one residue buffer serve every chunk; the float32
+    # products are integers below 2^24, so the int32 copy is exact
+    prod = np.empty((rows, n), dtype=Gt.dtype)
+    res = np.empty((rows, n), dtype=np.int32 if exact_f32 else np.int64)
     counts = np.zeros(n + 1, dtype=np.int64)
-    chunk = max(1, (1 << 22) // max(n, 1))
-    for lo in range(0, F.q, chunk):
-        block = F.digits(np.arange(lo, min(lo + chunk, F.q))).astype(Gt.dtype)
-        prod = block @ Gt
-        if exact_f32:
-            prod = prod.astype(np.int64)
-        prod %= F.p
-        wts = n - np.count_nonzero(prod == 0, axis=1)
+    for lo in range(0, F.q, rows):
+        block = F.digits(np.arange(lo, min(lo + rows, F.q))).astype(Gt.dtype)
+        pr, r = prod[: len(block)], res[: len(block)]
+        np.matmul(block, Gt, out=pr)
+        np.copyto(r, pr, casting="unsafe")
+        r %= F.p
+        wts = n - np.count_nonzero(r == 0, axis=1)
         counts += np.bincount(wts, minlength=n + 1)
+    return counts
+
+
+def weight_enumerator(C: DefiningSetCode, max_work=DEFAULT_MAX_WORK) -> WeightEnumerator:
+    """Exact enumerator; max_work bounds the chosen route's operation count."""
+    F = C.field
+    n = C.n
+    # the transform's q*m*p^2 steps run as p^2 numpy passes per digit, the direct
+    # product's q*n in BLAS; measured, the transform wins when p^2 < n
+    route = _transform_counts if F.p * F.p < n else _direct_counts
+    counts = route(C, max_work)
     kersize = int(counts[0])
     k = F.m
     t = kersize
@@ -111,7 +180,7 @@ def weight_enumerator(C: DefiningSetCode, max_work=DEFAULT_MAX_WORK) -> WeightEn
         k -= 1
     if np.any(counts % kersize):
         raise InvariantError("all fibers of the quotient must have equal size")
-    if k != gfp_rank(G.tolist(), F.p):
+    if k != gfp_rank(generator_matrix(C), F.p):
         raise InvariantError("kernel size disagrees with matrix rank")
     amounts = counts // kersize
     cdict = {int(w): int(a) for w, a in enumerate(amounts) if a}

@@ -28,6 +28,21 @@ from .errors import (
 from .gf import Field, default_field
 
 
+# differences held at once while counting them; bounds memory at O(order + block)
+DIFF_BLOCK = 1 << 20
+
+
+def _blocked_difference_counts(elems, order, sub):
+    """Histogram of sub(a, b) over all ordered pairs, a row block at a time."""
+    arr = np.asarray(elems, dtype=np.int64)
+    counts = np.zeros(order, dtype=np.int64)
+    rows = max(1, DIFF_BLOCK // max(arr.size, 1))
+    for lo in range(0, arr.size, rows):
+        diffs = sub(arr[lo : lo + rows, None], arr[None, :])
+        counts += np.bincount(diffs.ravel(), minlength=order)
+    return counts
+
+
 class AdditiveGroup:
     """(GF(p^m), +) on integer-coded elements."""
 
@@ -47,10 +62,7 @@ class AdditiveGroup:
         return self.field.neg(a)
 
     def _difference_counts(self, elems):
-        F = self.field
-        arr = np.asarray(elems, dtype=np.int64)
-        diffs = F.sub(arr[:, None], arr[None, :]).ravel()
-        return np.bincount(diffs, minlength=self.order)
+        return _blocked_difference_counts(elems, self.order, self.field.sub)
 
 
 class CyclicGroup:
@@ -71,9 +83,8 @@ class CyclicGroup:
         return (-a) % self.order
 
     def _difference_counts(self, elems):
-        arr = np.asarray(elems, dtype=np.int64)
-        diffs = (arr[:, None] - arr[None, :]) % self.order
-        return np.bincount(diffs.ravel(), minlength=self.order)
+        return _blocked_difference_counts(elems, self.order,
+                                          lambda a, b: (a - b) % self.order)
 
 
 def difference_function(G, D, x):

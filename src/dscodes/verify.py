@@ -8,7 +8,9 @@ so CI can pin individual regressions.
 
 from __future__ import annotations
 
+import os
 import time
+import traceback
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
@@ -25,7 +27,7 @@ from .gf import Field, default_field
 @dataclass(frozen=True)
 class CaseReport:
     case_id: str
-    verdict: str  # pass | fail | skipped
+    verdict: str  # pass | fail | error | skipped
     expected: str
     actual: str
     detail: str = ""
@@ -52,6 +54,10 @@ def run_case(cid: str) -> CaseReport:
     except ToolkitError as exc:
         verdict, expected, actual = "fail", "no toolkit error", f"{type(exc).__name__}: {exc}"
         detail = ""
+    except Exception as exc:  # a crash in one case must not abort the registry
+        frame = traceback.extract_tb(exc.__traceback__)[-1]
+        verdict, expected, actual = "error", "no exception", f"{type(exc).__name__}: {exc}"
+        detail = f"raised at {os.path.basename(frame.filename)}:{frame.lineno} in {frame.name}"
     return CaseReport(cid, verdict, expected, actual, detail, time.perf_counter() - t0)
 
 

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from dscodes import codes, verify
 from dscodes.cli import entry
 
 
@@ -143,6 +144,25 @@ def test_verify_paper_single_case(capsys):
     assert "1 passed, 0 failed, 0 skipped" in out
 
 
+def test_verify_paper_reports_a_crashing_case_and_carries_on(capsys, monkeypatch):
+    def crash():
+        raise RuntimeError("boom")
+
+    monkeypatch.setitem(verify.CASES, "hkm-h1", crash)
+    rc, out, _ = run(capsys, "verify-paper", "--case", "hkm-h1", "--case", "skew-q7")
+    assert rc == 2
+    lines = out.splitlines()
+    assert lines[0].split()[:2] == ["hkm-h1", "error"]
+    assert lines[1] == "    expected: no exception"
+    assert lines[2] == "    actual:   RuntimeError: boom"
+    assert lines[3].startswith("    detail:   raised at test_cli.py:")
+    assert lines[4].split()[:2] == ["skew-q7", "pass"]
+    assert lines[-1] == "1 passed, 0 failed, 0 skipped, 1 errors"
+    rc, out, _ = run(capsys, "verify-paper", "--case", "hkm-h1", "--json")
+    assert rc == 2
+    assert json.loads(out)[0]["verdict"] == "error"
+
+
 def test_verify_paper_unknown_case(capsys):
     rc, _, err = run(capsys, "verify-paper", "--case", "bogus")
     assert rc == 1
@@ -219,3 +239,18 @@ def test_export_gen_p131_first_row_is_the_defining_set(capsys):
     header, row0 = out.splitlines()
     assert header == "131 1 65"
     assert row0 == elements
+
+
+@pytest.mark.parametrize("family, p, m, claim", [
+    ("maschietti:segre", 2, 17, "thm-hyperovalDS"),
+    ("paley", 3, 11, "thm-part2"),
+])
+def test_code_at_sizes_the_transform_made_practical(capsys, family, p, m, claim):
+    rc, out, _ = run(capsys, "code", "--family", family, "--p", str(p), "--m", str(m),
+                     "--expect", claim)
+    assert rc == 0
+    kw = {"m": m} if p == 2 else {"p": p, "m": m}
+    want = codes.predicted_enumerator(claim, **kw).counts
+    poly = codes.WeightEnumerator(p, m, 0, m, want).poly_str()
+    assert f"enumerator {poly}" in out.splitlines()
+    assert f"expect {claim}: pass" in out

@@ -89,6 +89,60 @@ def test_work_budget_is_enforced():
         codes.weight_enumerator(C, max_work=10)
 
 
+ROUTES = (codes._transform_counts, codes._direct_counts)
+
+
+def _route_enumerator(counts):
+    ker = int(counts[0])
+    return {w: int(c) // ker for w, c in enumerate(counts) if c}, ker
+
+
+@given(st.data())
+def test_transform_and_direct_routes_match_brute_force(data):
+    # both routes run whatever the cost model would pick for this (p, m, n)
+    p, m = data.draw(st.sampled_from([(2, 4), (2, 5), (3, 2), (3, 3), (5, 2), (7, 1), (7, 2)]))
+    F = default_field(p, m)
+    shape = data.draw(st.sampled_from(["random", "with-zero", "proportional", "subspace"]))
+    # "subspace" keeps the top digit 0, so D spans a proper subspace and k < m
+    top = F.q // p if shape == "subspace" else F.q
+    elems = data.draw(st.sets(st.integers(1, F.q - 1), min_size=1, max_size=10))
+    elems = {d % top for d in elems}
+    if shape == "with-zero":
+        elems.add(0)
+    if shape == "proportional":
+        # index y < p is the constant y of GF(p)*
+        y = data.draw(st.integers(1, p - 1))
+        elems |= {F.mul(y, d) for d in elems}
+    C = codes.make_code(designs.defining_set(F, elems))
+    want, ker = brute_enumerator(C)
+    for route in ROUTES:
+        assert _route_enumerator(route(C)) == (want, ker)
+    E = codes.weight_enumerator(C)
+    assert E.counts == want and F.p**E.k * ker == F.q
+    if shape == "subspace":
+        assert E.k < m
+
+
+@pytest.mark.parametrize("route, work", [
+    (codes._transform_counts, 27 * 3 * 3**2),  # q*m*p^2
+    (codes._direct_counts, 27 * 13),  # q*n
+])
+def test_each_route_enforces_its_work_budget(route, work):
+    C = codes.make_code(designs.paley_set(default_field(3, 3)))
+    assert _route_enumerator(route(C, max_work=work))[0] == {0: 1, 9: 26}
+    with pytest.raises(errors.SizeLimitError):
+        route(C, max_work=work - 1)
+
+
+def test_transform_state_cap_is_enforced(monkeypatch):
+    C = codes.make_code(designs.paley_set(default_field(3, 3)))
+    monkeypatch.setattr(codes, "MAX_TRANSFORM_STATE", 27 * 3 - 1)
+    with pytest.raises(errors.SizeLimitError, match="transform state"):
+        codes.weight_enumerator(C)
+    # the direct route has no such state
+    assert _route_enumerator(codes._direct_counts(C))[0] == {0: 1, 9: 26}
+
+
 def test_weight_via_charsum_equals_direct():
     F = default_field(3, 3)
     C = codes.make_code(designs.paley_set(F))

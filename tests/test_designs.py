@@ -219,3 +219,16 @@ def test_cyclic_difference_counts_match_brute_force(D):
     for x in (0, 1, 7, 30):
         brute = sum(1 for a in elems for b in elems if (a - b) % 31 == x)
         assert counts[x] == brute
+
+
+@pytest.mark.parametrize("block", [1, 7, 40, 1 << 22])
+def test_blocked_difference_counts_match_the_full_matrix(monkeypatch, block):
+    monkeypatch.setattr(designs, "DIFF_BLOCK", block)
+    F = default_field(3, 4)
+    arr = np.asarray(designs.paley_set(F).elems, dtype=np.int64)
+    full = np.bincount(F.sub(arr[:, None], arr[None, :]).ravel(), minlength=F.q)
+    assert np.array_equal(AdditiveGroup(F)._difference_counts(arr), full)
+    G = CyclicGroup(31)
+    elems = np.array([0, 1, 3, 8, 12, 18, 29])
+    full = np.bincount(((elems[:, None] - elems[None, :]) % 31).ravel(), minlength=31)
+    assert np.array_equal(G._difference_counts(elems), full)
