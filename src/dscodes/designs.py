@@ -165,15 +165,18 @@ class DefiningSet:
 
 
 def defining_set(F: Field, elems, family_tag="custom") -> DefiningSet:
-    elems = tuple(sorted(elems))
-    if len(set(elems)) != len(elems):
+    if not isinstance(elems, np.ndarray):
+        elems = np.fromiter(elems, dtype=np.int64)  # any iterable of ints, sets included
+    # sort plus a neighbour test: np.unique hashes and is ~80x slower at 8e5 elements
+    arr = np.sort(np.asarray(elems, dtype=np.int64))
+    if np.any(arr[1:] == arr[:-1]):
         raise ValueError("defining set has duplicate elements")
-    if not elems:
+    if not arr.size:
         raise EmptySetError("defining set is empty")
-    for d in elems:
-        if not 0 <= d < F.q:
-            raise ElementNotInGroupError(f"{d} outside GF({F.q})")
-    return DefiningSet(F, elems, family_tag)
+    if arr[0] < 0 or arr[-1] >= F.q:
+        bad = arr[(arr < 0) | (arr >= F.q)][0]  # the first offender in sorted order
+        raise ElementNotInGroupError(f"{bad} outside GF({F.q})")
+    return DefiningSet(F, tuple(arr.tolist()), family_tag)
 
 
 def complement_in_group(G, D):
@@ -264,7 +267,7 @@ def paley_set(F: Field) -> DefiningSet:
     if F.p == 2:
         raise EvenCharacteristicError("Paley sets need odd characteristic")
     squares = F.exp_table[0 : F.q - 1 : 2]
-    return defining_set(F, squares.tolist(), "paley")
+    return defining_set(F, squares, "paley")
 
 
 def is_skew_set(F: Field, D) -> bool:
@@ -276,9 +279,9 @@ def is_skew_set(F: Field, D) -> bool:
 
 def image_set(F: Field, f: FuncSpec) -> DefiningSet:
     """D(f) = {f(x): x in GF(q)} with 0 removed."""
-    vals = np.unique(f.table(F))
+    vals = np.flatnonzero(np.bincount(f.table(F), minlength=F.q))
     vals = vals[vals != 0]
-    return defining_set(F, vals.tolist(), "qf-image")
+    return defining_set(F, vals, "qf-image")
 
 
 def eto1_check(F: Field, f: FuncSpec):
@@ -328,7 +331,7 @@ def maschietti_set(F: Field, case: str) -> DefiningSet:
         raise NotTwoToOneError(f"x^{rho}+x is not two-to-one on GF(2^{F.m})")
     vals = np.nonzero(fibers)[0]
     vals = vals[vals != 0]
-    return defining_set(F, vals.tolist(), f"maschietti-{case}")
+    return defining_set(F, vals, f"maschietti-{case}")
 
 
 def hkm_set(h: int, max_bits=None) -> DefiningSet:
@@ -344,13 +347,13 @@ def hkm_set(h: int, max_bits=None) -> DefiningSet:
     elems = xs[tr == 0]
     if len(elems) != (3 ** (m - 1) - 1) // 2:
         raise InvariantError(f"HKM set has {len(elems)} elements")
-    return defining_set(F, elems.tolist(), "hkm")
+    return defining_set(F, elems, "hkm")
 
 
 def boolean_support(F: Field, f: FuncSpec) -> DefiningSet:
     """D_f = {x: f(x) = 1} for a Boolean (trace-valued) function on GF(2^m)."""
     tbl = f.table(F) if f.to_prime_subfield else F.trace(f.table(F))
-    return defining_set(F, np.nonzero(tbl == 1)[0].tolist(), "bool-support")
+    return defining_set(F, np.nonzero(tbl == 1)[0], "bool-support")
 
 
 def joint_counts(F: Field, f: FuncSpec, bs) -> list:

@@ -248,7 +248,7 @@ class Field:
         return _int_if_scalar(np.where((a == 0) | (b == 0), 0, self._exp[t]))
 
     def _mul_by_alpha(self, a: int) -> int:
-        """a * alpha without exp/log tables (used to build them)."""
+        """a * alpha without exp/log tables (seeds their build)."""
         if self.m == 1:
             return a * self.alpha % self.p
         top, rest = divmod(a, self._pm1)
@@ -293,18 +293,50 @@ class Field:
 
     # -- bulk table views (lazy, exact) -------------------------------------
 
+    def _span_table(self, cols) -> np.ndarray:
+        """Every GF(p)-combination sum_j d_j*cols[j], at index sum_j d_j*p^j."""
+        s = len(cols)
+        coeffs = self.digits(np.arange(self.p**s))[:, :s].astype(np.int64)
+        return coeffs @ self.digits(cols).astype(np.int64) % self.p @ self._powers
+
+    def _scaler(self, cols):
+        """x -> alpha^k * x on index arrays, given cols = alpha^k, ..., alpha^(k+m-1).
+
+        The map is GF(p)-linear on digit vectors, so with r = ceil(m/2) it is
+        lo[x mod p^r] + hi[x div p^r], each half-table spanned by its columns.
+        """
+        p, m = self.p, self.m
+        if m == 1:
+            a = int(cols[0])
+            return lambda x: x * a % p
+        r = (m + 1) // 2
+        pr = p**r
+        lo, hi = self._span_table(cols[:r]), self._span_table(cols[r:])
+        return lambda x: self.add(lo[x % pr], hi[x // pr])
+
     def _ensure_tables(self):
+        """exp by doubling, exp[n:2n] = alpha^n * exp[:n]; log as its inverse."""
         if self._log is not None:
             return
-        exp = np.empty(self.q - 1, dtype=np.int64)
-        cur = 1
-        for t in range(self.q - 1):
-            exp[t] = cur
-            cur = self._mul_by_alpha(cur)
-        if cur != 1:
-            raise InvariantError("alpha order is not q-1")
+        m, size = self.m, self.q - 1
+        # the seed row alpha^0..alpha^(m-1) and the columns alpha^m..alpha^(2m-1)
+        walk = [1]
+        for _ in range(2 * m - 1):
+            walk.append(self._mul_by_alpha(walk[-1]))
+        exp = np.empty(size, dtype=np.int64)
+        exp[:m] = walk[:m]
+        cols = np.array(walk[m:], dtype=np.int64)
+        n = m
+        while n < size:
+            step = min(n, size - n)
+            # one pass maps the block and the next columns alpha^(2n)..alpha^(2n+m-1)
+            out = self._scaler(cols)(np.concatenate((exp[:step], cols)))
+            exp[n : n + step], cols = out[:step], out[step:]
+            n += step
         log = np.full(self.q, -1, dtype=np.int64)
-        log[exp] = np.arange(self.q - 1)
+        log[exp] = np.arange(size)
+        if np.any(log[1:] < 0):
+            raise InvariantError("exp table is not a permutation of GF(q)*: alpha is not primitive")
         self._exp, self._log = exp, log
 
     @property

@@ -67,14 +67,26 @@ def test_classify_rejects_empty_and_foreign_elements():
 
 def test_defining_set_validation():
     F = default_field(3, 2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^defining set has duplicate elements$"):
         designs.defining_set(F, [1, 1, 2])
-    with pytest.raises(errors.EmptySetError):
+    with pytest.raises(errors.EmptySetError, match="^defining set is empty$"):
         designs.defining_set(F, [])
-    with pytest.raises(errors.ElementNotInGroupError):
+    with pytest.raises(errors.ElementNotInGroupError, match=r"^99 outside GF\(9\)$"):
         designs.defining_set(F, [4, 99])
+    # the first offender in sorted order is named: a negative one before a large one
+    with pytest.raises(errors.ElementNotInGroupError, match=r"^-1 outside GF\(9\)$"):
+        designs.defining_set(F, [9, 4, -1, 12])
+    with pytest.raises(errors.ElementNotInGroupError, match=r"^9 outside GF\(9\)$"):
+        designs.defining_set(F, [12, 9, 0])
+    # duplicates are reported before a bad element
+    with pytest.raises(ValueError, match="duplicate"):
+        designs.defining_set(F, [99, 99, 1])
     D = designs.defining_set(F, [5, 1, 3])
     assert D.elems == (1, 3, 5) and len(D) == 3 and list(D) == [1, 3, 5]
+    assert all(type(d) is int for d in D.elems)
+    # an integer array gives the same set, still of Python ints
+    E = designs.defining_set(F, np.array([5, 1, 3], dtype=np.int64))
+    assert E == D and all(type(d) is int for d in E.elems)
 
 
 def test_complement_and_residues():

@@ -131,9 +131,62 @@ def test_tables_match_scalar_ops():
             t = F.pow(t, F.p)
             acc = F.add(acc, t)
         assert F.trace_table[a] == F.trace(a) == acc
+
+
+def _walked_tables(F):
+    """exp/log by the scalar walk exp[t+1] = alpha*exp[t]: the reference for the doubling build."""
+    exp = np.empty(F.q - 1, dtype=np.int64)
+    cur = 1
     for t in range(F.q - 1):
-        assert F.exp_table[t] == F.pow(F.alpha, t)
-        assert F.log_table[F.exp_table[t]] == t
+        exp[t] = cur
+        cur = F._mul_by_alpha(cur)
+    assert cur == 1
+    log = np.full(F.q, -1, dtype=np.int64)
+    log[exp] = np.arange(F.q - 1)
+    return exp, log
+
+
+# q - 1 is no power of two in most of these, so the last doubling block is
+# partial; m = 1 takes the x*alpha^n mod p map; the GF(2^13) modulus is the
+# reciprocal of the default one.
+@pytest.mark.parametrize("p,m,modulus", [
+    (2, 13, None), (3, 9, None), (5, 6, None), (7, 5, None), (127, 2, None),
+    (2, 1, None), (3, 1, None), (257, 1, None), (65521, 1, None), (3, 3, None),
+    (2, 13, (1, 0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 0, 1, 1)),
+])
+def test_tables_match_the_scalar_walk(p, m, modulus):
+    F = Field(p, m, modulus)
+    assert modulus is None or F.modulus != default_field(p, m).modulus
+    exp, log = _walked_tables(F)
+    assert F.exp_table.dtype == exp.dtype and F.log_table.dtype == log.dtype
+    assert F.exp_table.tobytes() == exp.tobytes()
+    assert F.log_table.tobytes() == log.tobytes()
+
+
+def test_tables_at_the_field_cap_are_a_permutation():
+    F = Field(2, MAX_FIELD_BITS)
+    exp, log = F.exp_table, F.log_table
+    assert np.array_equal(np.sort(exp), np.arange(1, F.q))
+    assert np.array_equal(log[exp], np.arange(F.q - 1)) and log[0] == -1
+    # spot checks against the scalar step, including the last (partial) block
+    for t in (0, 1, F.m - 1, F.m, (F.q - 1) // 2, F.q - 3):
+        assert exp[t + 1] == F._mul_by_alpha(int(exp[t]))
+    assert F._mul_by_alpha(int(exp[-1])) == 1
+
+
+def test_tables_refuse_an_alpha_that_is_not_primitive():
+    # alpha^(q-1) = 1 still holds, but the powers of alpha miss part of GF(q)*
+    F = Field(2, 4)
+    F.modulus = (1, 1, 1, 1, 1)  # x^4 + x^3 + x^2 + x + 1: alpha has order 5
+    G = Field(7, 1)
+    G.alpha = 2  # order 3 mod 7
+    for K, order in ((F, 5), (G, 3)):
+        walk = [1]
+        for _ in range(order):
+            walk.append(K._mul_by_alpha(walk[-1]))
+        assert walk[-1] == 1 and len(set(walk)) == order
+        with pytest.raises(errors.InvariantError, match="not a permutation"):
+            K.exp_table
 
 
 def test_array_kernels_match_scalar_ops():
