@@ -28,25 +28,33 @@ from .gf import Field, gfp_rank
 AB_DEGREE_LIMIT = 9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WalshSpectrum:
-    """values[w] = f_hat(w) = sum over x of (-1)^(f(x)+Tr(wx))."""
+    """values[w] = f_hat(w) = sum over x of (-1)^(f(x)+Tr(wx)), a read-only int64 array."""
 
     m: int
-    values: tuple
+    values: np.ndarray
 
     @property
     def n_f(self):
-        return ((1 << self.m) - self.values[0]) // 2
+        return ((1 << self.m) - int(self.values[0])) // 2
 
     def distinct(self):
-        return tuple(sorted(set(self.values)))
+        return tuple(self.histogram())
 
     def histogram(self):
-        out = {}
-        for v in self.values:
-            out[v] = out.get(v, 0) + 1
-        return dict(sorted(out.items()))
+        # one sort plus a neighbour test: np.unique hashes and is far slower at 2^20 values
+        v = np.sort(self.values)
+        starts = np.flatnonzero(np.concatenate(([True], v[1:] != v[:-1])))
+        counts = np.diff(np.append(starts, v.size))
+        return dict(zip(v[starts].tolist(), counts.tolist()))
+
+    def __eq__(self, other):
+        if not isinstance(other, WalshSpectrum):
+            return NotImplemented
+        return self.m == other.m and np.array_equal(self.values, other.values)
+
+    __hash__ = None  # equal spectra must hash equal, and the array is not hashable
 
 
 def _fwht(a):
@@ -83,7 +91,8 @@ def walsh_from_table(F: Field, ftable) -> WalshSpectrum:
     signs = 1 - 2 * np.asarray(ftable, dtype=np.int64)
     transformed = _fwht(signs.copy())
     values = transformed[_trace_pairing_map(F)]
-    return WalshSpectrum(F.m, tuple(int(v) for v in values))
+    values.setflags(write=False)
+    return WalshSpectrum(F.m, values)
 
 
 def walsh_transform(F: Field, f: FuncSpec) -> WalshSpectrum:
@@ -205,12 +214,12 @@ def is_almost_bent(F: Field, g: FuncSpec) -> bool:
         raise EvenDegreeError("almost bent functions exist only for odd m")
     if F.m > AB_DEGREE_LIMIT:
         raise SizeLimitError(f"exhaustive AB check limited to m <= {AB_DEGREE_LIMIT}")
-    allowed = {0, 1 << ((F.m + 1) // 2), -(1 << ((F.m + 1) // 2))}
+    amp = 1 << ((F.m + 1) // 2)
     gt = g.table(F)
     for a in range(1, F.q):
         fa = F.trace(F.mul(gt, a))
-        spec = walsh_from_table(F, fa)
-        if not set(spec.values) <= allowed:
+        v = walsh_from_table(F, fa).values
+        if not np.all((v == 0) | (np.abs(v) == amp)):
             return False
     return True
 
@@ -280,15 +289,11 @@ def hyperoval_spectrum_check(F: Field, i: int, j: int) -> HyperovalCheck:
     ell = (rho - 1) * pow(2**kappa + 1, -1, 2**m - 1) % (2**m - 1)
     tr_ell = F.trace(F.pow(xs, ell))
     amp = 1 << ((m + 1) // 2)
-    violations = []
-    for b in range(F.q):
-        v = spec.values[b]
-        good = v == 0 if tr_ell[b] == 0 else abs(v) == amp
-        if not good:
-            violations.append((b, v))
-            if len(violations) >= 8:
-                break
-    return HyperovalCheck(m, i, j, kappa, ell, not violations, tuple(violations))
+    v = spec.values
+    good = np.where(tr_ell == 0, v == 0, np.abs(v) == amp)
+    bad = np.flatnonzero(~good)[:8]
+    violations = tuple(zip(bad.tolist(), v[bad].tolist()))
+    return HyperovalCheck(m, i, j, kappa, ell, not violations, violations)
 
 
 # ---------------------------------------------------------------------------

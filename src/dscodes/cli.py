@@ -79,25 +79,40 @@ def _emit(doc):
     print(json.dumps(doc, separators=(",", ":")))
 
 
+# elements formatted per write: bounds the str objects alive at once
+PRINT_CHUNK = 1 << 16
+
+
+def _print_elements(elems):
+    """One line of space-separated integers, formatted a chunk at a time."""
+    out = sys.stdout
+    for lo in range(0, elems.size, PRINT_CHUNK):
+        if lo:
+            out.write(" ")
+        out.write(" ".join(map(str, elems[lo : lo + PRINT_CHUNK].tolist())))
+    out.write("\n")
+
+
 def cmd_construct(args):
     D, _ = _resolve_family(args)
     F = D.field
-    elems = designs.to_cyclic_residues(D) if args.dlog else list(D.elems)
-    doc = {"family": args.family, "p": F.p, "m": F.m,
-           "size": len(elems), "elements": elems}
+    elems = designs.to_cyclic_residues(D) if args.dlog else D.elems
     cls = None
     if args.classify:
         if args.dlog:
             cls = designs.classify_design(CyclicGroup(F.q - 1), elems)
         else:
             cls = designs.classify_design(AdditiveGroup(F), elems)
-        doc["classification"] = _design_str(cls)
     if args.json:
+        doc = {"family": args.family, "p": F.p, "m": F.m,
+               "size": elems.size, "elements": elems.tolist()}
+        if cls is not None:
+            doc["classification"] = _design_str(cls)
         _emit(doc)
         return 0
     kind = "dlog residues" if args.dlog else "elements"
-    print(f"family {args.family} over GF({F.p}^{F.m}): {len(elems)} {kind}")
-    print(" ".join(str(e) for e in elems))
+    print(f"family {args.family} over GF({F.p}^{F.m}): {elems.size} {kind}")
+    _print_elements(elems)
     if cls is not None:
         print(_design_str(cls))
     return 0
@@ -153,14 +168,14 @@ def _prediction_for(claim, D, ctx):
     if claim in ("thm-hyperovalDS", "glynn2-conjecture"):
         return codes.predicted_enumerator(claim, m=F.m)
     if claim in ("thm-bentcodes", "thm-semibentcodes", "thm-abcodes"):
-        return codes.predicted_enumerator(claim, m=F.m, n_f=len(D.elems))
+        return codes.predicted_enumerator(claim, m=F.m, n_f=len(D))
     if claim == "thm-CodeQBFs":
         f = ctx.get("func")
         if f is None:
             raise UsageError(f"--expect {claim} needs a bool family")
         r = boolfn.quadratic_rank(F, f).r
         s = boolfn.walsh_transform(F, f)
-        return codes.predicted_enumerator(claim, m=F.m, r=r, walsh0=s.values[0])
+        return codes.predicted_enumerator(claim, m=F.m, r=r, walsh0=int(s.values[0]))
     if claim == "thm-HKMcodes":
         if "h" not in ctx:
             raise UsageError(f"--expect {claim} needs an hkm family")

@@ -118,15 +118,33 @@ class IrregularDesign:
     spectrum: tuple  # sorted ((value, count), ...)
 
 
+def _sorted_array(elems):
+    """Sorted int64 copy of an integer array, a DefiningSet or any iterable of ints."""
+    if isinstance(elems, DefiningSet):
+        elems = elems.elems
+    elif not isinstance(elems, np.ndarray):
+        elems = np.fromiter(elems, dtype=np.int64)  # lists and sets alike
+    # sort plus a neighbour test: np.unique hashes and is ~80x slower at 8e5 elements
+    return np.sort(elems.astype(np.int64, copy=False))
+
+
+def _distinct(arr):
+    """The distinct values of a sorted array."""
+    keep = np.ones(arr.size, dtype=bool)
+    keep[1:] = arr[1:] != arr[:-1]
+    return arr[keep]
+
+
 def classify_design(G, D):
     """Classify D by its difference spectrum over the nonzero group elements."""
-    elems = sorted(set(D))
-    if not elems:
+    elems = _distinct(_sorted_array(D))
+    if not elems.size:
         raise EmptySetError("cannot classify an empty set")
-    for d in elems:
-        G.check(d)
+    outside = elems[(elems < 0) | (elems >= G.order)]
+    if outside.size:
+        G.check(int(outside[0]))  # raises, naming the first offender in sorted order
     v = G.order
-    k = len(elems)
+    k = elems.size
     counts = G._difference_counts(elems)
     counts[G.identity] = -1  # exclude x = identity from the spectrum
     spec = {}
@@ -149,26 +167,35 @@ def classify_design(G, D):
     return IrregularDesign(v, k, tuple(sorted(spec.items())))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DefiningSet:
-    """A set of nonzero field elements indexing the coordinates of C_D."""
+    """A set of nonzero field elements indexing the coordinates of C_D.
+
+    elems is a read-only int64 array in coordinate order; defining_set() sorts
+    it, but the dataclass keeps whatever order it is given.
+    """
 
     field: Field
-    elems: tuple
+    elems: np.ndarray
     family_tag: str = "custom"
 
     def __len__(self):
-        return len(self.elems)
+        return self.elems.size
 
     def __iter__(self):
         return iter(self.elems)
 
+    def __eq__(self, other):
+        if not isinstance(other, DefiningSet):
+            return NotImplemented
+        return (self.field is other.field and self.family_tag == other.family_tag
+                and np.array_equal(self.elems, other.elems))
+
+    __hash__ = None  # equal sets must hash equal, and the array is not hashable
+
 
 def defining_set(F: Field, elems, family_tag="custom") -> DefiningSet:
-    if not isinstance(elems, np.ndarray):
-        elems = np.fromiter(elems, dtype=np.int64)  # any iterable of ints, sets included
-    # sort plus a neighbour test: np.unique hashes and is ~80x slower at 8e5 elements
-    arr = np.sort(np.asarray(elems, dtype=np.int64))
+    arr = _sorted_array(elems)
     if np.any(arr[1:] == arr[:-1]):
         raise ValueError("defining set has duplicate elements")
     if not arr.size:
@@ -176,7 +203,8 @@ def defining_set(F: Field, elems, family_tag="custom") -> DefiningSet:
     if arr[0] < 0 or arr[-1] >= F.q:
         bad = arr[(arr < 0) | (arr >= F.q)][0]  # the first offender in sorted order
         raise ElementNotInGroupError(f"{bad} outside GF({F.q})")
-    return DefiningSet(F, tuple(arr.tolist()), family_tag)
+    arr.setflags(write=False)
+    return DefiningSet(F, arr, family_tag)
 
 
 def complement_in_group(G, D):
@@ -189,10 +217,10 @@ def to_cyclic_residues(D: DefiningSet, v=None):
     F = D.field
     if v is None:
         v = F.q - 1
-    logs = F.log_table[np.asarray(D.elems, dtype=np.int64)]
+    logs = F.log_table[D.elems]
     if np.any(logs < 0):
         raise LogOfZeroError("dlog(0) is undefined")
-    return sorted((logs % v).tolist())
+    return np.sort(logs % v)
 
 
 # ---------------------------------------------------------------------------
@@ -272,7 +300,7 @@ def paley_set(F: Field) -> DefiningSet:
 
 def is_skew_set(F: Field, D) -> bool:
     """True iff D, -D and {0} partition GF(q)."""
-    arr = np.unique(np.fromiter(D, dtype=np.int64))
+    arr = _distinct(_sorted_array(D))
     return bool(2 * arr.size + 1 == F.q and arr[0] != 0
                 and not np.isin(F.neg(arr), arr).any())
 
@@ -293,10 +321,10 @@ def eto1_check(F: Field, f: FuncSpec):
     if np.any(star == 0):
         return None
     fibers = np.bincount(star)
-    sizes = set(np.unique(fibers[fibers > 0]).tolist())
-    if len(sizes) != 1:
+    sizes = fibers[fibers > 0]
+    if sizes.min() != sizes.max():
         return None
-    return int(sizes.pop())
+    return int(sizes[0])
 
 
 MASCHIETTI_CASES = ("singer", "segre", "glynn1", "glynn2")

@@ -366,7 +366,8 @@ def _qbf_case(rank):
                 continue
             D = designs.boolean_support(F, spec)
             E = codes.weight_enumerator(codes.make_code(D))
-            pred = codes.predicted_enumerator("thm-CodeQBFs", m=m, r=rank, walsh0=s.values[0])
+            pred = codes.predicted_enumerator("thm-CodeQBFs", m=m, r=rank,
+                                              walsh0=int(s.values[0]))
             rep = codes.compare_prediction(E, pred)
             if not rep.ok:
                 bad.append(f"{spec.terms}: {'; '.join(rep.mismatches)}")
@@ -449,8 +450,7 @@ def _hkm_lemma_case(h):
             (base + dev, base - dev // 2, base - dev // 2),
             (base - dev, base + dev // 2, base + dev // 2),
         }
-        elems = np.asarray(D.elems, dtype=np.int64)
-        d0 = np.union1d(elems, F.neg(elems))
+        d0 = np.union1d(D.elems, F.neg(D.elems))
         allowed_chi = {-1, 3 ** (2 * h - 1) - 1, -(3 ** (2 * h - 1)) - 1}
         for b, triple in zip(bs, designs.joint_counts(F, f_hkm, bs)):
             if triple not in allowed_triples:
@@ -550,10 +550,10 @@ def _invariance_case():
         D = designs.paley_set(F)
         base = codes.weight_enumerator(codes.make_code(D))
         for a in (F.alpha, F.mul(F.alpha, F.alpha), 2):
-            scaled = designs.defining_set(F, [F.mul(a, d) for d in D.elems], "scaled")
+            scaled = designs.defining_set(F, F.mul(a, D.elems), "scaled")
             if codes.weight_enumerator(codes.make_code(scaled)).counts != base.counts:
                 problems.append(f"scaling by {a} changed the enumerator")
-        shuffled = DefiningSet(F, tuple(reversed(D.elems)), "shuffled")
+        shuffled = DefiningSet(F, D.elems[::-1], "shuffled")
         if codes.weight_enumerator(codes.make_code(shuffled)).counts != base.counts:
             problems.append("permuting coordinates changed the enumerator")
         alt = None
@@ -588,7 +588,9 @@ def _parseval_case():
             F = default_field(2, m)
             for terms in specs:
                 s = boolfn.walsh_transform(F, FuncSpec(terms, True))
-                if sum(v * v for v in s.values) != 1 << (2 * m):
+                # |v| <= 2^m over 2^m frequencies, so the int64 sum of squares is at
+                # most 2^(3m) <= 2^18 here, and 2^(2m) <= 2^44 when Parseval holds: exact
+                if int(s.values @ s.values) != 1 << (2 * m):
                     problems.append(f"Parseval fails for {terms} on m={m}")
                 signs = 1 - 2 * FuncSpec(terms, True).table(F)
                 back = boolfn._fwht(boolfn._fwht(signs.astype(np.int64).copy()))

@@ -18,7 +18,7 @@ def brute_walsh(F, f):
         for x in range(F.q):
             acc += (-1) ** ((int(tbl[x]) + F.trace(F.mul(w, x))) % 2)
         vals.append(acc)
-    return tuple(vals)
+    return vals
 
 
 @pytest.mark.parametrize("terms,traced", [
@@ -30,14 +30,14 @@ def brute_walsh(F, f):
 def test_walsh_matches_brute_force_m4(terms, traced):
     F = default_field(2, 4)
     f = FuncSpec(terms, traced)
-    assert boolfn.walsh_transform(F, f).values == brute_walsh(F, f)
+    assert boolfn.walsh_transform(F, f).values.tolist() == brute_walsh(F, f)
 
 
 def test_walsh_matches_brute_force_m5():
     F = default_field(2, 5)
     f = FuncSpec(((1, 3),), True)
     s = boolfn.walsh_transform(F, f)
-    assert s.values == brute_walsh(F, f)
+    assert s.values.tolist() == brute_walsh(F, f)
     assert s.histogram() == {-8: 6, 0: 16, 8: 10}
     assert s.values[0] == 0 and s.n_f == 16
 
@@ -48,7 +48,7 @@ def test_walsh_requires_char_two():
 
 
 def test_spectrum_classification():
-    bent = WalshSpectrum(4, (4,) * 8 + (-4,) * 8)
+    bent = WalshSpectrum(4, np.array((4,) * 8 + (-4,) * 8))
     assert boolfn.classify_spectrum(bent).variant == "bent"
     semi = boolfn.classify_spectrum(
         boolfn.walsh_transform(default_field(2, 5), FuncSpec(((1, 3),), True)))
@@ -58,9 +58,9 @@ def test_spectrum_classification():
 
 
 def test_five_valued_classification():
-    synth = WalshSpectrum(5, (0,) * 8 + (4,) * 8 + (-4,) * 8 + (8,) * 4 + (-8,) * 4)
+    synth = WalshSpectrum(5, np.array((0,) * 8 + (4,) * 8 + (-4,) * 8 + (8,) * 4 + (-8,) * 4))
     assert boolfn.classify_spectrum(synth).variant == "five-valued"
-    plateau = WalshSpectrum(6, (0,) * 48 + (16,) * 10 + (-16,) * 6)
+    plateau = WalshSpectrum(6, np.array((0,) * 48 + (16,) * 10 + (-16,) * 6))
     assert boolfn.classify_spectrum(plateau).variant == "plateaued"
 
 
@@ -201,5 +201,23 @@ def test_find_quadratic_with_and_iteration_order():
 def test_parseval_holds_for_every_tested_spectrum():
     F = default_field(2, 6)
     for terms in (((1, 3),), ((2, 3),), ((1, 3), (1, 5))):
-        s = boolfn.walsh_transform(F, FuncSpec(terms, True))
-        assert sum(v * v for v in s.values) == 2 ** (2 * 6)
+        v = boolfn.walsh_transform(F, FuncSpec(terms, True)).values
+        # |v| <= 2^m over 2^m frequencies, so the int64 sum of squares is at most
+        # 2^(3m) = 2^18, and 2^(2m) <= 2^44 when Parseval holds: exact
+        assert int(v @ v) == 2 ** (2 * 6)
+
+
+def test_spectra_are_read_only_int64_arrays():
+    F = default_field(2, 5)
+    s = boolfn.walsh_transform(F, FuncSpec(((1, 3),), True))
+    assert isinstance(s.values, np.ndarray) and s.values.dtype == np.int64
+    with pytest.raises(ValueError):
+        s.values[0] = 1
+    # the derived numbers are Python ints, as the JSON output needs
+    assert type(s.n_f) is int
+    assert all(type(v) is int and type(c) is int for v, c in s.histogram().items())
+    assert s.distinct() == (-8, 0, 8) and all(type(v) is int for v in s.distinct())
+    # value equality through the arrays
+    assert s == boolfn.walsh_transform(F, FuncSpec(((1, 3),), True))
+    assert s != boolfn.walsh_transform(F, FuncSpec(((1, 5),), True))
+    assert s != WalshSpectrum(5, s.values[::-1])

@@ -4,10 +4,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from dscodes import codes, verify
+from dscodes import cli, codes, verify
 from dscodes.cli import entry
+from dscodes.gf import default_field
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def run(capsys, *argv):
@@ -16,10 +20,43 @@ def run(capsys, *argv):
     return rc, out.out, out.err
 
 
-def test_construct_prints_sorted_elements(capsys):
+def run_process(*argv, flags=()):
+    """The CLI in a fresh interpreter started with the given flags."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *flags, "-m", "dscodes.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=60)
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3, 1 << 16])
+def test_construct_prints_sorted_elements(capsys, monkeypatch, chunk):
+    monkeypatch.setattr(cli, "PRINT_CHUNK", chunk)
     rc, out, _ = run(capsys, "construct", "--family", "paley", "--p", "7")
     assert rc == 0
-    assert out.splitlines()[-1] == "1 2 4"
+    assert out == "family paley over GF(7^1): 3 elements\n1 2 4\n"
+
+
+def test_construct_element_line_spans_print_chunks(capsys):
+    # n = (3^11 - 1)/2 = 88573 elements: more than one print chunk
+    F = default_field(3, 11)
+    n = (F.q - 1) // 2
+    assert n > cli.PRINT_CHUNK
+    xs = np.arange(1, F.q)
+    squares = sorted(set(F.mul(xs, xs).tolist()))
+    rc, out, _ = run(capsys, "construct", "--family", "paley", "--p", "3", "--m", "11")
+    assert rc == 0
+    head, line, rest = out.split("\n")
+    assert head == f"family paley over GF(3^11): {n} elements" and rest == ""
+    tokens = line.split(" ")
+    assert len(tokens) == n and [int(t) for t in tokens] == squares
+    rc, out, _ = run(capsys, "construct", "--family", "paley", "--p", "3", "--m", "11",
+                     "--dlog")
+    assert rc == 0
+    assert out.split("\n")[1:] == [" ".join(map(str, range(0, F.q - 1, 2))), ""]
+    rc, out, _ = run(capsys, "construct", "--family", "paley", "--p", "3", "--m", "11",
+                     "--json")
+    assert rc == 0
+    assert json.loads(out)["elements"] == [int(t) for t in tokens]
 
 
 def test_construct_json_is_canonical(capsys):
@@ -111,17 +148,22 @@ def test_precondition_failure_maps_to_1(capsys):
 @pytest.mark.parametrize("extra", [(), ("--max-field-bits", "26")])
 def test_field_above_table_cap_exits_1(extra):
     # 3^15 > 2^22: no flag value admits a field without exp/log tables
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "dscodes.cli", "construct", "--family", "paley",
-         "--p", "3", "--m", "15", *extra],
-        capture_output=True, text=True, env=env, timeout=60)
+    proc = run_process("construct", "--family", "paley", "--p", "3", "--m", "15", *extra)
     assert proc.returncode == 1
     assert proc.stdout == ""
     assert proc.stderr.startswith("error:")
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ("code", "--family", "paley", "--p", "3", "--m", "5", "--expect", "thm-part2"),
+    ("construct", "--family", "maschietti:segre", "--m", "7"),
+])
+def test_output_is_the_same_under_python_O(argv):
+    # -O strips assert statements; every invariant must survive it
+    plain, optimized = run_process(*argv), run_process(*argv, flags=("-O",))
+    assert plain.returncode == optimized.returncode == 0
+    assert optimized.stdout == plain.stdout and plain.stdout
 
 
 def test_export_gen_writes_file(tmp_path, capsys):

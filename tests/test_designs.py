@@ -19,7 +19,7 @@ from dscodes.gf import default_field
 def test_paley_gf7_is_the_quadratic_residues():
     F = default_field(7, 1)
     D = designs.paley_set(F)
-    assert D.elems == (1, 2, 4)
+    assert D.elems.tolist() == [1, 2, 4]
     assert designs.classify_design(AdditiveGroup(F), D.elems) == DifferenceSet(7, 3, 1)
     assert designs.is_skew_set(F, D)
 
@@ -27,7 +27,7 @@ def test_paley_gf7_is_the_quadratic_residues():
 def test_paley_gf13_is_an_almost_difference_set():
     F = default_field(13, 1)
     D = designs.paley_set(F)
-    assert D.elems == (1, 3, 4, 9, 10, 12)
+    assert D.elems.tolist() == [1, 3, 4, 9, 10, 12]
     cls = designs.classify_design(AdditiveGroup(F), D.elems)
     assert cls == AlmostDifferenceSet(13, 6, 2, 6)
     assert not designs.is_skew_set(F, D)  # -1 is a square when q = 1 (mod 4)
@@ -37,6 +37,7 @@ def test_skew_rejects_sets_meeting_their_negation():
     F = default_field(7, 1)
     assert not designs.is_skew_set(F, [1, 2, 5])  # -2 = 5 collides
     assert not designs.is_skew_set(F, [0, 1, 2])  # contains zero
+    assert designs.is_skew_set(F, [4, 1, 2, 1])  # a repeated element counts once
 
 
 def test_paley_needs_odd_characteristic():
@@ -47,6 +48,8 @@ def test_paley_needs_odd_characteristic():
 def test_classify_irregular_spectrum():
     cls = designs.classify_design(CyclicGroup(7), [1, 2, 4, 6])
     assert cls == IrregularDesign(7, 4, ((1, 2), (2, 2), (3, 2)))
+    # D is taken as a set: order and repeats do not matter
+    assert designs.classify_design(CyclicGroup(7), [6, 4, 1, 2, 4]) == cls
 
 
 def test_difference_function_counts_pairs():
@@ -82,11 +85,29 @@ def test_defining_set_validation():
     with pytest.raises(ValueError, match="duplicate"):
         designs.defining_set(F, [99, 99, 1])
     D = designs.defining_set(F, [5, 1, 3])
-    assert D.elems == (1, 3, 5) and len(D) == 3 and list(D) == [1, 3, 5]
-    assert all(type(d) is int for d in D.elems)
-    # an integer array gives the same set, still of Python ints
+    assert D.elems.tolist() == [1, 3, 5] and len(D) == 3 and list(D) == [1, 3, 5]
+    # an integer array or a set gives an equal set
     E = designs.defining_set(F, np.array([5, 1, 3], dtype=np.int64))
-    assert E == D and all(type(d) is int for d in E.elems)
+    assert E == D and designs.defining_set(F, {3, 5, 1}) == D
+    assert D != designs.defining_set(F, [1, 3, 6])
+    assert D != designs.defining_set(F, [1, 3, 5], "other")
+
+
+def test_sets_are_read_only_int64_arrays():
+    F = default_field(3, 3)
+    D = designs.paley_set(F)
+    residues = designs.to_cyclic_residues(D)
+    for arr in (D.elems, residues):
+        assert isinstance(arr, np.ndarray) and arr.dtype == np.int64
+    with pytest.raises(ValueError):
+        D.elems[0] = 0
+    assert residues.tolist() == sorted(residues.tolist())
+    # the dataclass keeps the order it is given (prop-enumerator-invariance's
+    # "shuffled" instance relies on it); only defining_set sorts
+    shuffled = designs.DefiningSet(F, D.elems[::-1], "shuffled")
+    assert shuffled.elems.tolist() == D.elems.tolist()[::-1]
+    with pytest.raises(ValueError):
+        shuffled.elems[0] = 0
 
 
 def test_complement_and_residues():
@@ -94,9 +115,9 @@ def test_complement_and_residues():
     assert designs.complement_in_group(G, [1, 2, 4]) == [0, 3, 5, 6]
     F = default_field(3, 3)
     D = designs.defining_set(F, [F.pow(F.alpha, t) for t in (0, 5, 11)])
-    assert designs.to_cyclic_residues(D) == [0, 5, 11]
-    assert designs.to_cyclic_residues(D, v=13) == [0, 5, 11]
-    assert designs.to_cyclic_residues(D, v=5) == [0, 0, 1]
+    assert designs.to_cyclic_residues(D).tolist() == [0, 5, 11]
+    assert designs.to_cyclic_residues(D, v=13).tolist() == [0, 5, 11]
+    assert designs.to_cyclic_residues(D, v=5).tolist() == [0, 0, 1]
     with pytest.raises(errors.LogOfZeroError):
         designs.to_cyclic_residues(designs.defining_set(F, [0, 1]))
 
@@ -137,7 +158,7 @@ def test_parse_func_spec_grammar():
 def test_image_set_of_squares_is_paley():
     F = default_field(7, 1)
     f = FuncSpec(((1, 2),), False)
-    assert designs.image_set(F, f).elems == designs.paley_set(F).elems
+    assert np.array_equal(designs.image_set(F, f).elems, designs.paley_set(F).elems)
 
 
 def test_eto1_check():
@@ -145,6 +166,8 @@ def test_eto1_check():
     assert designs.eto1_check(F, FuncSpec(((1, 2),), False)) == 2
     assert designs.eto1_check(F, FuncSpec(((1, 3),), False)) == 3
     assert designs.eto1_check(F, FuncSpec(((1, 2), (1, 1)), False)) is None
+    # x + x^3 is nonzero off 0 but has fibres of sizes 1 and 2
+    assert designs.eto1_check(F, FuncSpec(((1, 1), (1, 3)), False)) is None
 
 
 def test_maschietti_exponents():
@@ -183,8 +206,8 @@ def test_maschietti_image_is_two_to_one():
 
 def test_hkm_set_frozen_h1():
     D = designs.hkm_set(1)
-    assert D.elems == (1, 14, 17, 20)
-    assert designs.to_cyclic_residues(D, v=13) == [0, 7, 8, 11]
+    assert D.elems.tolist() == [1, 14, 17, 20]
+    assert designs.to_cyclic_residues(D, v=13).tolist() == [0, 7, 8, 11]
     cls = designs.classify_design(CyclicGroup(13), designs.to_cyclic_residues(D, v=13))
     assert cls == DifferenceSet(13, 4, 1)
 
@@ -195,7 +218,7 @@ def test_boolean_support_size():
     assert len(D) == 16
     # a field-valued spec is traced before thresholding
     D2 = designs.boolean_support(F, FuncSpec(((1, 3),), False))
-    assert D2.elems == D.elems
+    assert np.array_equal(D2.elems, D.elems)
 
 
 def test_joint_counts_matches_brute_force():
