@@ -28,8 +28,14 @@ def run_process(*argv, flags=()):
                           capture_output=True, text=True, env=env, timeout=60)
 
 
+def test_construct_prints_sorted_elements(capsys):
+    rc, out, _ = run(capsys, "construct", "--family", "paley", "--p", "7")
+    assert rc == 0
+    assert out == "family paley over GF(7^1): 3 elements\n1 2 4\n"
+
+
 @pytest.mark.parametrize("chunk", [1, 2, 3, 1 << 16])
-def test_construct_prints_sorted_elements(capsys, monkeypatch, chunk):
+def test_construct_output_is_independent_of_print_chunk(capsys, monkeypatch, chunk):
     monkeypatch.setattr(cli, "PRINT_CHUNK", chunk)
     rc, out, _ = run(capsys, "construct", "--family", "paley", "--p", "7")
     assert rc == 0
