@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
+from itertools import islice
 
 import numpy as np
 
@@ -26,6 +28,8 @@ from .designs import FuncSpec
 from .gf import Field, gfp_rank
 
 AB_DEGREE_LIMIT = 9
+# quadratic forms ranked per stacked gfp_rank call while searching
+RANK_CHUNK = 256
 
 
 @dataclass(frozen=True, eq=False)
@@ -153,28 +157,46 @@ def _is_quadratic_exponent(p, e):
     return False
 
 
-def quadratic_rank(F: Field, f: FuncSpec) -> QuadraticRank:
-    """Rank r (codimension of the radical V_f) of a quadratic form.
+def quadratic_rank(F: Field, f):
+    """Rank r (codimension of the radical V_f) of one quadratic form or of each in a sequence.
 
-    Accepts trace-valued forms and GF(q)-valued forms alike; every exponent
-    must be of the shape p^i + p^j.
+    A FuncSpec gives one QuadraticRank, a sequence of them a list.  Forms may
+    be trace-valued or GF(q)-valued; every exponent must be of the shape
+    p^i + p^j, and a bad one anywhere raises before anything is evaluated.
+    Forms sharing an exponent tuple and a value type are evaluated together on
+    the m + m^2 points a_i and a_i + a_j, and their bilinear matrices
+    B(a_i, a_j) = f(a_i + a_j) - f(a_i) - f(a_j) go to one stacked gfp_rank.
     """
-    for _, e in f.terms:
-        if not _is_quadratic_exponent(F.p, e):
-            raise NotQuadraticFormError(f"exponent {e} is not of the form p^i+p^j")
+    specs = [f] if isinstance(f, FuncSpec) else list(f)
+    for spec in specs:
+        for _, e in spec.terms:
+            if not _is_quadratic_exponent(F.p, e):
+                raise NotQuadraticFormError(f"exponent {e} is not of the form p^i+p^j")
     m = F.m
     basis = np.asarray(F.basis(), dtype=np.int64)
-    # bilinear values B(a_i, a_j) = f(a_i + a_j) - f(a_i) - f(a_j)
-    fb = f.evaluate(F, basis)
-    fpair = f.evaluate(F, F.add(basis[:, None], basis[None, :]))
-    if f.to_prime_subfield:
-        rows = (fpair - fb[:, None] - fb[None, :]) % F.p
-    else:
-        bilin = F.sub(F.sub(fpair, fb[:, None]), fb[None, :])
-        # row (j, d) holds digit d of B(a_i, a_j) for every i
-        rows = F.digits(bilin).transpose(1, 2, 0).reshape(m * m, m)
-    r = gfp_rank(rows, F.p)
-    return QuadraticRank(r, m - r)
+    points = np.concatenate((basis, F.add(basis[:, None], basis[None, :]).ravel()))
+    groups = {}
+    for idx, spec in enumerate(specs):
+        exps = tuple(e for _, e in spec.terms)
+        groups.setdefault((exps, spec.to_prime_subfield), []).append(idx)
+    ranks = [None] * len(specs)
+    for (exps, traced), members in groups.items():
+        coeffs = np.array([[c for c, _ in specs[i].terms] for i in members], dtype=np.int64)
+        # (forms, terms, points) products, summed over the terms
+        terms = F.mul(coeffs[:, :, None], np.stack([F.pow(points, e) for e in exps]))
+        vals = reduce(F.add, terms.transpose(1, 0, 2))
+        if traced:
+            vals = F.trace_table[vals].astype(np.int64)
+        fb, fpair = vals[:, :m], vals[:, m:].reshape(-1, m, m)
+        if traced:
+            rows = (fpair - fb[:, :, None] - fb[:, None, :]) % F.p
+        else:
+            bilin = F.sub(F.sub(fpair, fb[:, :, None]), fb[:, None, :])
+            # row (j, d) holds digit d of B(a_i, a_j) for every i
+            rows = F.digits(bilin).transpose(0, 2, 3, 1).reshape(-1, m * m, m)
+        for i, r in zip(members, gfp_rank(rows, F.p).tolist()):
+            ranks[i] = QuadraticRank(r, m - r)
+    return ranks[0] if isinstance(f, FuncSpec) else ranks
 
 
 def quadratic_galois_sum(F: Field, f: FuncSpec) -> int:
@@ -320,17 +342,17 @@ def iter_quadratic_specs(F: Field, start=1, stride=1):
 
 
 def find_quadratic_with(F: Field, rank=None, walsh0=None, limit=200000) -> FuncSpec:
-    """First quadratic Boolean function matching the requested rank / f_hat(0)."""
-    seen = 0
-    for spec in iter_quadratic_specs(F):
-        seen += 1
-        if seen > limit:
-            break
-        if rank is not None and quadratic_rank(F, spec).r != rank:
-            continue
-        if walsh0 is not None:
-            s = walsh_from_table(F, spec.table(F))
-            if s.values[0] != walsh0:
-                continue
-        return spec
+    """First quadratic Boolean function matching the requested rank / f_hat(0).
+
+    The first `limit` specs of iter_quadratic_specs are searched, ranked
+    RANK_CHUNK at a time.
+    """
+    specs = islice(iter_quadratic_specs(F), limit)
+    while chunk := list(islice(specs, RANK_CHUNK)):
+        if rank is not None:
+            ranks = quadratic_rank(F, chunk)
+            chunk = [spec for spec, qr in zip(chunk, ranks) if qr.r == rank]
+        for spec in chunk:
+            if walsh0 is None or walsh_from_table(F, spec.table(F)).values[0] == walsh0:
+                return spec
     raise SizeLimitError("no quadratic function matched within the search budget")

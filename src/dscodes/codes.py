@@ -12,7 +12,9 @@ Vilenkin-Chrestenson transform in counting form for odd p.  When p^2 >= n
 (large p, small m) the direct route is cheaper: chunked matrix products of
 the messages' base-p digit vectors with the m x n generator matrix
 G[i][j] = Tr(alpha^i d_j), q*n operations.  Dimension is derived twice
-(kernel size and matrix rank) and the two must agree.
+and the two must agree: from the kernel size of the enumeration, and as
+dim span_GF(p)(D) on a q-entry membership mask of the span, which needs no
+generator matrix.
 
 predicted_enumerator() turns each closed-form claim (identified by an opaque
 claim id) into an exact expected enumerator for comparison against the
@@ -39,7 +41,7 @@ from .errors import (
     SizeLimitError,
     ZeroDimensionalError,
 )
-from .gf import Field, gfp_rank
+from .gf import Field
 
 DEFAULT_MAX_WORK = 1 << 34
 # entries of the transform state: two int32 buffers of q*p counts for odd p
@@ -61,6 +63,28 @@ def codeword(C: DefiningSetCode, x):
     """c_x = (Tr(x d))_{d in D}."""
     F = C.field
     return F.trace(F.mul(x, C.D.elems))
+
+
+def span_dimension(F: Field, elems) -> int:
+    """dim of the GF(p)-span of elems, grown on a q-entry membership mask.
+
+    While some element d lies outside the span, the layers span + c*d for
+    c = 1..p-1 join it and are marked.  The elements still outside are
+    filtered again after each of the at most m new dimensions, so the cost is
+    O(q + m*n), no m x n matrix is formed, and it is independent of the transform.
+    """
+    inside = np.zeros(F.q, dtype=bool)
+    inside[0] = True
+    span = np.zeros(1, dtype=np.int64)
+    rest = np.asarray(elems, dtype=np.int64)
+    dim = 0
+    while (rest := rest[~inside[rest]]).size:
+        d = int(rest[0])
+        layers = F.add(F.mul(np.arange(1, F.p), d)[:, None], span)  # span + c*d, c = 1..p-1
+        span = np.concatenate((span, layers.ravel()))
+        inside[span] = True
+        dim += 1
+    return dim
 
 
 def generator_matrix(C: DefiningSetCode):
@@ -179,8 +203,8 @@ def weight_enumerator(C: DefiningSetCode, max_work=DEFAULT_MAX_WORK) -> WeightEn
         k -= 1
     if np.any(counts % kersize):
         raise InvariantError("all fibers of the quotient must have equal size")
-    if k != gfp_rank(generator_matrix(C), F.p):
-        raise InvariantError("kernel size disagrees with matrix rank")
+    if k != span_dimension(F, C.D.elems):
+        raise InvariantError("kernel size disagrees with the span dimension of D")
     amounts = counts // kersize
     cdict = {int(w): int(a) for w, a in enumerate(amounts) if a}
     return WeightEnumerator(F.p, F.m, n, k, cdict)
@@ -480,6 +504,6 @@ def export_generator(C: DefiningSetCode) -> str:
     F = C.field
     G = generator_matrix(C)
     lines = [f"{F.p} {F.m} {C.n}"]
-    for i in range(F.m):
-        lines.append(" ".join(str(int(v)) for v in G[i]))
+    for row in G:
+        lines.append(" ".join(map(str, row.tolist())))
     return "\n".join(lines) + "\n"

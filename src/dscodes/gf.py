@@ -19,7 +19,7 @@ certifies irreducibility for free.
 from __future__ import annotations
 
 from functools import lru_cache
-from math import gcd
+from math import gcd, prod
 
 import numpy as np
 
@@ -409,29 +409,37 @@ def parse_modulus(s: str) -> tuple[int, ...]:
     return tuple(int(tok) for tok in s.split(","))
 
 
-def gfp_rank(mat, p: int) -> int:
-    """Rank of an integer matrix over GF(p) (Gaussian elimination)."""
+def gfp_rank(mat, p: int):
+    """Rank over GF(p) of every matrix in a stack of shape (..., R, C).
+
+    A 2-D input gives an int, a stack an int64 array of ranks with shape (...).
+    One elimination pass per column serves the whole stack: the first unused
+    row with a nonzero entry becomes the pivot of its matrix, and every row is
+    updated fraction-free, row <- pv*row - row[c]*pivot_row, so no inverse is
+    needed.  Rows with a zero in column c are only scaled by the unit pv, and
+    a matrix with no pivot in c has zeros there in every unused row and keeps
+    pv = 1.  Pivot rows (the pivot itself is zeroed) are never read again: the
+    rank is their count.
+    """
     a = np.array(mat, dtype=np.int64) % p
-    if a.ndim != 2 or 0 in a.shape:
-        return 0
-    rows, cols = a.shape
-    r = 0
+    if a.ndim < 2:
+        raise ValueError(f"gfp_rank needs a (..., R, C) array, got shape {a.shape}")
+    stack = a.shape[:-2]
+    if a.shape[-1] > a.shape[-2]:
+        a = a.swapaxes(-1, -2)  # rank(A) = rank(A^T); loop over the shorter side
+    rows, cols = a.shape[-2:]
+    a = a.reshape(prod(stack), rows, cols)
+    used = np.zeros(a.shape[:2], dtype=bool)
+    which = np.arange(a.shape[0])
     for c in range(cols):
-        piv = None
-        for i in range(r, rows):
-            if a[i, c]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        if piv != r:
-            a[[r, piv]] = a[[piv, r]]
-        a[r] = a[r] * pow(int(a[r, c]), p - 2, p) % p
-        nz = np.nonzero(a[:, c])[0]
-        nz = nz[nz != r]
-        if nz.size:
-            a[nz] = (a[nz] - np.outer(a[nz, c], a[r])) % p
-        r += 1
-        if r == rows:
-            break
-    return r
+        col = a[:, :, c]
+        piv = np.argmax((col != 0) & ~used, axis=1)
+        has = (col[which, piv] != 0) & ~used[which, piv]
+        used[which[has], piv[has]] = True
+        pv = np.where(has, col[which, piv], 1)
+        # every entry is < p, and p < 2^22 under the field cap, so
+        # |pv*row - row[c]*prow| < 2p^2 <= 2^45: exact in int64
+        a = pv[:, None, None] * a - col[:, :, None] * a[which, piv][:, None, :]
+        a %= p
+    ranks = used.sum(axis=1).reshape(stack)
+    return int(ranks) if not stack else ranks

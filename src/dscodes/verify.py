@@ -335,14 +335,11 @@ for _m in (5, 7):
 def _qbf_samples(m=6):
     """Deterministic grid of quadratic coefficient tuples, bucketed by rank."""
     F = default_field(2, m)
+    specs = [FuncSpec(tuple((c, (1 << i) + 1) for i, c in enumerate(digits) if c), True)
+             for digits in product((0, 1, 2), repeat=m // 2 + 1) if any(digits)]
     buckets = {}
-    for digits in product((0, 1, 2), repeat=m // 2 + 1):
-        terms = tuple((c, (1 << i) + 1) for i, c in enumerate(digits) if c)
-        if not terms:
-            continue
-        spec = FuncSpec(terms, True)
-        r = boolfn.quadratic_rank(F, spec).r
-        buckets.setdefault(r, []).append(spec)
+    for spec, qr in zip(specs, boolfn.quadratic_rank(F, specs)):
+        buckets.setdefault(qr.r, []).append(spec)
     return F, buckets
 
 
@@ -423,24 +420,23 @@ def _hkm_lemma_case(h):
             us = [0] + [int(F.exp_table[t]) for t in range(0, F.q - 1, step)]
             bs = [int(F.exp_table[t]) for t in range(0, F.q - 1, step)]
         problems = []
-        rank_of = {}
 
-        def qu_rank(u):
-            if u not in rank_of:
-                rank_of[u] = boolfn.quadratic_rank(F, _qu_spec(F, u, e)).r
-            return rank_of[u]
+        def ranks(specs):
+            return [qr.r for qr in boolfn.quadratic_rank(F, specs)]
 
-        if qu_rank(1) != m:
-            problems.append(f"rank(Q_1) = {qu_rank(1)}")
+        r_one, *r_us = ranks([_qu_spec(F, u, e) for u in [1, *us]])
+        r_partners = ranks([_qu_spec(F, F.neg(F.add(1, u)), e) for u in us])
+        r_bs = ranks([FuncSpec(((b, e + 1),), True) for b in bs])
+        if r_one != m:
+            problems.append(f"rank(Q_1) = {r_one}")
         allowed_ranks = {m, m - h, m - 2 * h}
-        for u in us:
-            r = qu_rank(u)
+        for u, r, r_partner in zip(us, r_us, r_partners):
             if r not in allowed_ranks:
                 problems.append(f"rank(Q_{u}) = {r}")
-            if max(r, qu_rank(F.neg(F.add(1, u)))) != m:
+            if max(r, r_partner) != m:
                 problems.append(f"neither Q_{u} nor its partner has full rank")
-        for b in bs:
-            if boolfn.quadratic_rank(F, FuncSpec(((b, e + 1),), True)).r != m:
+        for b, r in zip(bs, r_bs):
+            if r != m:
                 problems.append(f"rank(Tr({b} x^{e+1})) < {m}")
         f_hkm = FuncSpec(((1, 1), (1, ell)), True)
         base = 3 ** (m - 2)
@@ -450,7 +446,7 @@ def _hkm_lemma_case(h):
             (base + dev, base - dev // 2, base - dev // 2),
             (base - dev, base + dev // 2, base + dev // 2),
         }
-        d0 = np.union1d(D.elems, F.neg(D.elems))
+        d0 = designs._distinct(np.sort(np.concatenate((D.elems, F.neg(D.elems)))))
         allowed_chi = {-1, 3 ** (2 * h - 1) - 1, -(3 ** (2 * h - 1)) - 1}
         for b, triple in zip(bs, designs.joint_counts(F, f_hkm, bs)):
             if triple not in allowed_triples:
@@ -483,10 +479,9 @@ def _zd13_case(p, m):
         if m >= 2:
             specs.append(FuncSpec(((1, p + 1),), False))
         problems = []
-        for spec in specs:
-            # the sum sees the composed GF(p)-valued form, so its rank governs
-            traced = spec if spec.to_prime_subfield else FuncSpec(spec.terms, True)
-            r = boolfn.quadratic_rank(F, traced).r
+        # the sum sees the composed GF(p)-valued form, so its rank governs
+        ranks = boolfn.quadratic_rank(F, [FuncSpec(s.terms, True) for s in specs])
+        for spec, r in zip(specs, (qr.r for qr in ranks)):
             gs = boolfn.quadratic_galois_sum(F, spec)
             want = {0} if r % 2 else {(p - 1) * p ** (m - r // 2), -(p - 1) * p ** (m - r // 2)}
             if gs not in want:

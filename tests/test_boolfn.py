@@ -1,6 +1,8 @@
+from itertools import islice
+
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import given
 from hypothesis import strategies as st
 
 from dscodes import boolfn, errors
@@ -111,22 +113,42 @@ def brute_rank(F, f):
 
 
 @st.composite
-def quadratic_forms(draw):
+def quadratic_form_batches(draw):
+    """One to four forms on one field, traced or GF(q)-valued, some sharing exponents."""
     p, m = draw(st.sampled_from(((2, 5), (3, 3), (5, 2))))
     F = default_field(p, m)
     exps = sorted({p**i + p**j for i in range(m) for j in range(i, m)})
-    coeffs = draw(st.lists(st.integers(0, F.q - 1), min_size=len(exps), max_size=len(exps)))
-    terms = tuple((c, e) for c, e in zip(coeffs, exps) if c)
-    assume(terms)
-    return F, FuncSpec(terms, draw(st.booleans()))
+    forms = []
+    for _ in range(draw(st.integers(1, 4))):
+        if forms and draw(st.booleans()):
+            chosen = [e for _, e in forms[0].terms]  # the first form's exponent tuple
+        else:
+            chosen = draw(st.lists(st.sampled_from(exps), min_size=1, unique=True))
+        coeffs = draw(st.lists(st.integers(1, F.q - 1), min_size=len(chosen),
+                               max_size=len(chosen)))
+        forms.append(FuncSpec(tuple(zip(coeffs, chosen)), draw(st.booleans())))
+    return F, forms
 
 
-@given(quadratic_forms())
-def test_quadratic_rank_matches_brute_force_radical(form):
-    F, f = form
-    rank = boolfn.quadratic_rank(F, f)
-    assert rank.r == brute_rank(F, f)
-    assert rank.radical_dim == F.m - rank.r
+@given(quadratic_form_batches())
+def test_quadratic_rank_matches_brute_force_radical(batch):
+    F, forms = batch
+    ranks = boolfn.quadratic_rank(F, forms)
+    assert isinstance(ranks, list) and len(ranks) == len(forms)
+    for f, rank in zip(forms, ranks):
+        assert rank.r == brute_rank(F, f)
+        assert rank.radical_dim == F.m - rank.r
+        assert boolfn.quadratic_rank(F, f) == rank  # one FuncSpec in, one result out
+
+
+def test_quadratic_rank_batch_edges():
+    F = default_field(2, 6)
+    assert boolfn.quadratic_rank(F, []) == []
+    gold = FuncSpec(((1, 3),), True)
+    assert boolfn.quadratic_rank(F, (gold, gold)) == [boolfn.quadratic_rank(F, gold)] * 2
+    # a bad exponent anywhere in the batch raises with the single-form message
+    with pytest.raises(errors.NotQuadraticFormError, match="^exponent 7 is not of the form p\\^i\\+p\\^j$"):
+        boolfn.quadratic_rank(F, [gold] * 3 + [FuncSpec(((1, 7),), True)])
 
 
 def test_galois_sum_frozen_values():
@@ -196,6 +218,34 @@ def test_find_quadratic_with_and_iteration_order():
     assert boolfn.walsh_transform(F, spec).values[0] == 16
     with pytest.raises(errors.SizeLimitError):
         boolfn.find_quadratic_with(F, rank=5, limit=50)  # odd rank is impossible
+
+
+def sequential_find(F, rank, walsh0, limit):
+    """The search one spec at a time: the first of `limit` specs that matches."""
+    for spec in islice(boolfn.iter_quadratic_specs(F), limit):
+        if (boolfn.quadratic_rank(F, spec).r == rank
+                and boolfn.walsh_transform(F, spec).values[0] == walsh0):
+            return spec
+    return None
+
+
+@pytest.mark.parametrize("chunk", [1, 7, boolfn.RANK_CHUNK])
+@pytest.mark.parametrize("m,rank,walsh0", [
+    (4, 4, 4), (6, 6, 8),                  # bent
+    (5, 4, 8), (7, 6, 16),                 # semibent
+])
+def test_find_quadratic_with_matches_a_sequential_walk(monkeypatch, chunk, m, rank, walsh0):
+    monkeypatch.setattr(boolfn, "RANK_CHUNK", chunk)
+    F = default_field(2, m)
+    want = sequential_find(F, rank, walsh0, 10**6)
+    assert want is not None
+    assert boolfn.find_quadratic_with(F, rank=rank, walsh0=walsh0) == want
+    # limit counts specs examined: the match is the last one a tight limit admits
+    seen = next(i for i, s in enumerate(boolfn.iter_quadratic_specs(F), 1) if s == want)
+    assert boolfn.find_quadratic_with(F, rank=rank, walsh0=walsh0, limit=seen) == want
+    with pytest.raises(errors.SizeLimitError,
+                       match="^no quadratic function matched within the search budget$"):
+        boolfn.find_quadratic_with(F, rank=rank, walsh0=walsh0, limit=seen - 1)
 
 
 def test_parseval_holds_for_every_tested_spectrum():

@@ -82,6 +82,70 @@ def test_all_zero_code_dimension_zero():
         codes.minimum_distance(E)
 
 
+def brute_span_dim(F, elems):
+    """log_p of the size of the set of all GF(p)-combinations, grown with scalar ops."""
+    span = {0}
+    for d in elems:
+        span = {F.add(s, F.mul(c, int(d))) for s in span for c in range(F.p)}
+    dim = 0
+    while F.p**dim < len(span):
+        dim += 1
+    assert F.p**dim == len(span)
+    return dim
+
+
+@given(st.data())
+def test_span_dimension_matches_brute_force_span(data):
+    p, m = data.draw(st.sampled_from([(2, 4), (2, 5), (3, 3), (3, 4), (5, 2), (7, 1), (7, 2)]))
+    F = default_field(p, m)
+    shape = data.draw(st.sampled_from(["random", "with-zero", "proportional", "subspace"]))
+    elems = data.draw(st.lists(st.integers(1, F.q - 1), min_size=1, max_size=8))
+    if shape == "subspace":
+        # combinations of at most m - 1 generators lie in a proper subspace
+        gens = elems[: m - 1]
+        coeffs = data.draw(st.lists(st.integers(0, p - 1), min_size=len(gens) * 6,
+                                    max_size=len(gens) * 6))
+        elems = [0] * 6
+        for i in range(6):
+            for j, g in enumerate(gens):
+                elems[i] = F.add(elems[i], F.mul(coeffs[i * len(gens) + j], g))
+    if shape == "with-zero":
+        elems.append(0)
+    if shape == "proportional":
+        y = data.draw(st.integers(1, p - 1))  # index y < p is the constant y of GF(p)*
+        elems += [F.mul(y, d) for d in elems]
+    got = codes.span_dimension(F, np.array(elems, dtype=np.int64))
+    assert type(got) is int and got == brute_span_dim(F, elems)
+    if shape == "subspace":
+        assert got < m
+
+
+def test_span_dimension_edges():
+    F = default_field(3, 3)
+    assert codes.span_dimension(F, np.array([0], dtype=np.int64)) == 0
+    assert codes.span_dimension(F, np.array([5, F.neg(5), 0, 5], dtype=np.int64)) == 1
+    assert codes.span_dimension(F, np.arange(F.q)) == 3
+    assert codes.span_dimension(default_field(2, 1), np.array([1], dtype=np.int64)) == 1
+
+
+@pytest.mark.parametrize("field, family", [
+    ((3, 3), "paley"),   # transform route, p^2 < n
+    ((7, 1), "paley"),   # direct route, p^2 >= n
+    ((2, 5), "segre"),
+])
+@pytest.mark.parametrize("offset", [1, -1])
+def test_wrong_span_dimension_fails_the_enumerator(monkeypatch, field, family, offset):
+    # the span dimension is the oracle for the kernel-fibre size: it must stay live
+    F = default_field(*field)
+    D = designs.paley_set(F) if family == "paley" else designs.maschietti_set(F, family)
+    C = codes.make_code(D)
+    codes.weight_enumerator(C)
+    real = codes.span_dimension
+    monkeypatch.setattr(codes, "span_dimension", lambda F, elems: real(F, elems) + offset)
+    with pytest.raises(errors.InvariantError, match="span dimension"):
+        codes.weight_enumerator(C)
+
+
 def test_work_budget_is_enforced():
     F = default_field(3, 3)
     C = codes.make_code(designs.paley_set(F))

@@ -1,4 +1,5 @@
 import re
+from itertools import product
 
 import numpy as np
 import pytest
@@ -243,6 +244,61 @@ def test_gfp_rank_known_matrices():
     assert gfp_rank([[1, 1], [1, 2]], 3) == 2  # unit determinant
     assert gfp_rank([[1, 2], [2, 1]], 3) == 1  # singular only mod 3
     assert gfp_rank([[1, 2], [2, 1]], 5) == 2
+
+
+def brute_gfp_rank(mat, p):
+    """log_p of the number of distinct GF(p)-combinations of the rows."""
+    mat = np.asarray(mat, dtype=np.int64)
+    combos = np.array(list(product(range(p), repeat=mat.shape[0])), dtype=np.int64)
+    size = np.unique(combos @ mat % p @ p ** np.arange(mat.shape[1])).size
+    r = 0
+    while p**r < size:
+        r += 1
+    assert p**r == size
+    return r
+
+
+@st.composite
+def matrix_stacks(draw):
+    p = draw(st.sampled_from((2, 3, 5, 7, 131)))
+    rows = draw(st.integers(1, {7: 4, 131: 2}.get(p, 5)))  # p^R row combinations per matrix
+    cols = draw(st.integers(1, 5))
+    stack = draw(st.sampled_from(((), (4,), (2, 3))))
+    # small entries and repeated rows make rank deficiency common
+    vals = st.integers(0, p - 1) | st.sampled_from((0, 1, p - 1))
+    flat = draw(st.lists(vals, min_size=int(np.prod(stack)) * rows * cols,
+                         max_size=int(np.prod(stack)) * rows * cols))
+    mats = np.array(flat, dtype=np.int64).reshape(stack + (rows, cols))
+    if draw(st.booleans()) and rows > 1:
+        mats[..., -1, :] = mats[..., 0, :] * draw(st.integers(0, p - 1)) % p
+    return p, mats
+
+
+@given(matrix_stacks())
+def test_stacked_gfp_rank_matches_row_space_count(case):
+    p, mats = case
+    got = gfp_rank(mats, p)
+    if mats.ndim == 2:
+        assert type(got) is int and got == brute_gfp_rank(mats, p)
+        return
+    assert got.shape == mats.shape[:-2]
+    for idx in np.ndindex(*mats.shape[:-2]):
+        assert got[idx] == brute_gfp_rank(mats[idx], p)
+
+
+def test_gfp_rank_shape_contract():
+    assert type(gfp_rank(np.ones((2, 3), dtype=np.int64), 2)) is int
+    assert gfp_rank(np.zeros((0, 3), dtype=np.int64), 3) == 0
+    assert gfp_rank(np.zeros((3, 0), dtype=np.int64), 3) == 0
+    assert np.array_equal(gfp_rank(np.ones((4, 0, 3), dtype=np.int64), 5), np.zeros(4))
+    assert np.array_equal(gfp_rank(np.ones((2, 3, 3, 0), dtype=np.int64), 5), np.zeros((2, 3)))
+    assert gfp_rank(np.ones((0, 2, 2), dtype=np.int64), 7).shape == (0,)
+    # entries are reduced mod p first; p = 4194301 is the largest prime under the cap
+    big = 4194301
+    assert gfp_rank([[big + 1, 2], [3 * big + 2, 4]], big) == 1
+    assert gfp_rank([[big - 1, big - 2], [big - 3, big - 1]], big) == 2
+    with pytest.raises(ValueError):
+        gfp_rank(np.ones(3, dtype=np.int64), 3)
 
 
 def test_parse_modulus_and_field_new():
