@@ -207,6 +207,17 @@ def test_transform_state_cap_is_enforced(monkeypatch):
     assert _route_enumerator(codes._direct_counts(C))[0] == {0: 1, 9: 26}
 
 
+@pytest.mark.parametrize("p, m", [(4099, 1), (65521, 1), (131, 2), (257, 2)])
+def test_direct_route_matches_closed_form_at_large_p(p, m):
+    # GF(4099) has m*(p-1)^2 > 2^24, past the integers a float32 product holds exactly
+    F = default_field(p, m)
+    C = codes.make_code(designs.paley_set(F))
+    assert p * p >= C.n  # so weight_enumerator takes the direct route
+    E = codes.weight_enumerator(C)
+    P = codes.predicted_enumerator("thm-part1", p=p, m=m)
+    assert (E.n, E.k, E.counts) == (P.n, P.k, P.counts)
+
+
 def test_weight_via_charsum_equals_direct():
     F = default_field(3, 3)
     C = codes.make_code(designs.paley_set(F))

@@ -16,16 +16,42 @@ def _is_assertion(node):
     return False
 
 
+def _package_nodes_where(pred):
+    sources = sorted(PACKAGE.rglob("*.py"))
+    assert sources
+    return [f"{path.relative_to(PACKAGE)}:{node.lineno}"
+            for path in sources
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if pred(node)]
+
+
 def test_package_has_no_assert_statements():
     # python -O strips assert statements, and a raised AssertionError escapes
     # the CLI's ToolkitError handling; invariants must raise InvariantError
-    sources = sorted(PACKAGE.rglob("*.py"))
-    assert sources
-    found = [f"{path.relative_to(PACKAGE)}:{node.lineno}"
-             for path in sources
-             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
-             if _is_assertion(node)]
-    assert found == []
+    assert _package_nodes_where(_is_assertion) == []
+
+
+FLOAT_NAMES = {"float16", "float32", "float64", "fft", "linalg"}
+
+
+def _mentioned_names(node):
+    if isinstance(node, ast.Attribute):
+        return {node.attr}
+    if isinstance(node, ast.Name):
+        return {node.id}
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return {node.value}  # dtype="float32"
+    if isinstance(node, ast.alias):
+        return set(node.name.split("."))
+    if isinstance(node, ast.ImportFrom):
+        return set((node.module or "").split("."))
+    return set()
+
+
+def test_package_has_no_floating_point():
+    # every count, rank and weight is exact integer arithmetic; a float dtype,
+    # an FFT or a floating-point solver would need a written exactness bound
+    assert _package_nodes_where(lambda node: _mentioned_names(node) & FLOAT_NAMES) == []
 
 
 def _load_trace_child():
