@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 from itertools import islice
 
 import numpy as np
@@ -44,10 +44,15 @@ class WalshSpectrum:
         return ((1 << self.m) - int(self.values[0])) // 2
 
     def distinct(self):
-        return tuple(self.histogram())
+        return tuple(self._histogram)
 
     def histogram(self):
-        # one sort plus a neighbour test: np.unique hashes and is far slower at 2^20 values
+        return dict(self._histogram)
+
+    @cached_property
+    def _histogram(self):
+        # values is read-only, so one sort serves every call; a neighbour test on
+        # it replaces np.unique, which hashes and is far slower at 2^20 values
         v = np.sort(self.values)
         starts = np.flatnonzero(np.concatenate(([True], v[1:] != v[:-1])))
         counts = np.diff(np.append(starts, v.size))

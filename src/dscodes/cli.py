@@ -10,9 +10,11 @@ import argparse
 import json
 import sys
 
+import numpy as np
+
 from . import boolfn, codes, designs, verify
 from .designs import AdditiveGroup, CyclicGroup
-from .errors import ToolkitError
+from .errors import InvariantError, ToolkitError
 from .gf import MAX_FIELD_BITS, Field, parse_modulus
 
 
@@ -79,17 +81,53 @@ def _emit(doc):
     print(json.dumps(doc, separators=(",", ":")))
 
 
-# elements formatted per write: bounds the str objects alive at once
+# values formatted per piece: bounds the buffers alive at once
 PRINT_CHUNK = 1 << 16
+DECIMAL_LIMIT = 10**8  # eight digits cover every element index, q <= 2^22
+# ASCII of the groups 0000..9999, four bytes read as one uint32 per group
+_GROUP_DIGITS = (np.arange(10**4, dtype=np.int16)[:, None]
+                 // np.array([1000, 100, 10, 1], dtype=np.int16) % 10
+                 + ord("0")).astype(np.uint8)
+_GROUP_WORD = _GROUP_DIGITS.view(np.uint32).ravel()
+# leading zeros to drop: all four of a zero high group, at most three of the low one
+_HI_ZEROS = np.argmax(_GROUP_DIGITS != ord("0"), axis=1).astype(np.uint8)
+_HI_ZEROS[0] = 4
+_LO_ZEROS = 4 + np.minimum(_HI_ZEROS, 3)
+_SPACES = np.frombuffer(b"    ", dtype=np.uint32)[0]
+# row s keeps bytes s..8 of the 12-byte record "hi group, lo group, space, pad"
+_KEEP = np.arange(12) >= np.arange(9)[:, None]
+_KEEP[:, 9:] = False
+
+
+def decimal_pieces(values):
+    """Yield the space-separated decimal line of a 1-D integer array in pieces.
+
+    Each PRINT_CHUNK slice is split as v = hi*10^4 + lo; both halves gather
+    their four digits from a table, and a mask by the digit count drops the
+    leading zeros.  Only integer arithmetic is used.
+    """
+    values = np.asarray(values)
+    for lo in range(0, values.size, PRINT_CHUNK):
+        v = values[lo : lo + PRINT_CHUNK].astype(np.int64)
+        if v.min() < 0 or v.max() >= DECIMAL_LIMIT:
+            raise InvariantError(f"cannot print values outside [0, {DECIMAL_LIMIT})")
+        hi, low = np.divmod(v, 10**4)
+        rec = np.empty((v.size, 3), dtype=np.uint32)
+        rec[:, 0] = _GROUP_WORD[hi]
+        rec[:, 1] = _GROUP_WORD[low]
+        rec[:, 2] = _SPACES
+        zeros = np.where(hi > 0, _HI_ZEROS[hi], _LO_ZEROS[low])
+        text = rec.view(np.uint8).reshape(-1, 12)[np.take(_KEEP, zeros, axis=0)]
+        if lo + PRINT_CHUNK >= values.size:
+            text = text[:-1]  # no space after the last value
+        yield text.tobytes().decode("ascii")
 
 
 def _print_elements(elems):
-    """One line of space-separated integers, formatted a chunk at a time."""
+    """One line of space-separated integers, written a piece at a time."""
     out = sys.stdout
-    for lo in range(0, elems.size, PRINT_CHUNK):
-        if lo:
-            out.write(" ")
-        out.write(" ".join(map(str, elems[lo : lo + PRINT_CHUNK].tolist())))
+    for piece in decimal_pieces(elems):
+        out.write(piece)
     out.write("\n")
 
 
@@ -294,7 +332,8 @@ def build_parser():
     sp.add_argument("--max-work", type=int, default=codes.DEFAULT_MAX_WORK,
                     dest="max_work",
                     help="refuse an enumeration whose route costs more operations: "
-                         "q*m*p^2 for the transform, q*n for the direct product")
+                         "q*m*p^2 for the transform, q*n for the direct "
+                         "route's table lookups")
     sp.add_argument("--json", action="store_true")
     sp.set_defaults(fn=cmd_code)
 

@@ -501,9 +501,9 @@ def enumerator_from_json(s: str) -> WeightEnumerator:
 
 
 def export_generator(C: DefiningSetCode) -> str:
+    from .cli import decimal_pieces  # cli imports this module at load time
+
     F = C.field
-    G = generator_matrix(C)
     lines = [f"{F.p} {F.m} {C.n}"]
-    for row in G:
-        lines.append(" ".join(map(str, row.tolist())))
+    lines += ["".join(decimal_pieces(row)) for row in generator_matrix(C)]
     return "\n".join(lines) + "\n"

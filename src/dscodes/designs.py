@@ -217,7 +217,7 @@ def to_cyclic_residues(D: DefiningSet, v=None):
     F = D.field
     if v is None:
         v = F.q - 1
-    logs = F.log_table[D.elems]
+    logs = F.log_table[D.elems].astype(np.int64)
     if np.any(logs < 0):
         raise LogOfZeroError("dlog(0) is undefined")
     return np.sort(logs % v)
@@ -352,9 +352,12 @@ def maschietti_set(F: Field, case: str) -> DefiningSet:
     rho = maschietti_rho(F.m, case)
     if F.p != 2:
         raise EvenCharacteristicError("hyperoval constructions live in GF(2^m)")
-    xs = np.arange(F.q, dtype=np.int64)
-    gamma = F.add(F.pow(xs, rho), xs)
-    fibers = np.bincount(gamma, minlength=F.q)
+    # in exponent space x = alpha^t has x^rho + x = exp[t*rho mod (q-1)] XOR exp[t];
+    # t and rho mod (q-1) are below 2^22, so their int64 product is below 2^44
+    t = np.arange(F.q - 1, dtype=np.int64)
+    exp = F.exp_table
+    fibers = np.bincount(exp[t * (rho % (F.q - 1)) % (F.q - 1)] ^ exp, minlength=F.q)
+    fibers[0] += 1  # x = 0 maps to 0
     if not np.all((fibers == 0) | (fibers == 2)):
         raise NotTwoToOneError(f"x^{rho}+x is not two-to-one on GF(2^{F.m})")
     vals = np.nonzero(fibers)[0]

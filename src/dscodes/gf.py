@@ -34,6 +34,9 @@ from .errors import (
 
 # Every field carries exp/log tables, so the field cap is the table cap.
 MAX_FIELD_BITS = 22
+# entries of an odd-p digit-sum table, p^(2g) <= 2^16: its uint8 values (< p^g)
+# stay in cache
+DIGIT_TABLE_SIZE = 1 << 16
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -150,6 +153,20 @@ def _x_order_is_maximal(mod: tuple[int, ...], p: int, prime_divisors) -> bool:
     return all(xpow(qm1 // r) != one for r in prime_divisors)
 
 
+@lru_cache(maxsize=None)
+def _digit_table(p: int, g: int, sign: int) -> np.ndarray:
+    """t[x*p^g + y] = x + sign*y digit-wise mod p, for g-digit base-p x, y."""
+    P = p**g
+    x = np.arange(P, dtype=np.int16)  # P <= 2^8, so every partial sum fits
+    t = np.zeros((P, P), dtype=np.int16)
+    for pj in (p ** np.arange(g)).tolist():
+        d = x // pj % p
+        t += (d[:, None] + sign * d) % p * pj
+    t = t.astype(np.uint8).ravel()
+    t.setflags(write=False)
+    return t
+
+
 def _int_if_scalar(x):
     """A 0-d kernel result as a Python int; arrays pass through unchanged."""
     return int(x) if np.ndim(x) == 0 else x
@@ -191,6 +208,14 @@ class Field:
             self.modulus = self._default_modulus()
         self.alpha = p if m >= 2 else (-self.modulus[0]) % p
         self._pm1 = p ** (m - 1)
+        # odd p: add and sub take g >= 2 digits per pass from a p^(2g)-entry
+        # table; g = 0 (m = 1, or p^4 above the table size) means one digit
+        # per pass by arithmetic, with no table
+        g = 0
+        while p ** (2 * g + 2) <= DIGIT_TABLE_SIZE and g < m:
+            g += 1
+        g = self._chunk_digits = g if g >= 2 else 0
+        self._chunk_powers = [np.int64(p ** (g * j)) for j in range(-(-m // g))] if g else []
         self._exp = None
         self._log = None
         self._trace_table = None
@@ -225,27 +250,52 @@ class Field:
         """Elementwise a + b: XOR for p = 2, digit-wise sums mod p otherwise."""
         if self.p == 2:
             return _int_if_scalar(np.bitwise_xor(a, b))
-        a = np.asarray(a, dtype=np.int64)
-        b = np.asarray(b, dtype=np.int64)
-        acc = np.zeros(np.broadcast_shapes(a.shape, b.shape), dtype=np.int64)
-        for pj in self._powers.tolist():
-            acc += (a // pj + b // pj) % self.p * pj
-        return _int_if_scalar(acc)
+        return self._digitwise(a, b, 1)
 
     def neg(self, a):
         return self.mul(a, self.p - 1)
 
     def sub(self, a, b):
-        return self.add(a, self.neg(b))
+        """Elementwise a - b: XOR for p = 2, digit-wise differences mod p otherwise."""
+        if self.p == 2:
+            return self.add(a, b)
+        return self._digitwise(a, b, -1)
+
+    def _digitwise(self, a, b, sign: int):
+        """a + sign*b digit by digit mod p (odd p), g digits per pass."""
+        p, g = self.p, self._chunk_digits
+        if not g:
+            a = np.asarray(a, dtype=np.int64)
+            b = np.asarray(b, dtype=np.int64)
+            acc = 0
+            for pj in self._powers.tolist():
+                # -y = (p-1)*y mod p keeps the remainder's operand nonnegative
+                x, y = a // pj, b // pj
+                acc += (x + y if sign > 0 else x + y * (p - 1)) % p * pj
+            return _int_if_scalar(acc)
+        # elements are below q <= 2^22, so int32 holds them, every chunk and
+        # every table index, at half the memory of int64 temporaries
+        a = np.asarray(a, dtype=np.int32)
+        b = np.asarray(b, dtype=np.int32)
+        P, t = p**g, _digit_table(p, g, sign)
+        acc = 0
+        for pj in self._chunk_powers[:-1]:
+            a, xa = np.divmod(a, P)
+            b, xb = np.divmod(b, P)
+            acc += t[xa * P + xb] * pj
+        # the lower chunks are divided off, so a, b < P; the np.int64 powers
+        # widen the uint8 table entries
+        acc += t[a * P + b] * self._chunk_powers[-1]
+        return _int_if_scalar(acc)
 
     def mul(self, a, b):
         """Elementwise product through the exp/log tables; 0 maps to 0."""
         log = self.log_table
         a = np.asarray(a, dtype=np.int64)
         b = np.asarray(b, dtype=np.int64)
-        t = log[a] + log[b]
+        t = log[a] + log[b]  # < 2(q-1) <= 2^23: exact in int32
         t %= self.q - 1
-        return _int_if_scalar(np.where((a == 0) | (b == 0), 0, self._exp[t]))
+        return _int_if_scalar(np.where((a == 0) | (b == 0), np.int64(0), self._exp[t]))
 
     def _mul_by_alpha(self, a: int) -> int:
         """a * alpha without exp/log tables (seeds their build)."""
@@ -270,9 +320,10 @@ class Field:
         a = np.asarray(a, dtype=np.int64)
         if e < 0 and np.any(a == 0):
             raise ZeroInputError("zero has no inverse")
-        t = self.log_table[a] * (e % (self.q - 1))
+        # log < q-1 <= 2^22 and e mod (q-1) < 2^22, so the int64 product is below 2^44
+        t = self.log_table[a].astype(np.int64) * (e % (self.q - 1))
         t %= self.q - 1
-        return _int_if_scalar(np.where(a == 0, 0 if e else 1, self._exp[t]))
+        return _int_if_scalar(np.where(a == 0, np.int64(0 if e else 1), self._exp[t]))
 
     def inv(self, a):
         return self.pow(a, -1)
@@ -297,7 +348,8 @@ class Field:
         """Every GF(p)-combination sum_j d_j*cols[j], at index sum_j d_j*p^j."""
         s = len(cols)
         coeffs = self.digits(np.arange(self.p**s))[:, :s].astype(np.int64)
-        return coeffs @ self.digits(cols).astype(np.int64) % self.p @ self._powers
+        span = coeffs @ self.digits(cols).astype(np.int64) % self.p @ self._powers
+        return span.astype(np.int32)  # elements, below q <= 2^22: half-size gathers
 
     def _scaler(self, cols):
         """x -> alpha^k * x on index arrays, given cols = alpha^k, ..., alpha^(k+m-1).
@@ -315,7 +367,10 @@ class Field:
         return lambda x: self.add(lo[x % pr], hi[x // pr])
 
     def _ensure_tables(self):
-        """exp by doubling, exp[n:2n] = alpha^n * exp[:n]; log as its inverse."""
+        """exp by doubling, exp[n:2n] = alpha^n * exp[:n]; log as its inverse.
+
+        Both are int32: entries are below q <= 2^22.
+        """
         if self._log is not None:
             return
         m, size = self.m, self.q - 1
@@ -323,7 +378,7 @@ class Field:
         walk = [1]
         for _ in range(2 * m - 1):
             walk.append(self._mul_by_alpha(walk[-1]))
-        exp = np.empty(size, dtype=np.int64)
+        exp = np.empty(size, dtype=np.int32)
         exp[:m] = walk[:m]
         cols = np.array(walk[m:], dtype=np.int64)
         n = m
@@ -333,8 +388,8 @@ class Field:
             out = self._scaler(cols)(np.concatenate((exp[:step], cols)))
             exp[n : n + step], cols = out[:step], out[step:]
             n += step
-        log = np.full(self.q, -1, dtype=np.int64)
-        log[exp] = np.arange(size)
+        log = np.full(self.q, -1, dtype=np.int32)
+        log[exp] = np.arange(size, dtype=np.int32)
         if np.any(log[1:] < 0):
             raise InvariantError("exp table is not a permutation of GF(q)*: alpha is not primitive")
         self._exp, self._log = exp, log

@@ -6,9 +6,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
-from dscodes import cli, codes, verify
+from dscodes import cli, codes, designs, verify
 from dscodes.cli import entry
+from dscodes.errors import InvariantError
 from dscodes.gf import default_field
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -63,6 +66,46 @@ def test_construct_element_line_spans_print_chunks(capsys):
                      "--json")
     assert rc == 0
     assert json.loads(out)["elements"] == [int(t) for t in tokens]
+
+
+# digit-count and 4-digit-group boundaries, and the largest element index
+_DECIMAL_EDGES = (0, 9, 10, 99, 100, 999, 1000, 9999, 10000, 10001, 99999, 10**7 - 1,
+                  10**7, 4194303, 10**8 - 1)
+
+
+@given(st.lists(st.one_of(st.sampled_from(_DECIMAL_EDGES), st.integers(0, 10**8 - 1)),
+                min_size=1, max_size=40),
+       st.integers(1, 9))
+@example([0], 1)
+@example([4194303], 1 << 16)
+@example(list(_DECIMAL_EDGES), 4)
+def test_decimal_pieces_match_str_join(values, chunk):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "PRINT_CHUNK", chunk)
+        pieces = list(cli.decimal_pieces(np.array(values, dtype=np.int64)))
+    assert len(pieces) == -(-len(values) // chunk)
+    assert "".join(pieces) == " ".join(map(str, values))
+
+
+def test_decimal_pieces_uint8_rows_and_range():
+    row = np.arange(256, dtype=np.uint8)
+    assert "".join(cli.decimal_pieces(row)) == " ".join(map(str, range(256)))
+    assert list(cli.decimal_pieces(np.zeros(0, dtype=np.int64))) == []
+    for bad in (-1, 10**8):
+        with pytest.raises(InvariantError, match="outside"):
+            list(cli.decimal_pieces(np.array([5, bad], dtype=np.int64)))
+
+
+def test_export_gen_rows_span_print_chunks(capsys):
+    # n = (3^11 - 1)/2 = 88573 entries per row: more than one print chunk
+    C = codes.make_code(designs.paley_set(default_field(3, 11)))
+    assert C.n > cli.PRINT_CHUNK
+    rows = codes.generator_matrix(C)
+    want = f"3 11 {C.n}\n" + "".join(" ".join(str(int(v)) for v in row) + "\n"
+                                      for row in rows)
+    rc, out, _ = run(capsys, "export-gen", "--family", "paley", "--p", "3", "--m", "11")
+    assert rc == 0
+    assert out == want
 
 
 def test_construct_json_is_canonical(capsys):

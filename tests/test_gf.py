@@ -136,13 +136,13 @@ def test_tables_match_scalar_ops():
 
 def _walked_tables(F):
     """exp/log by the scalar walk exp[t+1] = alpha*exp[t]: the reference for the doubling build."""
-    exp = np.empty(F.q - 1, dtype=np.int64)
+    exp = np.empty(F.q - 1, dtype=np.int32)
     cur = 1
     for t in range(F.q - 1):
         exp[t] = cur
         cur = F._mul_by_alpha(cur)
     assert cur == 1
-    log = np.full(F.q, -1, dtype=np.int64)
+    log = np.full(F.q, -1, dtype=np.int32)
     log[exp] = np.arange(F.q - 1)
     return exp, log
 
@@ -159,7 +159,7 @@ def test_tables_match_the_scalar_walk(p, m, modulus):
     F = Field(p, m, modulus)
     assert modulus is None or F.modulus != default_field(p, m).modulus
     exp, log = _walked_tables(F)
-    assert F.exp_table.dtype == exp.dtype and F.log_table.dtype == log.dtype
+    assert F.exp_table.dtype == F.log_table.dtype == np.int32
     assert F.exp_table.tobytes() == exp.tobytes()
     assert F.log_table.tobytes() == log.tobytes()
 
@@ -235,6 +235,30 @@ def test_add_arrays_does_not_mutate_inputs():
     F.add(a, b)
     F.sub(a, b)
     assert np.array_equal(a, keep_a) and np.array_equal(b, keep_b)
+
+
+# g digits per table pass; the last chunk is partial in each table field
+# (13 = 5+5+3, 7 = 3+3+1, 5 = 2+2+1, 3 = 2+1), and g = 0 is the one-digit
+# arithmetic path of GF(131^2) and of m = 1
+@pytest.mark.parametrize("p,m,g", [
+    (3, 13, 5), (5, 7, 3), (7, 5, 2), (11, 3, 2), (131, 2, 0), (3, 1, 0), (65521, 1, 0),
+])
+def test_add_and_sub_arrays_match_the_digitwise_oracle(p, m, g):
+    F = Field(p, m)
+    assert F._chunk_digits == g
+    rng = np.random.default_rng(p + m)
+    a = rng.integers(0, F.q, 5000)
+    b = rng.integers(0, F.q, 5000)
+    a[:3], b[:3] = (0, F.q - 1, F.q - 1), (F.q - 1, F.q - 1, 0)
+    da, db = F.digits(a).astype(np.int64), F.digits(b).astype(np.int64)
+    powers = np.array(F.basis(), dtype=np.int64)
+    for got, want in ((F.add(a, b), (da + db) % p @ powers),
+                      (F.sub(a, b), (da - db) % p @ powers)):
+        assert got.dtype == np.int64 and np.array_equal(got, want)
+    assert F.sub(F.add(a, b), b).tolist() == a.tolist()
+    # a column against a row broadcasts, and 0-d inputs agree with the arrays
+    assert F.add(a[:50, None], b[:4]).tolist() == [[F.add(int(x), int(y)) for y in b[:4]]
+                                                   for x in a[:50]]
 
 
 def test_gfp_rank_known_matrices():
