@@ -67,39 +67,51 @@ class WalshSpectrum:
 
 
 def _fwht(a):
-    # in-place radix-2 butterfly; a has power-of-two length
-    n = len(a)
+    """Walsh-Hadamard butterfly over the last axis of a C-contiguous (..., 2^m) stack.
+
+    Works in place and keeps a's dtype.  Every partial sum is a +-1 combination
+    of one row's entries, so it is at most the row's sum of |entries|: q for
+    signs, n < q for multiplicities, and q <= 2^22 fits int32.
+    """
     h = 1
-    while h < n:
-        a = a.reshape(-1, 2, h)
-        top = a[:, 0, :].copy()
-        a[:, 0, :] = top + a[:, 1, :]
-        a[:, 1, :] = top - a[:, 1, :]
-        a = a.reshape(n)
+    while h < a.shape[-1]:
+        v = a.reshape(-1, 2, h)  # pairs of h-blocks; a row of 2^m holds whole pairs
+        top = v[:, 0].copy()
+        v[:, 0] += v[:, 1]
+        np.subtract(top, v[:, 1], out=v[:, 1])
         h *= 2
     return a
 
 
 def _trace_pairing_map(F: Field):
-    """umap with Tr(w*x) == popcount(umap[w] & x) mod 2 for all w, x."""
+    """umap with Tr(w*x) == popcount(umap[w] & x) mod 2 for all w, x.
+
+    int32: every entry is an element index below q <= 2^22.
+    """
     umap = getattr(F, "_walsh_umap", None)
     if umap is not None:
         return umap
     basis = np.asarray(F.basis(), dtype=np.int64)
     # bit j of ubasis[i] is Tr(alpha^i alpha^j)
     ubasis = F.trace(F.mul(basis[:, None], basis[None, :])) @ basis
-    umap = np.zeros(F.q, dtype=np.int64)
-    for i in range(F.m):
+    umap = np.zeros(F.q, dtype=np.int32)
+    for i, u in enumerate(ubasis.tolist()):
         step = 1 << i
-        umap[step : 2 * step] = umap[:step] ^ ubasis[i]
+        umap[step : 2 * step] = umap[:step] ^ u
     F._walsh_umap = umap
     return umap
 
 
+def _signs(table):
+    """(-1)^f as int32, one fresh array, for a 0/1 table f."""
+    signs = np.asarray(table).astype(np.int32)
+    signs *= -2
+    signs += 1
+    return signs
+
+
 def walsh_from_table(F: Field, ftable) -> WalshSpectrum:
-    signs = 1 - 2 * np.asarray(ftable, dtype=np.int64)
-    transformed = _fwht(signs.copy())
-    values = transformed[_trace_pairing_map(F)]
+    values = _fwht(_signs(ftable))[_trace_pairing_map(F)].astype(np.int64)
     values.setflags(write=False)
     return WalshSpectrum(F.m, values)
 
@@ -239,16 +251,17 @@ def is_almost_bent(F: Field, g: FuncSpec) -> bool:
         raise ValueError("almost bent functions live on GF(2^m)")
     if F.m % 2 == 0:
         raise EvenDegreeError("almost bent functions exist only for odd m")
+    # checked before anything q^2 is built: the stacked state below has
+    # (q-1)*q < 2^(2*AB_DEGREE_LIMIT) = 2^18 entries
     if F.m > AB_DEGREE_LIMIT:
         raise SizeLimitError(f"exhaustive AB check limited to m <= {AB_DEGREE_LIMIT}")
     amp = 1 << ((F.m + 1) // 2)
-    gt = g.table(F)
-    for a in range(1, F.q):
-        fa = F.trace(F.mul(gt, a))
-        v = walsh_from_table(F, fa).values
-        if not np.all((v == 0) | (np.abs(v) == amp)):
-            return False
-    return True
+    # lambda_g(a, .) is the Walsh transform of Tr(a*g(x)); relabelling b only
+    # permutes a row, so the rows for every a != 0 go through one stacked
+    # butterfly without it
+    a = np.arange(1, F.q, dtype=np.int64)
+    v = _fwht(_signs(F.trace_table[F.mul(a[:, None], g.table(F))]))
+    return bool(np.all((v == 0) | (np.abs(v) == amp)))
 
 
 def support_size_prediction(kind: str, m: int, walsh0=None, rank=None):

@@ -31,7 +31,7 @@ from math import isqrt
 import numpy as np
 
 from .boolfn import _fwht
-from .cyclotomic import CycInt, char_sum, is_rational
+from .cyclotomic import CycInt, char_sum, is_rational, trace_exp_table
 from .designs import DefiningSet
 from .errors import (
     InvariantError,
@@ -60,9 +60,9 @@ def make_code(D: DefiningSet) -> DefiningSetCode:
 
 
 def codeword(C: DefiningSetCode, x):
-    """c_x = (Tr(x d))_{d in D}."""
+    """c_x = (Tr(x d))_{d in D}; an array of x gives one codeword per x along a new last axis."""
     F = C.field
-    return F.trace(F.mul(x, C.D.elems))
+    return F.trace(F.mul(np.asarray(x, dtype=np.int64)[..., None], C.D.elems))
 
 
 def span_dimension(F: Field, elems) -> int:
@@ -126,8 +126,9 @@ def _transform_counts(C: DefiningSetCode, max_work=DEFAULT_MAX_WORK):
         raise SizeLimitError(f"transform state q*p = {q * p} exceeds {MAX_TRANSFORM_STATE}")
     mult = np.bincount(C.D.elems, minlength=q)
     if p == 2:
-        # Walsh coefficient S(u) = Z(u) - (n - Z(u))
-        zeros = (n + _fwht(mult)) // 2
+        # Walsh coefficient S(u) = Z(u) - (n - Z(u)); the multiplicities sum to
+        # n < q <= 2^22, so every partial sum of the butterfly fits int32
+        zeros = (n + _fwht(mult.astype(np.int32))) // 2
     else:
         zeros = _counting_transform(mult, p, F.m)
     return np.bincount(n - zeros, minlength=n + 1)
@@ -168,7 +169,7 @@ def _direct_counts(C: DefiningSetCode, max_work=DEFAULT_MAX_WORK):
     F, n = C.field, C.n
     if F.q * n > max_work:
         raise SizeLimitError(f"q*n = {F.q * n} exceeds the work budget {max_work}")
-    T2 = np.tile(F.trace_table[F.exp_table], 2)  # s + log d needs no reduction mod q-1
+    T2 = trace_exp_table(F)  # s + log d needs no reduction mod q-1
     logs = F.log_table[C.D.elems[C.D.elems != 0]]
     reps = (F.q - 1) // (F.p - 1)
     rows = min(reps, max(1, (1 << 20) // max(logs.size, 1)))
@@ -210,19 +211,28 @@ def weight_enumerator(C: DefiningSetCode, max_work=DEFAULT_MAX_WORK) -> WeightEn
     return WeightEnumerator(F.p, F.m, n, k, cdict)
 
 
-def weight_via_charsum(C: DefiningSetCode, x) -> int:
-    """wt(c_x) through the character-sum route; must match the direct weight."""
+def weight_via_charsum(C: DefiningSetCode, x):
+    """wt(c_x) through the character-sum route; must match the direct weight.
+
+    One x gives an int, a sequence of them a list.  Each y*x (y in GF(p)*) is
+    formed with F.mul, and the p-1 character sums over D, all from one
+    char_sum call, are added in Z[zeta_p].
+    """
     F = C.field
-    total = CycInt.integer(F.p, 0)
-    for y in range(1, F.p):
-        total = total + char_sum(F, C.D.elems, F.mul(y, x))
-    s = is_rational(total)
-    if s is None:
-        raise NonRationalSumError(f"character sum for x={x} is not rational: {total}")
-    num = (F.p - 1) * C.n - s
-    if num % F.p:
-        raise NonIntegralWeightError(f"weight numerator {num} not divisible by {F.p}")
-    return num // F.p
+    xs = np.asarray(x, dtype=np.int64).ravel()
+    ys = np.arange(1, F.p, dtype=np.int64)
+    sums = char_sum(F, C.D.elems, F.mul(xs[:, None], ys).ravel())
+    weights = []
+    for i, xi in enumerate(xs.tolist()):
+        total = sum(sums[i * (F.p - 1) : (i + 1) * (F.p - 1)], CycInt.integer(F.p, 0))
+        s = is_rational(total)
+        if s is None:
+            raise NonRationalSumError(f"character sum for x={xi} is not rational: {total}")
+        num = (F.p - 1) * C.n - s
+        if num % F.p:
+            raise NonIntegralWeightError(f"weight numerator {num} not divisible by {F.p}")
+        weights.append(num // F.p)
+    return weights[0] if np.ndim(x) == 0 else weights
 
 
 def minimum_distance(E: WeightEnumerator) -> int:

@@ -25,6 +25,7 @@ from .errors import (
     NotTwoToOneError,
     UnknownKindError,
 )
+from .cyclotomic import trace_counts
 from .gf import Field, default_field
 
 
@@ -390,8 +391,4 @@ def boolean_support(F: Field, f: FuncSpec) -> DefiningSet:
 def joint_counts(F: Field, f: FuncSpec, bs) -> list:
     """For each b in bs, the counts of {x: f(x)=0, Tr(bx)=a} indexed by a in GF(p)."""
     kernel = np.nonzero(f.table(F) == 0)[0]
-    out = []
-    for b in bs:
-        tv = F.trace(F.mul(kernel, b))
-        out.append(tuple(np.bincount(tv, minlength=F.p).tolist()))
-    return out
+    return [tuple(row) for row in trace_counts(F, kernel, bs).tolist()]

@@ -13,7 +13,9 @@ root mod p, so that alpha is that root.
 Primitivity of a candidate modulus f is decided by a single order test: x has
 order q-1 in GF(p)[x]/(f) iff x^(q-1) = 1 and x^((q-1)/r) != 1 for every prime
 r | q-1.  A reducible f has a unit group smaller than q-1, so the test also
-certifies irreducibility for free.
+certifies irreducibility for free.  The scan skips, before that test, every
+candidate with a root in GF(p): it is reducible.  For p = 2 the test runs on
+int bitmasks, where multiplying by x is a shift and a conditional XOR.
 """
 
 from __future__ import annotations
@@ -124,12 +126,34 @@ def _poly_mulmod(a, b, mod, p):
     return prod[:m]
 
 
+def _gf2_xpow(f: int, m: int, e: int) -> int:
+    """x^e mod f over GF(2), with polynomials as bitmasks (bit i holds x^i).
+
+    Left to right over the bits of e: squaring spreads the bits of acc apart
+    (no cross terms over GF(2)), multiplying by x is a shift, and the bits at
+    degree m and above are cleared from the top with shifted copies of f.
+    """
+    acc = 1
+    for bit in bin(e)[2:]:
+        acc = int("0".join(bin(acc)[2:]), 2)
+        if bit == "1":
+            acc <<= 1
+        for d in range(acc.bit_length() - 1, m - 1, -1):
+            if acc >> d & 1:
+                acc ^= f << (d - m)
+    return acc
+
+
 def _x_order_is_maximal(mod: tuple[int, ...], p: int, prime_divisors) -> bool:
     """True iff x has order p^m - 1 in GF(p)[x]/(mod); implies primitivity."""
     m = len(mod) - 1
     qm1 = p**m - 1
     if mod[0] % p == 0:
         return qm1 == 0  # x is a zero divisor unless the field is GF(2)... never primitive
+    if p == 2:
+        f = sum(c << i for i, c in enumerate(mod))
+        return (_gf2_xpow(f, m, qm1) == 1
+                and all(_gf2_xpow(f, m, qm1 // r) != 1 for r in prime_divisors))
     if m == 1:
         base = [(-mod[0]) % p]
     else:
@@ -231,10 +255,15 @@ class Field:
                 if all(pow(g, (p - 1) // r, p) != 1 for r in self._qm1_primes):
                     return ((-g) % p, 1)
             raise InvariantError("no primitive root found")  # unreachable
+        # row c - 1 holds c^j mod p, j = 0..m, for c in GF(p)*: c^j < q <= 2^22
+        # before the reduction, and a row times a coefficient tuple is below (m+1)*p^2
+        cpow = np.arange(1, p, dtype=np.int64)[:, None] ** np.arange(m + 1) % p
         for idx in range(1, q):
             if idx % p == 0:
                 continue  # constant term 0 => x divides f
             mod = tuple(self.digits(idx).tolist()) + (1,)
+            if not np.all(cpow @ mod % p):
+                continue  # f(c) = 0 for some c in GF(p)* => x - c divides f
             if _x_order_is_maximal(mod, p, self._qm1_primes):
                 return mod
         raise InvariantError("no primitive polynomial found")  # unreachable

@@ -448,10 +448,11 @@ def _hkm_lemma_case(h):
         }
         d0 = designs._distinct(np.sort(np.concatenate((D.elems, F.neg(D.elems)))))
         allowed_chi = {-1, 3 ** (2 * h - 1) - 1, -(3 ** (2 * h - 1)) - 1}
-        for b, triple in zip(bs, designs.joint_counts(F, f_hkm, bs)):
+        triples = designs.joint_counts(F, f_hkm, bs)
+        for b, triple, chi_sum in zip(bs, triples, char_sum(F, d0, bs)):
             if triple not in allowed_triples:
                 problems.append(f"N_(b,a) triple {triple} at b={b}")
-            chi = is_rational(char_sum(F, d0, b))
+            chi = is_rational(chi_sum)
             if chi not in allowed_chi:
                 problems.append(f"chi_1(bD_0) = {chi} at b={b}")
         exp = f"rank/count/character lemmas on {len(us)} u's and {len(bs)} b's"
@@ -500,9 +501,9 @@ for _p, _m in ((3, 2), (3, 3), (3, 4), (5, 2), (5, 3)):
 def _charsum_weights_case():
     def sample_points(F, limit=None):
         if limit is None or F.q <= limit:
-            return range(F.q)
+            return np.arange(F.q)
         step = max(1, F.q // 25)
-        return list(range(0, F.q, step)) + [F.q - 1]
+        return np.append(np.arange(0, F.q, step), F.q - 1)
 
     def run():
         families = []
@@ -519,10 +520,11 @@ def _charsum_weights_case():
         for D in families:
             C = codes.make_code(D)
             F = D.field
-            for x in sample_points(F, limit=243):
-                direct = int(C.n - np.count_nonzero(codes.codeword(C, x) == 0))
-                via = codes.weight_via_charsum(C, x)
-                checked += 1
+            xs = sample_points(F, limit=243)
+            directs = C.n - np.count_nonzero(codes.codeword(C, xs) == 0, axis=1)
+            vias = codes.weight_via_charsum(C, xs)
+            checked += xs.size
+            for x, direct, via in zip(xs.tolist(), directs.tolist(), vias):
                 if direct != via:
                     problems.append(f"{D.family_tag} q={F.q} x={x}: {via} != {direct}")
         exp = "character-sum weight equals direct weight on every sampled x"

@@ -1,3 +1,4 @@
+import tracemalloc
 from itertools import islice
 
 import numpy as np
@@ -175,6 +176,66 @@ def test_is_almost_bent():
     assert not boolfn.is_almost_bent(F5, FuncSpec(((1, 1),), False))  # linear
     with pytest.raises(errors.EvenDegreeError):
         boolfn.is_almost_bent(default_field(2, 6), FuncSpec(((1, 3),), False))
+
+
+def brute_is_almost_bent(F, g):
+    """Every lambda_g(a, b), a != 0, from its definition; the reference oracle."""
+    amp = 1 << ((F.m + 1) // 2)
+    return all(boolfn.lambda_spectrum(F, g, a, b) in (0, amp, -amp)
+               for a in range(1, F.q) for b in range(F.q))
+
+
+@pytest.mark.parametrize("m,exps,ab", [
+    (3, (3,), True),
+    (3, (5,), True),
+    (3, (1,), False),  # linear
+    (3, (6,), True),  # the inverse x^(q-2) = (x^3)^2 on GF(8)
+    (3, (3, 1), True),
+    (5, (3,), True),
+    (5, (13,), True),  # Kasami 2^4 - 2^2 + 1
+    (5, (1,), False),  # linear
+    (5, (30,), False),  # the inverse x^(q-2)
+    (5, (3, 5), False),
+])
+def test_is_almost_bent_matches_the_exhaustive_lambda_spectrum(m, exps, ab):
+    F = default_field(2, m)
+    g = FuncSpec(tuple((1, e) for e in exps), False)
+    assert boolfn.is_almost_bent(F, g) == brute_is_almost_bent(F, g) == ab
+
+
+def test_is_almost_bent_refuses_m_11_before_building_anything_quadratic():
+    F = default_field(2, 11)
+    tracemalloc.start()
+    try:
+        with pytest.raises(errors.SizeLimitError):
+            boolfn.is_almost_bent(F, FuncSpec(((1, 3),), False))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < F.q * F.q // 8  # a q^2 array of bytes would be 4 MB
+
+
+@st.composite
+def butterfly_stacks(draw):
+    m = draw(st.integers(0, 6))
+    lead = tuple(draw(st.lists(st.integers(1, 3), max_size=2)))
+    dtype = draw(st.sampled_from([np.int32, np.int64]))
+    size = int(np.prod(lead, dtype=np.int64)) << m
+    vals = draw(st.lists(st.integers(-1000, 1000), min_size=size, max_size=size))
+    return np.array(vals, dtype=dtype).reshape(*lead, 1 << m)
+
+
+@given(butterfly_stacks())
+def test_stacked_fwht_matches_rows_and_the_hadamard_definition(stack):
+    n = stack.shape[-1]
+    # H[u, x] = (-1)^popcount(u & x): the +-1 Hadamard matrix of order n
+    hadamard = np.array([[(-1) ** bin(u & x).count("1") for x in range(n)] for u in range(n)])
+    got = boolfn._fwht(stack.copy())
+    assert got.dtype == stack.dtype and got.shape == stack.shape
+    assert np.array_equal(got, stack.astype(np.int64) @ hadamard.T)
+    rows = stack.reshape(-1, n)
+    by_row = [boolfn._fwht(row.copy()) for row in rows]
+    assert np.array_equal(got.reshape(-1, n), np.array(by_row).reshape(-1, n))
 
 
 def test_support_size_prediction():

@@ -1,8 +1,11 @@
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from dscodes import codes, cyclotomic, designs
 from dscodes.cyclotomic import CycInt, char_sum, is_rational
+from dscodes.designs import FuncSpec
 from dscodes.errors import MixedPrimesError
 from dscodes.gf import default_field
 
@@ -97,3 +100,49 @@ def test_str_lists_every_basis_coordinate():
     z = CycInt.root_power(3, 1)
     s = str(z + z)
     assert "z^1" in s and "z^2" in s
+
+
+# one field per characteristic the many-point routes are checked in
+MANY_POINT_FIELDS = ((2, 4), (3, 3), (5, 2), (7, 2))
+
+
+@pytest.mark.parametrize("blocks", ["one", "split-S", "two-rows"])
+@pytest.mark.parametrize("pm", MANY_POINT_FIELDS, ids=lambda pm: f"GF({pm[0]}^{pm[1]})")
+def test_many_point_routes_match_their_scalar_definitions(monkeypatch, pm, blocks):
+    F = default_field(*pm)
+    p = F.p
+    S = [0] + list(range(1, F.q, 3))  # 0 in S
+    # the gathers run as one block, as 5-pair pieces of one row, or two b's at a time
+    block = {"one": cyclotomic.TRACE_BLOCK, "split-S": 5, "two-rows": 2 * max(len(S), p)}[blocks]
+    monkeypatch.setattr(cyclotomic, "TRACE_BLOCK", block)
+    bs = [0, 1, F.q - 1] + list(range(2, F.q, 4))  # b = 0 first
+    sums = char_sum(F, S, bs)
+    assert isinstance(sums, list) and len(sums) == len(bs)
+    for b, got in zip(bs, sums):
+        want = CycInt.integer(p, 0)
+        for s in S:
+            want = want + CycInt.root_power(p, F.trace(F.mul(b, s)))
+        assert got == want == char_sum(F, S, b)
+    assert sums[0] == CycInt.integer(p, len(S))
+
+    C = codes.make_code(designs.defining_set(F, S))  # 0 is a coordinate too
+    xs = np.array([0, 1, F.q - 1] + list(range(2, F.q, 5)))  # x = 0 first
+    words = codes.codeword(C, xs)
+    assert words.shape == (xs.size, C.n)
+    weights = codes.weight_via_charsum(C, xs)
+    assert weights == codes.weight_via_charsum(C, xs.tolist())
+    for x, word, w in zip(xs.tolist(), words, weights):
+        scalar_word = [F.trace(F.mul(x, d)) for d in S]
+        assert word.tolist() == codes.codeword(C, x).tolist() == scalar_word
+        assert w == codes.weight_via_charsum(C, x) == sum(t != 0 for t in scalar_word)
+    assert weights[0] == 0
+
+    f = FuncSpec(((1, p + 1), (1, 1)), True)  # f(0) = 0 puts 0 in the kernel
+    kernel = [x for x in range(F.q) if f.evaluate(F, x) == 0]
+    want_rows = []
+    for b in bs:
+        row = [0] * p
+        for x in kernel:
+            row[F.trace(F.mul(b, x))] += 1
+        want_rows.append(tuple(row))
+    assert designs.joint_counts(F, f, bs) == want_rows

@@ -11,8 +11,11 @@ from dscodes.gf import (
     MAX_FIELD_BITS,
     Field,
     _poly_mulmod,
+    _x_order_is_maximal,
     default_field,
+    factorize,
     gfp_rank,
+    is_prime,
     parse_modulus,
 )
 
@@ -23,6 +26,55 @@ def test_default_moduli_are_the_documented_scan_results():
     assert default_field(3, 3).modulus == (1, 2, 0, 1)       # x^3 + 2x + 1
     assert default_field(7, 1).modulus == (4, 1)             # x - 3
     assert default_field(7, 1).alpha == 3
+
+
+def _list_x_order_is_maximal(mod, p, primes):
+    """x has order p^m - 1 modulo mod, by list-based square-and-multiply; the oracle."""
+    m = len(mod) - 1
+    qm1 = p**m - 1
+    one = [1] + [0] * (m - 1)
+    base = [(-mod[0]) % p] if m == 1 else [0, 1] + [0] * (m - 2)
+
+    def xpow(e):
+        acc, b = one, base
+        while e:
+            if e & 1:
+                acc = _poly_mulmod(acc, b, mod, p)
+            b = _poly_mulmod(b, b, mod, p)
+            e >>= 1
+        return acc
+
+    return mod[0] % p != 0 and xpow(qm1) == one and all(xpow(qm1 // r) != one for r in primes)
+
+
+def _reference_default_modulus(p, m):
+    """The documented scan, testing every candidate with a nonzero constant term."""
+    primes = sorted(factorize(p**m - 1))
+    for idx in range(1, p**m):
+        mod = tuple(_digit_list(idx, p, m)) + (1,)
+        if idx % p and _list_x_order_is_maximal(mod, p, primes):
+            return mod
+    raise AssertionError("no primitive polynomial")
+
+
+# every (p, m >= 2) with q <= 2^14, plus the larger fields the benchmark builds
+SCAN_FIELDS = [(p, m) for p in range(2, 128) if is_prime(p)
+               for m in range(2, 15) if p**m <= 1 << 14]
+SCAN_FIELDS += [(2, 15), (3, 9), (7, 5), (3, 13), (2, 19), (2, 21)]
+
+
+@pytest.mark.parametrize("pm", SCAN_FIELDS, ids=lambda pm: f"GF({pm[0]}^{pm[1]})")
+def test_default_modulus_scan_matches_the_list_based_reference(pm):
+    assert Field(*pm).modulus == _reference_default_modulus(*pm)
+
+
+@pytest.mark.parametrize("m", range(1, 11))
+def test_char2_order_test_matches_the_list_based_reference(m):
+    # every monic candidate, so the bitmask path's rejections are checked too
+    primes = sorted(factorize((1 << m) - 1))
+    for idx in range(1 << m):
+        mod = tuple(_digit_list(idx, 2, m)) + (1,)
+        assert _x_order_is_maximal(mod, 2, primes) == _list_x_order_is_maximal(mod, 2, primes)
 
 
 def test_alpha_13_is_minus_one_in_gf27():

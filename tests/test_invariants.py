@@ -1,5 +1,6 @@
 import ast
 import importlib.util
+import json
 from pathlib import Path
 
 from dscodes import verify
@@ -72,3 +73,11 @@ def test_perfbench_hooks_exist():
     missing += [f"dscodes.verify.{name}" for name in trace_child.VERIFY_CACHES
                 if not hasattr(getattr(verify, name, None), "cache_info")]
     assert missing == []
+
+
+def test_verify_cases_match_the_benchmark_record():
+    # the benchmark counts a case missing from its record as a failed op, so an
+    # added or renamed case must show up here first
+    path = PACKAGE.parents[1] / "perfbench" / "expected.json"
+    recorded = json.loads(path.read_text(encoding="utf-8"))["verify_paper"]
+    assert sorted(verify.CASES) == sorted(recorded)
