@@ -3,116 +3,48 @@
 Construct difference-set and Boolean-function families, take Walsh spectra
 and quadratic ranks, enumerate weight distributions without sampling error,
 and compare them against closed-form predictions.
+
+The public names resolve on first access (PEP 562), so importing the package,
+or one submodule of it, loads only the submodules that are used.
 """
 
-from .boolfn import (
-    classify_spectrum,
-    find_quadratic_with,
-    hyperoval_spectrum_check,
-    is_almost_bent,
-    lambda_spectrum,
-    quadratic_galois_sum,
-    quadratic_rank,
-    support_size_prediction,
-    walsh_transform,
-)
-from .codes import (
-    WeightEnumerator,
-    codeword,
-    compare_prediction,
-    dual_distance_witness,
-    enumerator_from_json,
-    enumerator_json,
-    export_generator,
-    generator_matrix,
-    griesmer_check,
-    make_code,
-    minimum_distance,
-    pless_moment_check,
-    predicted_enumerator,
-    weight_enumerator,
-    weight_via_charsum,
-)
-from .cyclotomic import CycInt, char_sum, is_rational
-from .designs import (
-    AdditiveGroup,
-    AlmostDifferenceSet,
-    CyclicGroup,
-    DefiningSet,
-    DifferenceSet,
-    FuncSpec,
-    IrregularDesign,
-    boolean_support,
-    classify_design,
-    complement_in_group,
-    defining_set,
-    eto1_check,
-    hkm_set,
-    image_set,
-    is_skew_set,
-    maschietti_set,
-    paley_set,
-    parse_func_spec,
-    to_cyclic_residues,
-)
-from .errors import ToolkitError
-from .gf import Field, default_field, gfp_rank
-from .verify import CaseReport, run_case, run_cases
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AdditiveGroup",
-    "AlmostDifferenceSet",
-    "CaseReport",
-    "CycInt",
-    "CyclicGroup",
-    "DefiningSet",
-    "DifferenceSet",
-    "Field",
-    "FuncSpec",
-    "IrregularDesign",
-    "ToolkitError",
-    "WeightEnumerator",
-    "boolean_support",
-    "char_sum",
-    "classify_design",
-    "classify_spectrum",
-    "codeword",
-    "compare_prediction",
-    "complement_in_group",
-    "default_field",
-    "defining_set",
-    "dual_distance_witness",
-    "enumerator_from_json",
-    "enumerator_json",
-    "eto1_check",
-    "export_generator",
-    "find_quadratic_with",
-    "generator_matrix",
-    "gfp_rank",
-    "griesmer_check",
-    "hkm_set",
-    "hyperoval_spectrum_check",
-    "image_set",
-    "is_almost_bent",
-    "is_rational",
-    "is_skew_set",
-    "lambda_spectrum",
-    "make_code",
-    "maschietti_set",
-    "minimum_distance",
-    "paley_set",
-    "parse_func_spec",
-    "pless_moment_check",
-    "predicted_enumerator",
-    "quadratic_galois_sum",
-    "quadratic_rank",
-    "run_case",
-    "run_cases",
-    "support_size_prediction",
-    "to_cyclic_residues",
-    "walsh_transform",
-    "weight_enumerator",
-    "weight_via_charsum",
-]
+# submodule -> the public names it defines
+_EXPORTS = {
+    "boolfn": ("classify_spectrum", "find_quadratic_with", "hyperoval_spectrum_check",
+               "is_almost_bent", "lambda_spectrum", "quadratic_galois_sum",
+               "quadratic_rank", "support_size_prediction", "walsh_transform"),
+    "codes": ("WeightEnumerator", "codeword", "compare_prediction", "dual_distance_witness",
+              "enumerator_from_json", "enumerator_json", "export_generator",
+              "generator_matrix", "griesmer_check", "make_code", "minimum_distance",
+              "pless_moment_check", "predicted_enumerator", "weight_enumerator",
+              "weight_via_charsum"),
+    "cyclotomic": ("CycInt", "char_sum", "is_rational"),
+    "designs": ("AdditiveGroup", "AlmostDifferenceSet", "CyclicGroup", "DefiningSet",
+                "DifferenceSet", "FuncSpec", "IrregularDesign", "boolean_support",
+                "classify_design", "complement_in_group", "defining_set", "eto1_check",
+                "hkm_set", "image_set", "is_skew_set", "maschietti_set", "paley_set",
+                "parse_func_spec", "to_cyclic_residues"),
+    "errors": ("ToolkitError",),
+    "gf": ("Field", "default_field", "gfp_rank"),
+    "verify": ("CaseReport", "run_case", "run_cases"),
+}
+_ORIGIN = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_ORIGIN)
+
+
+def __getattr__(name):
+    module = _ORIGIN.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value  # later lookups skip this hook
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

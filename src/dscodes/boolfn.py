@@ -25,7 +25,7 @@ from .errors import (
 )
 from .cyclotomic import CycInt, is_rational
 from .designs import FuncSpec
-from .gf import Field, gfp_rank
+from .gf import Field, column_span, gfp_rank
 
 AB_DEGREE_LIMIT = 9
 # quadratic forms ranked per stacked gfp_rank call while searching
@@ -86,7 +86,9 @@ def _fwht(a):
 def _trace_pairing_map(F: Field):
     """umap with Tr(w*x) == popcount(umap[w] & x) mod 2 for all w, x.
 
-    int32: every entry is an element index below q <= 2^22.
+    The map w -> umap[w] is GF(2)-linear, so umap is the column span of its
+    values on the basis.  int32: the XOR of element indices below q <= 2^25
+    stays below q.
     """
     umap = getattr(F, "_walsh_umap", None)
     if umap is not None:
@@ -94,10 +96,7 @@ def _trace_pairing_map(F: Field):
     basis = np.asarray(F.basis(), dtype=np.int64)
     # bit j of ubasis[i] is Tr(alpha^i alpha^j)
     ubasis = F.trace(F.mul(basis[:, None], basis[None, :])) @ basis
-    umap = np.zeros(F.q, dtype=np.int32)
-    for i, u in enumerate(ubasis.tolist()):
-        step = 1 << i
-        umap[step : 2 * step] = umap[:step] ^ u
+    umap = column_span(ubasis.astype(np.int32), 2)
     F._walsh_umap = umap
     return umap
 

@@ -12,7 +12,10 @@ import sys
 
 import numpy as np
 
-from . import boolfn, codes, designs, verify
+# each command imports the modules it runs: construct and analyze-design need
+# only designs and gf, walsh adds boolfn, code and export-gen add codes, and
+# verify-paper adds verify (the module docstring is the --help description)
+from . import designs
 from .designs import AdditiveGroup, CyclicGroup
 from .errors import InvariantError, ToolkitError
 from .gf import MAX_FIELD_BITS, Field, parse_modulus
@@ -174,6 +177,8 @@ def cmd_analyze_design(args):
 
 
 def cmd_walsh(args):
+    from . import boolfn
+
     F = _field(args, p=2)
     f = designs.parse_func_spec(F, args.func, to_prime_subfield=True)
     s = boolfn.walsh_transform(F, f)
@@ -191,6 +196,8 @@ def cmd_walsh(args):
 
 
 def _prediction_for(claim, D, ctx):
+    from . import boolfn, codes
+
     F = D.field
     if claim in ("thm-part1", "thm-part2"):
         return codes.predicted_enumerator(claim, p=F.p, m=F.m)
@@ -222,9 +229,12 @@ def _prediction_for(claim, D, ctx):
 
 
 def cmd_code(args):
+    from . import codes
+
     D, ctx = _resolve_family(args)
     C = codes.make_code(D)
-    E = codes.weight_enumerator(C, max_work=args.max_work)
+    max_work = codes.DEFAULT_MAX_WORK if args.max_work is None else args.max_work
+    E = codes.weight_enumerator(C, max_work=max_work)
     d = codes.minimum_distance(E)
     gries = codes.griesmer_check(E.n, E.k, d, E.p)
     W = codes.dual_distance_witness(C)
@@ -261,6 +271,8 @@ def cmd_code(args):
 
 
 def cmd_export_gen(args):
+    from . import codes
+
     D, _ = _resolve_family(args)
     text = codes.export_generator(codes.make_code(D))
     if args.out:
@@ -272,6 +284,8 @@ def cmd_export_gen(args):
 
 
 def cmd_verify_paper(args):
+    from . import verify
+
     wanted = args.case or None
     if wanted:
         unknown = [c for c in wanted if c not in verify.CASES]
@@ -329,8 +343,9 @@ def build_parser():
     _add_field_flags(sp)
     sp.add_argument("--family", required=True)
     sp.add_argument("--expect", default="none", help="claim id to compare against")
-    sp.add_argument("--max-work", type=int, default=codes.DEFAULT_MAX_WORK,
-                    dest="max_work",
+    # None stands for codes.DEFAULT_MAX_WORK, which cmd_code reads: the
+    # parser is built without importing codes
+    sp.add_argument("--max-work", type=int, default=None, dest="max_work",
                     help="refuse an enumeration whose route costs more operations: "
                          "q*m*p^2 for the transform, q*n for the direct "
                          "route's table lookups")

@@ -31,6 +31,8 @@ from .gf import Field, default_field
 
 # differences held at once while counting them; bounds memory at O(order + block)
 DIFF_BLOCK = 1 << 20
+# points FuncSpec.table evaluates at once, and exponents maschietti_set walks at once
+TABLE_BLOCK = WALK_BLOCK = 1 << 16
 
 
 def _blocked_difference_counts(elems, order, sub):
@@ -119,14 +121,21 @@ class IrregularDesign:
     spectrum: tuple  # sorted ((value, count), ...)
 
 
-def _sorted_array(elems):
-    """Sorted int64 copy of an integer array, a DefiningSet or any iterable of ints."""
+def _int64_copy(elems):
+    """A fresh int64 array of an integer array, a DefiningSet or any iterable of ints."""
     if isinstance(elems, DefiningSet):
         elems = elems.elems
     elif not isinstance(elems, np.ndarray):
-        elems = np.fromiter(elems, dtype=np.int64)  # lists and sets alike
+        return np.fromiter(elems, dtype=np.int64)  # lists and sets alike
+    return elems.astype(np.int64)
+
+
+def _sorted_array(elems):
+    """Sorted int64 copy of an integer array, a DefiningSet or any iterable of ints."""
     # sort plus a neighbour test: np.unique hashes and is ~80x slower at 8e5 elements
-    return np.sort(elems.astype(np.int64, copy=False))
+    arr = _int64_copy(elems)
+    arr.sort()
+    return arr
 
 
 def _distinct(arr):
@@ -196,9 +205,13 @@ class DefiningSet:
 
 
 def defining_set(F: Field, elems, family_tag="custom") -> DefiningSet:
-    arr = _sorted_array(elems)
-    if np.any(arr[1:] == arr[:-1]):
-        raise ValueError("defining set has duplicate elements")
+    arr = _int64_copy(elems)
+    # the constructors build their sets in increasing order: one O(n) pass
+    # confirms it and leaves nothing to sort or to check for duplicates
+    if not np.all(arr[1:] > arr[:-1]):
+        arr.sort()
+        if np.any(arr[1:] == arr[:-1]):
+            raise ValueError("defining set has duplicate elements")
     if not arr.size:
         raise EmptySetError("defining set is empty")
     if arr[0] < 0 or arr[-1] >= F.q:
@@ -248,16 +261,27 @@ class FuncSpec:
             raise ValueError("exponents must be positive")
 
     def evaluate(self, F: Field, xs):
-        """Array of f(x) for every element index x in xs."""
-        xs = np.asarray(xs, dtype=np.int64)
-        out = reduce(F.add, (F.mul(F.pow(xs, e), c) for c, e in self.terms))
+        """Array of f(x) for every element index x in xs, int32 for int32 xs and
+        int64 for int64 xs (the width Field.mul and Field.pow keep)."""
+        xs = np.asarray(xs)
+        out = reduce(F.add, (F.pow(xs, e) if c == 1 else F.mul(F.pow(xs, e), c)
+                             for c, e in self.terms))
         if self.to_prime_subfield:
-            out = F.trace_table[out].astype(np.int64)
+            out = F.trace_table[out].astype(np.int64 if xs.itemsize > 4 else np.int32)
         return out
 
     def table(self, F: Field):
-        """Vector of f(x) over all x in field-index order."""
-        return self.evaluate(F, np.arange(F.q, dtype=np.int64))
+        """Vector of f(x) over all x in field-index order, an int32 array.
+
+        It is filled TABLE_BLOCK points at a time, so beside the q-entry result
+        evaluate's temporaries stay O(TABLE_BLOCK).  int32 holds every index and
+        value, both below q <= 2^25, and keeps those temporaries int32 too.
+        """
+        out = np.empty(F.q, dtype=np.int32)
+        for lo in range(0, F.q, TABLE_BLOCK):
+            xs = np.arange(lo, min(lo + TABLE_BLOCK, F.q), dtype=np.int32)
+            out[lo : lo + xs.size] = self.evaluate(F, xs)
+        return out
 
 
 _TERM_RE = re.compile(r"^(-)?(\d+)(?:\*(?:u|a|alpha)(?:\^(\d+))?)?$")
@@ -295,7 +319,9 @@ def paley_set(F: Field) -> DefiningSet:
     """All nonzero squares of GF(q), q odd."""
     if F.p == 2:
         raise EvenCharacteristicError("Paley sets need odd characteristic")
-    squares = F.exp_table[0 : F.q - 1 : 2]
+    # the squares are the nonzero x with even log x, taken in index order, so
+    # the set comes out sorted (log 0 is -1, which is odd)
+    squares = np.flatnonzero(F.log_table % 2 == 0)
     return defining_set(F, squares, "paley")
 
 
@@ -353,16 +379,25 @@ def maschietti_set(F: Field, case: str) -> DefiningSet:
     rho = maschietti_rho(F.m, case)
     if F.p != 2:
         raise EvenCharacteristicError("hyperoval constructions live in GF(2^m)")
-    # in exponent space x = alpha^t has x^rho + x = exp[t*rho mod (q-1)] XOR exp[t];
-    # t and rho mod (q-1) are below 2^22, so their int64 product is below 2^44
-    t = np.arange(F.q - 1, dtype=np.int64)
-    exp = F.exp_table
-    fibers = np.bincount(exp[t * (rho % (F.q - 1)) % (F.q - 1)] ^ exp, minlength=F.q)
+    # in exponent space x = alpha^t has x^rho + x = exp[t*rho mod (q-1)] XOR exp[t]
+    n, exp = F.q - 1, F.exp_table
+    images = np.empty(n, dtype=np.int32)
+    step = rho % n
+    # walk[i] = i*step mod n from int64 products below 2^16 * 2^25; then each
+    # block adds its start, base = lo*step mod n.  int32 holds every index:
+    # the sums are below 2n <= 2^26 before the conditional subtract, and the
+    # XOR of two elements below q <= 2^25 stays below q
+    walk = (np.arange(min(n, WALK_BLOCK), dtype=np.int64) * step % n).astype(np.int32)
+    for lo in range(0, n, WALK_BLOCK):
+        idx = walk[: n - lo] + np.int32(lo * step % n)
+        idx[idx >= n] -= n
+        np.bitwise_xor(exp[idx], exp[lo : lo + idx.size], out=images[lo : lo + idx.size])
+    fibers = np.bincount(images, minlength=F.q)
     fibers[0] += 1  # x = 0 maps to 0
     if not np.all((fibers == 0) | (fibers == 2)):
         raise NotTwoToOneError(f"x^{rho}+x is not two-to-one on GF(2^{F.m})")
-    vals = np.nonzero(fibers)[0]
-    vals = vals[vals != 0]
+    # the nonzero images in increasing order (a bool mask is scanned far faster than counts)
+    vals = np.flatnonzero(fibers[1:] != 0) + 1
     return defining_set(F, vals, f"maschietti-{case}")
 
 

@@ -13,7 +13,8 @@ root mod p, so that alpha is that root.
 Primitivity of a candidate modulus f is decided by a single order test: x has
 order q-1 in GF(p)[x]/(f) iff x^(q-1) = 1 and x^((q-1)/r) != 1 for every prime
 r | q-1.  A reducible f has a unit group smaller than q-1, so the test also
-certifies irreducibility for free.  The scan skips, before that test, every
+certifies irreducibility for free.  The scan skips the binomials x^m + c_0,
+which are never primitive for m >= 2, and, before the order test, every
 candidate with a root in GF(p): it is reducible.  For p = 2 the test runs on
 int bitmasks, where multiplying by x is a shift and a conditional XOR.
 """
@@ -177,6 +178,37 @@ def _x_order_is_maximal(mod: tuple[int, ...], p: int, prime_divisors) -> bool:
     return all(xpow(qm1 // r) != one for r in prime_divisors)
 
 
+def column_span(cols, p: int) -> np.ndarray:
+    """Every GF(p)-combination of the rows of cols, by column doubling.
+
+    table[d*p^j + i] = table[i] + d*cols[j] for d < p and i < p^j, so
+    table[sum_j d_j*p^j] = sum_j d_j*cols[j]: p^s rows for s columns, at
+    O(p^s) work in all.  A row is a vector of GF(p) digits, added digit-wise
+    mod p in an unsigned dtype that holds 2(p-1); for p = 2 it may also be an
+    int bitmask of digits, added by XOR, so no entry has more bits than the
+    widest column.
+    """
+    cols = np.asarray(cols)
+    if p == 2:
+        table = np.zeros((1,) + cols.shape[1:], dtype=cols.dtype)
+        for c in cols:
+            table = np.concatenate((table, table ^ c))
+        return table
+    dtype = np.promote_types(cols.dtype, np.min_scalar_type(2 * (p - 1)))
+    row = cols.shape[1:]
+    # mults[d, j] = d*cols[j] mod p, from int64 products below p^2 <= 2^50
+    d = np.arange(p, dtype=np.int64).reshape((p, 1) + (1,) * len(row))
+    mults = (d * cols % p).astype(dtype)
+    table = np.zeros((1,) + row, dtype=dtype)
+    modulus = dtype.type(p)
+    for j in range(cols.shape[0]):
+        # each block table + d*cols[j] is a sum s < 2p - 1, and s - p wraps
+        # above s exactly when s < p, so the smaller of the two is s mod p
+        s = table + mults[:, j, None]
+        table = np.minimum(s, s - modulus).reshape((-1,) + row)
+    return table
+
+
 @lru_cache(maxsize=None)
 def _digit_table(p: int, g: int, sign: int) -> np.ndarray:
     """t[x*p^g + y] = x + sign*y digit-wise mod p, for g-digit base-p x, y."""
@@ -189,6 +221,15 @@ def _digit_table(p: int, g: int, sign: int) -> np.ndarray:
     t = t.astype(np.uint8).ravel()
     t.setflags(write=False)
     return t
+
+
+def _element_dtype(*arrays):
+    """int64 if an argument array (not a 0-d scalar) has 8-byte items, else int32.
+
+    Element results keep their callers' width, and int32 holds every element
+    index below q <= 2^25.
+    """
+    return np.int64 if any(x.ndim and x.itemsize > 4 for x in arrays) else np.int32
 
 
 def _int_if_scalar(x):
@@ -258,7 +299,12 @@ class Field:
         # row c - 1 holds c^j mod p, j = 0..m, for c in GF(p)*: c^j < q <= 2^22
         # before the reduction, and a row times a coefficient tuple is below (m+1)*p^2
         cpow = np.arange(1, p, dtype=np.int64)[:, None] ** np.arange(m + 1) % p
-        for idx in range(1, q):
+        # idx < p gives the binomials x^m + c_0.  None is primitive: modulo one,
+        # x^m = -c_0 lies in GF(p)*, so x^(m(p-1)) = 1 and the order of x
+        # divides m(p-1), which for m >= 2 is below (p-1)(1 + p + ... + p^(m-1))
+        # = p^m - 1, as the m powers of p sum to more than m.  So the scan
+        # starts at the first candidate with c_1 != 0 or a higher term.
+        for idx in range(p, q):
             if idx % p == 0:
                 continue  # constant term 0 => x divides f
             mod = tuple(self.digits(idx).tolist()) + (1,)
@@ -319,12 +365,13 @@ class Field:
 
     def mul(self, a, b):
         """Elementwise product through the exp/log tables; 0 maps to 0."""
+        a, b = np.asarray(a), np.asarray(b)
         log = self.log_table
-        a = np.asarray(a, dtype=np.int64)
-        b = np.asarray(b, dtype=np.int64)
-        t = log[a] + log[b]  # < 2(q-1) <= 2^23: exact in int32
+        t = log[a] + log[b]  # int32: below 2(q-1) <= 2^26
         t %= self.q - 1
-        return _int_if_scalar(np.where((a == 0) | (b == 0), np.int64(0), self._exp[t]))
+        out = np.asarray(self._exp[t])
+        out[(a == 0) | (b == 0)] = 0
+        return _int_if_scalar(out.astype(_element_dtype(a, b), copy=False))
 
     def _mul_by_alpha(self, a: int) -> int:
         """a * alpha without exp/log tables (seeds their build)."""
@@ -346,13 +393,20 @@ class Field:
 
         A negative e inverts first, so a 0 among the inputs raises ZeroInputError.
         """
-        a = np.asarray(a, dtype=np.int64)
+        a = np.asarray(a)
         if e < 0 and np.any(a == 0):
             raise ZeroInputError("zero has no inverse")
-        # log < q-1 <= 2^22 and e mod (q-1) < 2^22, so the int64 product is below 2^44
-        t = self.log_table[a].astype(np.int64) * (e % (self.q - 1))
+        # log a and k are below q-1, so int32 holds their product when (q-2)*k
+        # < 2^31 (every small exponent) and int64 always does: below 2^50 for q <= 2^25
+        k = e % (self.q - 1)
+        t = self.log_table[a].astype(np.int32 if (self.q - 2) * k < 1 << 31 else np.int64,
+                                     copy=False)
+        t *= k
         t %= self.q - 1
-        return _int_if_scalar(np.where(a == 0, np.int64(0 if e else 1), self._exp[t]))
+        out = np.asarray(self._exp[t])
+        del t  # the gather's index is dead before the zero mask is formed
+        out[a == 0] = 0 if e else 1
+        return _int_if_scalar(out.astype(_element_dtype(a), copy=False))
 
     def inv(self, a):
         return self.pow(a, -1)
@@ -373,26 +427,30 @@ class Field:
 
     # -- bulk table views (lazy, exact) -------------------------------------
 
-    def _span_table(self, cols) -> np.ndarray:
-        """Every GF(p)-combination sum_j d_j*cols[j], at index sum_j d_j*p^j."""
-        s = len(cols)
-        coeffs = self.digits(np.arange(self.p**s))[:, :s].astype(np.int64)
-        span = coeffs @ self.digits(cols).astype(np.int64) % self.p @ self._powers
-        return span.astype(np.int32)  # elements, below q <= 2^22: half-size gathers
-
     def _scaler(self, cols):
         """x -> alpha^k * x on index arrays, given cols = alpha^k, ..., alpha^(k+m-1).
 
         The map is GF(p)-linear on digit vectors, so with r = ceil(m/2) it is
-        lo[x mod p^r] + hi[x div p^r], each half-table spanned by its columns.
+        lo[x mod p^r] + hi[x div p^r], each half-table the column span of its
+        columns: int bitmasks for p = 2, digit rows read back as indices once
+        for odd p.
         """
         p, m = self.p, self.m
         if m == 1:
-            a = int(cols[0])
+            a = np.int64(cols[0])  # x, a < p <= 2^25: the product needs int64
             return lambda x: x * a % p
         r = (m + 1) // 2
+        if p == 2:
+            # int32: the XOR of element indices below q <= 2^25 is below q, and
+            # so are x & mask and x >> r
+            lo, hi = column_span(cols[:r], 2), column_span(cols[r:], 2)
+            mask = (1 << r) - 1
+            return lambda x: lo[x & mask] ^ hi[x >> r]
+        # int32: the half-tables hold element indices below q <= 2^25
+        digits = self.digits(cols)
+        lo, hi = ((column_span(d, p) @ self._powers).astype(np.int32)
+                  for d in (digits[:r], digits[r:]))
         pr = p**r
-        lo, hi = self._span_table(cols[:r]), self._span_table(cols[r:])
         return lambda x: self.add(lo[x % pr], hi[x // pr])
 
     def _ensure_tables(self):
@@ -409,7 +467,7 @@ class Field:
             walk.append(self._mul_by_alpha(walk[-1]))
         exp = np.empty(size, dtype=np.int32)
         exp[:m] = walk[:m]
-        cols = np.array(walk[m:], dtype=np.int64)
+        cols = np.array(walk[m:], dtype=np.int32)
         n = m
         while n < size:
             step = min(n, size - n)
@@ -445,13 +503,9 @@ class Field:
                 tr_basis = self.add(tr_basis, t)
             if np.any(tr_basis >= self.p):
                 raise InvariantError("trace left the prime subfield")
-            idx = np.arange(self.q, dtype=np.int64)
-            acc = np.zeros(self.q, dtype=np.int64)
-            for pj, tj in zip(self._powers.tolist(), tr_basis.tolist()):
-                if tj:
-                    acc += idx // pj % self.p * tj
-            acc %= self.p
-            self._trace_table = acc.astype(self._digit_dtype)
+            # the span of the m traces, one GF(p) digit per entry: values stay below p
+            span = column_span(tr_basis.astype(self._digit_dtype), self.p)
+            self._trace_table = span.astype(self._digit_dtype, copy=False)
         return self._trace_table
 
     # -- presentation --------------------------------------------------------

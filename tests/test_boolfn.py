@@ -215,6 +215,29 @@ def test_is_almost_bent_refuses_m_11_before_building_anything_quadratic():
     assert peak < F.q * F.q // 8  # a q^2 array of bytes would be 4 MB
 
 
+def _traced_peak(fn, *args):
+    """Peak bytes traced (Python objects and numpy buffers) while fn(*args) runs, and its result."""
+    tracemalloc.start()
+    try:
+        out = fn(*args)
+        return tracemalloc.get_traced_memory()[1], out
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("terms", [((1, 3),), ((1, 5), (6, 3))])
+def test_func_spec_table_peaks_below_the_walsh_step(terms):
+    # every table the two steps read is built first, so only their own
+    # temporaries are measured
+    F = default_field(2, 18)
+    f = FuncSpec(terms, True)
+    f.table(F)
+    boolfn._trace_pairing_map(F)
+    table_peak, tbl = _traced_peak(f.table, F)
+    walsh_peak, _ = _traced_peak(boolfn.walsh_from_table, F, tbl)
+    assert table_peak < walsh_peak
+
+
 @st.composite
 def butterfly_stacks(draw):
     m = draw(st.integers(0, 6))

@@ -40,6 +40,13 @@ def test_skew_rejects_sets_meeting_their_negation():
     assert designs.is_skew_set(F, [4, 1, 2, 1])  # a repeated element counts once
 
 
+@pytest.mark.parametrize("pm", [(3, 1), (3, 5), (5, 3), (7, 2), (131, 2)])
+def test_paley_set_is_the_sorted_even_powers(pm):
+    F = default_field(*pm)
+    D = designs.paley_set(F)
+    assert np.array_equal(D.elems, np.sort(F.exp_table[::2]))
+
+
 def test_paley_needs_odd_characteristic():
     with pytest.raises(errors.EvenCharacteristicError):
         designs.paley_set(default_field(2, 3))
@@ -84,8 +91,21 @@ def test_defining_set_validation():
     # duplicates are reported before a bad element
     with pytest.raises(ValueError, match="duplicate"):
         designs.defining_set(F, [99, 99, 1])
+    # unsorted input with duplicates, and in-range duplicates after a sort
+    with pytest.raises(ValueError, match="^defining set has duplicate elements$"):
+        designs.defining_set(F, [5, 2, 5, 1])
+    with pytest.raises(ValueError, match="duplicate"):
+        designs.defining_set(F, np.array([3, 1, 2, 1]))
+    # increasing input skips the sort and still names the first offender
+    with pytest.raises(errors.ElementNotInGroupError, match=r"^-3 outside GF\(9\)$"):
+        designs.defining_set(F, [-3, 1, 9, 12])
+    with pytest.raises(errors.ElementNotInGroupError, match=r"^9 outside GF\(9\)$"):
+        designs.defining_set(F, np.array([1, 2, 9, 10]))
     D = designs.defining_set(F, [5, 1, 3])
     assert D.elems.tolist() == [1, 3, 5] and len(D) == 3 and list(D) == [1, 3, 5]
+    # the set owns its array: a sorted input array is copied, not frozen
+    given = np.array([1, 3, 5], dtype=np.int64)
+    assert designs.defining_set(F, given) == D and given.flags.writeable
     # an integer array or a set gives an equal set
     E = designs.defining_set(F, np.array([5, 1, 3], dtype=np.int64))
     assert E == D and designs.defining_set(F, {3, 5, 1}) == D
@@ -128,6 +148,18 @@ def scalar_eval(F, f, x):
     for c, e in f.terms:
         acc = F.add(acc, F.mul(c, F.pow(x, e)))
     return F.trace(acc) if f.to_prime_subfield else acc
+
+
+@pytest.mark.parametrize("block", [1, 5, 1 << 16])
+def test_func_spec_table_blocks_match_one_evaluate(monkeypatch, block):
+    monkeypatch.setattr(designs, "TABLE_BLOCK", block)
+    for pm, terms, traced in (((2, 6), ((1, 3), (5, 9)), True), ((3, 3), ((2, 3), (1, 2)), False)):
+        F = default_field(*pm)
+        f = FuncSpec(terms, traced)
+        want = f.evaluate(F, np.arange(F.q, dtype=np.int64))
+        got = f.table(F)
+        assert want.dtype == np.int64 and got.dtype == np.int32
+        assert got.tolist() == want.tolist()
 
 
 def test_func_spec_table_matches_scalar_evaluate():
@@ -190,6 +222,19 @@ def test_maschietti_sets_have_half_size_minus_one():
             D = designs.maschietti_set(F, case)
             assert len(D) == 2 ** (m - 1) - 1
             assert 0 not in D.elems
+
+
+@pytest.mark.parametrize("block", [1, 7, 64, 1 << 16])
+def test_maschietti_walk_blocks_match_the_direct_exponents(monkeypatch, block):
+    monkeypatch.setattr(designs, "WALK_BLOCK", block)
+    for m in (5, 7):
+        F = default_field(2, m)
+        exp, n = F.exp_table.astype(np.int64), F.q - 1
+        for case in designs.MASCHIETTI_CASES:
+            rho = designs.maschietti_rho(m, case)
+            images = exp[np.arange(n) * rho % n] ^ exp
+            want = np.flatnonzero(np.bincount(images, minlength=F.q))
+            assert designs.maschietti_set(F, case).elems.tolist() == want[want != 0].tolist()
 
 
 def test_maschietti_image_is_two_to_one():

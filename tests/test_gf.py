@@ -12,6 +12,7 @@ from dscodes.gf import (
     Field,
     _poly_mulmod,
     _x_order_is_maximal,
+    column_span,
     default_field,
     factorize,
     gfp_rank,
@@ -457,3 +458,67 @@ def test_kernels_match_polynomial_oracle(pm, data):
     assert F.add(col, row).tolist() == [[_oracle_add(F, x, y) for y in xs] for x in xs]
     assert F.trace(col).tolist() == [[_oracle_trace(F, x)] for x in xs]
     assert F.digits(col).shape == (3, 1, F.m)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+@pytest.mark.parametrize("k", [None, 1, 3])
+def test_column_span_is_every_combination_of_its_columns(p, k):
+    # rows of k GF(p) digits (None: one digit per row), and for p = 2 also
+    # the same rows packed into int bitmasks
+    rng = np.random.default_rng(10 * p + (k or 0))
+    s = 4
+    cols = rng.integers(0, p, (s,) if k is None else (s, k)).astype(np.uint8)
+    got = column_span(cols, p)
+    assert got.shape == (p**s,) + cols.shape[1:]
+    for idx, d in enumerate(product(range(p), repeat=s)):
+        d = d[::-1]  # product varies the last digit fastest; index digit j is d_j
+        want = sum(int(dj) * cols[j].astype(np.int64) for j, dj in enumerate(d)) % p
+        assert np.array_equal(got[idx], want)
+    if p == 2 and k is not None:
+        masks = (cols.astype(np.int32) << np.arange(k)).sum(axis=1).astype(np.int32)
+        packed = column_span(masks, 2)
+        assert packed.dtype == np.int32
+        assert packed.tolist() == (got.astype(np.int64) << np.arange(k)).sum(axis=1).tolist()
+
+
+def test_column_span_keeps_sums_below_2p_exact():
+    # p = 131 needs 2(p-1) = 260 > 255: the digits are widened, not wrapped
+    p = 131
+    cols = np.array([130, 129], dtype=np.uint8)
+    got = column_span(cols, p)
+    d = np.arange(p**2)
+    want = (d % p * 130 + d // p * 129) % p
+    assert got.tolist() == want.tolist()
+
+
+@pytest.mark.parametrize("pm", [(2, 1), (2, 9), (3, 5), (5, 3), (7, 2)])
+def test_trace_table_is_the_frobenius_sum(pm):
+    F = Field(*pm)
+    assert F.trace_table.dtype == np.uint8
+    assert F.trace_table.tolist() == [_oracle_trace(F, a) for a in range(F.q)]
+
+
+@pytest.mark.parametrize("pm", [(2, 2), (2, 5), (3, 2), (3, 4), (5, 3), (7, 2), (13, 2), (47, 2)])
+def test_no_binomial_is_primitive(pm):
+    # the reason the default-modulus scan starts at x^m + x + c_0
+    p, m = pm
+    primes = sorted(factorize(p**m - 1))
+    for c0 in range(1, p):
+        assert not _list_x_order_is_maximal((c0,) + (0,) * (m - 1) + (1,), p, primes)
+
+
+@pytest.mark.parametrize("pm", [(2, 18), (3, 11), (5, 7)])
+def test_int32_inputs_give_the_same_elements_as_int64(pm):
+    F = default_field(*pm)
+    q = F.q
+    xs = np.arange(q, dtype=np.int64)
+    # k*(q-2) below and above 2^31: the int32 and the int64 product path
+    for e in (1, 3, (1 << 31) // (q - 2), (1 << 31) // (q - 2) + 1, q - 2, 2 * q + 5):
+        want = F.pow(xs, e)
+        got = F.pow(xs.astype(np.int32), e)
+        assert want.dtype == np.int64 and got.dtype == np.int32
+        assert np.array_equal(got, want)
+    c = F.alpha
+    assert F.mul(xs.astype(np.int32), c).dtype == np.int32
+    assert np.array_equal(F.mul(xs.astype(np.int32), c), F.mul(xs, c))
+    assert F.mul(xs, xs[::-1]).tolist() == F.mul(xs.astype(np.int32), xs[::-1]).tolist()
