@@ -97,6 +97,7 @@ def _trace_pairing_map(F: Field):
     # bit j of ubasis[i] is Tr(alpha^i alpha^j)
     ubasis = F.trace(F.mul(basis[:, None], basis[None, :])) @ basis
     umap = column_span(ubasis.astype(np.int32), 2)
+    umap.setflags(write=False)  # shared by every later spectrum on F
     F._walsh_umap = umap
     return umap
 

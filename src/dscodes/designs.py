@@ -319,10 +319,11 @@ def paley_set(F: Field) -> DefiningSet:
     """All nonzero squares of GF(q), q odd."""
     if F.p == 2:
         raise EvenCharacteristicError("Paley sets need odd characteristic")
-    # the squares are the nonzero x with even log x, taken in index order, so
-    # the set comes out sorted (log 0 is -1, which is odd)
-    squares = np.flatnonzero(F.log_table % 2 == 0)
-    return defining_set(F, squares, "paley")
+    # the squares are the even powers exp[::2] (q - 1 is even), read off a
+    # mask in index order, so the set comes out sorted
+    is_square = np.zeros(F.q, dtype=bool)
+    is_square[F.exp_table[::2]] = True
+    return defining_set(F, np.flatnonzero(is_square), "paley")
 
 
 def is_skew_set(F: Field, D) -> bool:
@@ -392,13 +393,14 @@ def maschietti_set(F: Field, case: str) -> DefiningSet:
         idx = walk[: n - lo] + np.int32(lo * step % n)
         idx[idx >= n] -= n
         np.bitwise_xor(exp[idx], exp[lo : lo + idx.size], out=images[lo : lo + idx.size])
-    fibers = np.bincount(images, minlength=F.q)
-    fibers[0] += 1  # x = 0 maps to 0
-    if not np.all((fibers == 0) | (fibers == 2)):
+    # two-to-one with x = 0 -> 0: in sorted order the images of GF(q)* are one
+    # 0 and then pairs of equal values, each pair above the one before
+    images.sort()
+    pairs = images[1:]
+    if (images[0] != 0 or (n > 1 and pairs[0] == 0)
+            or np.any(pairs[0::2] != pairs[1::2]) or np.any(pairs[2::2] <= pairs[1:-1:2])):
         raise NotTwoToOneError(f"x^{rho}+x is not two-to-one on GF(2^{F.m})")
-    # the nonzero images in increasing order (a bool mask is scanned far faster than counts)
-    vals = np.flatnonzero(fibers[1:] != 0) + 1
-    return defining_set(F, vals, f"maschietti-{case}")
+    return defining_set(F, pairs[0::2], f"maschietti-{case}")
 
 
 def hkm_set(h: int, max_bits=None) -> DefiningSet:

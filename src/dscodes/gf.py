@@ -223,6 +223,78 @@ def _digit_table(p: int, g: int, sign: int) -> np.ndarray:
     return t
 
 
+# elements per block of an exp doubling level: a block's buffers stay in cache
+EXP_BLOCK = 1 << 13
+# scalar steps x -> alpha*x that seed the exp table of GF(p^m): SEED_WALK/m, at least 2m
+SEED_WALK = 128
+# an odd-p unpack table has at most 2^UNPACK_BITS entries (int32, in cache)
+UNPACK_BITS = 15
+
+
+class _Packing:
+    """Odd-p elements as packed digits: digit j in bits [w*j, w*j + w) of an int64.
+
+    w = bit_length(2p - 2) = bit_length(p) + 1, so a field holds the sum
+    d + e <= 2(p-1) of two digits, and two packed elements add in one int64
+    addition with no carry between fields.  For every p^m <= 2^25 with m >= 2
+    the packed width m*w is at most 45 bits (p = 3, m = 15).
+
+    unpack reads a packed sum back as the element index of the digit-wise sum
+    mod p, k digits at a time, from one table of 2^(k*w) entries per chunk:
+    the reduction mod p is in the tables, so joining two packed halves is one
+    addition and the unpack.  k is sized to the field (_unpack_digits), so a
+    small field builds small tables.
+    """
+
+    def __init__(self, p: int, m: int):
+        w = p.bit_length() + 1
+        self.weights = np.int64(1) << (w * np.arange(m, dtype=np.int64))
+        self.chunk_bits = _unpack_digits(p, m) * w
+        self.chunk_mask = np.int64((1 << self.chunk_bits) - 1)
+        self.tables = _unpack_tables(p, m)
+
+    def unpack(self, s, dst, x, part):
+        """dst = the element indices of the packed sums s.
+
+        s is consumed; x (int64) and part (int32) are scratch of its length.
+        """
+        tables, bits, mask = self.tables, self.chunk_bits, self.chunk_mask
+        np.bitwise_and(s, mask, out=x)
+        tables[0].take(x, out=dst, mode="clip")  # "clip": see Field._double
+        for table in tables[1:]:
+            s >>= bits
+            np.bitwise_and(s, mask, out=x)
+            table.take(x, out=part, mode="clip")
+            dst += part
+
+
+def _unpack_digits(p: int, m: int) -> int:
+    """Digits k per unpack chunk of GF(p^m): the most with k*w <= UNPACK_BITS
+    and 2^(k*w) <= q/8, but at least one."""
+    bits = min(UNPACK_BITS, (p**m).bit_length() - 4)
+    return max(1, min(m, bits // (p.bit_length() + 1)))
+
+
+@lru_cache(maxsize=None)
+def _unpack_tables(p: int, m: int) -> tuple:
+    """The int32 unpack tables of GF(p^m), one per chunk of k digits, read-only.
+
+    The chunk from digit c holds table[u] = sum_j (field_j(u) mod p) * p^(c+j)
+    over its (at most k) fields: a partial element index, below q <= 2^25.
+    """
+    w = p.bit_length() + 1
+    k = _unpack_digits(p, m)
+    digit = np.arange(1 << w, dtype=np.int64) % p
+    span = np.zeros(1, dtype=np.int64)
+    for j in range(k):
+        span = np.add.outer(digit * p**j, span).ravel()
+    tables = tuple((span[: 1 << w * min(k, m - c)] * p**c).astype(np.int32)
+                   for c in range(0, m, k))
+    for t in tables:
+        t.setflags(write=False)
+    return tables
+
+
 def _element_dtype(*arrays):
     """int64 if an argument array (not a 0-d scalar) has 8-byte items, else int32.
 
@@ -296,7 +368,7 @@ class Field:
                 if all(pow(g, (p - 1) // r, p) != 1 for r in self._qm1_primes):
                     return ((-g) % p, 1)
             raise InvariantError("no primitive root found")  # unreachable
-        # row c - 1 holds c^j mod p, j = 0..m, for c in GF(p)*: c^j < q <= 2^22
+        # row c - 1 holds c^j mod p, j = 0..m, for c in GF(p)*: c^j < q <= 2^25
         # before the reduction, and a row times a coefficient tuple is below (m+1)*p^2
         cpow = np.arange(1, p, dtype=np.int64)[:, None] ** np.arange(m + 1) % p
         # idx < p gives the binomials x^m + c_0.  None is primitive: modulo one,
@@ -348,8 +420,9 @@ class Field:
                 x, y = a // pj, b // pj
                 acc += (x + y if sign > 0 else x + y * (p - 1)) % p * pj
             return _int_if_scalar(acc)
-        # elements are below q <= 2^22, so int32 holds them, every chunk and
-        # every table index, at half the memory of int64 temporaries
+        # elements are below q <= 2^25, so int32 holds them and every chunk,
+        # and a table index x*P + y is below P^2 <= DIGIT_TABLE_SIZE: half the
+        # memory of int64 temporaries
         a = np.asarray(a, dtype=np.int32)
         b = np.asarray(b, dtype=np.int32)
         P, t = p**g, _digit_table(p, g, sign)
@@ -427,85 +500,157 @@ class Field:
 
     # -- bulk table views (lazy, exact) -------------------------------------
 
-    def _scaler(self, cols):
-        """x -> alpha^k * x on index arrays, given cols = alpha^k, ..., alpha^(k+m-1).
+    def _double(self, exp, n: int):
+        """Fill exp[n:] in place from exp[:n] = alpha^0, ..., alpha^(n-1), n >= m + 1.
 
-        The map is GF(p)-linear on digit vectors, so with r = ceil(m/2) it is
-        lo[x mod p^r] + hi[x div p^r], each half-table the column span of its
-        columns: int bitmasks for p = 2, digit rows read back as indices once
-        for odd p.
+        Once exp[:n] is known, so are the columns exp[s:s+m] of x -> alpha^s*x
+        for s = n - m, and that map sends exp[m:n] to exp[n:2n-m]: each level
+        doubles n - m.  The map is GF(p)-linear on digit vectors, so with
+        r = ceil(m/2) it is lo[x mod p^r] + hi[x div p^r], each half-table the
+        column span of its columns.  A level runs in blocks of at most
+        EXP_BLOCK entries through buffers allocated here once, at the size of
+        the largest block.
         """
-        p, m = self.p, self.m
-        if m == 1:
-            a = np.int64(cols[0])  # x, a < p <= 2^25: the product needs int64
-            return lambda x: x * a % p
+        p, m, size = self.p, self.m, exp.size
+        levels = []
+        while n < size:
+            step = min(n - m, size - n)
+            levels.append((n, step))
+            n += step
+        if not levels:
+            return
+        block = min(EXP_BLOCK, max(step for _, step in levels))
+        # int64 indices: take would convert narrower ones to intp on every call
+        idx = np.empty(block, dtype=np.int64)
+        aux = np.empty(block, dtype=np.int64)
+        part = np.empty(block, dtype=np.int32)
         r = (m + 1) // 2
-        if p == 2:
-            # int32: the XOR of element indices below q <= 2^25 is below q, and
-            # so are x & mask and x >> r
-            lo, hi = column_span(cols[:r], 2), column_span(cols[r:], 2)
+        if m == 1:
+            def level(cols):
+                a = np.int64(cols[0])  # x, a < p <= 2^25: the product needs int64
+
+                def scale(src, dst):
+                    # x mod p as x - (x div p)*p: floor_divide by a scalar is
+                    # far faster than remainder
+                    x, y = idx[: src.size], aux[: src.size]
+                    np.multiply(src, a, out=x)
+                    np.floor_divide(x, p, out=y)
+                    np.multiply(y, p, out=y)
+                    np.subtract(x, y, out=dst, casting="unsafe")  # below p: int32
+                return scale
+        elif p == 2:
             mask = (1 << r) - 1
-            return lambda x: lo[x & mask] ^ hi[x >> r]
-        # int32: the half-tables hold element indices below q <= 2^25
-        digits = self.digits(cols)
-        lo, hi = ((column_span(d, p) @ self._powers).astype(np.int32)
-                  for d in (digits[:r], digits[r:]))
-        pr = p**r
-        return lambda x: self.add(lo[x % pr], hi[x // pr])
+
+            def level(cols):
+                # int32: the XOR of element indices below q <= 2^25 is below q
+                lo, hi = column_span(cols[:r], 2), column_span(cols[r:], 2)
+
+                def scale(src, dst):
+                    x, t = idx[: src.size], part[: src.size]
+                    np.bitwise_and(src, mask, out=x)
+                    # mode="clip" lets take write straight into out (every
+                    # index is in range); the default "raise" goes through a buffer
+                    lo.take(x, out=dst, mode="clip")
+                    np.right_shift(src, r, out=x)
+                    hi.take(x, out=t, mode="clip")
+                    dst ^= t
+                return scale
+        else:
+            pack, pr = _Packing(p, m), np.int64(p**r)
+            acc = np.empty(block, dtype=np.int64)
+
+            def level(cols):
+                # the half-tables hold packed images (at most 45 bits for
+                # p^m <= 2^25, see _Packing), so one int64 addition joins them
+                digits = self.digits(cols)
+                lo, hi = (column_span(d, p) @ pack.weights for d in (digits[:r], digits[r:]))
+
+                def scale(src, dst):
+                    k = src.size
+                    x, y, s = idx[:k], aux[:k], acc[:k]
+                    np.floor_divide(src, pr, out=x)
+                    np.multiply(x, pr, out=y)
+                    np.subtract(src, y, out=y)  # src mod p^r
+                    lo.take(y, out=s, mode="clip")
+                    hi.take(x, out=y, mode="clip")
+                    s += y
+                    pack.unpack(s, dst, x, part[:k])
+                return scale
+        for n, step in levels:
+            scale = level(exp[n - m : n])
+            for lo in range(0, step, block):
+                hi = min(lo + block, step)
+                scale(exp[m + lo : m + hi], exp[n + lo : n + hi])
 
     def _ensure_tables(self):
-        """exp by doubling, exp[n:2n] = alpha^n * exp[:n]; log as its inverse.
+        """exp[t] = alpha^t, int32 (entries below q <= 2^25), read-only.
 
-        Both are int32: entries are below q <= 2^22.
+        A scalar walk x -> alpha*x gives the first max(2m, SEED_WALK/m)
+        entries and _double fills the rest.  The build raises InvariantError
+        unless exp is a permutation of GF(q)*, checked on a q-byte mask.
         """
-        if self._log is not None:
+        if self._exp is not None:
             return
-        m, size = self.m, self.q - 1
-        # the seed row alpha^0..alpha^(m-1) and the columns alpha^m..alpha^(2m-1)
-        walk = [1]
-        for _ in range(2 * m - 1):
-            walk.append(self._mul_by_alpha(walk[-1]))
+        size = self.q - 1
         exp = np.empty(size, dtype=np.int32)
-        exp[:m] = walk[:m]
-        cols = np.array(walk[m:], dtype=np.int32)
-        n = m
-        while n < size:
-            step = min(n, size - n)
-            # one pass maps the block and the next columns alpha^(2n)..alpha^(2n+m-1)
-            out = self._scaler(cols)(np.concatenate((exp[:step], cols)))
-            exp[n : n + step], cols = out[:step], out[step:]
-            n += step
-        log = np.full(self.q, -1, dtype=np.int32)
-        log[exp] = np.arange(size, dtype=np.int32)
-        if np.any(log[1:] < 0):
+        # the walk costs O(m) per step and a doubling level a few dozen numpy
+        # calls, so it goes on while it is cheaper than the levels it saves
+        walk = [1]
+        for _ in range(min(max(2 * self.m, SEED_WALK // self.m), size) - 1):
+            walk.append(self._mul_by_alpha(walk[-1]))
+        exp[: len(walk)] = walk
+        self._double(exp, len(walk))
+        # marked a block at a time, so the index conversion to intp stays small
+        seen = np.zeros(self.q, dtype=bool)
+        for lo in range(0, size, EXP_BLOCK):
+            seen[exp[lo : lo + EXP_BLOCK]] = True
+        if not seen[1:].all():
             raise InvariantError("exp table is not a permutation of GF(q)*: alpha is not primitive")
-        self._exp, self._log = exp, log
+        exp.setflags(write=False)
+        self._exp = exp
 
     @property
     def exp_table(self) -> np.ndarray:
-        """exp[t] = alpha^t for t in [0, q-1)."""
+        """exp[t] = alpha^t for t in [0, q-1), read-only."""
         self._ensure_tables()
         return self._exp
 
     @property
     def log_table(self) -> np.ndarray:
-        self._ensure_tables()
+        """log[x] = dlog x for x != 0 and log[0] = -1, int32 and read-only.
+
+        Built on first read, as the inverse of exp.
+        """
+        if self._log is None:
+            exp = self.exp_table
+            log = np.empty(self.q, dtype=np.int32)
+            log[0] = -1
+            # in blocks, so the index conversion to intp stays block-sized
+            for lo in range(0, exp.size, EXP_BLOCK):
+                e = exp[lo : lo + EXP_BLOCK]
+                log[e] = np.arange(lo, lo + e.size, dtype=np.int32)
+            log.setflags(write=False)
+            self._log = log
         return self._log
 
     @property
     def trace_table(self) -> np.ndarray:
-        """trace_table[x] = Tr(x) = sum_j digit_j(x) Tr(alpha^j) mod p, by linearity."""
+        """trace_table[x] = Tr(x) = sum_j digit_j(x) Tr(alpha^j) mod p, by linearity; read-only."""
         if self._trace_table is None:
-            # Frobenius sums on the m basis elements only
-            tr_basis = t = np.asarray(self.basis(), dtype=np.int64)
+            # Tr(alpha^j) = sum_k alpha^(j*p^k), read from exp: t*p < (q-1)*p <= 2^50
+            exp, n = self.exp_table, self.q - 1
+            t = np.arange(self.m, dtype=np.int64)
+            tr_basis = exp[t]
             for _ in range(self.m - 1):
-                t = self.pow(t, self.p)
-                tr_basis = self.add(tr_basis, t)
+                t = t * self.p % n
+                tr_basis = self.add(tr_basis, exp[t])
             if np.any(tr_basis >= self.p):
                 raise InvariantError("trace left the prime subfield")
             # the span of the m traces, one GF(p) digit per entry: values stay below p
             span = column_span(tr_basis.astype(self._digit_dtype), self.p)
-            self._trace_table = span.astype(self._digit_dtype, copy=False)
+            span = span.astype(self._digit_dtype, copy=False)
+            span.setflags(write=False)
+            self._trace_table = span
         return self._trace_table
 
     # -- presentation --------------------------------------------------------
@@ -575,8 +720,8 @@ def gfp_rank(mat, p: int):
         has = (col[which, piv] != 0) & ~used[which, piv]
         used[which[has], piv[has]] = True
         pv = np.where(has, col[which, piv], 1)
-        # every entry is < p, and p < 2^22 under the field cap, so
-        # |pv*row - row[c]*prow| < 2p^2 <= 2^45: exact in int64
+        # every entry is < p, and p <= 2^25 under the field cap, so
+        # |pv*row - row[c]*prow| < 2p^2 <= 2^51: exact in int64
         a = pv[:, None, None] * a - col[:, :, None] * a[which, piv][:, None, :]
         a %= p
     ranks = used.sum(axis=1).reshape(stack)

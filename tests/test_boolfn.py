@@ -238,6 +238,15 @@ def test_func_spec_table_peaks_below_the_walsh_step(terms):
     assert table_peak < walsh_peak
 
 
+def test_trace_pairing_map_is_read_only():
+    # one map serves every later spectrum on the field
+    F = default_field(2, 7)
+    umap = boolfn._trace_pairing_map(F)
+    assert boolfn._trace_pairing_map(F) is umap and not umap.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        umap[1] = 0
+
+
 @st.composite
 def butterfly_stacks(draw):
     m = draw(st.integers(0, 6))

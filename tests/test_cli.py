@@ -37,6 +37,25 @@ def test_construct_prints_sorted_elements(capsys):
     assert out == "family paley over GF(7^1): 3 elements\n1 2 4\n"
 
 
+@pytest.mark.parametrize("family,field", [
+    ("paley", ("--p", "3", "--m", "7")),
+    ("maschietti:glynn2", ("--m", "9")),
+    ("hkm:2", ()),
+])
+def test_construct_builds_no_log_table(capsys, monkeypatch, family, field):
+    fields = []
+
+    def spy(F, elems, tag="custom"):
+        fields.append(F)
+        return make_set(F, elems, tag)
+
+    make_set = designs.defining_set
+    monkeypatch.setattr(designs, "defining_set", spy)
+    rc, out, _ = run(capsys, "construct", "--family", family, *field)
+    assert rc == 0 and out.startswith(f"family {family} over GF(")
+    assert len(fields) == 1 and fields[0]._exp is not None and fields[0]._log is None
+
+
 @pytest.mark.parametrize("chunk", [1, 2, 3, 1 << 16])
 def test_construct_output_is_independent_of_print_chunk(capsys, monkeypatch, chunk):
     monkeypatch.setattr(cli, "PRINT_CHUNK", chunk)

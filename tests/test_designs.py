@@ -13,7 +13,7 @@ from dscodes.designs import (
     IrregularDesign,
     difference_function,
 )
-from dscodes.gf import default_field
+from dscodes.gf import MAX_FIELD_BITS, Field, default_field
 
 
 def test_paley_gf7_is_the_quadratic_residues():
@@ -45,6 +45,15 @@ def test_paley_set_is_the_sorted_even_powers(pm):
     F = default_field(*pm)
     D = designs.paley_set(F)
     assert np.array_equal(D.elems, np.sort(F.exp_table[::2]))
+
+
+def test_set_constructions_read_no_log_table():
+    # the sets come off the exp and trace tables; the log table stays unbuilt
+    sets = [designs.paley_set(Field(p, m)) for p, m in ((3, 5), (7, 3), (131, 2), (13, 1))]
+    sets += [designs.maschietti_set(Field(2, 7), case) for case in designs.MASCHIETTI_CASES]
+    sets.append(designs.hkm_set(2, max_bits=MAX_FIELD_BITS))
+    for D in sets:
+        assert D.field._exp is not None and D.field._log is None, D.family_tag
 
 
 def test_paley_needs_odd_characteristic():
@@ -235,6 +244,35 @@ def test_maschietti_walk_blocks_match_the_direct_exponents(monkeypatch, block):
             images = exp[np.arange(n) * rho % n] ^ exp
             want = np.flatnonzero(np.bincount(images, minlength=F.q))
             assert designs.maschietti_set(F, case).elems.tolist() == want[want != 0].tolist()
+
+
+@pytest.mark.parametrize("m", [1, 3, 5, 7])
+def test_maschietti_two_to_one_check_matches_the_fiber_counts(monkeypatch, m):
+    # every exponent, two-to-one or not: refused exactly when a fiber of
+    # x -> x^rho + x (x = 0 included) is not of size 0 or 2
+    F = default_field(2, m)
+    x = np.arange(F.q)
+    for rho in range(2, 3 * F.q):
+        monkeypatch.setattr(designs, "maschietti_rho", lambda m, case, rho=rho: rho)
+        images = F.add(F.pow(x, rho), x)
+        fibers = np.bincount(images, minlength=F.q)
+        if np.all((fibers == 0) | (fibers == 2)):
+            want = np.flatnonzero(fibers[1:]) + 1
+            if want.size:
+                assert designs.maschietti_set(F, "segre").elems.tolist() == want.tolist()
+        else:
+            with pytest.raises(errors.NotTwoToOneError):
+                designs.maschietti_set(F, "segre")
+
+
+def test_maschietti_refuses_a_fiber_of_four(monkeypatch):
+    # a crafted table whose images x^7 + x = exp[0] ^ exp[t] are 0 once, 5
+    # four times and 6 twice: with x = 0 every fiber is even, yet one has four
+    F = Field(2, 3)
+    F._exp = np.array([1, 4, 4, 4, 4, 7, 7], dtype=np.int32)
+    monkeypatch.setattr(designs, "maschietti_rho", lambda m, case: 7)
+    with pytest.raises(errors.NotTwoToOneError):
+        designs.maschietti_set(F, "segre")
 
 
 def test_maschietti_image_is_two_to_one():

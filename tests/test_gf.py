@@ -1,5 +1,10 @@
+import os
 import re
+import subprocess
+import sys
+import tracemalloc
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,9 +13,14 @@ from hypothesis import strategies as st
 
 from dscodes import errors
 from dscodes.gf import (
+    EXP_BLOCK,
     MAX_FIELD_BITS,
+    SEED_WALK,
+    UNPACK_BITS,
     Field,
+    _Packing,
     _poly_mulmod,
+    _unpack_digits,
     _x_order_is_maximal,
     column_span,
     default_field,
@@ -19,6 +29,8 @@ from dscodes.gf import (
     is_prime,
     parse_modulus,
 )
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 def test_default_moduli_are_the_documented_scan_results():
@@ -217,15 +229,121 @@ def test_tables_match_the_scalar_walk(p, m, modulus):
     assert F.log_table.tobytes() == log.tobytes()
 
 
-def test_tables_at_the_field_cap_are_a_permutation():
-    F = Field(2, MAX_FIELD_BITS)
+def _doubling_seams(F):
+    """Each t where exp[t+1] is the first entry of a doubling level or block, or
+    follows the last entry of one: the seed walk's end, every level and block
+    edge, and the last (partial) block."""
+    m, size = F.m, F.q - 1
+    n = min(max(2 * m, SEED_WALK // m), size)
+    seams = {0, n - 1}
+    while n < size:
+        step = min(n - m, size - n)
+        for lo in range(0, step, EXP_BLOCK):
+            seams |= {n + lo - 1, n + lo, n + min(lo + EXP_BLOCK, step) - 1}
+        n += step
+    return sorted(t for t in seams if t < size - 1)
+
+
+def _assert_tables_are_the_powers_of_alpha(F):
     exp, log = F.exp_table, F.log_table
     assert np.array_equal(np.sort(exp), np.arange(1, F.q))
     assert np.array_equal(log[exp], np.arange(F.q - 1)) and log[0] == -1
-    # spot checks against the scalar step, including the last (partial) block
-    for t in (0, 1, F.m - 1, F.m, (F.q - 1) // 2, F.q - 3):
+    # the scalar step across every seam of the doubling, the last block included
+    for t in _doubling_seams(F):
         assert exp[t + 1] == F._mul_by_alpha(int(exp[t]))
     assert F._mul_by_alpha(int(exp[-1])) == 1
+
+
+def test_tables_at_the_field_cap_are_a_permutation():
+    _assert_tables_are_the_powers_of_alpha(Field(2, MAX_FIELD_BITS))
+
+
+# odd p near the cap: packed joins of 13, 9, 7, 3 and 2 digits, unpacked in
+# chunks of 5, 3, 3, 1 and 1 digits
+@pytest.mark.parametrize("p,m", [(3, 13), (5, 9), (7, 7), (131, 3), (2039, 2)])
+def test_odd_p_tables_at_the_top_of_the_range_are_a_permutation(p, m):
+    _assert_tables_are_the_powers_of_alpha(Field(p, m))
+
+
+def _top_degree(p):
+    """The largest m with p^m under the field cap."""
+    m = 1
+    while p ** (m + 1) <= 1 << MAX_FIELD_BITS:
+        m += 1
+    return m
+
+
+@given(st.sampled_from([3, 5, 7, 11, 131, 2039])
+       .flatmap(lambda p: st.tuples(st.just(p), st.integers(2, _top_degree(p)))),
+       st.data())
+def test_packed_join_is_field_add(pm, data):
+    # one addition of packed digits and the unpack give the digit-wise sum mod p
+    p, m = pm
+    F = default_field(p, m)
+    n = data.draw(st.integers(1, 40))
+    a, b = (np.array(data.draw(st.lists(st.integers(0, F.q - 1), min_size=n, max_size=n)))
+            for _ in range(2))
+    pack = _Packing(p, m)
+    s = F.digits(a).astype(np.int64) @ pack.weights + F.digits(b).astype(np.int64) @ pack.weights
+    got = np.empty(n, dtype=np.int32)
+    pack.unpack(s, got, np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int32))
+    assert got.tolist() == F.add(a, b).tolist()
+
+
+def test_packing_fits_every_prime_power_up_to_2_25():
+    # no field is built: the layout depends on p and m alone
+    widths = {}
+    for p in filter(is_prime, range(3, 1 << 13)):
+        for m in range(2, 26):
+            q = p**m
+            if q > 1 << 25:
+                break
+            w = p.bit_length() + 1
+            assert 2 * (p - 1) < 1 << w  # a field holds a digit sum
+            widths[p, m] = m * w
+            k = _unpack_digits(p, m)
+            assert 1 <= k <= m
+            # each unpack table is small: within the cap and, past one digit, q/8
+            assert 1 << k * w <= 1 << UNPACK_BITS
+            assert k == 1 or 1 << k * w <= q // 8
+            assert 1 << w <= q
+    assert max(widths.values()) == widths[3, 15] == 45 < 63
+    assert len(widths) > 800
+
+
+def test_exp_table_peak_is_a_few_bytes_per_element():
+    # exp (4q bytes), the q-byte permutation mask and block-sized buffers; the
+    # exp+log build with whole-level temporaries peaked at 14q and 31q
+    for p, m in ((2, 18), (3, 11)):
+        F = Field(p, m)
+        tracemalloc.start()
+        try:
+            F.exp_table
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 7 * F.q, (p, m, peak / F.q)
+
+
+def test_log_table_is_built_on_first_read_as_the_inverse_of_exp():
+    F = Field(3, 7)
+    exp = F.exp_table
+    assert F._log is None
+    inv = np.full(F.q, -1)
+    inv[exp] = np.arange(F.q - 1)
+    assert F.log_table.tolist() == inv.tolist()
+    assert F.log_table is F._log
+
+
+@pytest.mark.parametrize("F", [Field(2, 9), Field(3, 5), Field(131, 1), default_field(5, 3)],
+                         ids=lambda F: f"GF({F.p}^{F.m})")
+def test_field_tables_are_read_only(F):
+    for name in ("exp_table", "log_table", "trace_table"):
+        table = getattr(F, name)
+        assert not table.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            table[1] = 0
+    assert F.mul(2, 3) == F.mul(3, 2)
 
 
 def test_tables_refuse_an_alpha_that_is_not_primitive():
@@ -241,6 +359,30 @@ def test_tables_refuse_an_alpha_that_is_not_primitive():
         assert walk[-1] == 1 and len(set(walk)) == order
         with pytest.raises(errors.InvariantError, match="not a permutation"):
             K.exp_table
+
+
+def test_tables_refuse_an_alpha_that_is_not_primitive_under_python_O():
+    # the permutation check is a plain raise, so -O keeps it
+    code = """
+from dscodes import errors, gf
+F = gf.Field(2, 4)
+F.modulus = (1, 1, 1, 1, 1)
+G = gf.Field(7, 1)
+G.alpha = 2
+H = gf.Field(3, 2)
+H.modulus = (1, 0, 1)  # x^2 + 1: x has order 4, not 8
+for K in (F, G, H):
+    try:
+        K.exp_table
+    except errors.InvariantError:
+        print("refused", K._exp is None, K._log is None)
+"""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
+                          text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split("\n")[:3] == ["refused True True"] * 3
 
 
 def test_array_kernels_match_scalar_ops():
