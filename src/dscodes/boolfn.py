@@ -71,7 +71,7 @@ def _fwht(a):
 
     Works in place and keeps a's dtype.  Every partial sum is a +-1 combination
     of one row's entries, so it is at most the row's sum of |entries|: q for
-    signs, n < q for multiplicities, and q <= 2^22 fits int32.
+    signs, n < q for multiplicities, and q <= 2^25 < 2^31 fits int32.
     """
     h = 1
     while h < a.shape[-1]:

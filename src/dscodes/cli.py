@@ -8,9 +8,26 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
-import numpy as np
+# OpenBLAS reads OPENBLAS_NUM_THREADS once, when numpy loads it, and starts
+# that many threads less one, which spin through the import and then sleep.
+# dscodes calls no BLAS routine (tests/test_invariants.py::
+# test_package_has_no_floating_point bans float dtypes, fft and linalg, and
+# integer @ runs numpy's own loops), so the CLI loads numpy with one thread
+# and then puts the caller's value back.  Importing a library module leaves
+# the variable alone.
+_caller_blas_threads = os.environ.get("OPENBLAS_NUM_THREADS")
+os.environ["OPENBLAS_NUM_THREADS"] = "1"
+try:
+    import numpy as np
+finally:
+    if _caller_blas_threads is None:
+        del os.environ["OPENBLAS_NUM_THREADS"]
+    else:
+        os.environ["OPENBLAS_NUM_THREADS"] = _caller_blas_threads
+del _caller_blas_threads
 
 # each command imports the modules it runs: construct and analyze-design need
 # only designs and gf, walsh adds boolfn, code and export-gen add codes, and
@@ -86,7 +103,7 @@ def _emit(doc):
 
 # values formatted per piece: bounds the buffers alive at once
 PRINT_CHUNK = 1 << 16
-DECIMAL_LIMIT = 10**8  # eight digits cover every element index, q <= 2^22
+DECIMAL_LIMIT = 10**8  # every element index is below q <= 2^25 = 33554432 (8 digits)
 # ASCII of the groups 0000..9999, four bytes read as one uint32 per group
 _GROUP_DIGITS = (np.arange(10**4, dtype=np.int16)[:, None]
                  // np.array([1000, 100, 10, 1], dtype=np.int16) % 10

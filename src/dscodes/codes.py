@@ -127,7 +127,7 @@ def _transform_counts(C: DefiningSetCode, max_work=DEFAULT_MAX_WORK):
     mult = np.bincount(C.D.elems, minlength=q)
     if p == 2:
         # Walsh coefficient S(u) = Z(u) - (n - Z(u)); the multiplicities sum to
-        # n < q <= 2^22, so every partial sum of the butterfly fits int32
+        # n < q <= 2^25 < 2^31, so every partial sum of the butterfly fits int32
         zeros = (n + _fwht(mult.astype(np.int32))) // 2
     else:
         zeros = _counting_transform(mult, p, F.m)

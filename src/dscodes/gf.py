@@ -15,8 +15,11 @@ order q-1 in GF(p)[x]/(f) iff x^(q-1) = 1 and x^((q-1)/r) != 1 for every prime
 r | q-1.  A reducible f has a unit group smaller than q-1, so the test also
 certifies irreducibility for free.  The scan skips the binomials x^m + c_0,
 which are never primitive for m >= 2, and, before the order test, every
-candidate with a root in GF(p): it is reducible.  For p = 2 the test runs on
-int bitmasks, where multiplying by x is a shift and a conditional XOR.
+candidate with a root in GF(p): it is reducible.  For odd p and m >= 4 it also
+skips, a block of candidates at a time, every f with x^(p^m) != x mod f, which
+no irreducible f of degree m has.  For p = 2 the order test runs on int
+bitmasks, where multiplying by x is a shift and a conditional XOR; for odd p
+on powers of the companion matrix.
 """
 
 from __future__ import annotations
@@ -40,6 +43,9 @@ MAX_FIELD_BITS = 22
 # entries of an odd-p digit-sum table, p^(2g) <= 2^16: its uint8 values (< p^g)
 # stay in cache
 DIGIT_TABLE_SIZE = 1 << 16
+
+# candidate moduli in the default-modulus scan's first block; later blocks double
+SCAN_BLOCK = 32
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -111,7 +117,11 @@ def factorize(n: int) -> dict[int, int]:
 
 
 def _poly_mulmod(a, b, mod, p):
-    """Product of coefficient lists a, b modulo the monic polynomial mod."""
+    """Product of coefficient lists a, b modulo the monic polynomial mod.
+
+    The schoolbook reference: the tests check the table arithmetic and the
+    order test against it.
+    """
     m = len(mod) - 1
     prod = [0] * (2 * m - 1) if m > 1 else [0]
     for i, ai in enumerate(a):
@@ -145,8 +155,29 @@ def _gf2_xpow(f: int, m: int, e: int) -> int:
     return acc
 
 
+def _companion(mods, p: int) -> np.ndarray:
+    """The matrices of y -> x*y modulo each monic modulus: (..., m+1) -> (..., m, m).
+
+    Column j holds the digits of x*x^j: x^(j+1) for j < m-1, and
+    x^m = -(c_0 + c_1 x + ... + c_{m-1} x^(m-1)) for the last.
+    """
+    mods = np.asarray(mods, dtype=np.int64)
+    m = mods.shape[-1] - 1
+    comp = np.zeros(mods.shape[:-1] + (m, m), dtype=np.int64)
+    comp[..., 1:, :-1] = np.eye(m - 1, dtype=np.int64)
+    comp[..., -1] = np.negative(mods[..., :m]) % p
+    return comp
+
+
 def _x_order_is_maximal(mod: tuple[int, ...], p: int, prime_divisors) -> bool:
-    """True iff x has order p^m - 1 in GF(p)[x]/(mod); implies primitivity."""
+    """True iff x has order p^m - 1 in GF(p)[x]/(mod); implies primitivity.
+
+    Odd p: multiplying by x is the companion matrix C of mod, so x^e is C^e
+    applied to the vector of 1.  The squares C^(2^i) are shared by every
+    exponent, and x^e takes one matrix-vector product per set bit of e.
+    Entries are below p, so a product sums m terms below p^2, and p^m <= 2^25
+    bounds the sum by 2*2^25 for m >= 2 and by 2^50 for m = 1: exact in int64.
+    """
     m = len(mod) - 1
     qm1 = p**m - 1
     if mod[0] % p == 0:
@@ -155,27 +186,48 @@ def _x_order_is_maximal(mod: tuple[int, ...], p: int, prime_divisors) -> bool:
         f = sum(c << i for i, c in enumerate(mod))
         return (_gf2_xpow(f, m, qm1) == 1
                 and all(_gf2_xpow(f, m, qm1 // r) != 1 for r in prime_divisors))
-    if m == 1:
-        base = [(-mod[0]) % p]
-    else:
-        base = [0] * m
-        base[1] = 1
-    one = [1] + [0] * (m - 1)
+    squares = [_companion(mod, p)]
+    for _ in range(qm1.bit_length() - 1):
+        squares.append(squares[-1] @ squares[-1] % p)
 
-    def xpow(e):
-        acc, b = one, base
-        while e:
-            if e & 1:
-                acc = _poly_mulmod(acc, b, mod, p)
-            b = _poly_mulmod(b, b, mod, p)
-            e >>= 1
-        return acc
+    one = np.zeros(m, dtype=np.int64)
+    one[0] = 1
 
-    if qm1 == 0:
-        return False
-    if xpow(qm1) != one:
-        return False
-    return all(xpow(qm1 // r) != one for r in prime_divisors)
+    def x_pow_is_one(e):
+        v = one
+        for i in range(e.bit_length()):
+            if e >> i & 1:
+                v = squares[i] @ v % p
+        return np.array_equal(v, one)
+
+    return x_pow_is_one(qm1) and not any(x_pow_is_one(qm1 // r) for r in prime_divisors)
+
+
+def _frobenius_fixes_x(mods, p: int) -> np.ndarray:
+    """x^(p^m) = x modulo each row of mods (monic, m >= 2, c_0 != 0); a boolean per row.
+
+    Every irreducible f of degree m passes, so a row that fails is reducible
+    and needs no order test.  The p-th power map is GF(p)-linear on
+    GF(p)[x]/(f): its matrix F has the columns x^(ip), i < m, read off the
+    companion matrix C as (C^p)^i applied to 1, so x^(p^m) = F^m x costs m
+    matrix-vector products.  Every candidate of the stack is served at once.
+    Entries stay below p and products sum m terms below p^2 (see
+    _x_order_is_maximal).
+    """
+    k, m = mods.shape[0], mods.shape[1] - 1
+    comp = cp = _companion(mods, p)
+    for _ in range(p - 1):  # p^4 <= q, so p < 2^7
+        cp = cp @ comp % p
+    frob = np.zeros((k, m, m), dtype=np.int64)
+    frob[:, 0, 0] = 1
+    for i in range(1, m):
+        frob[:, :, i] = (cp @ frob[:, :, i - 1, None])[..., 0] % p
+    x = np.zeros((k, m, 1), dtype=np.int64)
+    x[:, 1] = 1
+    v = x
+    for _ in range(m):
+        v = frob @ v % p
+    return np.all(v == x, axis=(1, 2))
 
 
 def column_span(cols, p: int) -> np.ndarray:
@@ -368,22 +420,32 @@ class Field:
                 if all(pow(g, (p - 1) // r, p) != 1 for r in self._qm1_primes):
                     return ((-g) % p, 1)
             raise InvariantError("no primitive root found")  # unreachable
-        # row c - 1 holds c^j mod p, j = 0..m, for c in GF(p)*: c^j < q <= 2^25
-        # before the reduction, and a row times a coefficient tuple is below (m+1)*p^2
-        cpow = np.arange(1, p, dtype=np.int64)[:, None] ** np.arange(m + 1) % p
+        # column c - 1 holds c^j mod p, j = 0..m, for c in GF(p)*: c^j < q <= 2^25
+        # before the reduction, and a coefficient row times it is below (m+1)*p^2
+        cpow = (np.arange(1, p, dtype=np.int64) ** np.arange(m + 1)[:, None]) % p
         # idx < p gives the binomials x^m + c_0.  None is primitive: modulo one,
         # x^m = -c_0 lies in GF(p)*, so x^(m(p-1)) = 1 and the order of x
         # divides m(p-1), which for m >= 2 is below (p-1)(1 + p + ... + p^(m-1))
         # = p^m - 1, as the m powers of p sum to more than m.  So the scan
-        # starts at the first candidate with c_1 != 0 or a higher term.
-        for idx in range(p, q):
-            if idx % p == 0:
-                continue  # constant term 0 => x divides f
-            mod = tuple(self.digits(idx).tolist()) + (1,)
-            if not np.all(cpow @ mod % p):
-                continue  # f(c) = 0 for some c in GF(p)* => x - c divides f
-            if _x_order_is_maximal(mod, p, self._qm1_primes):
-                return mod
+        # starts at the first candidate with c_1 != 0 or a higher term.  It
+        # reads candidates in blocks that double in size, so a field whose
+        # first candidate is primitive pays for a few rows only.
+        lo, size = p, SCAN_BLOCK
+        while lo < q:
+            idx = np.arange(lo, min(lo + size, q))
+            mods = np.ones((idx.size, m + 1), dtype=np.int64)
+            mods[:, :m] = self.digits(idx)
+            # constant term 0 => x divides f; f(c) = 0 for some c in GF(p)* =>
+            # x - c divides f.  Both are reducible, so the order test skips them.
+            cands = mods[(mods[:, 0] != 0) & np.all(mods @ cpow % p, axis=1)]
+            # a root-free f of degree 2 or 3 is irreducible, and for p = 2 the
+            # bitmask order test is cheaper than the filter
+            if p > 2 and m > 3:
+                cands = cands[_frobenius_fixes_x(cands, p)]
+            for mod in map(tuple, cands.tolist()):
+                if _x_order_is_maximal(mod, p, self._qm1_primes):
+                    return mod
+            lo, size = lo + size, 2 * size
         raise InvariantError("no primitive polynomial found")  # unreachable
 
     # -- arithmetic kernels -------------------------------------------------

@@ -21,6 +21,7 @@ from dscodes.gf import (
     _Packing,
     _poly_mulmod,
     _unpack_digits,
+    _frobenius_fixes_x,
     _x_order_is_maximal,
     column_span,
     default_field,
@@ -88,6 +89,38 @@ def test_char2_order_test_matches_the_list_based_reference(m):
     for idx in range(1 << m):
         mod = tuple(_digit_list(idx, 2, m)) + (1,)
         assert _x_order_is_maximal(mod, 2, primes) == _list_x_order_is_maximal(mod, 2, primes)
+
+
+@pytest.mark.parametrize("pm", [(3, 1), (3, 2), (3, 4), (5, 3), (7, 2), (2039, 1), (11, 2)])
+def test_odd_p_order_test_matches_the_list_based_reference(pm):
+    p, m = pm
+    primes = sorted(factorize(p**m - 1))
+    for idx in range(p**m):
+        mod = tuple(_digit_list(idx, p, m)) + (1,)
+        assert _x_order_is_maximal(mod, p, primes) == _list_x_order_is_maximal(mod, p, primes)
+
+
+def _list_x_power(mod, p, e):
+    """x^e modulo mod by list-based square-and-multiply."""
+    m = len(mod) - 1
+    acc, b = [1] + [0] * (m - 1), [0, 1] + [0] * (m - 2)
+    while e:
+        if e & 1:
+            acc = _poly_mulmod(acc, b, mod, p)
+        b = _poly_mulmod(b, b, mod, p)
+        e >>= 1
+    return acc
+
+
+@pytest.mark.parametrize("pm", [(3, 4), (3, 6), (5, 4), (7, 3)])
+def test_frobenius_filter_is_x_to_the_q_equals_x(pm):
+    # x^q = x holds for every irreducible modulus, so the filter drops none
+    p, m = pm
+    mods = np.array([_digit_list(idx, p, m) + [1] for idx in range(1, p**m) if idx % p])
+    want = [_list_x_power(tuple(mod), p, p**m) == [0, 1] + [0] * (m - 2)
+            for mod in mods.tolist()]
+    assert _frobenius_fixes_x(mods, p).tolist() == want
+    assert sum(want) < len(want)  # some candidates are filtered out
 
 
 def test_alpha_13_is_minus_one_in_gf27():

@@ -1,4 +1,4 @@
-"""The package's import graph and its lazily resolved public names."""
+"""The package's import graph, its lazily resolved public names, and the CLI's numpy load."""
 
 import json
 import os
@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import dscodes
@@ -13,9 +14,17 @@ import dscodes
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
-def _python(code, flags=()):
-    """stdout of code run in a fresh interpreter that imports dscodes from src/."""
+def _python(code, flags=(), environ=None):
+    """stdout of code run in a fresh interpreter that imports dscodes from src/.
+
+    environ maps variable names to the child's values; None removes one.
+    """
     env = dict(os.environ)
+    for name, value in (environ or {}).items():
+        if value is None:
+            env.pop(name, None)
+        else:
+            env[name] = value
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, *flags, "-c", code], capture_output=True,
                           text=True, env=env, timeout=60)
@@ -101,3 +110,47 @@ print(raised(G._ensure_tables))
 """
     out = _python(code, flags=("-O",)).split()
     assert out == ["ValueError", "ElementNotInGroupError", "NotTwoToOneError", "InvariantError"]
+
+
+# -- the CLI's one-thread numpy load ------------------------------------------
+
+CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+BLAS = np.__config__.CONFIG["Build Dependencies"]["blas"]["name"]
+needs_proc = pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
+                                reason="needs /proc to count threads")
+THREADS = "import os\nprint(len(os.listdir('/proc/self/task')))"
+ENV_VALUE = "import os\nprint(repr(os.environ.get('OPENBLAS_NUM_THREADS')))"
+
+
+@needs_proc
+def test_cli_loads_numpy_without_a_blas_worker():
+    out = _python("import dscodes.cli\n" + THREADS, environ={"OPENBLAS_NUM_THREADS": "2"})
+    assert out.split() == ["1"]
+
+
+def test_cli_puts_the_callers_blas_threads_back():
+    out = _python("import dscodes.cli\n" + ENV_VALUE, environ={"OPENBLAS_NUM_THREADS": "2"})
+    assert out.split() == ["'2'"]
+
+
+def test_cli_leaves_an_unset_blas_threads_unset():
+    out = _python("import dscodes.cli\n" + ENV_VALUE, environ={"OPENBLAS_NUM_THREADS": None})
+    assert out.split() == ["None"]
+
+
+LIBRARY = "".join(f"import dscodes.{m}\n" for m in sorted(dscodes._EXPORTS))
+
+
+def test_library_modules_leave_the_environment_alone():
+    code = ("import os, numpy\nbefore = dict(os.environ)\n" + LIBRARY
+            + "print(os.environ == before)\n" + ENV_VALUE)
+    out = _python(code, environ={"OPENBLAS_NUM_THREADS": "2"})
+    assert out.split() == ["True", "'2'"]
+
+
+@needs_proc
+@pytest.mark.skipif(CPUS < 2, reason="OpenBLAS starts no worker on one CPU")
+@pytest.mark.skipif("openblas" not in BLAS, reason=f"numpy uses {BLAS}, not OpenBLAS")
+def test_library_modules_keep_the_callers_blas_pool():
+    out = _python("import numpy\n" + LIBRARY + THREADS, environ={"OPENBLAS_NUM_THREADS": "2"})
+    assert out.split() == ["2"]
