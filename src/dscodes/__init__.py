@@ -18,10 +18,9 @@ _EXPORTS = {
                "is_almost_bent", "lambda_spectrum", "quadratic_galois_sum",
                "quadratic_rank", "support_size_prediction", "walsh_transform"),
     "codes": ("WeightEnumerator", "codeword", "compare_prediction", "dual_distance_witness",
-              "enumerator_from_json", "enumerator_json", "export_generator",
-              "generator_matrix", "griesmer_check", "make_code", "minimum_distance",
-              "pless_moment_check", "predicted_enumerator", "weight_enumerator",
-              "weight_via_charsum"),
+              "enumerator_json", "export_generator", "generator_matrix", "griesmer_check",
+              "make_code", "minimum_distance", "pless_moment_check", "predicted_enumerator",
+              "weight_enumerator", "weight_via_charsum"),
     "cyclotomic": ("CycInt", "char_sum", "is_rational"),
     "designs": ("AdditiveGroup", "AlmostDifferenceSet", "CyclicGroup", "DefiningSet",
                 "DifferenceSet", "FuncSpec", "IrregularDesign", "boolean_support",

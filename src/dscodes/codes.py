@@ -89,8 +89,7 @@ def span_dimension(F: Field, elems) -> int:
 
 def generator_matrix(C: DefiningSetCode):
     """Row i is the codeword of the basis element alpha^i."""
-    F = C.field
-    return np.stack([F.trace(F.mul(b, C.D.elems)) for b in F.basis()])
+    return codeword(C, C.field.basis())
 
 
 @dataclass(frozen=True)
@@ -502,12 +501,6 @@ def enumerator_obj(E: WeightEnumerator) -> dict:
 
 def enumerator_json(E: WeightEnumerator) -> str:
     return json.dumps(enumerator_obj(E), separators=(",", ":"))
-
-
-def enumerator_from_json(s: str) -> WeightEnumerator:
-    doc = json.loads(s)
-    counts = {row["w"]: row["A"] for row in doc["weights"]}
-    return WeightEnumerator(doc["p"], doc["m"], doc["n"], doc["k"], counts)
 
 
 def export_generator(C: DefiningSetCode) -> str:

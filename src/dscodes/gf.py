@@ -13,19 +13,17 @@ root mod p, so that alpha is that root.
 Primitivity of a candidate modulus f is decided by a single order test: x has
 order q-1 in GF(p)[x]/(f) iff x^(q-1) = 1 and x^((q-1)/r) != 1 for every prime
 r | q-1.  A reducible f has a unit group smaller than q-1, so the test also
-certifies irreducibility for free.  The scan skips the binomials x^m + c_0,
-which are never primitive for m >= 2, and, before the order test, every
-candidate with a root in GF(p): it is reducible.  For odd p and m >= 4 it also
-skips, a block of candidates at a time, every f with x^(p^m) != x mod f, which
-no irreducible f of degree m has.  For p = 2 the order test runs on int
-bitmasks, where multiplying by x is a shift and a conditional XOR; for odd p
-on powers of the companion matrix.
+certifies irreducibility for free.  It runs on a stack of candidates at once,
+on shared squares of their companion matrices, for every p and m: the default
+scan passes it blocks of candidates and a user modulus is a stack of one.
+For m >= 2 the scan skips the binomials x^m + c_0, which are never primitive,
+and every candidate with a root in GF(p): it is reducible.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from math import gcd, prod
+from math import prod
 
 import numpy as np
 
@@ -74,45 +72,23 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def _rho_factor(n: int) -> int:
-    """One nontrivial factor of an odd composite n (Pollard rho, Floyd cycle)."""
-    c = 1
-    while True:
-        x = y = 2
-        d = 1
-        while d == 1:
-            x = (x * x + c) % n
-            y = (y * y + c) % n
-            y = (y * y + c) % n
-            d = gcd(abs(x - y), n)
-        if d != n:
-            return d
-        c += 1
-
-
 def factorize(n: int) -> dict[int, int]:
-    """Prime factorization by trial division plus Pollard rho for leftovers."""
+    """Prime factorization of 1 <= n < 2^32 by trial division.
+
+    A composite n has a prime factor at most sqrt(n) < 2^16, so what is left
+    once every divisor f with f^2 <= n is divided out is 1 or a prime.
+    """
+    if not 1 <= n < 1 << 32:
+        raise ValueError(f"factorize needs 1 <= n < 2^32, got {n}")
     out: dict[int, int] = {}
-    for d in (2, 3, 5):
-        while n % d == 0:
-            out[d] = out.get(d, 0) + 1
-            n //= d
-    f = 7
-    while f * f <= n and f < (1 << 16):
+    f = 2
+    while f * f <= n:
         while n % f == 0:
             out[f] = out.get(f, 0) + 1
             n //= f
-        f += 2
-    stack = [n] if n > 1 else []
-    while stack:
-        v = stack.pop()
-        if v == 1:
-            continue
-        if is_prime(v):
-            out[v] = out.get(v, 0) + 1
-            continue
-        d = _rho_factor(v)
-        stack += [d, v // d]
+        f += 1 if f == 2 else 2
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
     return out
 
 
@@ -137,97 +113,36 @@ def _poly_mulmod(a, b, mod, p):
     return prod[:m]
 
 
-def _gf2_xpow(f: int, m: int, e: int) -> int:
-    """x^e mod f over GF(2), with polynomials as bitmasks (bit i holds x^i).
+def _x_order_is_maximal(mods, p: int, prime_divisors) -> np.ndarray:
+    """For each monic row f of mods, shape (k, m+1): x has order p^m - 1 modulo f.
 
-    Left to right over the bits of e: squaring spreads the bits of acc apart
-    (no cross terms over GF(2)), multiplying by x is a shift, and the bits at
-    degree m and above are cleared from the top with shifted copies of f.
-    """
-    acc = 1
-    for bit in bin(e)[2:]:
-        acc = int("0".join(bin(acc)[2:]), 2)
-        if bit == "1":
-            acc <<= 1
-        for d in range(acc.bit_length() - 1, m - 1, -1):
-            if acc >> d & 1:
-                acc ^= f << (d - m)
-    return acc
-
-
-def _companion(mods, p: int) -> np.ndarray:
-    """The matrices of y -> x*y modulo each monic modulus: (..., m+1) -> (..., m, m).
-
-    Column j holds the digits of x*x^j: x^(j+1) for j < m-1, and
-    x^m = -(c_0 + c_1 x + ... + c_{m-1} x^(m-1)) for the last.
+    That is x^(q-1) = 1 and x^((q-1)/r) != 1 for every prime r | q-1, which
+    certifies that f is primitive, irreducibility included.  Multiplying by x
+    is the companion matrix C of f, so x^e is C^e applied to the vector of 1:
+    the squares C^(2^i) are shared by every exponent, and each square acts on
+    the stacked vectors of the exponents with bit i set.  A row with c_0 = 0
+    has a singular C, so its x^e is never 1.  Entries are below p, so a
+    product sums m terms below p^2, and p^m <= 2^25 bounds the sum by 2*2^25
+    for m >= 2 and by 2^50 for m = 1: exact in int64.
     """
     mods = np.asarray(mods, dtype=np.int64)
-    m = mods.shape[-1] - 1
-    comp = np.zeros(mods.shape[:-1] + (m, m), dtype=np.int64)
-    comp[..., 1:, :-1] = np.eye(m - 1, dtype=np.int64)
-    comp[..., -1] = np.negative(mods[..., :m]) % p
-    return comp
-
-
-def _x_order_is_maximal(mod: tuple[int, ...], p: int, prime_divisors) -> bool:
-    """True iff x has order p^m - 1 in GF(p)[x]/(mod); implies primitivity.
-
-    Odd p: multiplying by x is the companion matrix C of mod, so x^e is C^e
-    applied to the vector of 1.  The squares C^(2^i) are shared by every
-    exponent, and x^e takes one matrix-vector product per set bit of e.
-    Entries are below p, so a product sums m terms below p^2, and p^m <= 2^25
-    bounds the sum by 2*2^25 for m >= 2 and by 2^50 for m = 1: exact in int64.
-    """
-    m = len(mod) - 1
-    qm1 = p**m - 1
-    if mod[0] % p == 0:
-        return qm1 == 0  # x is a zero divisor unless the field is GF(2)... never primitive
-    if p == 2:
-        f = sum(c << i for i, c in enumerate(mod))
-        return (_gf2_xpow(f, m, qm1) == 1
-                and all(_gf2_xpow(f, m, qm1 // r) != 1 for r in prime_divisors))
-    squares = [_companion(mod, p)]
-    for _ in range(qm1.bit_length() - 1):
-        squares.append(squares[-1] @ squares[-1] % p)
-
-    one = np.zeros(m, dtype=np.int64)
-    one[0] = 1
-
-    def x_pow_is_one(e):
-        v = one
-        for i in range(e.bit_length()):
-            if e >> i & 1:
-                v = squares[i] @ v % p
-        return np.array_equal(v, one)
-
-    return x_pow_is_one(qm1) and not any(x_pow_is_one(qm1 // r) for r in prime_divisors)
-
-
-def _frobenius_fixes_x(mods, p: int) -> np.ndarray:
-    """x^(p^m) = x modulo each row of mods (monic, m >= 2, c_0 != 0); a boolean per row.
-
-    Every irreducible f of degree m passes, so a row that fails is reducible
-    and needs no order test.  The p-th power map is GF(p)-linear on
-    GF(p)[x]/(f): its matrix F has the columns x^(ip), i < m, read off the
-    companion matrix C as (C^p)^i applied to 1, so x^(p^m) = F^m x costs m
-    matrix-vector products.  Every candidate of the stack is served at once.
-    Entries stay below p and products sum m terms below p^2 (see
-    _x_order_is_maximal).
-    """
     k, m = mods.shape[0], mods.shape[1] - 1
-    comp = cp = _companion(mods, p)
-    for _ in range(p - 1):  # p^4 <= q, so p < 2^7
-        cp = cp @ comp % p
-    frob = np.zeros((k, m, m), dtype=np.int64)
-    frob[:, 0, 0] = 1
-    for i in range(1, m):
-        frob[:, :, i] = (cp @ frob[:, :, i - 1, None])[..., 0] % p
-    x = np.zeros((k, m, 1), dtype=np.int64)
-    x[:, 1] = 1
-    v = x
-    for _ in range(m):
-        v = frob @ v % p
-    return np.all(v == x, axis=(1, 2))
+    # C: column j holds the digits of x*x^j, that is x^(j+1) for j < m-1 and
+    # x^m = -(c_0 + c_1 x + ... + c_{m-1} x^(m-1)) for the last
+    squares = np.zeros((k, m, m), dtype=np.int64)
+    squares[:, 1:, :-1] = np.eye(m - 1, dtype=np.int64)
+    squares[:, :, -1] = -mods[:, :m] % p
+    qm1 = p**m - 1
+    exps = [qm1] + [qm1 // r for r in prime_divisors]
+    v = np.zeros((k, m, len(exps)), dtype=np.int64)
+    v[:, 0] = 1
+    for i in range(qm1.bit_length()):
+        if i:
+            squares = squares @ squares % p
+        bit = [bool(e >> i & 1) for e in exps]
+        v[..., bit] = squares @ v[..., bit] % p
+    is_one = (v[:, 0] == 1) & np.all(v[:, 1:] == 0, axis=1)
+    return is_one[:, 0] & ~is_one[:, 1:].any(axis=1)
 
 
 def column_span(cols, p: int) -> np.ndarray:
@@ -383,13 +298,13 @@ class Field:
         # digits, traces and generator entries lie in [0, p)
         self._digit_dtype = np.min_scalar_type(p - 1)
         self._powers = p ** np.arange(m, dtype=np.int64)
-        self._qm1_primes = sorted(factorize(q - 1)) if q > 2 else []
+        self._qm1_primes = sorted(factorize(q - 1))
         if modulus is not None:
             mod = tuple(int(c) % p for c in modulus)
             if len(mod) != m + 1 or mod[m] != 1:
                 raise NotPrimitivePolynomialError(
                     f"modulus must be monic of degree {m} (got {modulus})")
-            if not _x_order_is_maximal(mod, p, self._qm1_primes):
+            if not _x_order_is_maximal([mod], p, self._qm1_primes)[0]:
                 raise NotPrimitivePolynomialError(
                     f"{self._poly_str(mod)} is not primitive over GF({p})")
             self.modulus = mod
@@ -413,38 +328,31 @@ class Field:
 
     def _default_modulus(self) -> tuple[int, ...]:
         p, m, q = self.p, self.m, self.q
-        if m == 1:
-            if p == 2:
-                return (1, 1)  # x + 1, alpha = 1, the whole of GF(2)*
-            for g in range(2, p):
-                if all(pow(g, (p - 1) // r, p) != 1 for r in self._qm1_primes):
-                    return ((-g) % p, 1)
-            raise InvariantError("no primitive root found")  # unreachable
-        # column c - 1 holds c^j mod p, j = 0..m, for c in GF(p)*: c^j < q <= 2^25
-        # before the reduction, and a coefficient row times it is below (m+1)*p^2
-        cpow = (np.arange(1, p, dtype=np.int64) ** np.arange(m + 1)[:, None]) % p
+        # For m = 1 the candidates are x - g, g = 1, 2, ..., so alpha = g is the
+        # smallest primitive root (x + 1 and alpha = 1 for p = 2).  For m >= 2,
         # idx < p gives the binomials x^m + c_0.  None is primitive: modulo one,
         # x^m = -c_0 lies in GF(p)*, so x^(m(p-1)) = 1 and the order of x
         # divides m(p-1), which for m >= 2 is below (p-1)(1 + p + ... + p^(m-1))
         # = p^m - 1, as the m powers of p sum to more than m.  So the scan
-        # starts at the first candidate with c_1 != 0 or a higher term.  It
-        # reads candidates in blocks that double in size, so a field whose
-        # first candidate is primitive pays for a few rows only.
-        lo, size = p, SCAN_BLOCK
+        # starts at the first candidate with c_1 != 0 or a higher term.  Each
+        # block of candidates is one stacked order test, and blocks double in
+        # size, so a field with an early primitive modulus tests a few rows only.
+        lo, size = (1 if m == 1 else p), SCAN_BLOCK
         while lo < q:
             idx = np.arange(lo, min(lo + size, q))
             mods = np.ones((idx.size, m + 1), dtype=np.int64)
-            mods[:, :m] = self.digits(idx)
-            # constant term 0 => x divides f; f(c) = 0 for some c in GF(p)* =>
-            # x - c divides f.  Both are reducible, so the order test skips them.
-            cands = mods[(mods[:, 0] != 0) & np.all(mods @ cpow % p, axis=1)]
-            # a root-free f of degree 2 or 3 is irreducible, and for p = 2 the
-            # bitmask order test is cheaper than the filter
-            if p > 2 and m > 3:
-                cands = cands[_frobenius_fixes_x(cands, p)]
-            for mod in map(tuple, cands.tolist()):
-                if _x_order_is_maximal(mod, p, self._qm1_primes):
-                    return mod
+            if m == 1:
+                mods[:, 0] = -idx % p
+            else:
+                mods[:, :m] = self.digits(idx)
+                # column c holds c^j mod p, j = 0..m, for c in GF(p): c^j < q <= 2^25
+                # before the reduction, and a row times it is below (m+1)*p^2.
+                # f(c) = 0 for some c => x - c divides f, so f is reducible.
+                cpow = np.arange(p, dtype=np.int64) ** np.arange(m + 1)[:, None] % p
+                mods = mods[np.all(mods @ cpow % p, axis=1)]
+            hits = np.flatnonzero(_x_order_is_maximal(mods, p, self._qm1_primes))
+            if hits.size:
+                return tuple(mods[hits[0]].tolist())
             lo, size = lo + size, 2 * size
         raise InvariantError("no primitive polynomial found")  # unreachable
 

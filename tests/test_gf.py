@@ -4,6 +4,7 @@ import subprocess
 import sys
 import tracemalloc
 from itertools import product
+from math import prod
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +22,6 @@ from dscodes.gf import (
     _Packing,
     _poly_mulmod,
     _unpack_digits,
-    _frobenius_fixes_x,
     _x_order_is_maximal,
     column_span,
     default_field,
@@ -82,45 +82,72 @@ def test_default_modulus_scan_matches_the_list_based_reference(pm):
     assert Field(*pm).modulus == _reference_default_modulus(*pm)
 
 
+def _check_order_test_on_every_candidate(p, m):
+    """One stacked call on every monic candidate, checked row by row against the oracle."""
+    primes = sorted(factorize(p**m - 1))
+    mods = [tuple(_digit_list(idx, p, m)) + (1,) for idx in range(p**m)]
+    got = _x_order_is_maximal(mods, p, primes)
+    assert got.shape == (p**m,) and got.dtype == bool
+    assert got.tolist() == [_list_x_order_is_maximal(mod, p, primes) for mod in mods]
+    assert got.any()
+
+
 @pytest.mark.parametrize("m", range(1, 11))
 def test_char2_order_test_matches_the_list_based_reference(m):
-    # every monic candidate, so the bitmask path's rejections are checked too
-    primes = sorted(factorize((1 << m) - 1))
-    for idx in range(1 << m):
-        mod = tuple(_digit_list(idx, 2, m)) + (1,)
-        assert _x_order_is_maximal(mod, 2, primes) == _list_x_order_is_maximal(mod, 2, primes)
+    _check_order_test_on_every_candidate(2, m)
 
 
 @pytest.mark.parametrize("pm", [(3, 1), (3, 2), (3, 4), (5, 3), (7, 2), (2039, 1), (11, 2)])
 def test_odd_p_order_test_matches_the_list_based_reference(pm):
-    p, m = pm
-    primes = sorted(factorize(p**m - 1))
-    for idx in range(p**m):
-        mod = tuple(_digit_list(idx, p, m)) + (1,)
-        assert _x_order_is_maximal(mod, p, primes) == _list_x_order_is_maximal(mod, p, primes)
+    _check_order_test_on_every_candidate(*pm)
 
 
-def _list_x_power(mod, p, e):
-    """x^e modulo mod by list-based square-and-multiply."""
-    m = len(mod) - 1
-    acc, b = [1] + [0] * (m - 1), [0, 1] + [0] * (m - 2)
-    while e:
-        if e & 1:
-            acc = _poly_mulmod(acc, b, mod, p)
-        b = _poly_mulmod(b, b, mod, p)
-        e >>= 1
-    return acc
+def _smallest_primitive_root(p):
+    """The smallest g with g^((p-1)/r) != 1 mod p for every prime r | p-1, by Python pow."""
+    primes = factorize(p - 1)
+    return next(g for g in range(1, p) if all(pow(g, (p - 1) // r, p) != 1 for r in primes))
 
 
-@pytest.mark.parametrize("pm", [(3, 4), (3, 6), (5, 4), (7, 3)])
-def test_frobenius_filter_is_x_to_the_q_equals_x(pm):
-    # x^q = x holds for every irreducible modulus, so the filter drops none
-    p, m = pm
-    mods = np.array([_digit_list(idx, p, m) + [1] for idx in range(1, p**m) if idx % p])
-    want = [_list_x_power(tuple(mod), p, p**m) == [0, 1] + [0] * (m - 2)
-            for mod in mods.tolist()]
-    assert _frobenius_fixes_x(mods, p).tolist() == want
-    assert sum(want) < len(want)  # some candidates are filtered out
+def test_prime_fields_take_the_smallest_primitive_root():
+    for p in [p for p in range(2, 1 << 12) if is_prime(p)] + [65521, 4194301]:
+        F = Field(p, 1)
+        assert F.alpha == _smallest_primitive_root(p), p
+        assert F.modulus == ((-F.alpha) % p, 1)
+    assert Field(2, 1).modulus == (1, 1)
+
+
+def test_factorize_is_exact_for_every_field_order():
+    # no field is built: every q - 1 with p^m <= 2^25, m >= 2, and every p - 1 for p < 2^16
+    orders = [p**m - 1 for p in range(2, 1 << 13) if is_prime(p)
+              for m in range(2, 26) if p**m <= 1 << 25]
+    orders += [p - 1 for p in range(2, 1 << 16) if is_prime(p)]
+    for n in orders:
+        fac = factorize(n)
+        assert all(is_prime(r) for r in fac), n
+        assert all(n % r**e == 0 and n % r**(e + 1) for r, e in fac.items()), n
+        assert prod(r**e for r, e in fac.items()) == n
+
+
+@pytest.mark.parametrize("n", [0, -1, 1 << 32, (1 << 61) - 1])
+def test_factorize_refuses_values_outside_its_exact_range(n):
+    with pytest.raises(ValueError, match="2\\^32"):
+        factorize(n)
+
+
+def test_factorize_refusal_survives_python_O():
+    code = """
+from dscodes.gf import factorize
+try:
+    factorize(1 << 32)
+except ValueError:
+    print("refused")
+"""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
+                          text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "refused\n"
 
 
 def test_alpha_13_is_minus_one_in_gf27():
