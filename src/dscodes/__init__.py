@@ -19,7 +19,7 @@ _EXPORTS = {
                "quadratic_rank", "support_size_prediction", "walsh_transform"),
     "codes": ("WeightEnumerator", "codeword", "compare_prediction", "dual_distance_witness",
               "enumerator_json", "export_generator", "generator_matrix", "griesmer_check",
-              "make_code", "minimum_distance", "pless_moment_check", "predicted_enumerator",
+              "minimum_distance", "pless_moment_check", "predicted_enumerator",
               "weight_enumerator", "weight_via_charsum"),
     "cyclotomic": ("CycInt", "char_sum", "is_rational"),
     "designs": ("AdditiveGroup", "AlmostDifferenceSet", "CyclicGroup", "DefiningSet",

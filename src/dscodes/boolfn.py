@@ -1,9 +1,10 @@
 """Walsh spectra, spectral classification, quadratic-form rank, almost-bent tests.
 
-Everything here is exact integer arithmetic.  The Walsh transform runs as a
-fast butterfly over the index bits; translating between "XOR-dot of indices"
-and the field pairing Tr(wx) is a GF(2)-linear relabeling of the frequency
-axis, built once per field from the trace form and cached.
+Everything here is exact integer arithmetic.  The Walsh transform runs as
+cyclotomic.fwht, the butterfly over the index bits that also enumerates the
+binary codes; translating between "XOR-dot of indices" and the field pairing
+Tr(wx) is a GF(2)-linear relabeling of the frequency axis, built once per
+field from the trace form and cached.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from .errors import (
     SizeLimitError,
     UnknownKindError,
 )
-from .cyclotomic import CycInt, is_rational
+from .cyclotomic import CycInt, fwht, is_rational
 from .designs import FuncSpec
 from .gf import Field, column_span, gfp_rank
 
@@ -66,23 +67,6 @@ class WalshSpectrum:
     __hash__ = None  # equal spectra must hash equal, and the array is not hashable
 
 
-def _fwht(a):
-    """Walsh-Hadamard butterfly over the last axis of a C-contiguous (..., 2^m) stack.
-
-    Works in place and keeps a's dtype.  Every partial sum is a +-1 combination
-    of one row's entries, so it is at most the row's sum of |entries|: q for
-    signs, n < q for multiplicities, and q <= 2^25 < 2^31 fits int32.
-    """
-    h = 1
-    while h < a.shape[-1]:
-        v = a.reshape(-1, 2, h)  # pairs of h-blocks; a row of 2^m holds whole pairs
-        top = v[:, 0].copy()
-        v[:, 0] += v[:, 1]
-        np.subtract(top, v[:, 1], out=v[:, 1])
-        h *= 2
-    return a
-
-
 def _trace_pairing_map(F: Field):
     """umap with Tr(w*x) == popcount(umap[w] & x) mod 2 for all w, x.
 
@@ -111,7 +95,7 @@ def _signs(table):
 
 
 def walsh_from_table(F: Field, ftable) -> WalshSpectrum:
-    values = _fwht(_signs(ftable))[_trace_pairing_map(F)].astype(np.int64)
+    values = fwht(_signs(ftable))[_trace_pairing_map(F)].astype(np.int64)
     values.setflags(write=False)
     return WalshSpectrum(F.m, values)
 
@@ -260,7 +244,7 @@ def is_almost_bent(F: Field, g: FuncSpec) -> bool:
     # permutes a row, so the rows for every a != 0 go through one stacked
     # butterfly without it
     a = np.arange(1, F.q, dtype=np.int64)
-    v = _fwht(_signs(F.trace_table[F.mul(a[:, None], g.table(F))]))
+    v = fwht(_signs(F.trace_table[F.mul(a[:, None], g.table(F))]))
     return bool(np.all((v == 0) | (np.abs(v) == amp)))
 
 

@@ -30,8 +30,9 @@ finally:
 del _caller_blas_threads
 
 # each command imports the modules it runs: construct and analyze-design need
-# only designs and gf, walsh adds boolfn, code and export-gen add codes, and
-# verify-paper adds verify (the module docstring is the --help description)
+# only designs and gf, walsh adds boolfn, code and export-gen add codes (and
+# boolfn for the claims that rank a form), and verify-paper adds verify (the
+# module docstring is the --help description)
 from . import designs
 from .designs import AdditiveGroup, CyclicGroup
 from .errors import InvariantError, ToolkitError
@@ -213,7 +214,7 @@ def cmd_walsh(args):
 
 
 def _prediction_for(claim, D, ctx):
-    from . import boolfn, codes
+    from . import codes
 
     F = D.field
     if claim in ("thm-part1", "thm-part2"):
@@ -225,6 +226,8 @@ def _prediction_for(claim, D, ctx):
         e = designs.eto1_check(F, f)
         if e is None:
             raise UsageError("the map is not e-to-1 on nonzero elements")
+        from . import boolfn
+
         r = boolfn.quadratic_rank(F, f).r
         return codes.predicted_enumerator(claim, p=F.p, m=F.m, r=r, e=e)
     if claim in ("thm-hyperovalDS", "glynn2-conjecture"):
@@ -235,6 +238,8 @@ def _prediction_for(claim, D, ctx):
         f = ctx.get("func")
         if f is None:
             raise UsageError(f"--expect {claim} needs a bool family")
+        from . import boolfn
+
         r = boolfn.quadratic_rank(F, f).r
         s = boolfn.walsh_transform(F, f)
         return codes.predicted_enumerator(claim, m=F.m, r=r, walsh0=int(s.values[0]))
@@ -249,12 +254,11 @@ def cmd_code(args):
     from . import codes
 
     D, ctx = _resolve_family(args)
-    C = codes.make_code(D)
     max_work = codes.DEFAULT_MAX_WORK if args.max_work is None else args.max_work
-    E = codes.weight_enumerator(C, max_work=max_work)
+    E = codes.weight_enumerator(D, max_work=max_work)
     d = codes.minimum_distance(E)
     gries = codes.griesmer_check(E.n, E.k, d, E.p)
-    W = codes.dual_distance_witness(C)
+    W = codes.dual_distance_witness(D)
     pless = codes.pless_moment_check(E, W)
     rep = None
     if args.expect and args.expect != "none":
@@ -291,7 +295,7 @@ def cmd_export_gen(args):
     from . import codes
 
     D, _ = _resolve_family(args)
-    text = codes.export_generator(codes.make_code(D))
+    text = codes.export_generator(D)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)

@@ -1,11 +1,13 @@
 """Exact weight enumeration of defining-set codes and closed-form predictions.
 
-The code C_D = {(Tr(x d))_{d in D} : x in GF(p^m)} is enumerated exhaustively.
-Writing d = sum_j d_j alpha^j, the coordinate Tr(x d) is <u, d> with
-u_j = Tr(x alpha^j), and x -> u is a GF(p)-linear bijection, so the weight
-histogram over x equals the histogram over u of n - Z(u), where
-Z(u) = #{d in D : <u, d> = 0}.  Z comes from an exact integer transform of the
-multiplicity vector of D over GF(p)^m -- the paper's character-sum route
+The code C_D = {(Tr(x d))_{d in D} : x in GF(p^m)} is fixed by its defining
+set alone, so every function here takes the DefiningSet D itself, n = len(D).
+C_D is enumerated exhaustively.  Writing d = sum_j d_j alpha^j, the
+coordinate Tr(x d) is <u, d> with u_j = Tr(x alpha^j), and x -> u is a
+GF(p)-linear bijection, so the weight histogram over x equals the histogram
+over u of n - Z(u), where Z(u) = #{d in D : <u, d> = 0}.  Z comes from
+cyclotomic.zero_counts, an exact integer transform of the multiplicity vector
+of D over GF(p)^m -- the paper's character-sum route
 wt(c_x) = ((p-1)n - sum_y chi(yxD))/p, run for all x at once -- at a cost of
 q*m*p^2 operations: the Walsh-Hadamard butterfly for p = 2 and the
 Vilenkin-Chrestenson transform in counting form for odd p.  When p^2 >= n
@@ -30,8 +32,7 @@ from math import isqrt
 
 import numpy as np
 
-from .boolfn import _fwht
-from .cyclotomic import CycInt, char_sum, is_rational, trace_exp_table
+from .cyclotomic import CycInt, char_sum, is_rational, trace_exp_table, zero_counts
 from .designs import DefiningSet
 from .errors import (
     InvariantError,
@@ -48,21 +49,10 @@ DEFAULT_MAX_WORK = 1 << 34
 MAX_TRANSFORM_STATE = 1 << 26
 
 
-@dataclass(frozen=True)
-class DefiningSetCode:
-    field: Field
-    D: DefiningSet
-    n: int
-
-
-def make_code(D: DefiningSet) -> DefiningSetCode:
-    return DefiningSetCode(D.field, D, len(D))
-
-
-def codeword(C: DefiningSetCode, x):
+def codeword(D: DefiningSet, x):
     """c_x = (Tr(x d))_{d in D}; an array of x gives one codeword per x along a new last axis."""
-    F = C.field
-    return F.trace(F.mul(np.asarray(x, dtype=np.int64)[..., None], C.D.elems))
+    F = D.field
+    return F.trace(F.mul(np.asarray(x, dtype=np.int64)[..., None], D.elems))
 
 
 def span_dimension(F: Field, elems) -> int:
@@ -87,9 +77,9 @@ def span_dimension(F: Field, elems) -> int:
     return dim
 
 
-def generator_matrix(C: DefiningSetCode):
+def generator_matrix(D: DefiningSet):
     """Row i is the codeword of the basis element alpha^i."""
-    return codeword(C, C.field.basis())
+    return codeword(D, D.field.basis())
 
 
 @dataclass(frozen=True)
@@ -114,62 +104,31 @@ class WeightEnumerator:
         return " + ".join(parts)
 
 
-def _transform_counts(C: DefiningSetCode, max_work=DEFAULT_MAX_WORK):
+def _transform_counts(D: DefiningSet, max_work=DEFAULT_MAX_WORK):
     """Weight histogram over all q messages by the exact transform route."""
-    F, n = C.field, C.n
+    F, n = D.field, len(D)
     p, q = F.p, F.q
     work = q * F.m * p * p
     if work > max_work:
         raise SizeLimitError(f"q*m*p^2 = {work} exceeds the work budget {max_work}")
     if q * p > MAX_TRANSFORM_STATE:
         raise SizeLimitError(f"transform state q*p = {q * p} exceeds {MAX_TRANSFORM_STATE}")
-    mult = np.bincount(C.D.elems, minlength=q)
-    if p == 2:
-        # Walsh coefficient S(u) = Z(u) - (n - Z(u)); the multiplicities sum to
-        # n < q <= 2^25 < 2^31, so every partial sum of the butterfly fits int32
-        zeros = (n + _fwht(mult.astype(np.int32))) // 2
-    else:
-        zeros = _counting_transform(mult, p, F.m)
+    zeros = zero_counts(np.bincount(D.elems, minlength=q), p, F.m)
     return np.bincount(n - zeros, minlength=n + 1)
 
 
-def _counting_transform(mult, p, m):
-    """Z(u) = #{d : <u, d> = 0 (mod p)} for every u, each d counted mult[d] times.
-
-    The state A[c, index] starts as A[0, d] = mult[d].  Each pass replaces the
-    leading digit b of the index by a and moves it to the end:
-    A'[c, rest, a] = sum_b A[c - a*b, b, rest], so after m passes
-    A[c, u] = #{d : <u, d> = c}.  Counts never exceed n, so int32 is exact.
-    """
-    rest = mult.size // p
-    state = np.zeros((p, mult.size), dtype=np.int32)
-    state[0] = mult
-    out = np.empty_like(state)
-    for _ in range(m):
-        src = state.reshape(p, p, rest)
-        dst = out.reshape(p, rest, p)
-        dst[...] = src[:, 0, :, None]  # b = 0 shifts nothing, for every a
-        for a in range(p):
-            for b in range(1, p):
-                s = a * b % p
-                dst[s:, :, a] += src[: p - s, b]
-                dst[:s, :, a] += src[p - s :, b]
-        state, out = out, state
-    return state[0]
-
-
-def _direct_counts(C: DefiningSetCode, max_work=DEFAULT_MAX_WORK):
+def _direct_counts(D: DefiningSet, max_work=DEFAULT_MAX_WORK):
     """Weight histogram over all q messages by gathers from T[t] = Tr(alpha^t).
 
     x = alpha^s has Tr(x d) = T[s + log d] for d != 0, and d = 0 adds no weight.
     The weight is constant on GF(p)* x, and GF(p)* = <alpha^((q-1)/(p-1))>, so
     only s < (q-1)/(p-1) is visited, each counting p-1 times; x = 0 counts once.
     """
-    F, n = C.field, C.n
+    F, n = D.field, len(D)
     if F.q * n > max_work:
         raise SizeLimitError(f"q*n = {F.q * n} exceeds the work budget {max_work}")
     T2 = trace_exp_table(F)  # s + log d needs no reduction mod q-1
-    logs = F.log_table[C.D.elems[C.D.elems != 0]]
+    logs = F.log_table[D.elems[D.elems != 0]]
     reps = (F.q - 1) // (F.p - 1)
     rows = min(reps, max(1, (1 << 20) // max(logs.size, 1)))
     counts = np.zeros(n + 1, dtype=np.int64)
@@ -182,16 +141,16 @@ def _direct_counts(C: DefiningSetCode, max_work=DEFAULT_MAX_WORK):
     return counts
 
 
-def weight_enumerator(C: DefiningSetCode, max_work=DEFAULT_MAX_WORK) -> WeightEnumerator:
+def weight_enumerator(D: DefiningSet, max_work=DEFAULT_MAX_WORK) -> WeightEnumerator:
     """Exact enumerator; max_work bounds the chosen route's operation count."""
-    F = C.field
-    n = C.n
+    F = D.field
+    n = len(D)
     # measured in one process (2-vCPU Xeon, numpy 2.4.6): the transform beats the
     # direct lookups on every benchmark rung (Paley 3^9 2.6 vs 227 ms, 5^6 3.8 vs 59,
     # 7^5 4.2 vs 47, hkm:3 1.6 vs 61) and loses at GF(13^3), 3.1 vs 0.7 ms; p^2 < n
     # is kept so that no benchmark input changes route (re-tuning is left open)
     route = _transform_counts if F.p * F.p < n else _direct_counts
-    counts = route(C, max_work)
+    counts = route(D, max_work)
     kersize = int(counts[0])
     k = F.m
     t = kersize
@@ -202,7 +161,7 @@ def weight_enumerator(C: DefiningSetCode, max_work=DEFAULT_MAX_WORK) -> WeightEn
         k -= 1
     if np.any(counts % kersize):
         raise InvariantError("all fibers of the quotient must have equal size")
-    if k != span_dimension(F, C.D.elems):
+    if k != span_dimension(F, D.elems):
         raise InvariantError("kernel size disagrees with the span dimension of D")
     amounts = counts // kersize
     ws = np.flatnonzero(amounts)
@@ -210,24 +169,24 @@ def weight_enumerator(C: DefiningSetCode, max_work=DEFAULT_MAX_WORK) -> WeightEn
     return WeightEnumerator(F.p, F.m, n, k, cdict)
 
 
-def weight_via_charsum(C: DefiningSetCode, x):
+def weight_via_charsum(D: DefiningSet, x):
     """wt(c_x) through the character-sum route; must match the direct weight.
 
     One x gives an int, a sequence of them a list.  Each y*x (y in GF(p)*) is
     formed with F.mul, and the p-1 character sums over D, all from one
     char_sum call, are added in Z[zeta_p].
     """
-    F = C.field
+    F = D.field
     xs = np.asarray(x, dtype=np.int64).ravel()
     ys = np.arange(1, F.p, dtype=np.int64)
-    sums = char_sum(F, C.D.elems, F.mul(xs[:, None], ys).ravel())
+    sums = char_sum(F, D.elems, F.mul(xs[:, None], ys).ravel())
     weights = []
     for i, xi in enumerate(xs.tolist()):
         total = sum(sums[i * (F.p - 1) : (i + 1) * (F.p - 1)], CycInt.integer(F.p, 0))
         s = is_rational(total)
         if s is None:
             raise NonRationalSumError(f"character sum for x={xi} is not rational: {total}")
-        num = (F.p - 1) * C.n - s
+        num = (F.p - 1) * len(D) - s
         if num % F.p:
             raise NonIntegralWeightError(f"weight numerator {num} not divisible by {F.p}")
         weights.append(num // F.p)
@@ -257,12 +216,12 @@ class DualDistanceWitness:
     at_least_3: bool  # additionally, no two GF(p)-proportional coordinates
 
 
-def dual_distance_witness(C: DefiningSetCode) -> DualDistanceWitness:
-    F = C.field
-    no_zero = not np.any(C.D.elems == 0)
+def dual_distance_witness(D: DefiningSet) -> DualDistanceWitness:
+    F = D.field
+    no_zero = not np.any(D.elems == 0)
     # GF(p)* is generated by alpha^((q-1)/(p-1)), so d and d' are GF(p)-proportional
     # iff their logs agree mod (q-1)/(p-1); this needs no (p-1) x n product
-    logs = np.sort(F.log_table[C.D.elems] % ((F.q - 1) // (F.p - 1)))
+    logs = np.sort(F.log_table[D.elems] % ((F.q - 1) // (F.p - 1)))
     # a neighbour test on the sorted logs: np.unique hashes and is ~80x slower at 8e5
     clean = not np.any(logs[1:] == logs[:-1])
     return DualDistanceWitness(no_zero, no_zero and clean)
@@ -503,10 +462,10 @@ def enumerator_json(E: WeightEnumerator) -> str:
     return json.dumps(enumerator_obj(E), separators=(",", ":"))
 
 
-def export_generator(C: DefiningSetCode) -> str:
+def export_generator(D: DefiningSet) -> str:
     from .cli import decimal_pieces  # cli imports this module at load time
 
-    F = C.field
-    lines = [f"{F.p} {F.m} {C.n}"]
-    lines += ["".join(decimal_pieces(row)) for row in generator_matrix(C)]
+    F = D.field
+    lines = [f"{F.p} {F.m} {len(D)}"]
+    lines += ["".join(decimal_pieces(row)) for row in generator_matrix(D)]
     return "\n".join(lines) + "\n"

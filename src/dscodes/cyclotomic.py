@@ -1,12 +1,17 @@
-"""Exact arithmetic in the ring of integers Z[zeta_p] of the p-th cyclotomic field.
+"""Exact character sums: arithmetic in Z[zeta_p], sums at chosen points, transforms at all.
 
-Elements are stored on the integral basis {zeta, zeta^2, ..., zeta^(p-1)},
-using the relation 1 = -(zeta + zeta^2 + ... + zeta^(p-1)) to eliminate the
-constant term.  This keeps representations unique, so equality of character
+Elements of the ring of integers Z[zeta_p] of the p-th cyclotomic field are
+stored on the integral basis {zeta, zeta^2, ..., zeta^(p-1)}, using the
+relation 1 = -(zeta + zeta^2 + ... + zeta^(p-1)) to eliminate the constant
+term.  This keeps representations unique, so equality of character
 sums is plain tuple equality -- no floating point anywhere.
 
 For p = 2 the ring degenerates to Z (zeta_2 = -1) and an element is a single
 coefficient c with value -c.
+
+trace_counts and char_sum evaluate sums over a set at chosen points b.
+fwht and zero_counts run exact integer transforms over GF(p)^m, indexed by
+the base-p digits of the element indices, that answer every point at once.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MixedPrimesError
+from .errors import MixedPrimesError, SizeLimitError
 from .gf import Field
 
 
@@ -169,3 +174,54 @@ def char_sum(F: Field, S, b):
     rows = trace_counts(F, S, b).tolist()
     sums = [CycInt.from_counts(F.p, row) for row in rows]
     return sums[0] if np.ndim(b) == 0 else sums
+
+
+def fwht(a):
+    """Walsh-Hadamard butterfly over the last axis of a C-contiguous (..., 2^m) stack.
+
+    Works in place and keeps a's dtype.  Every partial sum is a +-1 combination
+    of one row's entries, so it is at most the row's sum of |entries|: q <= 2^25
+    for signs, so int32 is exact for every field below the cap.
+    """
+    h = 1
+    while h < a.shape[-1]:
+        v = a.reshape(-1, 2, h)  # pairs of h-blocks; a row of 2^m holds whole pairs
+        top = v[:, 0].copy()
+        v[:, 0] += v[:, 1]
+        np.subtract(top, v[:, 1], out=v[:, 1])
+        h *= 2
+    return a
+
+
+def zero_counts(mult, p, m):
+    """Z(u) = #{d : <u, d> = 0 (mod p)} for every u, each d counted mult[d] times.
+
+    <u, d> is the dot product of the base-p digits of u and d, and mult has
+    length p^m.  The counts are int32, exact while n = sum(mult) < 2^30.  For
+    p = 2 the Walsh coefficient S(u) = Z(u) - (n - Z(u)) comes from fwht, whose
+    partial sums are at most n, and Z(u) = (n + S(u))/2 passes through 2n.
+    For odd p the state A[c, index] starts as A[0, d] = mult[d].  Each pass
+    replaces the leading digit b of the index by a and moves it to the end:
+    A'[c, rest, a] = sum_b A[c - a*b, b, rest], so after m passes
+    A[c, u] = #{d : <u, d> = c}, and every count is at most n.
+    """
+    n = int(mult.sum())
+    if n >= 1 << 30:
+        raise SizeLimitError(f"multiplicities sum to {n}; int32 counts need less than 2^30")
+    if p == 2:
+        return (n + fwht(mult.astype(np.int32))) // 2
+    rest = mult.size // p
+    state = np.zeros((p, mult.size), dtype=np.int32)
+    state[0] = mult
+    out = np.empty_like(state)
+    for _ in range(m):
+        src = state.reshape(p, p, rest)
+        dst = out.reshape(p, rest, p)
+        dst[...] = src[:, 0, :, None]  # b = 0 shifts nothing, for every a
+        for a in range(p):
+            for b in range(1, p):
+                s = a * b % p
+                dst[s:, :, a] += src[: p - s, b]
+                dst[:s, :, a] += src[p - s :, b]
+        state, out = out, state
+    return state[0]

@@ -58,12 +58,6 @@ class AdditiveGroup:
         if not 0 <= x < self.order:
             raise ElementNotInGroupError(f"{x} not in additive group of order {self.order}")
 
-    def op(self, a, b):
-        return self.field.add(a, b)
-
-    def inverse(self, a):
-        return self.field.neg(a)
-
     def _difference_counts(self, elems):
         return _blocked_difference_counts(elems, self.order, self.field.sub)
 
@@ -79,24 +73,9 @@ class CyclicGroup:
         if not 0 <= x < self.order:
             raise ElementNotInGroupError(f"{x} not in Z_{self.order}")
 
-    def op(self, a, b):
-        return (a + b) % self.order
-
-    def inverse(self, a):
-        return (-a) % self.order
-
     def _difference_counts(self, elems):
         return _blocked_difference_counts(elems, self.order,
                                           lambda a, b: (a - b) % self.order)
-
-
-def difference_function(G, D, x):
-    """diff_D(x) = |D cap (D+x)|."""
-    G.check(x)
-    dset = set(D)
-    for d in dset:
-        G.check(d)
-    return sum(1 for d in dset if G.op(d, x) in dset)
 
 
 @dataclass(frozen=True)

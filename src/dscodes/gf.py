@@ -643,10 +643,6 @@ class Field:
     def modulus_poly_str(self) -> str:
         return self._poly_str(self.modulus)
 
-    def modulus_coeff_str(self) -> str:
-        """Comma-separated coefficients, constant term first."""
-        return ",".join(str(c) for c in self.modulus)
-
     def __repr__(self):
         return f"Field(p={self.p}, m={self.m}, modulus={self.modulus_poly_str()})"
 

@@ -18,7 +18,7 @@ from itertools import product
 import numpy as np
 
 from . import boolfn, codes, designs
-from .cyclotomic import char_sum, is_rational
+from .cyclotomic import char_sum, fwht, is_rational
 from .designs import AdditiveGroup, CyclicGroup, DefiningSet, FuncSpec
 from .errors import ToolkitError
 from .gf import Field, default_field
@@ -35,14 +35,6 @@ class CaseReport:
 
 
 CASES = {}
-
-
-def _case(cid):
-    def deco(fn):
-        CASES[cid] = fn
-        return fn
-
-    return deco
 
 
 def run_case(cid: str) -> CaseReport:
@@ -87,7 +79,7 @@ def _family_enumerator(tag, p, m):
         D = designs.maschietti_set(F, tag)
     else:
         raise ValueError(tag)
-    return D, codes.weight_enumerator(codes.make_code(D))
+    return D, codes.weight_enumerator(D)
 
 
 # ---------------------------------------------------------------------------
@@ -143,7 +135,7 @@ def _qf_case(p, m, terms):
             return False, "e = 2", f"e = {e}", ""
         r = boolfn.quadratic_rank(F, f).r
         D = designs.image_set(F, f)
-        E = codes.weight_enumerator(codes.make_code(D))
+        E = codes.weight_enumerator(D)
         pred = codes.predicted_enumerator("thm-qfcodes", p=p, m=m, r=r, e=e)
         ok, exp, act, detail = _check_prediction(E, pred)
         return ok, f"e=2, rank-{r} branch: {exp}", f"e={e}, r={r}: {act}", detail
@@ -254,7 +246,7 @@ def _bent_case(m):
         want_nf = 2 ** (m - 1) - 2 ** ((m - 2) // 2)
         s = boolfn.walsh_transform(F, spec)
         cls = boolfn.classify_spectrum(s)
-        E = codes.weight_enumerator(codes.make_code(D))
+        E = codes.weight_enumerator(D)
         pred = codes.predicted_enumerator("thm-bentcodes", m=m, n_f=n_f)
         ok, exp, act, detail = _check_prediction(E, pred)
         design = designs.classify_design(AdditiveGroup(F), D.elems)
@@ -287,7 +279,7 @@ def _semibent_case(m):
         s = boolfn.walsh_transform(F, spec)
         cls = boolfn.classify_spectrum(s)
         r = boolfn.quadratic_rank(F, spec).r
-        E = codes.weight_enumerator(codes.make_code(D))
+        E = codes.weight_enumerator(D)
         pred = codes.predicted_enumerator("thm-semibentcodes", m=m, n_f=n_f)
         ok, exp, act, detail = _check_prediction(E, pred)
         ok = ok and n_f == want_nf and cls.variant == "semibent" and r == m - 1
@@ -313,7 +305,7 @@ def _ab_case(m):
         want_nf = boolfn.support_size_prediction("ab-trace", m, walsh0=lam0)
         D = designs.boolean_support(F, g)
         n_f = len(D)
-        E = codes.weight_enumerator(codes.make_code(D))
+        E = codes.weight_enumerator(D)
         pred = codes.predicted_enumerator("thm-abcodes", m=m, n_f=n_f)
         ok, exp, act, detail = _check_prediction(E, pred)
         ok = ok and ab and n_f in want_nf
@@ -362,7 +354,7 @@ def _qbf_case(rank):
                 bad.append(f"spectrum {s.histogram()} for {spec.terms}")
                 continue
             D = designs.boolean_support(F, spec)
-            E = codes.weight_enumerator(codes.make_code(D))
+            E = codes.weight_enumerator(D)
             pred = codes.predicted_enumerator("thm-CodeQBFs", m=m, r=rank,
                                               walsh0=int(s.values[0]))
             rep = codes.compare_prediction(E, pred)
@@ -391,7 +383,7 @@ def _hkm_instance(h):
 def _hkm_code_case(h):
     def run():
         F, D = _hkm_instance(h)
-        E = codes.weight_enumerator(codes.make_code(D))
+        E = codes.weight_enumerator(D)
         pred = codes.predicted_enumerator("thm-HKMcodes", h=h)
         return _check_prediction(E, pred)
 
@@ -518,11 +510,10 @@ def _charsum_weights_case():
         checked = 0
         problems = []
         for D in families:
-            C = codes.make_code(D)
             F = D.field
             xs = sample_points(F, limit=243)
-            directs = C.n - np.count_nonzero(codes.codeword(C, xs) == 0, axis=1)
-            vias = codes.weight_via_charsum(C, xs)
+            directs = len(D) - np.count_nonzero(codes.codeword(D, xs) == 0, axis=1)
+            vias = codes.weight_via_charsum(D, xs)
             checked += xs.size
             for x, direct, via in zip(xs.tolist(), directs.tolist(), vias):
                 if direct != via:
@@ -545,13 +536,13 @@ def _invariance_case():
         problems = []
         F = default_field(3, 3)
         D = designs.paley_set(F)
-        base = codes.weight_enumerator(codes.make_code(D))
+        base = codes.weight_enumerator(D)
         for a in (F.alpha, F.mul(F.alpha, F.alpha), 2):
             scaled = designs.defining_set(F, F.mul(a, D.elems), "scaled")
-            if codes.weight_enumerator(codes.make_code(scaled)).counts != base.counts:
+            if codes.weight_enumerator(scaled).counts != base.counts:
                 problems.append(f"scaling by {a} changed the enumerator")
         shuffled = DefiningSet(F, D.elems[::-1], "shuffled")
-        if codes.weight_enumerator(codes.make_code(shuffled)).counts != base.counts:
+        if codes.weight_enumerator(shuffled).counts != base.counts:
             problems.append("permuting coordinates changed the enumerator")
         alt = None
         for cand in range(F.p, F.p**3):
@@ -564,8 +555,8 @@ def _invariance_case():
             except ToolkitError:
                 continue
         for build in (designs.paley_set, lambda G: designs.image_set(G, FuncSpec(((1, 4),), False))):
-            e1 = codes.weight_enumerator(codes.make_code(build(F)))
-            e2 = codes.weight_enumerator(codes.make_code(build(alt)))
+            e1 = codes.weight_enumerator(build(F))
+            e2 = codes.weight_enumerator(build(alt))
             if e1.counts != e2.counts:
                 problems.append(f"modulus change altered {build} enumerator")
         exp_ok = "scaling, permutation, and modulus changes leave enumerators fixed"
@@ -590,7 +581,7 @@ def _parseval_case():
                 if int(s.values @ s.values) != 1 << (2 * m):
                     problems.append(f"Parseval fails for {terms} on m={m}")
                 signs = 1 - 2 * FuncSpec(terms, True).table(F)
-                back = boolfn._fwht(boolfn._fwht(signs.astype(np.int64).copy()))
+                back = fwht(fwht(signs.astype(np.int64).copy()))
                 if not np.array_equal(back, (1 << m) * signs):
                     problems.append(f"inverse transform fails for {terms} on m={m}")
             umap = boolfn._trace_pairing_map(F)
@@ -614,16 +605,16 @@ def _pless_case():
         _, e2 = _family_enumerator("paley", 3, 2)
         instances.append(("qr-p3m2", designs.paley_set(default_field(3, 2)), e2))
         _, hd = _hkm_instance(1)
-        instances.append(("hkm-h1", hd, codes.weight_enumerator(codes.make_code(hd))))
+        instances.append(("hkm-h1", hd, codes.weight_enumerator(hd)))
         _, sd = _family_enumerator("segre", 2, 5)
         instances.append(("segre-m5", designs.maschietti_set(default_field(2, 5), "segre"), sd))
         _, _, bd = _bent_instance(6)
-        instances.append(("bent-m6", bd, codes.weight_enumerator(codes.make_code(bd))))
+        instances.append(("bent-m6", bd, codes.weight_enumerator(bd)))
         _, _, smd = _semibent_instance(7)
-        instances.append(("semibent-m7", smd, codes.weight_enumerator(codes.make_code(smd))))
+        instances.append(("semibent-m7", smd, codes.weight_enumerator(smd)))
         problems = []
         for name, D, E in instances:
-            W = codes.dual_distance_witness(codes.make_code(D))
+            W = codes.dual_distance_witness(D)
             rep = codes.pless_moment_check(E, W)
             if not rep.ok:
                 problems.append(f"{name}: {rep}")

@@ -247,29 +247,6 @@ def test_trace_pairing_map_is_read_only():
         umap[1] = 0
 
 
-@st.composite
-def butterfly_stacks(draw):
-    m = draw(st.integers(0, 6))
-    lead = tuple(draw(st.lists(st.integers(1, 3), max_size=2)))
-    dtype = draw(st.sampled_from([np.int32, np.int64]))
-    size = int(np.prod(lead, dtype=np.int64)) << m
-    vals = draw(st.lists(st.integers(-1000, 1000), min_size=size, max_size=size))
-    return np.array(vals, dtype=dtype).reshape(*lead, 1 << m)
-
-
-@given(butterfly_stacks())
-def test_stacked_fwht_matches_rows_and_the_hadamard_definition(stack):
-    n = stack.shape[-1]
-    # H[u, x] = (-1)^popcount(u & x): the +-1 Hadamard matrix of order n
-    hadamard = np.array([[(-1) ** bin(u & x).count("1") for x in range(n)] for u in range(n)])
-    got = boolfn._fwht(stack.copy())
-    assert got.dtype == stack.dtype and got.shape == stack.shape
-    assert np.array_equal(got, stack.astype(np.int64) @ hadamard.T)
-    rows = stack.reshape(-1, n)
-    by_row = [boolfn._fwht(row.copy()) for row in rows]
-    assert np.array_equal(got.reshape(-1, n), np.array(by_row).reshape(-1, n))
-
-
 def test_support_size_prediction():
     assert boolfn.support_size_prediction("bent", 4, walsh0=4) == {6}
     assert boolfn.support_size_prediction("bent", 4, walsh0=-4) == {10}

@@ -117,10 +117,10 @@ def test_decimal_pieces_uint8_rows_and_range():
 
 def test_export_gen_rows_span_print_chunks(capsys):
     # n = (3^11 - 1)/2 = 88573 entries per row: more than one print chunk
-    C = codes.make_code(designs.paley_set(default_field(3, 11)))
-    assert C.n > cli.PRINT_CHUNK
-    rows = codes.generator_matrix(C)
-    want = f"3 11 {C.n}\n" + "".join(" ".join(str(int(v)) for v in row) + "\n"
+    D = designs.paley_set(default_field(3, 11))
+    assert len(D) > cli.PRINT_CHUNK
+    rows = codes.generator_matrix(D)
+    want = f"3 11 {len(D)}\n" + "".join(" ".join(str(int(v)) for v in row) + "\n"
                                       for row in rows)
     rc, out, _ = run(capsys, "export-gen", "--family", "paley", "--p", "3", "--m", "11")
     assert rc == 0

@@ -5,18 +5,18 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from dscodes import codes, designs, errors
+from dscodes import cli, codes, designs, errors
 from dscodes.designs import FuncSpec
-from dscodes.gf import default_field
+from dscodes.gf import _poly_mulmod, default_field
 
 
-def brute_enumerator(C):
+def brute_enumerator(D):
     """Scalar weight count over all messages; the reference oracle."""
-    F = C.field
+    F = D.field
     counts = {}
     for x in range(F.q):
         w = 0
-        for d in C.D.elems:
+        for d in D.elems:
             if F.trace(F.mul(x, d)) != 0:
                 w += 1
         counts[w] = counts.get(w, 0) + 1
@@ -28,17 +28,54 @@ def brute_enumerator(C):
 
 def test_codeword_reference_path():
     F = default_field(7, 1)
-    C = codes.make_code(designs.paley_set(F))
-    assert list(codes.codeword(C, 3)) == [3, 6, 5]
-    assert list(codes.codeword(C, 0)) == [0, 0, 0]
+    D = designs.paley_set(F)
+    assert list(codes.codeword(D, 3)) == [3, 6, 5]
+    assert list(codes.codeword(D, 0)) == [0, 0, 0]
 
 
 def test_generator_matrix_rows_are_basis_codewords():
     F = default_field(3, 3)
-    C = codes.make_code(designs.paley_set(F))
-    G = codes.generator_matrix(C)
+    D = designs.paley_set(F)
+    G = codes.generator_matrix(D)
     for i, b in enumerate(F.basis()):
-        assert np.array_equal(G[i], codes.codeword(C, b))
+        assert np.array_equal(G[i], codes.codeword(D, b))
+
+
+def reference_generator(F, elems):
+    """Row i, column d: Tr(alpha^i d) from Python-int polynomials, not the field tables.
+
+    alpha^i is the polynomial x^i, the product comes from the schoolbook
+    _poly_mulmod, and the trace is the Frobenius sum y + y^p + ... + y^(p^(m-1)).
+    """
+    p, m, mod = F.p, F.m, F.modulus
+
+    def trace(y):
+        total = [0] * m
+        for _ in range(m):
+            total = [(a + b) % p for a, b in zip(total, y)]
+            power = [1] + [0] * (m - 1)
+            for _ in range(p):
+                power = _poly_mulmod(power, y, mod, p)
+            y = power
+        assert not any(total[1:])  # the trace lies in GF(p)
+        return total[0]
+
+    digits = [[d // p**j % p for j in range(m)] for d in elems]
+    return [[trace(_poly_mulmod([0] * i + [1], dd, mod, p)) for dd in digits]
+            for i in range(m)]
+
+
+@pytest.mark.parametrize("argv", [("--family", "paley", "--p", "3", "--m", "5"),
+                                  ("--family", "maschietti:segre", "--m", "7")])
+def test_generator_matrix_matches_a_polynomial_reference(capsys, argv):
+    args = cli.build_parser().parse_args(["export-gen", *argv])
+    D, _ = cli._resolve_family(args)
+    F = D.field
+    want = reference_generator(F, D.elems.tolist())
+    assert codes.generator_matrix(D).tolist() == want
+    assert cli.entry(["export-gen", *argv]) == 0
+    text = f"{F.p} {F.m} {len(D)}\n" + "".join(" ".join(map(str, row)) + "\n" for row in want)
+    assert capsys.readouterr().out == text
 
 
 @pytest.mark.parametrize("p,m,family", [
@@ -50,33 +87,32 @@ def test_generator_matrix_rows_are_basis_codewords():
 def test_weight_enumerator_matches_brute_force(p, m, family):
     F = default_field(p, m)
     D = designs.paley_set(F) if family == "paley" else designs.maschietti_set(F, family)
-    C = codes.make_code(D)
-    E = codes.weight_enumerator(C)
-    want, ker = brute_enumerator(C)
+    E = codes.weight_enumerator(D)
+    want, ker = brute_enumerator(D)
     assert E.counts == want
     assert F.p**E.k * ker == F.q
 
 
 def test_weight_enumerator_hkm_brute_force():
-    C = codes.make_code(designs.hkm_set(1))
-    E = codes.weight_enumerator(C)
-    assert E.counts == brute_enumerator(C)[0]
+    D = designs.hkm_set(1)
+    E = codes.weight_enumerator(D)
+    assert E.counts == brute_enumerator(D)[0]
     assert (E.n, E.k) == (4, 3)
     assert E.counts == {0: 1, 2: 12, 3: 8, 4: 6}
 
 
 def test_degenerate_defining_set_shrinks_dimension():
     F = default_field(3, 2)
-    C = codes.make_code(designs.defining_set(F, [1]))
-    E = codes.weight_enumerator(C)
+    D = designs.defining_set(F, [1])
+    E = codes.weight_enumerator(D)
     assert (E.n, E.k) == (1, 1)
     assert E.counts == {0: 1, 1: 2}
 
 
 def test_all_zero_code_dimension_zero():
     F = default_field(3, 2)
-    C = codes.make_code(designs.defining_set(F, [0]))
-    E = codes.weight_enumerator(C)
+    D = designs.defining_set(F, [0])
+    E = codes.weight_enumerator(D)
     assert E.k == 0 and E.counts == {0: 1}
     with pytest.raises(errors.ZeroDimensionalError):
         codes.minimum_distance(E)
@@ -138,19 +174,18 @@ def test_wrong_span_dimension_fails_the_enumerator(monkeypatch, field, family, o
     # the span dimension is the oracle for the kernel-fibre size: it must stay live
     F = default_field(*field)
     D = designs.paley_set(F) if family == "paley" else designs.maschietti_set(F, family)
-    C = codes.make_code(D)
-    codes.weight_enumerator(C)
+    codes.weight_enumerator(D)
     real = codes.span_dimension
     monkeypatch.setattr(codes, "span_dimension", lambda F, elems: real(F, elems) + offset)
     with pytest.raises(errors.InvariantError, match="span dimension"):
-        codes.weight_enumerator(C)
+        codes.weight_enumerator(D)
 
 
 def test_work_budget_is_enforced():
     F = default_field(3, 3)
-    C = codes.make_code(designs.paley_set(F))
+    D = designs.paley_set(F)
     with pytest.raises(errors.SizeLimitError):
-        codes.weight_enumerator(C, max_work=10)
+        codes.weight_enumerator(D, max_work=10)
 
 
 ROUTES = (codes._transform_counts, codes._direct_counts)
@@ -177,11 +212,11 @@ def test_transform_and_direct_routes_match_brute_force(data):
         # index y < p is the constant y of GF(p)*
         y = data.draw(st.integers(1, p - 1))
         elems |= {F.mul(y, d) for d in elems}
-    C = codes.make_code(designs.defining_set(F, elems))
-    want, ker = brute_enumerator(C)
+    D = designs.defining_set(F, elems)
+    want, ker = brute_enumerator(D)
     for route in ROUTES:
-        assert _route_enumerator(route(C)) == (want, ker)
-    E = codes.weight_enumerator(C)
+        assert _route_enumerator(route(D)) == (want, ker)
+    E = codes.weight_enumerator(D)
     assert E.counts == want and F.p**E.k * ker == F.q
     if shape == "subspace":
         assert E.k < m
@@ -192,38 +227,38 @@ def test_transform_and_direct_routes_match_brute_force(data):
     (codes._direct_counts, 27 * 13),  # q*n
 ])
 def test_each_route_enforces_its_work_budget(route, work):
-    C = codes.make_code(designs.paley_set(default_field(3, 3)))
-    assert _route_enumerator(route(C, max_work=work))[0] == {0: 1, 9: 26}
+    D = designs.paley_set(default_field(3, 3))
+    assert _route_enumerator(route(D, max_work=work))[0] == {0: 1, 9: 26}
     with pytest.raises(errors.SizeLimitError):
-        route(C, max_work=work - 1)
+        route(D, max_work=work - 1)
 
 
 def test_transform_state_cap_is_enforced(monkeypatch):
-    C = codes.make_code(designs.paley_set(default_field(3, 3)))
+    D = designs.paley_set(default_field(3, 3))
     monkeypatch.setattr(codes, "MAX_TRANSFORM_STATE", 27 * 3 - 1)
     with pytest.raises(errors.SizeLimitError, match="transform state"):
-        codes.weight_enumerator(C)
+        codes.weight_enumerator(D)
     # the direct route has no such state
-    assert _route_enumerator(codes._direct_counts(C))[0] == {0: 1, 9: 26}
+    assert _route_enumerator(codes._direct_counts(D))[0] == {0: 1, 9: 26}
 
 
 @pytest.mark.parametrize("p, m", [(4099, 1), (65521, 1), (131, 2), (257, 2)])
 def test_direct_route_matches_closed_form_at_large_p(p, m):
     # GF(4099) has m*(p-1)^2 > 2^24, past the integers a float32 product holds exactly
     F = default_field(p, m)
-    C = codes.make_code(designs.paley_set(F))
-    assert p * p >= C.n  # so weight_enumerator takes the direct route
-    E = codes.weight_enumerator(C)
+    D = designs.paley_set(F)
+    assert p * p >= len(D)  # so weight_enumerator takes the direct route
+    E = codes.weight_enumerator(D)
     P = codes.predicted_enumerator("thm-part1", p=p, m=m)
     assert (E.n, E.k, E.counts) == (P.n, P.k, P.counts)
 
 
 def test_weight_via_charsum_equals_direct():
     F = default_field(3, 3)
-    C = codes.make_code(designs.paley_set(F))
+    D = designs.paley_set(F)
     for x in range(F.q):
-        direct = int(np.count_nonzero(codes.codeword(C, x)))
-        assert codes.weight_via_charsum(C, x) == direct
+        direct = int(np.count_nonzero(codes.codeword(D, x)))
+        assert codes.weight_via_charsum(D, x) == direct
 
 
 def test_griesmer_check():
@@ -234,16 +269,16 @@ def test_griesmer_check():
 
 
 def test_dual_distance_witness_frozen():
-    W7 = codes.dual_distance_witness(codes.make_code(designs.paley_set(default_field(7, 1))))
+    W7 = codes.dual_distance_witness(designs.paley_set(default_field(7, 1)))
     assert (W7.at_least_2, W7.at_least_3) == (True, False)
-    W27 = codes.dual_distance_witness(codes.make_code(designs.paley_set(default_field(3, 3))))
+    W27 = codes.dual_distance_witness(designs.paley_set(default_field(3, 3)))
     assert (W27.at_least_2, W27.at_least_3) == (True, True)
 
 
 def test_pless_moments_hkm_h1():
-    C = codes.make_code(designs.hkm_set(1))
-    E = codes.weight_enumerator(C)
-    W = codes.dual_distance_witness(C)
+    D = designs.hkm_set(1)
+    E = codes.weight_enumerator(D)
+    W = codes.dual_distance_witness(D)
     rep = codes.pless_moment_check(E, W)
     assert rep.ok and rep.first and rep.second and rep.third
     # the second moment identity in explicit numbers: 12*2 + 8*3 + 6*4 = 72
@@ -275,7 +310,7 @@ def test_predicted_enumerator_preconditions():
 
 def test_prediction_comparison_reports_mismatches():
     F = default_field(2, 9)
-    E = codes.weight_enumerator(codes.make_code(designs.maschietti_set(F, "glynn2")))
+    E = codes.weight_enumerator(designs.maschietti_set(F, "glynn2"))
     P = codes.predicted_enumerator("thm-hyperovalDS", m=9)
     rep = codes.compare_prediction(E, P)
     assert not rep.ok and len(rep.mismatches) == 5
@@ -285,8 +320,8 @@ def test_prediction_comparison_reports_mismatches():
 
 
 def test_enumerator_json_round_trip_and_bytes():
-    C = codes.make_code(designs.hkm_set(1))
-    E = codes.weight_enumerator(C)
+    D = designs.hkm_set(1)
+    E = codes.weight_enumerator(D)
     s = codes.enumerator_json(E)
     assert s == ('{"p":3,"m":3,"n":4,"k":3,"weights":'
                  '[{"w":0,"A":1},{"w":2,"A":12},{"w":3,"A":8},{"w":4,"A":6}]}')
@@ -295,8 +330,8 @@ def test_enumerator_json_round_trip_and_bytes():
 
 def test_export_generator_format():
     F = default_field(3, 2)
-    C = codes.make_code(designs.paley_set(F))
-    text = codes.export_generator(C)
+    D = designs.paley_set(F)
+    text = codes.export_generator(D)
     lines = text.splitlines()
     assert lines[0] == "3 2 4"
     assert len(lines) == 3
@@ -308,9 +343,9 @@ def test_export_generator_format():
 def test_scaling_a_defining_set_preserves_the_enumerator(a):
     F = default_field(3, 3)
     D = designs.paley_set(F)
-    base = codes.weight_enumerator(codes.make_code(D)).counts
+    base = codes.weight_enumerator(D).counts
     scaled = designs.defining_set(F, [F.mul(a, d) for d in D.elems])
-    assert codes.weight_enumerator(codes.make_code(scaled)).counts == base
+    assert codes.weight_enumerator(scaled).counts == base
 
 
 def test_poly_str_spelling():

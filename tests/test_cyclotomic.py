@@ -4,9 +4,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from dscodes import codes, cyclotomic, designs
-from dscodes.cyclotomic import CycInt, char_sum, is_rational
+from dscodes.cyclotomic import CycInt, char_sum, fwht, is_rational, zero_counts
 from dscodes.designs import FuncSpec
-from dscodes.errors import MixedPrimesError
+from dscodes.errors import MixedPrimesError, SizeLimitError
 from dscodes.gf import default_field
 
 
@@ -125,16 +125,16 @@ def test_many_point_routes_match_their_scalar_definitions(monkeypatch, pm, block
         assert got == want == char_sum(F, S, b)
     assert sums[0] == CycInt.integer(p, len(S))
 
-    C = codes.make_code(designs.defining_set(F, S))  # 0 is a coordinate too
+    D = designs.defining_set(F, S)  # 0 is a coordinate too
     xs = np.array([0, 1, F.q - 1] + list(range(2, F.q, 5)))  # x = 0 first
-    words = codes.codeword(C, xs)
-    assert words.shape == (xs.size, C.n)
-    weights = codes.weight_via_charsum(C, xs)
-    assert weights == codes.weight_via_charsum(C, xs.tolist())
+    words = codes.codeword(D, xs)
+    assert words.shape == (xs.size, len(D))
+    weights = codes.weight_via_charsum(D, xs)
+    assert weights == codes.weight_via_charsum(D, xs.tolist())
     for x, word, w in zip(xs.tolist(), words, weights):
         scalar_word = [F.trace(F.mul(x, d)) for d in S]
-        assert word.tolist() == codes.codeword(C, x).tolist() == scalar_word
-        assert w == codes.weight_via_charsum(C, x) == sum(t != 0 for t in scalar_word)
+        assert word.tolist() == codes.codeword(D, x).tolist() == scalar_word
+        assert w == codes.weight_via_charsum(D, x) == sum(t != 0 for t in scalar_word)
     assert weights[0] == 0
 
     f = FuncSpec(((1, p + 1), (1, 1)), True)  # f(0) = 0 puts 0 in the kernel
@@ -146,3 +146,55 @@ def test_many_point_routes_match_their_scalar_definitions(monkeypatch, pm, block
             row[F.trace(F.mul(b, x))] += 1
         want_rows.append(tuple(row))
     assert designs.joint_counts(F, f, bs) == want_rows
+
+
+@st.composite
+def butterfly_stacks(draw):
+    m = draw(st.integers(0, 6))
+    lead = tuple(draw(st.lists(st.integers(1, 3), max_size=2)))
+    dtype = draw(st.sampled_from([np.int32, np.int64]))
+    size = int(np.prod(lead, dtype=np.int64)) << m
+    vals = draw(st.lists(st.integers(-1000, 1000), min_size=size, max_size=size))
+    return np.array(vals, dtype=dtype).reshape(*lead, 1 << m)
+
+
+@given(butterfly_stacks())
+def test_stacked_fwht_matches_rows_and_the_hadamard_definition(stack):
+    n = stack.shape[-1]
+    # H[u, x] = (-1)^popcount(u & x): the +-1 Hadamard matrix of order n
+    hadamard = np.array([[(-1) ** bin(u & x).count("1") for x in range(n)] for u in range(n)])
+    got = fwht(stack.copy())
+    assert got.dtype == stack.dtype and got.shape == stack.shape
+    assert np.array_equal(got, stack.astype(np.int64) @ hadamard.T)
+    rows = stack.reshape(-1, n)
+    by_row = [fwht(row.copy()) for row in rows]
+    assert np.array_equal(got.reshape(-1, n), np.array(by_row).reshape(-1, n))
+
+
+def _digits(x, p, m):
+    return [x // p**j % p for j in range(m)]
+
+
+@pytest.mark.parametrize("p,m", [(2, 5), (3, 3), (5, 2), (7, 2)])
+def test_zero_counts_match_a_brute_force_count_at_every_u(p, m):
+    q = p**m
+    mult = np.random.default_rng(q).integers(0, 4, size=q)  # multiplicities 0..3
+    mult[[0, 1, q - 1]] = (2, 3, 3)
+    got = zero_counts(mult, p, m)
+    assert got.shape == (q,)
+    for u in range(q):
+        du = _digits(u, p, m)
+        want = sum(int(mult[d]) for d in range(q)
+                   if sum(a * b for a, b in zip(du, _digits(d, p, m))) % p == 0)
+        assert got[u] == want, u
+    assert got[0] == mult.sum()  # u = 0 pairs to 0 with every d
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_zero_counts_refuse_multiplicities_past_int32(p):
+    mult = np.zeros(p, dtype=np.int64)
+    mult[1] = 1 << 30
+    with pytest.raises(SizeLimitError, match="2\\^30"):
+        zero_counts(mult, p, 1)
+    mult[1] -= 1
+    assert zero_counts(mult, p, 1).tolist() == [(1 << 30) - 1] + [0] * (p - 1)

@@ -11,7 +11,6 @@ from dscodes.designs import (
     DifferenceSet,
     FuncSpec,
     IrregularDesign,
-    difference_function,
 )
 from dscodes.gf import MAX_FIELD_BITS, Field, default_field
 
@@ -68,12 +67,25 @@ def test_classify_irregular_spectrum():
     assert designs.classify_design(CyclicGroup(7), [6, 4, 1, 2, 4]) == cls
 
 
+def difference_function(G, D, x):
+    """diff_D(x) = |D cap (D+x)| by a Python set loop: the brute-force oracle."""
+    add = G.field.add if isinstance(G, AdditiveGroup) else lambda a, b: (a + b) % G.order
+    G.check(x)
+    dset = set(D)
+    for d in dset:
+        G.check(d)
+    return sum(1 for d in dset if add(d, x) in dset)
+
+
 def test_difference_function_counts_pairs():
     G = CyclicGroup(7)
     D = [1, 2, 4]
     for x in range(1, 7):
         assert difference_function(G, D, x) == 1  # planar: every shift hits once
     assert difference_function(G, D, 0) == 3
+    # the Paley set of GF(7) is the same (7, 3, 1) set in the additive group
+    A = AdditiveGroup(default_field(7, 1))
+    assert [difference_function(A, D, x) for x in range(7)] == [3] + [1] * 6
 
 
 def test_classify_rejects_empty_and_foreign_elements():

@@ -58,6 +58,21 @@ def test_walsh_adds_only_boolfn():
     assert _modules_after(code) == sorted(BASE + ["dscodes.boolfn"])
 
 
+@pytest.mark.parametrize("argv", [
+    ["code", "--family", "paley", "--p", "3", "--m", "3", "--expect", "thm-part2"],
+    ["export-gen", "--family", "paley", "--p", "3", "--m", "3"],
+])
+def test_code_and_export_gen_add_only_codes(argv):
+    code = f"from dscodes import cli\nassert cli.entry({argv!r}) == 0"
+    assert _modules_after(code) == sorted(BASE + ["dscodes.codes"])
+
+
+def test_a_claim_that_ranks_a_form_adds_boolfn():
+    argv = ["code", "--family", "qf-image:1@4", "--p", "3", "--m", "3", "--expect", "thm-qfcodes"]
+    code = f"from dscodes import cli\nassert cli.entry({argv!r}) == 0"
+    assert _modules_after(code) == sorted(BASE + ["dscodes.boolfn", "dscodes.codes"])
+
+
 def test_code_reads_the_default_work_budget_from_codes():
     code = ("from dscodes import cli\n"
             "rc = cli.entry(['code', '--family', 'paley', '--p', '3', '--m', '9'])\n"
