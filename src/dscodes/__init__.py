@@ -14,13 +14,11 @@ __version__ = "0.1.0"
 
 # submodule -> the public names it defines
 _EXPORTS = {
-    "boolfn": ("classify_spectrum", "find_quadratic_with", "hyperoval_spectrum_check",
-               "is_almost_bent", "lambda_spectrum", "quadratic_galois_sum",
-               "quadratic_rank", "support_size_prediction", "walsh_transform"),
+    "boolfn": ("classify_spectrum", "find_quadratic_with", "is_almost_bent",
+               "quadratic_galois_sum", "quadratic_rank", "walsh_transform"),
     "codes": ("WeightEnumerator", "codeword", "compare_prediction", "dual_distance_witness",
-              "enumerator_json", "export_generator", "generator_matrix", "griesmer_check",
-              "minimum_distance", "pless_moment_check", "predicted_enumerator",
-              "weight_enumerator", "weight_via_charsum"),
+              "generator_matrix", "griesmer_check", "minimum_distance", "pless_moment_check",
+              "predicted_enumerator", "weight_enumerator", "weight_via_charsum"),
     "cyclotomic": ("CycInt", "char_sum", "is_rational"),
     "designs": ("AdditiveGroup", "AlmostDifferenceSet", "CyclicGroup", "DefiningSet",
                 "DifferenceSet", "FuncSpec", "IrregularDesign", "boolean_support",

@@ -9,21 +9,13 @@ field from the trace form and cached.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import islice
 
 import numpy as np
 
-from .errors import (
-    EvenDegreeError,
-    InvariantError,
-    NotQuadraticFormError,
-    PreconditionFailedError,
-    SizeLimitError,
-    UnknownKindError,
-)
+from .errors import EvenDegreeError, InvariantError, NotQuadraticFormError, SizeLimitError
 from .cyclotomic import CycInt, fwht, is_rational
 from .designs import FuncSpec
 from .gf import Field, column_span, gfp_rank
@@ -219,16 +211,6 @@ def quadratic_galois_sum(F: Field, f: FuncSpec) -> int:
 # ---------------------------------------------------------------------------
 # almost bent functions
 
-def lambda_spectrum(F: Field, g: FuncSpec, a, b) -> int:
-    """lambda_g(a,b) = sum over x of (-1)^Tr(a*g(x) + b*x)."""
-    if g.to_prime_subfield:
-        raise ValueError("lambda spectrum needs a GF(q)-valued function")
-    gt = g.table(F)
-    inner = F.add(F.mul(gt, a), F.mul(np.arange(F.q), b))
-    tv = F.trace(inner).astype(np.int64)
-    return int(np.sum(1 - 2 * tv))
-
-
 def is_almost_bent(F: Field, g: FuncSpec) -> bool:
     """All lambda_g(a,b), a != 0, in {0, +-2^((m+1)/2)}; exhaustive check."""
     if F.p != 2:
@@ -248,99 +230,23 @@ def is_almost_bent(F: Field, g: FuncSpec) -> bool:
     return bool(np.all((v == 0) | (np.abs(v) == amp)))
 
 
-def support_size_prediction(kind: str, m: int, walsh0=None, rank=None):
-    """Admissible n_f values for the named class, given side data."""
-    if kind == "bent":
-        if walsh0 is not None:
-            return {(1 << (m - 1)) - walsh0 // 2}
-        return {(1 << (m - 1)) - (1 << ((m - 2) // 2)), (1 << (m - 1)) + (1 << ((m - 2) // 2))}
-    if kind in ("semibent", "ab-trace"):
-        shift = 1 << ((m - 1) // 2)
-        table = {0: 1 << (m - 1), 2 * shift: (1 << (m - 1)) - shift, -2 * shift: (1 << (m - 1)) + shift}
-        if walsh0 is None:
-            return set(table.values())
-        return {table[walsh0]}
-    if kind == "quadratic":
-        if walsh0 is not None:
-            return {(1 << (m - 1)) - walsh0 // 2}
-        if rank is None:
-            raise ValueError("quadratic prediction needs walsh0 or the rank")
-        shift = 1 << (m - 1 - rank // 2)
-        return {1 << (m - 1), (1 << (m - 1)) - shift, (1 << (m - 1)) + shift}
-    raise UnknownKindError(f"no support-size rule for {kind!r}")
-
-
-# ---------------------------------------------------------------------------
-# hyperoval image spectra
-
-@dataclass(frozen=True)
-class HyperovalCheck:
-    m: int
-    i: int
-    j: int
-    kappa: int
-    ell: int
-    ok: bool
-    violations: tuple
-
-
-def hyperoval_spectrum_check(F: Field, i: int, j: int) -> HyperovalCheck:
-    """Walsh spectrum of the indicator of Im(x^(2^i+2^j) + x).
-
-    Verifies f_hat(b) = 0 exactly when Tr(b^ell) = 0 (including b = 0) and
-    f_hat(b) = +-2^((m+1)/2) when Tr(b^ell) = 1.
-    """
-    m = F.m
-    if F.p != 2:
-        raise PreconditionFailedError("p = 2", "hyperovals live in GF(2^m)")
-    if m % 2 == 0:
-        raise PreconditionFailedError("m odd", f"m = {m}")
-    if not 0 <= i < j < m:
-        raise PreconditionFailedError("0 <= i < j < m", f"(i, j) = ({i}, {j})")
-    kappa = j - i
-    if math.gcd(2**kappa + 1, 2**m - 1) != 1:
-        raise PreconditionFailedError(
-            "gcd(2^kappa+1, 2^m-1) = 1", f"kappa = {kappa}, m = {m}"
-        )
-    rho = 2**i + 2**j
-    xs = np.arange(F.q, dtype=np.int64)
-    gamma = F.add(F.pow(xs, rho), xs)
-    fibers = np.bincount(gamma, minlength=F.q)
-    if not np.all((fibers == 0) | (fibers == 2)):
-        raise PreconditionFailedError("Gamma_rho two-to-one", f"rho = {rho}")
-    indicator = (fibers > 0).astype(np.int64)
-    spec = walsh_from_table(F, indicator)
-    ell = (rho - 1) * pow(2**kappa + 1, -1, 2**m - 1) % (2**m - 1)
-    tr_ell = F.trace(F.pow(xs, ell))
-    amp = 1 << ((m + 1) // 2)
-    v = spec.values
-    good = np.where(tr_ell == 0, v == 0, np.abs(v) == amp)
-    bad = np.flatnonzero(~good)[:8]
-    violations = tuple(zip(bad.tolist(), v[bad].tolist()))
-    return HyperovalCheck(m, i, j, kappa, ell, not violations, violations)
-
-
 # ---------------------------------------------------------------------------
 # searching the quadratic family f(x) = Tr(sum f_i x^(2^i+1))
 
-def iter_quadratic_specs(F: Field, start=1, stride=1):
+def iter_quadratic_specs(F: Field):
     """Deterministic walk over nonzero coefficient tuples (f_0..f_{m//2}).
 
     Tuple index n is decoded base q with f_0 varying fastest.
     """
     npos = F.m // 2 + 1
-    total = F.q**npos
-    n = start
-    while n < total:
+    for n in range(1, F.q**npos):
         digits = []
         v = n
         for _ in range(npos):
             digits.append(v % F.q)
             v //= F.q
-        terms = tuple((c, (1 << i) + 1) for i, c in enumerate(digits) if c)
-        if terms:
-            yield FuncSpec(terms, True)
-        n += stride
+        # n >= 1 has a nonzero digit, so terms is never empty
+        yield FuncSpec(tuple((c, (1 << i) + 1) for i, c in enumerate(digits) if c), True)
 
 
 def find_quadratic_with(F: Field, rank=None, walsh0=None, limit=200000) -> FuncSpec:

@@ -7,6 +7,7 @@ a verify-paper case that raised an unexpected exception).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -144,9 +145,8 @@ def decimal_pieces(values):
         yield text.tobytes().decode("ascii")
 
 
-def _print_elements(elems):
-    """One line of space-separated integers, written a piece at a time."""
-    out = sys.stdout
+def _write_elements(out, elems):
+    """One line of space-separated integers, written to out a piece at a time."""
     for piece in decimal_pieces(elems):
         out.write(piece)
     out.write("\n")
@@ -171,7 +171,7 @@ def cmd_construct(args):
         return 0
     kind = "dlog residues" if args.dlog else "elements"
     print(f"family {args.family} over GF({F.p}^{F.m}): {elems.size} {kind}")
-    _print_elements(elems)
+    _write_elements(sys.stdout, elems)
     if cls is not None:
         print(_design_str(cls))
     return 0
@@ -266,7 +266,9 @@ def cmd_code(args):
         rep = codes.compare_prediction(E, pred)
     if args.json:
         doc = {"family": args.family,
-               "enumerator": codes.enumerator_obj(E),
+               "enumerator": {"p": E.p, "m": E.m, "n": E.n, "k": E.k,
+                              "weights": [{"w": w, "A": E.counts[w]}
+                                          for w in sorted(E.counts)]},
                "d": d, "griesmer": gries,
                "dual_ge2": W.at_least_2, "dual_ge3": W.at_least_3,
                "pless": {"first": pless.first, "second": pless.second,
@@ -295,12 +297,14 @@ def cmd_export_gen(args):
     from . import codes
 
     D, _ = _resolve_family(args)
-    text = codes.export_generator(D)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    F = D.field
+    rows = codes.generator_matrix(D)
+    # "p m n", then one line per generator row
+    dest = open(args.out, "w", encoding="utf-8") if args.out else contextlib.nullcontext(sys.stdout)
+    with dest as out:
+        out.write(f"{F.p} {F.m} {len(D)}\n")
+        for row in rows:
+            _write_elements(out, row)
     return 0
 
 

@@ -25,7 +25,6 @@ enumeration; comparisons never use floating point.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
@@ -141,6 +140,15 @@ def _direct_counts(D: DefiningSet, max_work=DEFAULT_MAX_WORK):
     return counts
 
 
+def _p_power_exponent(t, p):
+    """e with t == p^e for a kernel size t >= 1, or None if t is no power of p."""
+    e = 0
+    while t > 1 and t % p == 0:
+        t //= p
+        e += 1
+    return e if t == 1 else None
+
+
 def weight_enumerator(D: DefiningSet, max_work=DEFAULT_MAX_WORK) -> WeightEnumerator:
     """Exact enumerator; max_work bounds the chosen route's operation count."""
     F = D.field
@@ -152,13 +160,10 @@ def weight_enumerator(D: DefiningSet, max_work=DEFAULT_MAX_WORK) -> WeightEnumer
     route = _transform_counts if F.p * F.p < n else _direct_counts
     counts = route(D, max_work)
     kersize = int(counts[0])
-    k = F.m
-    t = kersize
-    while t > 1:
-        if t % F.p:
-            raise InvariantError("zero-weight fiber must be a p-power")
-        t //= F.p
-        k -= 1
+    e = _p_power_exponent(kersize, F.p)
+    if e is None:
+        raise InvariantError("zero-weight fiber must be a p-power")
+    k = F.m - e
     if np.any(counts % kersize):
         raise InvariantError("all fibers of the quotient must have equal size")
     if k != span_dimension(F, D.elems):
@@ -420,14 +425,11 @@ def compare_prediction(E: WeightEnumerator, P: Prediction) -> PredictionReport:
             issues.append(f"weights: enumerated {got}, predicted {tuple(sorted(P.weight_set))}")
         return PredictionReport(P.claim, not issues, exp_k, tuple(issues))
     kersize = 1 + P.zero_weight_extra
-    exp_k = P.k
-    t = kersize
-    while t > 1 and t % E.p == 0:
-        t //= E.p
-        exp_k -= 1
-    if t != 1:
+    e = _p_power_exponent(kersize, E.p)
+    if e is None:
         issues.append(f"predicted kernel size {kersize} is not a power of {E.p}")
         return PredictionReport(P.claim, False, P.k, tuple(issues))
+    exp_k = P.k - e
     if E.k != exp_k:
         issues.append(f"k: enumerated {E.k}, predicted {exp_k}")
     expected = {}
@@ -444,28 +446,3 @@ def compare_prediction(E: WeightEnumerator, P: Prediction) -> PredictionReport:
                 issues.append(f"A_{w}: enumerated {got}, predicted {want}")
     return PredictionReport(P.claim, not issues, exp_k, tuple(issues))
 
-
-# ---------------------------------------------------------------------------
-# serialization
-
-def enumerator_obj(E: WeightEnumerator) -> dict:
-    return {
-        "p": E.p,
-        "m": E.m,
-        "n": E.n,
-        "k": E.k,
-        "weights": [{"w": w, "A": E.counts[w]} for w in sorted(E.counts)],
-    }
-
-
-def enumerator_json(E: WeightEnumerator) -> str:
-    return json.dumps(enumerator_obj(E), separators=(",", ":"))
-
-
-def export_generator(D: DefiningSet) -> str:
-    from .cli import decimal_pieces  # cli imports this module at load time
-
-    F = D.field
-    lines = [f"{F.p} {F.m} {len(D)}"]
-    lines += ["".join(decimal_pieces(row)) for row in generator_matrix(D)]
-    return "\n".join(lines) + "\n"

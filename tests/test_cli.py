@@ -286,6 +286,28 @@ def test_verify_paper_json(capsys):
     assert rows[0]["case"] == "skew-q7" and rows[0]["verdict"] == "pass"
 
 
+def test_verify_paper_ab_cases_json(capsys):
+    # x^3 permutes GF(2^m) for odd m, so Tr(x^3) is balanced: lambda(1,0) = 0, n_f = 2^(m-1)
+    want = []
+    for m in (5, 7):
+        n_f = 1 << (m - 1)
+        P = codes.predicted_enumerator("thm-abcodes", m=m, n_f=n_f)
+        assert P.zero_weight_extra == 0
+        E = codes.WeightEnumerator(2, m, n_f, m, P.counts)
+        want.append({
+            "case": f"ab-m{m}", "verdict": "pass",
+            "expected": f"almost bent, n_f in [{n_f}], n={n_f} k={m} per thm-abcodes",
+            "actual": (f"almost_bent=True, lambda(1,0)=0, n_f={n_f}, "
+                       f"[{n_f},{m},{codes.minimum_distance(E)}] {E.poly_str()}"),
+            "detail": ""})
+    rc, out, _ = run(capsys, "verify-paper", "--case", "ab-m5", "--case", "ab-m7", "--json")
+    assert rc == 0
+    rows = json.loads(out)
+    for row in rows:
+        del row["seconds"]
+    assert rows == want
+
+
 def test_bool_family_forces_p2(capsys):
     rc, out, _ = run(capsys, "construct", "--family", "bool:1@3", "--m", "5", "--json")
     assert rc == 0

@@ -319,19 +319,21 @@ def test_prediction_comparison_reports_mismatches():
     assert rep2.ok
 
 
-def test_enumerator_json_round_trip_and_bytes():
-    D = designs.hkm_set(1)
-    E = codes.weight_enumerator(D)
-    s = codes.enumerator_json(E)
+def test_enumerator_json_round_trip_and_bytes(capsys):
+    # code --json writes the enumerator; it round-trips to the library's
+    assert cli.entry(["code", "--family", "hkm:1", "--json"]) == 0
+    obj = json.loads(capsys.readouterr().out)["enumerator"]
+    s = json.dumps(obj, separators=(",", ":"))
     assert s == ('{"p":3,"m":3,"n":4,"k":3,"weights":'
                  '[{"w":0,"A":1},{"w":2,"A":12},{"w":3,"A":8},{"w":4,"A":6}]}')
-    assert json.loads(s)["weights"][0] == {"w": 0, "A": 1}
+    E = codes.weight_enumerator(designs.hkm_set(1))
+    assert (obj["p"], obj["m"], obj["n"], obj["k"]) == (E.p, E.m, E.n, E.k)
+    assert {row["w"]: row["A"] for row in obj["weights"]} == E.counts
 
 
-def test_export_generator_format():
-    F = default_field(3, 2)
-    D = designs.paley_set(F)
-    text = codes.export_generator(D)
+def test_export_generator_format(capsys):
+    assert cli.entry(["export-gen", "--family", "paley", "--p", "3", "--m", "2"]) == 0
+    text = capsys.readouterr().out
     lines = text.splitlines()
     assert lines[0] == "3 2 4"
     assert len(lines) == 3

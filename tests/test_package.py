@@ -1,5 +1,6 @@
 """The package's import graph, its lazily resolved public names, and the CLI's numpy load."""
 
+import ast
 import json
 import os
 import subprocess
@@ -81,6 +82,36 @@ def test_code_reads_the_default_work_budget_from_codes():
             "print(rc, args.max_work, codes.DEFAULT_MAX_WORK)")
     out = _python(code).splitlines()[-1]
     assert out == f"0 None {1 << 34}"
+
+
+def _imported_modules(tree):
+    """The dscodes submodules a module's AST imports, at any depth."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.startswith("dscodes."):
+                    yield alias.name.split(".")[1]
+        elif isinstance(node, ast.ImportFrom):
+            # every module sits at the package's top level, so level 1 is dscodes
+            path = node.module or ""
+            if node.level == 0:
+                if path.split(".")[0] != "dscodes":
+                    continue
+                path = path.partition(".")[2]
+            if path:
+                yield path.split(".")[0]
+            else:  # "from . import cli" or "from dscodes import cli"
+                yield from (alias.name for alias in node.names)
+
+
+def test_only_the_cli_imports_the_cli():
+    # the library never reaches back into its front end, not even inside a function
+    pkg = Path(SRC) / "dscodes"
+    modules = sorted(pkg.glob("*.py"))
+    assert {path.stem for path in modules} >= {"cli", "codes", "verify"}
+    offenders = [path.name for path in modules if path.stem != "cli"
+                 and "cli" in set(_imported_modules(ast.parse(path.read_text(), str(path))))]
+    assert offenders == []
 
 
 @pytest.mark.parametrize("name", dscodes.__all__)
