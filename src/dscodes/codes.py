@@ -32,7 +32,7 @@ from math import isqrt
 import numpy as np
 
 from .cyclotomic import CycInt, char_sum, is_rational, trace_exp_table, zero_counts
-from .designs import DefiningSet
+from .designs import DEFAULT_MAX_WORK, DefiningSet
 from .errors import (
     InvariantError,
     NonIntegralWeightError,
@@ -43,7 +43,6 @@ from .errors import (
 )
 from .gf import Field
 
-DEFAULT_MAX_WORK = 1 << 34
 # entries of the transform state: two int32 buffers of q*p counts for odd p
 MAX_TRANSFORM_STATE = 1 << 26
 

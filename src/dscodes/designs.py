@@ -23,6 +23,7 @@ from .errors import (
     InvariantError,
     LogOfZeroError,
     NotTwoToOneError,
+    SizeLimitError,
     UnknownKindError,
 )
 from .cyclotomic import trace_counts
@@ -31,6 +32,9 @@ from .gf import Field, default_field
 
 # differences held at once while counting them; bounds memory at O(order + block)
 DIFF_BLOCK = 1 << 20
+# operations one command may spend: the k*k differences of a classification,
+# or the enumeration work of a weight enumerator (the codes default)
+DEFAULT_MAX_WORK = 1 << 34
 # points FuncSpec.table evaluates at once, and exponents maschietti_set walks at once
 TABLE_BLOCK = WALK_BLOCK = 1 << 16
 
@@ -134,6 +138,8 @@ def classify_design(G, D):
         G.check(int(outside[0]))  # raises, naming the first offender in sorted order
     v = G.order
     k = elems.size
+    if k * k > DEFAULT_MAX_WORK:
+        raise SizeLimitError(f"k*k = {k * k} differences exceed the work budget {DEFAULT_MAX_WORK}")
     counts = G._difference_counts(elems)
     counts[G.identity] = -1  # exclude x = identity from the spectrum
     spec = {}

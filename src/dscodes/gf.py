@@ -22,7 +22,7 @@ and every candidate with a root in GF(p): it is reducible.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import prod
 
 import numpy as np
@@ -38,9 +38,6 @@ from .errors import (
 
 # Every field carries exp/log tables, so the field cap is the table cap.
 MAX_FIELD_BITS = 22
-# entries of an odd-p digit-sum table, p^(2g) <= 2^16: its uint8 values (< p^g)
-# stay in cache
-DIGIT_TABLE_SIZE = 1 << 16
 
 # candidate moduli in the default-modulus scan's first block; later blocks double
 SCAN_BLOCK = 32
@@ -176,20 +173,6 @@ def column_span(cols, p: int) -> np.ndarray:
     return table
 
 
-@lru_cache(maxsize=None)
-def _digit_table(p: int, g: int, sign: int) -> np.ndarray:
-    """t[x*p^g + y] = x + sign*y digit-wise mod p, for g-digit base-p x, y."""
-    P = p**g
-    x = np.arange(P, dtype=np.int16)  # P <= 2^8, so every partial sum fits
-    t = np.zeros((P, P), dtype=np.int16)
-    for pj in (p ** np.arange(g)).tolist():
-        d = x // pj % p
-        t += (d[:, None] + sign * d) % p * pj
-    t = t.astype(np.uint8).ravel()
-    t.setflags(write=False)
-    return t
-
-
 # elements per block of an exp doubling level: a block's buffers stay in cache
 EXP_BLOCK = 1 << 13
 # scalar steps x -> alpha*x that seed the exp table of GF(p^m): SEED_WALK/m, at least 2m
@@ -199,67 +182,78 @@ UNPACK_BITS = 15
 
 
 class _Packing:
-    """Odd-p elements as packed digits: digit j in bits [w*j, w*j + w) of an int64.
+    """Odd-p elements of GF(p^m), m >= 2, as packed digits: digit j in bits
+    [w*j, w*j + w) of an int64.
 
-    w = bit_length(2p - 2) = bit_length(p) + 1, so a field holds the sum
-    d + e <= 2(p-1) of two digits, and two packed elements add in one int64
-    addition with no carry between fields.  For every p^m <= 2^25 with m >= 2
-    the packed width m*w is at most 45 bits (p = 3, m = 15).
+    w = bit_length(2p - 2) = bit_length(p) + 1, so a field holds any value
+    below 2p, and two packed elements add in one int64 addition with no carry
+    between fields.  For every p^m <= 2^25 with m >= 2 the packed width m*w
+    is at most 45 bits (p = 3, m = 15).
 
-    unpack reads a packed sum back as the element index of the digit-wise sum
-    mod p, k digits at a time, from one table of 2^(k*w) entries per chunk:
-    the reduction mod p is in the tables, so joining two packed halves is one
-    addition and the unpack.  k is sized to the field (_unpack_digits), so a
-    small field builds small tables.
+    pack reads element indices k digits at a time, from one table of p^k
+    entries per chunk; unpack reads a packed value back as the element index
+    of its fields mod p, k fields at a time, from one table of 2^(k*w)
+    entries per chunk.  The reduction mod p is in the unpack tables, so a
+    digit-wise sum mod p is one addition and the unpack.
     """
 
     def __init__(self, p: int, m: int):
         w = p.bit_length() + 1
+        k = _unpack_digits(p, m)
         self.weights = np.int64(1) << (w * np.arange(m, dtype=np.int64))
-        self.chunk_bits = _unpack_digits(p, m) * w
-        self.chunk_mask = np.int64((1 << self.chunk_bits) - 1)
-        self.tables = _unpack_tables(p, m)
+        self.full = p * self.weights.sum()  # p in every field
+        self.chunk_size, self.chunk_bits = np.int64(p**k), k * w
+        self.chunk_mask = np.int64((1 << k * w) - 1)
+        # packed[u] holds digit j of u < p^k in field j, and
+        # index[v] = sum_j (field_j(v) mod p) * p^j for v < 2^(k*w)
+        packed = index = np.zeros(1, dtype=np.int64)
+        digit = np.arange(1 << w, dtype=np.int64) % p
+        for j in range(k):
+            packed = np.add.outer(np.arange(p, dtype=np.int64) << w * j, packed).ravel()
+            index = np.add.outer(digit * p**j, index).ravel()
+        # the chunk from digit c: its digits shifted to their fields, and its
+        # partial element indices (below q <= 2^25, so int32)
+        starts = range(0, m, k)
+        self.pack_tables = [packed[: p ** min(k, m - c)] << w * c for c in starts]
+        self.tables = [(index[: 1 << w * min(k, m - c)] * p**c).astype(np.int32)
+                       for c in starts]
 
-    def unpack(self, s, dst, x, part):
-        """dst = the element indices of the packed sums s.
+    def pack(self, a):
+        """The packed digits of the element indices a: int64, or a scalar."""
+        a = np.asarray(a, dtype=np.int64)
+        size = self.chunk_size
+        *low, top = self.pack_tables
+        s = 0
+        for table in low:
+            # a mod p^k as a - (a div p^k)*p^k: floor_divide by a scalar is
+            # far faster than remainder
+            hi = a // size
+            s += table[a - hi * size]
+            a = hi
+        s += top[a]  # the lower chunks are divided off, so a < p^k
+        return s
 
-        s is consumed; x (int64) and part (int32) are scratch of its length.
+    def unpack(self, s, dst=None, x=None, part=None):
+        """The element indices of the packed values s, fields read mod p.
+
+        s is consumed.  dst and part (int32) and x (int64) are optional
+        scratch of its shape; the result is dst, or else a new int32 array.
         """
         tables, bits, mask = self.tables, self.chunk_bits, self.chunk_mask
-        np.bitwise_and(s, mask, out=x)
-        tables[0].take(x, out=dst, mode="clip")  # "clip": see Field._double
+        # "clip": see Field._double
+        dst = tables[0].take(np.bitwise_and(s, mask, out=x), out=dst, mode="clip")
         for table in tables[1:]:
             s >>= bits
-            np.bitwise_and(s, mask, out=x)
-            table.take(x, out=part, mode="clip")
-            dst += part
+            dst += table.take(np.bitwise_and(s, mask, out=x), out=part, mode="clip")
+        return dst
 
 
 def _unpack_digits(p: int, m: int) -> int:
-    """Digits k per unpack chunk of GF(p^m): the most with k*w <= UNPACK_BITS
-    and 2^(k*w) <= q/8, but at least one."""
-    bits = min(UNPACK_BITS, (p**m).bit_length() - 4)
-    return max(1, min(m, bits // (p.bit_length() + 1)))
-
-
-@lru_cache(maxsize=None)
-def _unpack_tables(p: int, m: int) -> tuple:
-    """The int32 unpack tables of GF(p^m), one per chunk of k digits, read-only.
-
-    The chunk from digit c holds table[u] = sum_j (field_j(u) mod p) * p^(c+j)
-    over its (at most k) fields: a partial element index, below q <= 2^25.
-    """
-    w = p.bit_length() + 1
-    k = _unpack_digits(p, m)
-    digit = np.arange(1 << w, dtype=np.int64) % p
-    span = np.zeros(1, dtype=np.int64)
-    for j in range(k):
-        span = np.add.outer(digit * p**j, span).ravel()
-    tables = tuple((span[: 1 << w * min(k, m - c)] * p**c).astype(np.int32)
-                   for c in range(0, m, k))
-    for t in tables:
-        t.setflags(write=False)
-    return tables
+    """Digits k per chunk of GF(p^m): the fewest chunks whose unpack tables
+    have at most 2^UNPACK_BITS entries (one digit each at least), with the m
+    digits spread over them as evenly as that allows."""
+    chunks = -(-m // max(1, UNPACK_BITS // (p.bit_length() + 1)))
+    return -(-m // chunks)
 
 
 def _element_dtype(*arrays):
@@ -312,14 +306,6 @@ class Field:
             self.modulus = self._default_modulus()
         self.alpha = p if m >= 2 else (-self.modulus[0]) % p
         self._pm1 = p ** (m - 1)
-        # odd p: add and sub take g >= 2 digits per pass from a p^(2g)-entry
-        # table; g = 0 (m = 1, or p^4 above the table size) means one digit
-        # per pass by arithmetic, with no table
-        g = 0
-        while p ** (2 * g + 2) <= DIGIT_TABLE_SIZE and g < m:
-            g += 1
-        g = self._chunk_digits = g if g >= 2 else 0
-        self._chunk_powers = [np.int64(p ** (g * j)) for j in range(-(-m // g))] if g else []
         self._exp = None
         self._log = None
         self._trace_table = None
@@ -379,32 +365,22 @@ class Field:
         return self._digitwise(a, b, -1)
 
     def _digitwise(self, a, b, sign: int):
-        """a + sign*b digit by digit mod p (odd p), g digits per pass."""
-        p, g = self.p, self._chunk_digits
-        if not g:
-            a = np.asarray(a, dtype=np.int64)
-            b = np.asarray(b, dtype=np.int64)
-            acc = 0
-            for pj in self._powers.tolist():
-                # -y = (p-1)*y mod p keeps the remainder's operand nonnegative
-                x, y = a // pj, b // pj
-                acc += (x + y if sign > 0 else x + y * (p - 1)) % p * pj
-            return _int_if_scalar(acc)
-        # elements are below q <= 2^25, so int32 holds them and every chunk,
-        # and a table index x*P + y is below P^2 <= DIGIT_TABLE_SIZE: half the
-        # memory of int64 temporaries
-        a = np.asarray(a, dtype=np.int32)
-        b = np.asarray(b, dtype=np.int32)
-        P, t = p**g, _digit_table(p, g, sign)
-        acc = 0
-        for pj in self._chunk_powers[:-1]:
-            a, xa = np.divmod(a, P)
-            b, xb = np.divmod(b, P)
-            acc += t[xa * P + xb] * pj
-        # the lower chunks are divided off, so a, b < P; the np.int64 powers
-        # widen the uint8 table entries
-        acc += t[a * P + b] * self._chunk_powers[-1]
-        return _int_if_scalar(acc)
+        """a + sign*b digit by digit mod p (odd p): an int64 array, or an int."""
+        if self.m == 1:
+            # a + b and a + p - b lie in [0, 2p), far inside int64
+            a, b = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
+            return _int_if_scalar((a + (b if sign > 0 else self.p - b)) % self.p)
+        pk = self._packing
+        # a field of the packed sum holds d_a + d_b <= 2p - 2, or d_a + p - d_b
+        # in [1, 2p - 1] for the difference (full holds p in every field), so
+        # below 2^w either way: no field carries into the next
+        s = pk.pack(a) + (pk.pack(b) if sign > 0 else pk.full - pk.pack(b))
+        return _int_if_scalar(pk.unpack(s).astype(np.int64))
+
+    @cached_property
+    def _packing(self) -> _Packing:
+        """The packed-digit layout of an odd-p field with m >= 2, built on first use."""
+        return _Packing(self.p, self.m)
 
     def mul(self, a, b):
         """Elementwise product through the exp/log tables; 0 maps to 0."""
@@ -526,7 +502,7 @@ class Field:
                     dst ^= t
                 return scale
         else:
-            pack, pr = _Packing(p, m), np.int64(p**r)
+            pack, pr = self._packing, np.int64(p**r)
             acc = np.empty(block, dtype=np.int64)
 
             def level(cols):

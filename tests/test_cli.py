@@ -1,5 +1,6 @@
 import json
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -232,6 +233,23 @@ def test_output_is_the_same_under_python_O(argv):
     plain, optimized = run_process(*argv), run_process(*argv, flags=("-O",))
     assert plain.returncode == optimized.returncode == 0
     assert optimized.stdout == plain.stdout and plain.stdout
+
+
+@pytest.mark.parametrize("flags", [(), ("-O",)], ids=["plain", "O"])
+@pytest.mark.parametrize("argv", [
+    # k = 2 078 760: about 4.3e12 differences
+    ("construct", "--family", "paley", "--p", "2039", "--m", "2", "--dlog", "--classify"),
+    ("analyze-design", "--family", "paley", "--p", "3", "--m", "12"),
+], ids=["construct-2039^2-dlog", "analyze-3^12"])
+def test_classification_past_the_work_budget_is_refused_at_once(argv, flags):
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
+    proc = run_process(*argv, flags=flags)
+    after = resource.getrusage(resource.RUSAGE_CHILDREN)
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.startswith("error: k*k = ") and "work budget" in proc.stderr
+    # CPU seconds of the child: counting the differences would take hours
+    cpu = (after.ru_utime - before.ru_utime) + (after.ru_stime - before.ru_stime)
+    assert cpu < 1.0
 
 
 def test_export_gen_writes_file(tmp_path, capsys):

@@ -96,6 +96,39 @@ def test_classify_rejects_empty_and_foreign_elements():
         designs.classify_design(G, [1, 9])
 
 
+@pytest.mark.parametrize("G", [AdditiveGroup(default_field(3, 4)), CyclicGroup(80)])
+def test_classify_refuses_more_than_the_work_budget_before_counting(monkeypatch, G):
+    monkeypatch.setattr(designs, "DEFAULT_MAX_WORK", 25)
+    assert designs.classify_design(G, range(1, 6)).k == 5  # k*k = 25 is within it
+
+    def count(elems):
+        raise AssertionError("counted past the budget")
+
+    monkeypatch.setattr(G, "_difference_counts", count)
+    with pytest.raises(errors.SizeLimitError, match="work budget 25"):
+        designs.classify_design(G, [1, 2, 3, 4, 5, 6, 6])
+
+
+class Counted(Exception):
+    pass
+
+
+def test_one_work_budget_serves_codes_and_designs(monkeypatch):
+    from dscodes import codes
+
+    # one definition: a second 1 << 34 would be an equal but distinct int
+    assert codes.DEFAULT_MAX_WORK is designs.DEFAULT_MAX_WORK == 1 << 34
+    # Paley GF(3^10), k*k about 8.7e8, gets past the budget to the count
+    G = AdditiveGroup(default_field(3, 10))
+
+    def count(elems):
+        raise Counted
+
+    monkeypatch.setattr(G, "_difference_counts", count)
+    with pytest.raises(Counted):
+        designs.classify_design(G, designs.paley_set(G.field))
+
+
 def test_defining_set_validation():
     F = default_field(3, 2)
     with pytest.raises(ValueError, match="^defining set has duplicate elements$"):

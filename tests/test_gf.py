@@ -1,8 +1,11 @@
+import ast
+import gc
 import os
 import re
 import subprocess
 import sys
 import tracemalloc
+import weakref
 from itertools import product
 from math import prod
 from pathlib import Path
@@ -12,7 +15,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from dscodes import errors
+from dscodes import errors, gf
 from dscodes.gf import (
     EXP_BLOCK,
     MAX_FIELD_BITS,
@@ -337,17 +340,37 @@ def _top_degree(p):
        .flatmap(lambda p: st.tuples(st.just(p), st.integers(2, _top_degree(p)))),
        st.data())
 def test_packed_join_is_field_add(pm, data):
-    # one addition of packed digits and the unpack give the digit-wise sum mod p
+    # one addition of packed digits and the unpack give the digit-wise sum mod
+    # p, and adding p in every field first gives the difference; the oracle
+    # is the digit formula, which shares no table with the unpack
     p, m = pm
     F = default_field(p, m)
     n = data.draw(st.integers(1, 40))
     a, b = (np.array(data.draw(st.lists(st.integers(0, F.q - 1), min_size=n, max_size=n)))
             for _ in range(2))
     pack = _Packing(p, m)
-    s = F.digits(a).astype(np.int64) @ pack.weights + F.digits(b).astype(np.int64) @ pack.weights
-    got = np.empty(n, dtype=np.int32)
-    pack.unpack(s, got, np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int32))
-    assert got.tolist() == F.add(a, b).tolist()
+    da, db = F.digits(a).astype(np.int64), F.digits(b).astype(np.int64)
+    powers = p ** np.arange(m, dtype=np.int64)
+    for s, want in ((da @ pack.weights + db @ pack.weights, (da + db) % p @ powers),
+                    (da @ pack.weights + pack.full - db @ pack.weights, (da - db) % p @ powers)):
+        got = np.empty(n, dtype=np.int32)
+        pack.unpack(s, got, np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int32))
+        assert got.tolist() == want.tolist()
+
+
+@pytest.mark.parametrize("p,m,sample", [(3, 5, None), (5, 3, None), (3, 13, 4000), (2039, 2, 4000)])
+def test_pack_then_unpack_is_the_identity(p, m, sample):
+    F = Field(p, m)
+    xs = np.arange(F.q)
+    if sample:
+        xs = np.random.default_rng(p * m).integers(0, F.q, sample)
+        xs[:2] = 0, F.q - 1
+    pack = F._packing
+    packed = pack.pack(xs)
+    # pack puts digit j in field j, as the digit vector times the field weights
+    assert np.array_equal(packed, F.digits(xs).astype(np.int64) @ pack.weights)
+    assert pack.unpack(packed).tolist() == xs.tolist()
+    assert [pack.unpack(pack.pack(int(x))) for x in xs[:20]] == xs[:20].tolist()
 
 
 def test_packing_fits_every_prime_power_up_to_2_25():
@@ -363,9 +386,11 @@ def test_packing_fits_every_prime_power_up_to_2_25():
             widths[p, m] = m * w
             k = _unpack_digits(p, m)
             assert 1 <= k <= m
-            # each unpack table is small: within the cap and, past one digit, q/8
+            # each unpack table is within the cap, and no layout with fewer
+            # chunks fits it
+            chunks = -(-m // k)
             assert 1 << k * w <= 1 << UNPACK_BITS
-            assert k == 1 or 1 << k * w <= q // 8
+            assert chunks == 1 or -(-m // (chunks - 1)) * w > UNPACK_BITS
             assert 1 << w <= q
     assert max(widths.values()) == widths[3, 15] == 45 < 63
     assert len(widths) > 800
@@ -492,15 +517,15 @@ def test_add_arrays_does_not_mutate_inputs():
     assert np.array_equal(a, keep_a) and np.array_equal(b, keep_b)
 
 
-# g digits per table pass; the last chunk is partial in each table field
-# (13 = 5+5+3, 7 = 3+3+1, 5 = 2+2+1, 3 = 2+1), and g = 0 is the one-digit
-# arithmetic path of GF(131^2) and of m = 1
+# g is each case's number of base-p digits with p^(2g) <= 2^16 (0 below 2, or
+# at m = 1); it only names the case.  (2039, 2) has the widest packed digit
+# fields under the cap (w = 12 bits), and 4194301 is the largest prime below 2^22
 @pytest.mark.parametrize("p,m,g", [
-    (3, 13, 5), (5, 7, 3), (7, 5, 2), (11, 3, 2), (131, 2, 0), (3, 1, 0), (65521, 1, 0),
+    (3, 13, 5), (5, 7, 3), (7, 5, 2), (11, 3, 2), (131, 2, 0), (2039, 2, 0), (3, 1, 0),
+    (65521, 1, 0), (4194301, 1, 0),
 ])
 def test_add_and_sub_arrays_match_the_digitwise_oracle(p, m, g):
     F = Field(p, m)
-    assert F._chunk_digits == g
     rng = np.random.default_rng(p + m)
     a = rng.integers(0, F.q, 5000)
     b = rng.integers(0, F.q, 5000)
@@ -514,6 +539,47 @@ def test_add_and_sub_arrays_match_the_digitwise_oracle(p, m, g):
     # a column against a row broadcasts, and 0-d inputs agree with the arrays
     assert F.add(a[:50, None], b[:4]).tolist() == [[F.add(int(x), int(y)) for y in b[:4]]
                                                    for x in a[:50]]
+
+
+@pytest.mark.parametrize("p,m", [(3, 3), (5, 2), (7, 2)])
+def test_add_and_sub_of_all_pairs_in_a_grid(p, m):
+    # the column x row shape that classify_design passes, over every pair
+    F = Field(p, m)
+    xs = np.arange(F.q)
+    d = F.digits(xs).astype(np.int64)
+    powers = np.array(F.basis(), dtype=np.int64)
+    for got, want in ((F.add(xs[:, None], xs[None, :]), (d[:, None] + d[None, :]) % p @ powers),
+                      (F.sub(xs[:, None], xs[None, :]), (d[:, None] - d[None, :]) % p @ powers)):
+        assert got.shape == (F.q, F.q) and got.dtype == np.int64
+        assert np.array_equal(got, want)
+
+
+def test_only_default_field_is_cached_in_gf():
+    # a module-level cache keeps what it holds for the life of the process;
+    # per-field arrays belong to their Field, so only the field cache may exist
+    tree = ast.parse(Path(gf.__file__).read_text())
+    cached = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for dec in node.decorator_list:
+                target = dec.func if isinstance(dec, ast.Call) else dec
+                name = getattr(target, "attr", getattr(target, "id", ""))
+                if name in ("lru_cache", "cache"):
+                    cached.append(node.name)
+    assert cached == ["default_field"]
+
+
+@pytest.mark.parametrize("p,m", [(3, 7), (2039, 2), (2, 9)])
+def test_a_deleted_field_frees_its_tables(p, m):
+    F = Field(p, m)
+    F.add(np.arange(F.q), 1)
+    F.sub(2, np.arange(F.q))
+    tables = [weakref.ref(F.exp_table), weakref.ref(F.log_table)]
+    if p > 2:
+        tables += [weakref.ref(t) for t in F._packing.tables + F._packing.pack_tables]
+    del F
+    gc.collect()
+    assert all(ref() is None for ref in tables)
 
 
 def test_gfp_rank_known_matrices():
