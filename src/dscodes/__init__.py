@@ -19,7 +19,7 @@ _EXPORTS = {
     "codes": ("WeightEnumerator", "codeword", "compare_prediction", "dual_distance_witness",
               "generator_matrix", "griesmer_check", "minimum_distance", "pless_moment_check",
               "predicted_enumerator", "weight_enumerator", "weight_via_charsum"),
-    "cyclotomic": ("CycInt", "char_sum", "is_rational"),
+    "cyclotomic": ("char_sum", "is_rational"),
     "designs": ("AdditiveGroup", "AlmostDifferenceSet", "CyclicGroup", "DefiningSet",
                 "DifferenceSet", "FuncSpec", "IrregularDesign", "boolean_support",
                 "classify_design", "complement_in_group", "defining_set", "eto1_check",

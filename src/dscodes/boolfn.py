@@ -15,8 +15,8 @@ from itertools import islice
 
 import numpy as np
 
-from .errors import EvenDegreeError, InvariantError, NotQuadraticFormError, SizeLimitError
-from .cyclotomic import CycInt, fwht, is_rational
+from .errors import EvenDegreeError, NotQuadraticFormError, SizeLimitError
+from .cyclotomic import fwht
 from .designs import FuncSpec
 from .gf import Field, column_span, gfp_rank
 
@@ -193,19 +193,15 @@ def quadratic_rank(F: Field, f):
 
 
 def quadratic_galois_sum(F: Field, f: FuncSpec) -> int:
-    """sum over y in GF(p)*, x in GF(q) of zeta^(y*f(x)), a rational integer."""
+    """sum over y in GF(p)*, x in GF(q) of zeta^(y*f(x)), a rational integer.
+
+    The inner sum over y is p - 1 where f(x) = 0 and -1 elsewhere, so the
+    total is p*N0 - q with N0 = #{x : f(x) = 0}.
+    """
     tbl = f.table(F)
     if not f.to_prime_subfield:
         tbl = F.trace(tbl)
-    counts = np.bincount(np.asarray(tbl, dtype=np.int64), minlength=F.p)
-    base = CycInt.from_counts(F.p, counts.tolist())
-    total = CycInt.integer(F.p, 0)
-    for y in range(1, F.p):
-        total = total + base.galois(y)
-    val = is_rational(total)
-    if val is None:
-        raise InvariantError("Galois-orbit sum must be rational")
-    return val
+    return F.p * int(np.count_nonzero(tbl == 0)) - F.q
 
 
 # ---------------------------------------------------------------------------

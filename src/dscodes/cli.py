@@ -155,6 +155,8 @@ def _write_elements(out, elems):
 def cmd_construct(args):
     D, _ = _resolve_family(args)
     F = D.field
+    if args.classify:
+        designs.check_classify_work(len(D))  # dlog keeps k = len(D): refuse before the residues
     elems = designs.to_cyclic_residues(D) if args.dlog else D.elems
     cls = None
     if args.classify:
@@ -181,6 +183,7 @@ def cmd_analyze_design(args):
     D, _ = _resolve_family(args)
     F = D.field
     if args.group == "cyclic":
+        designs.check_classify_work(len(D))  # dlog keeps k = len(D): refuse before the residues
         elems = designs.to_cyclic_residues(D)
         cls = designs.classify_design(CyclicGroup(F.q - 1), elems)
     else:

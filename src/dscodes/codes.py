@@ -31,12 +31,10 @@ from math import isqrt
 
 import numpy as np
 
-from .cyclotomic import CycInt, char_sum, is_rational, trace_exp_table, zero_counts
+from .cyclotomic import char_sum, trace_exp_table, zero_counts
 from .designs import DEFAULT_MAX_WORK, DefiningSet
 from .errors import (
     InvariantError,
-    NonIntegralWeightError,
-    NonRationalSumError,
     PreconditionFailedError,
     SizeLimitError,
     ZeroDimensionalError,
@@ -177,23 +175,17 @@ def weight_via_charsum(D: DefiningSet, x):
     """wt(c_x) through the character-sum route; must match the direct weight.
 
     One x gives an int, a sequence of them a list.  Each y*x (y in GF(p)*) is
-    formed with F.mul, and the p-1 character sums over D, all from one
-    char_sum call, are added in Z[zeta_p].
+    formed with F.mul, and the p-1 count rows over D, all from one char_sum
+    call, are summed to R.  Summing over y makes R[1:] equal (y*t runs over
+    GF(p)* for t != 0), so the sum R[0] - R[1] is rational, and p divides the
+    numerator (p-1)n - (R[0] - R[1]) = p*wt(c_x).
     """
     F = D.field
     xs = np.asarray(x, dtype=np.int64).ravel()
     ys = np.arange(1, F.p, dtype=np.int64)
-    sums = char_sum(F, D.elems, F.mul(xs[:, None], ys).ravel())
-    weights = []
-    for i, xi in enumerate(xs.tolist()):
-        total = sum(sums[i * (F.p - 1) : (i + 1) * (F.p - 1)], CycInt.integer(F.p, 0))
-        s = is_rational(total)
-        if s is None:
-            raise NonRationalSumError(f"character sum for x={xi} is not rational: {total}")
-        num = (F.p - 1) * len(D) - s
-        if num % F.p:
-            raise NonIntegralWeightError(f"weight numerator {num} not divisible by {F.p}")
-        weights.append(num // F.p)
+    rows = char_sum(F, D.elems, F.mul(xs[:, None], ys).ravel())
+    R = rows.reshape(xs.size, F.p - 1, F.p).sum(axis=1)
+    weights = (((F.p - 1) * len(D) - (R[:, 0] - R[:, 1])) // F.p).tolist()
     return weights[0] if np.ndim(x) == 0 else weights
 
 

@@ -1,128 +1,32 @@
-"""Exact character sums: arithmetic in Z[zeta_p], sums at chosen points, transforms at all.
+"""Exact character sums as count rows, sums at chosen points, transforms at all.
 
-Elements of the ring of integers Z[zeta_p] of the p-th cyclotomic field are
-stored on the integral basis {zeta, zeta^2, ..., zeta^(p-1)}, using the
-relation 1 = -(zeta + zeta^2 + ... + zeta^(p-1)) to eliminate the constant
-term.  This keeps representations unique, so equality of character
-sums is plain tuple equality -- no floating point anywhere.
+Every character sum here has the shape sum_{s in S} zeta_p^Tr(b*s).  It is
+held exactly as the row of p counts row[c] = #{s in S : Tr(b*s) = c}, so no
+cyclotomic arithmetic and no floating point is needed.  The sum is a rational
+integer exactly when row[1], ..., row[p-1] are equal (the powers zeta^c,
+c = 1..p-1, are linearly independent over Q), and it is then row[0] - row[1].
 
-For p = 2 the ring degenerates to Z (zeta_2 = -1) and an element is a single
-coefficient c with value -c.
-
-trace_counts and char_sum evaluate sums over a set at chosen points b.
-fwht and zero_counts run exact integer transforms over GF(p)^m, indexed by
-the base-p digits of the element indices, that answer every point at once.
+char_sum evaluates the rows of a set at chosen points b.  fwht and zero_counts
+run exact integer transforms over GF(p)^m, indexed by the base-p digits of the
+element indices, that answer every point at once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import MixedPrimesError, SizeLimitError
+from .errors import SizeLimitError
 from .gf import Field
 
 
-def _canon(p, raw):
-    # raw[k] = coefficient of zeta^k for k in [0, p); fold the constant term
-    # onto the basis via 1 = -sum(zeta^k, k=1..p-1).
-    c0 = raw[0]
-    return tuple(int(raw[k] - c0) for k in range(1, p))
+def is_rational(row):
+    """row[0] - row[1], the value of the sum that row counts, or None when row[1:] differ."""
+    if any(c != row[1] for c in row[2:]):
+        return None
+    return int(row[0] - row[1])
 
 
-@dataclass(frozen=True)
-class CycInt:
-    """An element of Z[zeta_p]; coeffs[k-1] multiplies zeta^k."""
-
-    p: int
-    coeffs: tuple
-
-    @classmethod
-    def integer(cls, p, n):
-        return cls(p, tuple([-n] * (p - 1)))
-
-    @classmethod
-    def root_power(cls, p, k):
-        k %= p
-        if k == 0:
-            return cls.integer(p, 1)
-        return cls(p, tuple(1 if i == k else 0 for i in range(1, p)))
-
-    @classmethod
-    def from_counts(cls, p, counts):
-        """sum counts[a] * zeta^a over residues a in [0, p)."""
-        raw = list(counts) + [0] * (p - len(counts))
-        return cls(p, _canon(p, raw))
-
-    def _coerce(self, other):
-        if isinstance(other, int):
-            return CycInt.integer(self.p, other)
-        if not isinstance(other, CycInt):
-            return None
-        if other.p != self.p:
-            raise MixedPrimesError(f"cannot mix Z[zeta_{self.p}] and Z[zeta_{other.p}]")
-        return other
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return CycInt(self.p, tuple(a + b for a, b in zip(self.coeffs, o.coeffs)))
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return CycInt(self.p, tuple(-a for a in self.coeffs))
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        p = self.p
-        raw = [0] * p
-        for i in range(1, p):
-            a = self.coeffs[i - 1]
-            if a == 0:
-                continue
-            for j in range(1, p):
-                raw[(i + j) % p] += a * o.coeffs[j - 1]
-        return CycInt(p, _canon(p, raw))
-
-    __rmul__ = __mul__
-
-    def galois(self, t):
-        """Apply the automorphism zeta -> zeta^t (t not divisible by p)."""
-        t %= self.p
-        if t == 0:
-            raise ValueError("galois action needs t coprime to p")
-        raw = [0] * self.p
-        for k in range(1, self.p):
-            raw[(k * t) % self.p] += self.coeffs[k - 1]
-        return CycInt(self.p, _canon(self.p, raw))
-
-    def __str__(self):
-        return " + ".join(f"{c}*z^{k}" for k, c in enumerate(self.coeffs, start=1))
-
-
-def is_rational(a):
-    """The integer n with a == n, or None if a is irrational."""
-    c = a.coeffs[0]
-    if all(x == c for x in a.coeffs):
-        return -c
-    return None
-
-
-# (b, s) pairs gathered at once by trace_counts: the int64 bincount index is
+# (b, s) pairs gathered at once by char_sum: the int64 bincount index is
 # 256 KB (1 MB blocks were no faster and raised verify-paper's peak RSS by 1.3 MB)
 TRACE_BLOCK = 1 << 15
 
@@ -132,9 +36,11 @@ def trace_exp_table(F: Field) -> np.ndarray:
     return np.tile(F.trace_table[F.exp_table], 2)
 
 
-def trace_counts(F: Field, S, bs) -> np.ndarray:
-    """counts[i, c] = #{s in S : Tr(bs[i]*s) = c}, an int64 array of shape (len(bs), p).
+def char_sum(F: Field, S, b) -> np.ndarray:
+    """sum of zeta_p^Tr(b*s) over s in S, exactly, as its row of counts.
 
+    counts[i, c] = #{s in S : Tr(bs[i]*s) = c} is an int64 array of shape
+    (len(bs), p) for a sequence bs of points; a scalar b gives the one row.
     b = 0 or s = 0 gives trace 0 and is counted by hand; every other pair is
     read from trace_exp_table.  The (b, s) grid is gathered in blocks of at
     most TRACE_BLOCK pairs (and TRACE_BLOCK bins, unless p exceeds it), so no
@@ -142,38 +48,27 @@ def trace_counts(F: Field, S, bs) -> np.ndarray:
     """
     p = F.p
     S = np.asarray(S, dtype=np.int64).ravel()
-    bs = np.asarray(bs, dtype=np.int64).ravel()
+    bs = np.asarray(b, dtype=np.int64).ravel()
     ls = F.log_table[S[S != 0]]
     live = np.flatnonzero(bs)
     counts = np.zeros((bs.size, p), dtype=np.int64)
     counts[:, 0] = S.size - ls.size
     counts[bs == 0, 0] = S.size
-    if not (live.size and ls.size):
-        return counts
-    T2 = trace_exp_table(F)
-    lb = F.log_table[bs[live]]
-    cols = min(ls.size, TRACE_BLOCK)
-    rows = max(1, TRACE_BLOCK // max(cols, p))  # the bincount has rows*p bins
-    for lo in range(0, live.size, rows):
-        blk = lb[lo : lo + rows, None]
-        offsets = p * np.arange(blk.size)[:, None]  # row r counts into [r*p, (r+1)*p)
-        acc = 0
-        for c0 in range(0, ls.size, cols):
-            # the int32 indices log b + log s stay below 2(q-1) <= 2^23
-            tr = np.take(T2, blk + ls[c0 : c0 + cols])
-            acc = acc + np.bincount((tr + offsets).ravel(), minlength=blk.size * p)
-        counts[live[lo : lo + rows]] += acc.reshape(-1, p)
-    return counts
-
-
-def char_sum(F: Field, S, b):
-    """sum of zeta_p^trace(b*x) over x in S, exactly.
-
-    One b gives a CycInt, a sequence of them a list, from one trace_counts call.
-    """
-    rows = trace_counts(F, S, b).tolist()
-    sums = [CycInt.from_counts(F.p, row) for row in rows]
-    return sums[0] if np.ndim(b) == 0 else sums
+    if live.size and ls.size:
+        T2 = trace_exp_table(F)
+        lb = F.log_table[bs[live]]
+        cols = min(ls.size, TRACE_BLOCK)
+        rows = max(1, TRACE_BLOCK // max(cols, p))  # the bincount has rows*p bins
+        for lo in range(0, live.size, rows):
+            blk = lb[lo : lo + rows, None]
+            offsets = p * np.arange(blk.size)[:, None]  # row r counts into [r*p, (r+1)*p)
+            acc = 0
+            for c0 in range(0, ls.size, cols):
+                # the int32 indices log b + log s stay below 2(q-1) <= 2^23
+                tr = np.take(T2, blk + ls[c0 : c0 + cols])
+                acc = acc + np.bincount((tr + offsets).ravel(), minlength=blk.size * p)
+            counts[live[lo : lo + rows]] += acc.reshape(-1, p)
+    return counts[0] if np.ndim(b) == 0 else counts
 
 
 def fwht(a):

@@ -26,7 +26,7 @@ from .errors import (
     SizeLimitError,
     UnknownKindError,
 )
-from .cyclotomic import trace_counts
+from .cyclotomic import char_sum
 from .gf import Field, default_field
 
 
@@ -128,6 +128,12 @@ def _distinct(arr):
     return arr[keep]
 
 
+def check_classify_work(k):
+    """Refuse to classify a k-element set whose k*k differences exceed DEFAULT_MAX_WORK."""
+    if k * k > DEFAULT_MAX_WORK:
+        raise SizeLimitError(f"k*k = {k * k} differences exceed the work budget {DEFAULT_MAX_WORK}")
+
+
 def classify_design(G, D):
     """Classify D by its difference spectrum over the nonzero group elements."""
     elems = _distinct(_sorted_array(D))
@@ -138,8 +144,7 @@ def classify_design(G, D):
         G.check(int(outside[0]))  # raises, naming the first offender in sorted order
     v = G.order
     k = elems.size
-    if k * k > DEFAULT_MAX_WORK:
-        raise SizeLimitError(f"k*k = {k * k} differences exceed the work budget {DEFAULT_MAX_WORK}")
+    check_classify_work(k)
     counts = G._difference_counts(elems)
     counts[G.identity] = -1  # exclude x = identity from the spectrum
     spec = {}
@@ -413,4 +418,4 @@ def boolean_support(F: Field, f: FuncSpec) -> DefiningSet:
 def joint_counts(F: Field, f: FuncSpec, bs) -> list:
     """For each b in bs, the counts of {x: f(x)=0, Tr(bx)=a} indexed by a in GF(p)."""
     kernel = np.nonzero(f.table(F) == 0)[0]
-    return [tuple(row) for row in trace_counts(F, kernel, bs).tolist()]
+    return [tuple(row) for row in char_sum(F, kernel, bs).tolist()]

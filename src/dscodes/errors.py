@@ -29,10 +29,6 @@ class ZeroInputError(ToolkitError):
     """Zero passed where a nonzero element is required."""
 
 
-class MixedPrimesError(ToolkitError):
-    """Arithmetic attempted between cyclotomic integers of different p."""
-
-
 class ElementNotInGroupError(ToolkitError):
     """Set element or shift value lies outside the ambient group."""
 
@@ -68,14 +64,6 @@ class PreconditionFailedError(ToolkitError):
         super().__init__(f"{clause}: {detail}" if detail else clause)
         self.clause = clause
         self.detail = detail
-
-
-class NonRationalSumError(ToolkitError):
-    """A character sum expected to be a rational integer is not."""
-
-
-class NonIntegralWeightError(ToolkitError):
-    """The character-sum weight formula did not divide evenly."""
 
 
 class ZeroDimensionalError(ToolkitError):

@@ -3,6 +3,7 @@ import os
 import resource
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -235,21 +236,33 @@ def test_output_is_the_same_under_python_O(argv):
     assert optimized.stdout == plain.stdout and plain.stdout
 
 
-@pytest.mark.parametrize("flags", [(), ("-O",)], ids=["plain", "O"])
+@pytest.mark.parametrize("flags", [(), ("-O",), None], ids=["plain", "O", "in-process"])
 @pytest.mark.parametrize("argv", [
     # k = 2 078 760: about 4.3e12 differences
     ("construct", "--family", "paley", "--p", "2039", "--m", "2", "--dlog", "--classify"),
     ("analyze-design", "--family", "paley", "--p", "3", "--m", "12"),
-], ids=["construct-2039^2-dlog", "analyze-3^12"])
-def test_classification_past_the_work_budget_is_refused_at_once(argv, flags):
-    before = resource.getrusage(resource.RUSAGE_CHILDREN)
-    proc = run_process(*argv, flags=flags)
-    after = resource.getrusage(resource.RUSAGE_CHILDREN)
-    assert proc.returncode == 1 and proc.stdout == ""
-    assert proc.stderr.startswith("error: k*k = ") and "work budget" in proc.stderr
-    # CPU seconds of the child: counting the differences would take hours
-    cpu = (after.ru_utime - before.ru_utime) + (after.ru_stime - before.ru_stime)
-    assert cpu < 1.0
+    ("analyze-design", "--family", "paley", "--p", "3", "--m", "12", "--group", "cyclic"),
+], ids=["construct-2039^2-dlog", "analyze-3^12", "analyze-3^12-cyclic"])
+def test_classification_past_the_work_budget_is_refused_at_once(capsys, monkeypatch, argv, flags):
+    if flags is None:
+        # k = len(D) is known before the dlog residues, so they are never built
+        def residues(D, v=None):
+            raise AssertionError("built the dlog residues past the budget")
+
+        monkeypatch.setattr(designs, "to_cyclic_residues", residues)
+        start = time.process_time()
+        rc, out, err = run(capsys, *argv)
+        cpu = time.process_time() - start
+    else:
+        before = resource.getrusage(resource.RUSAGE_CHILDREN)
+        proc = run_process(*argv, flags=flags)
+        after = resource.getrusage(resource.RUSAGE_CHILDREN)
+        rc, out, err = proc.returncode, proc.stdout, proc.stderr
+        # CPU seconds of the child
+        cpu = (after.ru_utime - before.ru_utime) + (after.ru_stime - before.ru_stime)
+    assert rc == 1 and out == ""
+    assert err.startswith("error: k*k = ") and "work budget" in err
+    assert cpu < 1.0  # counting the differences would take hours
 
 
 def test_export_gen_writes_file(tmp_path, capsys):

@@ -81,3 +81,21 @@ def test_verify_cases_match_the_benchmark_record():
     path = PACKAGE.parents[1] / "perfbench" / "expected.json"
     recorded = json.loads(path.read_text(encoding="utf-8"))["verify_paper"]
     assert sorted(verify.CASES) == sorted(recorded)
+
+
+def _raised_name(node):
+    if isinstance(node, ast.Raise) and node.exc is not None:
+        exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+        return getattr(exc, "id", None)  # the package raises its errors by bare name
+    return None
+
+
+def test_every_error_class_is_raised_somewhere():
+    # an error class that nothing raises is dead API: a caller catching it
+    # guards a failure that cannot happen
+    tree = ast.parse((PACKAGE / "errors.py").read_text(encoding="utf-8"))
+    declared = {node.name for node in tree.body if isinstance(node, ast.ClassDef)}
+    assert "ToolkitError" in declared and len(declared) > 1
+    raised = {_raised_name(node) for path in sorted(PACKAGE.rglob("*.py"))
+              for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))}
+    assert sorted(declared - raised - {"ToolkitError"}) == []
