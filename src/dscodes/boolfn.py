@@ -4,20 +4,21 @@ Everything here is exact integer arithmetic.  The Walsh transform runs as
 cyclotomic.fwht, the butterfly over the index bits that also enumerates the
 binary codes; translating between "XOR-dot of indices" and the field pairing
 Tr(wx) is a GF(2)-linear relabeling of the frequency axis, built once per
-field from the trace form and cached.
+field from the trace form and cached.  Quadratic forms are coefficient rows
+over an exponent tuple (0 = absent term), evaluated by designs.evaluate_rows on
+the m + m^2 points a rank reads and on whole tables alike.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, reduce
-from itertools import islice
+from functools import cached_property
 
 import numpy as np
 
 from .errors import EvenDegreeError, NotQuadraticFormError, SizeLimitError
 from .cyclotomic import fwht
-from .designs import FuncSpec
+from .designs import TABLE_BLOCK, FuncSpec, coefficient_rows, evaluate_rows, table_rows
 from .gf import Field, column_span, gfp_rank
 
 AB_DEGREE_LIMIT = 9
@@ -86,17 +87,20 @@ def _signs(table):
     return signs
 
 
-def walsh_from_table(F: Field, ftable) -> WalshSpectrum:
-    values = fwht(_signs(ftable))[_trace_pairing_map(F)].astype(np.int64)
+def walsh_from_table(F: Field, ftable):
+    """The spectrum of a 0/1 table, or for a (k, q) stack of them one butterfly
+    and a list of spectra, each a row of one read-only int64 array."""
+    values = fwht(_signs(ftable))[..., _trace_pairing_map(F)].astype(np.int64)
     values.setflags(write=False)
-    return WalshSpectrum(F.m, values)
+    if values.ndim == 1:
+        return WalshSpectrum(F.m, values)
+    return [WalshSpectrum(F.m, row) for row in values]
 
 
 def walsh_transform(F: Field, f: FuncSpec) -> WalshSpectrum:
     if F.p != 2:
         raise ValueError("Walsh transform is defined over GF(2^m)")
-    tbl = f.table(F) if f.to_prime_subfield else F.trace(f.table(F))
-    return walsh_from_table(F, tbl)
+    return walsh_from_table(F, FuncSpec(f.terms, True).table(F))
 
 
 @dataclass(frozen=True)
@@ -130,12 +134,6 @@ def classify_spectrum(s: WalshSpectrum) -> SpectralClass:
 # ---------------------------------------------------------------------------
 # quadratic forms
 
-@dataclass(frozen=True)
-class QuadraticRank:
-    r: int
-    radical_dim: int
-
-
 def _is_quadratic_exponent(p, e):
     # e == p^i + p^j for some i <= j
     pi = 1
@@ -150,46 +148,41 @@ def _is_quadratic_exponent(p, e):
     return False
 
 
-def quadratic_rank(F: Field, f):
+def quadratic_rank(F: Field, f, exps=None):
     """Rank r (codimension of the radical V_f) of one quadratic form or of each in a sequence.
 
-    A FuncSpec gives one QuadraticRank, a sequence of them a list.  Forms may
-    be trace-valued or GF(q)-valued; every exponent must be of the shape
-    p^i + p^j, and a bad one anywhere raises before anything is evaluated.
-    Forms sharing an exponent tuple and a value type are evaluated together on
-    the m + m^2 points a_i and a_i + a_j, and their bilinear matrices
-    B(a_i, a_j) = f(a_i + a_j) - f(a_i) - f(a_j) go to one stacked gfp_rank.
+    A FuncSpec gives an int; a sequence of them (trace- or GF(q)-valued), or
+    with exps a coefficient matrix of traced forms over exps, an int64 array.
+    A bad exponent (not p^i + p^j) raises before anything is evaluated.  The
+    forms are evaluated as one matrix on the m + m^2 points a_i, a_i + a_j,
+    and B(a_i, a_j) = f(a_i + a_j) - f(a_i) - f(a_j) goes to one gfp_rank.
     """
-    specs = [f] if isinstance(f, FuncSpec) else list(f)
-    for spec in specs:
-        for _, e in spec.terms:
-            if not _is_quadratic_exponent(F.p, e):
-                raise NotQuadraticFormError(f"exponent {e} is not of the form p^i+p^j")
+    if exps is None:
+        specs = [f] if isinstance(f, FuncSpec) else list(f)
+        exps, coeffs = coefficient_rows(specs)
+        traced = np.array([spec.to_prime_subfield for spec in specs], dtype=bool)
+    else:
+        coeffs = np.asarray(f, dtype=np.int32)
+        traced = np.ones(len(coeffs), dtype=bool)
+    for e in exps:
+        if not _is_quadratic_exponent(F.p, e):
+            raise NotQuadraticFormError(f"exponent {e} is not of the form p^i+p^j")
+    if not len(coeffs):
+        return np.zeros(0, dtype=np.int64)
     m = F.m
-    basis = np.asarray(F.basis(), dtype=np.int64)
+    basis = np.asarray(F.basis(), dtype=np.int32)
     points = np.concatenate((basis, F.add(basis[:, None], basis[None, :]).ravel()))
-    groups = {}
-    for idx, spec in enumerate(specs):
-        exps = tuple(e for _, e in spec.terms)
-        groups.setdefault((exps, spec.to_prime_subfield), []).append(idx)
-    ranks = [None] * len(specs)
-    for (exps, traced), members in groups.items():
-        coeffs = np.array([[c for c, _ in specs[i].terms] for i in members], dtype=np.int64)
-        # (forms, terms, points) products, summed over the terms
-        terms = F.mul(coeffs[:, :, None], np.stack([F.pow(points, e) for e in exps]))
-        vals = reduce(F.add, terms.transpose(1, 0, 2))
-        if traced:
-            vals = F.trace_table[vals].astype(np.int64)
-        fb, fpair = vals[:, :m], vals[:, m:].reshape(-1, m, m)
-        if traced:
-            rows = (fpair - fb[:, :, None] - fb[:, None, :]) % F.p
-        else:
-            bilin = F.sub(F.sub(fpair, fb[:, :, None]), fb[:, None, :])
-            # row (j, d) holds digit d of B(a_i, a_j) for every i
-            rows = F.digits(bilin).transpose(0, 2, 3, 1).reshape(-1, m * m, m)
-        for i, r in zip(members, gfp_rank(rows, F.p).tolist()):
-            ranks[i] = QuadraticRank(r, m - r)
-    return ranks[0] if isinstance(f, FuncSpec) else ranks
+    vals = evaluate_rows(F, exps, coeffs, points)
+    vals = np.where(traced[:, None], F.trace_table[vals], vals)
+    fb, fpair = vals[:, :m], vals[:, m:].reshape(-1, m, m)
+    bilin = F.sub(F.sub(fpair, fb[:, :, None]), fb[:, None, :])
+    if traced.all():
+        rows = bilin  # a GF(p) value is its own constant digit
+    else:
+        # row (j, d) holds digit d of B(a_i, a_j) for every i
+        rows = F.digits(bilin).transpose(0, 2, 3, 1).reshape(-1, m * m, m)
+    ranks = gfp_rank(rows, F.p)
+    return int(ranks[0]) if isinstance(f, FuncSpec) else ranks
 
 
 def quadratic_galois_sum(F: Field, f: FuncSpec) -> int:
@@ -198,9 +191,7 @@ def quadratic_galois_sum(F: Field, f: FuncSpec) -> int:
     The inner sum over y is p - 1 where f(x) = 0 and -1 elsewhere, so the
     total is p*N0 - q with N0 = #{x : f(x) = 0}.
     """
-    tbl = f.table(F)
-    if not f.to_prime_subfield:
-        tbl = F.trace(tbl)
+    tbl = FuncSpec(f.terms, True).table(F)
     return F.p * int(np.count_nonzero(tbl == 0)) - F.q
 
 
@@ -229,34 +220,30 @@ def is_almost_bent(F: Field, g: FuncSpec) -> bool:
 # ---------------------------------------------------------------------------
 # searching the quadratic family f(x) = Tr(sum f_i x^(2^i+1))
 
-def iter_quadratic_specs(F: Field):
-    """Deterministic walk over nonzero coefficient tuples (f_0..f_{m//2}).
-
-    Tuple index n is decoded base q with f_0 varying fastest.
-    """
-    npos = F.m // 2 + 1
-    for n in range(1, F.q**npos):
-        digits = []
-        v = n
-        for _ in range(npos):
-            digits.append(v % F.q)
-            v //= F.q
-        # n >= 1 has a nonzero digit, so terms is never empty
-        yield FuncSpec(tuple((c, (1 << i) + 1) for i, c in enumerate(digits) if c), True)
-
-
 def find_quadratic_with(F: Field, rank=None, walsh0=None, limit=200000) -> FuncSpec:
     """First quadratic Boolean function matching the requested rank / f_hat(0).
 
-    The first `limit` specs of iter_quadratic_specs are searched, ranked
-    RANK_CHUNK at a time.
+    Candidate n = 1, 2, ..., limit has coefficient f_i on x^(2^i+1),
+    i = 0..m//2, its base-q digit i (f_0 varies fastest).  RANK_CHUNK
+    candidates at a time are decoded into coefficient rows and ranked in one
+    call; the rows that pass read f_hat(0) = q - 2*wt(f) off their tables,
+    max(1, TABLE_BLOCK // q) tables at a time, so memory stays O(q).
     """
-    specs = islice(iter_quadratic_specs(F), limit)
-    while chunk := list(islice(specs, RANK_CHUNK)):
+    exps = tuple((1 << i) + 1 for i in range(F.m // 2 + 1))
+    stop = min(limit, F.q ** len(exps) - 1) + 1
+    per_block = max(1, TABLE_BLOCK // F.q)
+    for lo in range(1, stop, RANK_CHUNK):
+        n = np.arange(lo, min(lo + RANK_CHUNK, stop), dtype=np.int64)
+        rows = np.empty((n.size, len(exps)), dtype=np.int32)
+        for i in range(len(exps)):
+            n, rows[:, i] = np.divmod(n, F.q)  # never q**i: (2^21)^3 overflows int64
         if rank is not None:
-            ranks = quadratic_rank(F, chunk)
-            chunk = [spec for spec, qr in zip(chunk, ranks) if qr.r == rank]
-        for spec in chunk:
-            if walsh0 is None or walsh_from_table(F, spec.table(F)).values[0] == walsh0:
-                return spec
+            rows = rows[quadratic_rank(F, rows, exps) == rank]
+        for blk in range(0, len(rows), per_block):
+            hits = rows[blk : blk + per_block]
+            if walsh0 is not None:
+                weights = np.count_nonzero(table_rows(F, exps, hits, traced=True), axis=1)
+                hits = hits[F.q - 2 * weights == walsh0]
+            if len(hits):
+                return FuncSpec(tuple((int(c), e) for c, e in zip(hits[0], exps) if c), True)
     raise SizeLimitError("no quadratic function matched within the search budget")

@@ -52,8 +52,10 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _add_field_flags(sp):
-    sp.add_argument("--p", type=int, default=2, help="characteristic")
-    sp.add_argument("--m", type=int, default=1, help="extension degree")
+    # None lets the family choose: walsh, maschietti and bool fix p = 2, hkm:H
+    # fixes GF(3^(3H)), and the rest default to p = 2, m = 1
+    sp.add_argument("--p", type=int, default=None, help="characteristic")
+    sp.add_argument("--m", type=int, default=None, help="extension degree")
     sp.add_argument("--modulus", default=None,
                     help="field modulus as c0,c1,...,cm (constant first)")
     sp.add_argument("--max-field-bits", type=int, default=MAX_FIELD_BITS,
@@ -62,10 +64,17 @@ def _add_field_flags(sp):
                          f"2^{MAX_FIELD_BITS} exp/log table cap")
 
 
-def _field(args, p=None, m=None):
+def _field(args, what, p=None, m=None):
+    """GF(p^m) from the field flags; a flag that disagrees with a p or m that
+    `what` fixes is refused before the field is built."""
+    for flag, fixed in (("p", p), ("m", m)):
+        given = getattr(args, flag)
+        if fixed is not None and given is not None and given != fixed:
+            raise UsageError(f"--{flag} {given} conflicts with {what}, "
+                             f"which fixes {flag} = {fixed}")
     mod = parse_modulus(args.modulus) if args.modulus else None
-    return Field(p if p is not None else args.p,
-                 m if m is not None else args.m,
+    return Field(p if p is not None else 2 if args.p is None else args.p,
+                 m if m is not None else 1 if args.m is None else args.m,
                  mod, max_bits=args.max_field_bits)
 
 
@@ -74,18 +83,18 @@ def _resolve_family(args):
     spec = args.family
     name, _, rest = spec.partition(":")
     if name == "paley":
-        return designs.paley_set(_field(args)), {}
+        return designs.paley_set(_field(args, spec)), {}
     if name == "qf-image":
-        F = _field(args)
+        F = _field(args, spec)
         f = designs.parse_func_spec(F, rest)
         return designs.image_set(F, f), {"func": f}
     if name == "maschietti":
-        return designs.maschietti_set(_field(args, p=2), rest), {}
+        return designs.maschietti_set(_field(args, spec, p=2), rest), {}
     if name == "hkm":
         h = int(rest)
-        return designs.hkm_set(h, max_bits=args.max_field_bits), {"h": h}
+        return designs.hkm_set(_field(args, spec, p=3, m=3 * h)), {"h": h}
     if name == "bool":
-        F = _field(args, p=2)
+        F = _field(args, spec, p=2)
         f = designs.parse_func_spec(F, rest, to_prime_subfield=True)
         return designs.boolean_support(F, f), {"func": f}
     raise UsageError(f"unknown family {spec!r}")
@@ -200,7 +209,7 @@ def cmd_analyze_design(args):
 def cmd_walsh(args):
     from . import boolfn
 
-    F = _field(args, p=2)
+    F = _field(args, "walsh", p=2)
     f = designs.parse_func_spec(F, args.func, to_prime_subfield=True)
     s = boolfn.walsh_transform(F, f)
     cls = boolfn.classify_spectrum(s)
@@ -231,7 +240,7 @@ def _prediction_for(claim, D, ctx):
             raise UsageError("the map is not e-to-1 on nonzero elements")
         from . import boolfn
 
-        r = boolfn.quadratic_rank(F, f).r
+        r = boolfn.quadratic_rank(F, f)
         return codes.predicted_enumerator(claim, p=F.p, m=F.m, r=r, e=e)
     if claim in ("thm-hyperovalDS", "glynn2-conjecture"):
         return codes.predicted_enumerator(claim, m=F.m)
@@ -243,7 +252,7 @@ def _prediction_for(claim, D, ctx):
             raise UsageError(f"--expect {claim} needs a bool family")
         from . import boolfn
 
-        r = boolfn.quadratic_rank(F, f).r
+        r = boolfn.quadratic_rank(F, f)
         s = boolfn.walsh_transform(F, f)
         return codes.predicted_enumerator(claim, m=F.m, r=r, walsh0=int(s.values[0]))
     if claim == "thm-HKMcodes":

@@ -27,7 +27,7 @@ from .errors import (
     UnknownKindError,
 )
 from .cyclotomic import char_sum
-from .gf import Field, default_field
+from .gf import Field
 
 
 # differences held at once while counting them; bounds memory at O(order + block)
@@ -251,27 +251,56 @@ class FuncSpec:
             raise ValueError("exponents must be positive")
 
     def evaluate(self, F: Field, xs):
-        """Array of f(x) for every element index x in xs, int32 for int32 xs and
-        int64 for int64 xs (the width Field.mul and Field.pow keep)."""
-        xs = np.asarray(xs)
-        out = reduce(F.add, (F.pow(xs, e) if c == 1 else F.mul(F.pow(xs, e), c)
-                             for c, e in self.terms))
-        if self.to_prime_subfield:
-            out = F.trace_table[out].astype(np.int64 if xs.itemsize > 4 else np.int32)
-        return out
+        """f(x) for every element index x in xs, as evaluate_rows computes it."""
+        out = evaluate_rows(F, *coefficient_rows([self]), np.ravel(xs), self.to_prime_subfield)
+        return out[0].reshape(np.shape(xs))
 
     def table(self, F: Field):
-        """Vector of f(x) over all x in field-index order, an int32 array.
+        """f(x) over all x in field-index order, an int32 array (see table_rows)."""
+        return table_rows(F, *coefficient_rows([self]), self.to_prime_subfield)[0]
 
-        It is filled TABLE_BLOCK points at a time, so beside the q-entry result
-        evaluate's temporaries stay O(TABLE_BLOCK).  int32 holds every index and
-        value, both below q <= 2^25, and keeps those temporaries int32 too.
-        """
-        out = np.empty(F.q, dtype=np.int32)
-        for lo in range(0, F.q, TABLE_BLOCK):
-            xs = np.arange(lo, min(lo + TABLE_BLOCK, F.q), dtype=np.int32)
-            out[lo : lo + xs.size] = self.evaluate(F, xs)
-        return out
+
+def coefficient_rows(specs):
+    """(exps, coeffs): every exponent of specs in first-seen order, and the int32
+    matrix with coeffs[k, t] the coefficient of x^exps[t] in specs[k], 0 if absent."""
+    exps = tuple(dict.fromkeys(e for spec in specs for _, e in spec.terms))
+    coeffs = np.zeros((len(specs), len(exps)), dtype=np.int32)
+    for row, spec in zip(coeffs, specs):
+        for c, e in spec.terms:
+            row[exps.index(e)] = c
+    return exps, coeffs
+
+
+def evaluate_rows(F: Field, exps, coeffs, xs, traced=False):
+    """(rows, len(xs)) array of f_k(x) = sum_t coeffs[k, t] * x^exps[t], then Tr if traced.
+
+    A column of zero coefficients is skipped, and a lone coefficient 1 skips its
+    product.  Values keep the width Field.mul and Field.pow give: int32 for
+    int32 xs and coefficients (int64 sums for odd p), int64 for int64 xs.
+    """
+    xs, coeffs = np.asarray(xs), np.asarray(coeffs)
+    # a matrix of zeros still evaluates its first column, to zeros
+    live = [(c, e) for c, e in zip(coeffs.T, exps) if c.any()] or [(coeffs[:, 0], exps[0])]
+    out = reduce(F.add, (F.pow(xs, e)[None] if c.tolist() == [1]
+                         else F.mul(c[:, None], F.pow(xs, e)) for c, e in live))
+    if traced:
+        out = F.trace_table[out].astype(np.int64 if xs.itemsize > 4 else np.int32)
+    return out
+
+
+def table_rows(F: Field, exps, coeffs, traced=False):
+    """(rows, q) int32 array whose row k is f_k(x) over all x in field-index order.
+
+    It is filled TABLE_BLOCK // rows points (at least one) at a time, so beside
+    the result the temporaries stay O(TABLE_BLOCK + rows).  int32 holds every
+    index and value, both below q <= 2^25, and keeps the temporaries int32.
+    """
+    out = np.empty((len(coeffs), F.q), dtype=np.int32)
+    step = max(1, TABLE_BLOCK // max(1, len(coeffs)))
+    for lo in range(0, F.q, step):
+        xs = np.arange(lo, min(lo + step, F.q), dtype=np.int32)
+        out[:, lo : lo + xs.size] = evaluate_rows(F, exps, coeffs, xs, traced)
+    return out
 
 
 _TERM_RE = re.compile(r"^(-)?(\d+)(?:\*(?:u|a|alpha)(?:\^(\d+))?)?$")
@@ -393,10 +422,11 @@ def maschietti_set(F: Field, case: str) -> DefiningSet:
     return defining_set(F, pairs[0::2], f"maschietti-{case}")
 
 
-def hkm_set(h: int, max_bits=None) -> DefiningSet:
-    """{alpha^t: t < (q-1)/2, Tr(alpha^t + alpha^{t*l}) = 0} in GF(3^{3h})."""
-    m = 3 * h
-    F = default_field(3, m) if max_bits is None else Field(3, m, max_bits=max_bits)
+def hkm_set(F: Field) -> DefiningSet:
+    """{alpha^t: t < (q-1)/2, Tr(alpha^t + alpha^{t*l}) = 0} in F = GF(3^{3h})."""
+    if F.p != 3 or F.m % 3:
+        raise ValueError(f"HKM sets live in GF(3^(3h)), not GF({F.p}^{F.m})")
+    m, h = F.m, F.m // 3
     ell = 3 ** (2 * h) - 3**h + 1
     n = (F.q - 1) // 2
     t = np.arange(n, dtype=np.int64)
@@ -411,8 +441,7 @@ def hkm_set(h: int, max_bits=None) -> DefiningSet:
 
 def boolean_support(F: Field, f: FuncSpec) -> DefiningSet:
     """D_f = {x: f(x) = 1} for a Boolean (trace-valued) function on GF(2^m)."""
-    tbl = f.table(F) if f.to_prime_subfield else F.trace(f.table(F))
-    return defining_set(F, np.nonzero(tbl == 1)[0], "bool-support")
+    return defining_set(F, np.flatnonzero(FuncSpec(f.terms, True).table(F) == 1), "bool-support")
 
 
 def joint_counts(F: Field, f: FuncSpec, bs) -> list:

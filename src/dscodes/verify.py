@@ -133,7 +133,7 @@ def _qf_case(p, m, terms):
         e = designs.eto1_check(F, f)
         if e != 2:
             return False, "e = 2", f"e = {e}", ""
-        r = boolfn.quadratic_rank(F, f).r
+        r = boolfn.quadratic_rank(F, f)
         D = designs.image_set(F, f)
         E = codes.weight_enumerator(D)
         pred = codes.predicted_enumerator("thm-qfcodes", p=p, m=m, r=r, e=e)
@@ -278,7 +278,7 @@ def _semibent_case(m):
         want_nf = 2 ** (m - 1) - 2 ** ((m - 1) // 2)
         s = boolfn.walsh_transform(F, spec)
         cls = boolfn.classify_spectrum(s)
-        r = boolfn.quadratic_rank(F, spec).r
+        r = boolfn.quadratic_rank(F, spec)
         E = codes.weight_enumerator(D)
         pred = codes.predicted_enumerator("thm-semibentcodes", m=m, n_f=n_f)
         ok, exp, act, detail = _check_prediction(E, pred)
@@ -330,22 +330,22 @@ for _m in (5, 7):
 
 @lru_cache(maxsize=None)
 def _qbf_samples(m=6):
-    """Deterministic grid of quadratic coefficient tuples, bucketed by rank."""
+    """The grid of forms Tr(sum f_i x^(2^i+1)), f_i in {0, 1, 2}, not all 0, as coefficient
+    rows over exps, with their ranks, 0/1 tables and Walsh spectra, each from one call."""
     F = default_field(2, m)
-    specs = [FuncSpec(tuple((c, (1 << i) + 1) for i, c in enumerate(digits) if c), True)
-             for digits in product((0, 1, 2), repeat=m // 2 + 1) if any(digits)]
-    buckets = {}
-    for spec, qr in zip(specs, boolfn.quadratic_rank(F, specs)):
-        buckets.setdefault(qr.r, []).append(spec)
-    return F, buckets
+    exps = tuple((1 << i) + 1 for i in range(m // 2 + 1))
+    rows = np.array(list(product((0, 1, 2), repeat=len(exps)))[1:], dtype=np.int32)
+    tables = designs.table_rows(F, exps, rows, traced=True)
+    return (F, exps, rows, boolfn.quadratic_rank(F, rows, exps), tables,
+            boolfn.walsh_from_table(F, tables))
 
 
 def _qbf_case(rank):
     def run():
-        F, buckets = _qbf_samples()
+        F, exps, rows, ranks, tables, spectra = _qbf_samples()
         m = F.m
-        sample = buckets.get(rank, [])
-        total = sum(len(v) for r, v in buckets.items() if r > 0)
+        sample = np.flatnonzero(ranks == rank).tolist()
+        total = int(np.count_nonzero(ranks > 0))
         if not sample or total < 20:
             return False, f">= 1 rank-{rank} sample among >= 20 total", f"{len(sample)} of {total}", ""
         amp = 1 << (m - rank // 2)
@@ -353,18 +353,19 @@ def _qbf_case(rank):
         want_hist = {0: (1 << m) - (1 << rank), amp: lobe + wing, -amp: lobe - wing}
         want_hist = {v: c for v, c in want_hist.items() if c}
         bad = []
-        for spec in sample:
-            s = boolfn.walsh_transform(F, spec)
+        for i in sample:
+            s = spectra[i]
+            terms = tuple((int(c), e) for c, e in zip(rows[i], exps) if c)
             if s.histogram() != want_hist:
-                bad.append(f"spectrum {s.histogram()} for {spec.terms}")
+                bad.append(f"spectrum {s.histogram()} for {terms}")
                 continue
-            D = designs.boolean_support(F, spec)
+            D = designs.defining_set(F, np.flatnonzero(tables[i] == 1), "bool-support")
             E = codes.weight_enumerator(D)
             pred = codes.predicted_enumerator("thm-CodeQBFs", m=m, r=rank,
                                               walsh0=int(s.values[0]))
             rep = codes.compare_prediction(E, pred)
             if not rep.ok:
-                bad.append(f"{spec.terms}: {'; '.join(rep.mismatches)}")
+                bad.append(f"{terms}: {'; '.join(rep.mismatches)}")
         exp = f"{len(sample)} rank-{rank} functions match spectrum table and enumerator table"
         act = "all match" if not bad else f"{len(bad)} mismatches"
         return not bad, exp, act, "; ".join(bad[:4])
@@ -381,7 +382,7 @@ for _r in (2, 4, 6):
 
 @lru_cache(maxsize=None)
 def _hkm_instance(h):
-    D = designs.hkm_set(h)
+    D = designs.hkm_set(default_field(3, 3 * h))
     return D.field, D
 
 
@@ -399,11 +400,6 @@ CASES["hkm-h1"] = _hkm_code_case(1)
 CASES["hkm-h3"] = _hkm_code_case(3)
 
 
-def _qu_spec(F, u, e):
-    terms = tuple((c, x) for c, x in ((u, e + 1), (1, 2)) if c)
-    return FuncSpec(terms, True)
-
-
 def _hkm_lemma_case(h):
     def run():
         F, D = _hkm_instance(h)
@@ -417,13 +413,12 @@ def _hkm_lemma_case(h):
             us = [0] + [int(F.exp_table[t]) for t in range(0, F.q - 1, step)]
             bs = [int(F.exp_table[t]) for t in range(0, F.q - 1, step)]
         problems = []
-
-        def ranks(specs):
-            return [qr.r for qr in boolfn.quadratic_rank(F, specs)]
-
-        r_one, *r_us = ranks([_qu_spec(F, u, e) for u in [1, *us]])
-        r_partners = ranks([_qu_spec(F, F.neg(F.add(1, u)), e) for u in us])
-        r_bs = ranks([FuncSpec(((b, e + 1),), True) for b in bs])
+        # row (u, v) is the form Tr(u x^(e+1) + v x^2); a rank call per family
+        # keeps gfp_rank's stack, and so peak memory, at one family's size
+        exps = (e + 1, 2)
+        r_one, *r_us = boolfn.quadratic_rank(F, [(u, 1) for u in [1, *us]], exps).tolist()
+        r_partners = boolfn.quadratic_rank(F, [(F.neg(F.add(1, u)), 1) for u in us], exps).tolist()
+        r_bs = boolfn.quadratic_rank(F, [(b, 0) for b in bs], exps).tolist()
         if r_one != m:
             problems.append(f"rank(Q_1) = {r_one}")
         allowed_ranks = {m, m - h, m - 2 * h}
@@ -474,12 +469,11 @@ def _zd13_case(p, m):
             specs.append(FuncSpec(((1, p**ell + 1),), True))
             specs.append(FuncSpec(((F.alpha, p**ell + 1), (1, 2)), True))
         specs.append(FuncSpec(((1, 2),), False))
-        if m >= 2:
-            specs.append(FuncSpec(((1, p + 1),), False))
+        specs.append(FuncSpec(((1, p + 1),), False))  # every registered m is at least 2
         problems = []
         # the sum sees the composed GF(p)-valued form, so its rank governs
         ranks = boolfn.quadratic_rank(F, [FuncSpec(s.terms, True) for s in specs])
-        for spec, r in zip(specs, (qr.r for qr in ranks)):
+        for spec, r in zip(specs, ranks.tolist()):
             gs = boolfn.quadratic_galois_sum(F, spec)
             want = {0} if r % 2 else {(p - 1) * p ** (m - r // 2), -(p - 1) * p ** (m - r // 2)}
             if gs not in want:
@@ -496,11 +490,10 @@ for _p, _m in ((3, 2), (3, 3), (3, 4), (5, 2), (5, 3)):
 
 
 def _charsum_weights_case():
-    def sample_points(F, limit=None):
-        if limit is None or F.q <= limit:
+    def sample_points(F):
+        if F.q <= 243:
             return np.arange(F.q)
-        step = max(1, F.q // 25)
-        return np.append(np.arange(0, F.q, step), F.q - 1)
+        return np.append(np.arange(0, F.q, max(1, F.q // 25)), F.q - 1)
 
     def run():
         families = []
@@ -516,7 +509,7 @@ def _charsum_weights_case():
         problems = []
         for D in families:
             F = D.field
-            xs = sample_points(F, limit=243)
+            xs = sample_points(F)
             directs = len(D) - np.count_nonzero(codes.codeword(D, xs) == 0, axis=1)
             vias = codes.weight_via_charsum(D, xs)
             checked += xs.size
@@ -549,16 +542,7 @@ def _invariance_case():
         shuffled = DefiningSet(F, D.elems[::-1], "shuffled")
         if codes.weight_enumerator(shuffled).counts != base.counts:
             problems.append("permuting coordinates changed the enumerator")
-        alt = None
-        for cand in range(F.p, F.p**3):
-            coeffs = [cand % 3, (cand // 3) % 3, (cand // 9) % 3, 1]
-            if coeffs[:3] == [1, 2, 0]:
-                continue  # default modulus
-            try:
-                alt = Field(3, 3, modulus=tuple(coeffs))
-                break
-            except ToolkitError:
-                continue
+        alt = Field(3, 3, modulus=(1, 2, 1, 1))  # x^3 + x^2 + 2x + 1; the default is x^3 + 2x + 1
         for build in (designs.paley_set, lambda G: designs.image_set(G, FuncSpec(((1, 4),), False))):
             e1 = codes.weight_enumerator(build(F))
             e2 = codes.weight_enumerator(build(alt))
@@ -580,12 +564,13 @@ def _parseval_case():
         for m, specs in ((5, [((1, 3),)]), (6, [((1, 3),), ((2, 3), (1, 5))])):
             F = default_field(2, m)
             for terms in specs:
-                s = boolfn.walsh_transform(F, FuncSpec(terms, True))
+                tbl = FuncSpec(terms, True).table(F)
+                s = boolfn.walsh_from_table(F, tbl)
                 # |v| <= 2^m over 2^m frequencies, so the int64 sum of squares is at
                 # most 2^(3m) <= 2^18 here, and 2^(2m) <= 2^44 when Parseval holds: exact
                 if int(s.values @ s.values) != 1 << (2 * m):
                     problems.append(f"Parseval fails for {terms} on m={m}")
-                signs = 1 - 2 * FuncSpec(terms, True).table(F)
+                signs = 1 - 2 * tbl
                 back = fwht(fwht(signs.astype(np.int64).copy()))
                 if not np.array_equal(back, (1 << m) * signs):
                     problems.append(f"inverse transform fails for {terms} on m={m}")
@@ -635,29 +620,16 @@ def _complement_case():
     def run():
         problems = []
         F7 = default_field(7, 1)
-        G = AdditiveGroup(F7)
-        D = designs.paley_set(F7)
-        cls = designs.classify_design(G, D.elems)
-        comp = designs.complement_in_group(G, D.elems)
-        ccls = designs.classify_design(G, comp)
-        v, k, lam = cls.v, cls.k, cls.lam
-        if ccls != designs.DifferenceSet(v, v - k, v - 2 * k + lam):
-            problems.append(f"paley GF(7): complement {ccls}")
-        _, hd = _hkm_instance(1)
-        res = designs.to_cyclic_residues(hd, v=13)
-        Gc = CyclicGroup(13)
-        cls = designs.classify_design(Gc, res)
-        comp = designs.complement_in_group(Gc, res)
-        ccls = designs.classify_design(Gc, comp)
-        if ccls != designs.DifferenceSet(13, 13 - cls.k, 13 - 2 * cls.k + cls.lam):
-            problems.append(f"hkm h=1: complement {ccls}")
         Fb, _, Db = _bent_instance(4)
-        Gb = AdditiveGroup(Fb)
-        cls = designs.classify_design(Gb, Db.elems)
-        comp = designs.complement_in_group(Gb, Db.elems)
-        ccls = designs.classify_design(Gb, comp)
-        if ccls != designs.DifferenceSet(16, 16 - cls.k, 16 - 2 * cls.k + cls.lam):
-            problems.append(f"bent m=4 support: complement {ccls}")
+        for name, G, elems in (
+                ("paley GF(7)", AdditiveGroup(F7), designs.paley_set(F7).elems),
+                ("hkm h=1", CyclicGroup(13), designs.to_cyclic_residues(_hkm_instance(1)[1], v=13)),
+                ("bent m=4 support", AdditiveGroup(Fb), Db.elems)):
+            cls = designs.classify_design(G, elems)
+            ccls = designs.classify_design(G, designs.complement_in_group(G, elems))
+            v, k, lam = cls.v, cls.k, cls.lam
+            if ccls != designs.DifferenceSet(v, v - k, v - 2 * k + lam):
+                problems.append(f"{name}: complement {ccls}")
         exp = "complement of a (v,k,lam) difference set is (v, v-k, v-2k+lam)"
         act = "all hold" if not problems else f"{len(problems)} violations"
         return not problems, exp, act, "; ".join(problems)

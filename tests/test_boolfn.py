@@ -1,12 +1,12 @@
 import tracemalloc
-from itertools import islice
+from functools import lru_cache
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from dscodes import boolfn, errors
+from dscodes import boolfn, designs, errors
 from dscodes.boolfn import WalshSpectrum
 from dscodes.designs import FuncSpec
 from dscodes.gf import default_field
@@ -69,16 +69,17 @@ def test_five_valued_classification():
 
 def test_quadratic_rank_frozen_values():
     F5, F6 = default_field(2, 5), default_field(2, 6)
-    assert boolfn.quadratic_rank(F5, FuncSpec(((1, 3),), True)).r == 4
-    assert boolfn.quadratic_rank(F6, FuncSpec(((1, 3),), True)).r == 4
-    assert boolfn.quadratic_rank(F6, FuncSpec(((2, 3),), True)).r == 6
-    assert boolfn.quadratic_rank(F6, FuncSpec(((1, 3), (1, 5)), True)).r == 2
+    r = boolfn.quadratic_rank(F5, FuncSpec(((1, 3),), True))
+    assert type(r) is int and r == 4
+    assert boolfn.quadratic_rank(F6, FuncSpec(((1, 3),), True)) == 4
+    assert boolfn.quadratic_rank(F6, FuncSpec(((2, 3),), True)) == 6
+    assert boolfn.quadratic_rank(F6, FuncSpec(((1, 3), (1, 5)), True)) == 2
     F9 = default_field(3, 2)
-    assert boolfn.quadratic_rank(F9, FuncSpec(((1, 2),), False)).r == 2
+    assert boolfn.quadratic_rank(F9, FuncSpec(((1, 2),), False)) == 2
     # field-valued and traced ranks can legitimately differ
     F81 = default_field(3, 4)
-    assert boolfn.quadratic_rank(F81, FuncSpec(((1, 4),), False)).r == 4
-    assert boolfn.quadratic_rank(F81, FuncSpec(((1, 4),), True)).r == 2
+    assert boolfn.quadratic_rank(F81, FuncSpec(((1, 4),), False)) == 4
+    assert boolfn.quadratic_rank(F81, FuncSpec(((1, 4),), True)) == 2
 
 
 def test_quadratic_rank_rejects_other_exponents():
@@ -115,7 +116,11 @@ def brute_rank(F, f):
 
 @st.composite
 def quadratic_form_batches(draw):
-    """One to four forms on one field, traced or GF(q)-valued, some sharing exponents."""
+    """One to four forms on one field, traced or GF(q)-valued.
+
+    Some share the first form's exponent tuple, the others draw their own, so
+    one batch mixes exponent sets; a coefficient may be 0, an absent term.
+    """
     p, m = draw(st.sampled_from(((2, 5), (3, 3), (5, 2))))
     F = default_field(p, m)
     exps = sorted({p**i + p**j for i in range(m) for j in range(i, m)})
@@ -125,7 +130,7 @@ def quadratic_form_batches(draw):
             chosen = [e for _, e in forms[0].terms]  # the first form's exponent tuple
         else:
             chosen = draw(st.lists(st.sampled_from(exps), min_size=1, unique=True))
-        coeffs = draw(st.lists(st.integers(1, F.q - 1), min_size=len(chosen),
+        coeffs = draw(st.lists(st.integers(0, F.q - 1), min_size=len(chosen),
                                max_size=len(chosen)))
         forms.append(FuncSpec(tuple(zip(coeffs, chosen)), draw(st.booleans())))
     return F, forms
@@ -135,18 +140,62 @@ def quadratic_form_batches(draw):
 def test_quadratic_rank_matches_brute_force_radical(batch):
     F, forms = batch
     ranks = boolfn.quadratic_rank(F, forms)
-    assert isinstance(ranks, list) and len(ranks) == len(forms)
-    for f, rank in zip(forms, ranks):
-        assert rank.r == brute_rank(F, f)
-        assert rank.radical_dim == F.m - rank.r
-        assert boolfn.quadratic_rank(F, f) == rank  # one FuncSpec in, one result out
+    assert ranks.dtype == np.int64 and ranks.shape == (len(forms),)
+    for f, rank in zip(forms, ranks.tolist()):
+        assert rank == brute_rank(F, f)
+        single = boolfn.quadratic_rank(F, f)  # one FuncSpec in, one int out
+        assert type(single) is int and single == rank
+    # the same forms, traced, as one coefficient matrix over one exponent tuple
+    exps, coeffs = designs.coefficient_rows(forms)
+    traced = [FuncSpec(f.terms, True) for f in forms]
+    assert boolfn.quadratic_rank(F, coeffs, exps).tolist() == [brute_rank(F, f) for f in traced]
+
+
+def brute_table(F, f):
+    """f(x) for every x from scalar field operations, then Tr if traced."""
+    vals = []
+    for x in range(F.q):
+        acc = 0
+        for c, e in f.terms:
+            acc = F.add(acc, F.mul(c, F.pow(x, e)))
+        vals.append(F.trace(acc) if f.to_prime_subfield else acc)
+    return vals
+
+
+@given(quadratic_form_batches())
+def test_row_tables_match_each_form_on_its_own(batch):
+    F, forms = batch
+    exps, coeffs = designs.coefficient_rows(forms)
+    for traced in (False, True):
+        tables = designs.table_rows(F, exps, coeffs, traced)
+        assert tables.dtype == np.int32 and tables.shape == (len(forms), F.q)
+        for f, row in zip(forms, tables.tolist()):
+            g = FuncSpec(f.terms, traced)
+            assert row == g.table(F).tolist() == brute_table(F, g)
+
+
+@pytest.mark.parametrize("m", [4, 5, 6])
+def test_row_tables_give_walsh_at_zero_and_one_stacked_butterfly(m):
+    # every coefficient row over x^2, x^3, x^5 with entries in {0, 1, alpha}
+    F = default_field(2, m)
+    exps = (2, 3, 5)
+    grid = np.array(np.meshgrid(*[(0, 1, F.alpha)] * 3, indexing="ij")).reshape(3, -1).T[1:]
+    tables = designs.table_rows(F, exps, grid, traced=True)
+    spectra = boolfn.walsh_from_table(F, tables)
+    assert len(spectra) == len(grid)
+    for row, tbl, s in zip(grid, tables, spectra):
+        f = FuncSpec(tuple((int(c), e) for c, e in zip(row, exps) if c), True)
+        want = boolfn.walsh_transform(F, f)
+        assert s == want and not s.values.flags.writeable
+        assert F.q - 2 * int(np.count_nonzero(tbl)) == want.values[0]
 
 
 def test_quadratic_rank_batch_edges():
     F = default_field(2, 6)
-    assert boolfn.quadratic_rank(F, []) == []
+    empty = boolfn.quadratic_rank(F, [])
+    assert empty.dtype == np.int64 and empty.shape == (0,)
     gold = FuncSpec(((1, 3),), True)
-    assert boolfn.quadratic_rank(F, (gold, gold)) == [boolfn.quadratic_rank(F, gold)] * 2
+    assert boolfn.quadratic_rank(F, (gold, gold)).tolist() == [boolfn.quadratic_rank(F, gold)] * 2
     # a bad exponent anywhere in the batch raises with the single-form message
     with pytest.raises(errors.NotQuadraticFormError, match="^exponent 7 is not of the form p\\^i\\+p\\^j$"):
         boolfn.quadratic_rank(F, [gold] * 3 + [FuncSpec(((1, 7),), True)])
@@ -256,23 +305,37 @@ def test_trace_pairing_map_is_read_only():
         umap[1] = 0
 
 
+def nth_quadratic_spec(F, n):
+    """Search candidate n: base-q digit i of n is the coefficient of x^(2^i+1), f_0 fastest."""
+    terms = []
+    for i in range(F.m // 2 + 1):
+        n, c = divmod(n, F.q)
+        if c:
+            terms.append((c, (1 << i) + 1))
+    return FuncSpec(tuple(terms), True)
+
+
 def test_find_quadratic_with_and_iteration_order():
     F = default_field(2, 6)
-    first = [s.terms for _, s in zip(range(3), boolfn.iter_quadratic_specs(F))]
+    first = [nth_quadratic_spec(F, n).terms for n in (1, 2, 3)]
     assert first == [(((1, 2),)), (((2, 2),)), (((3, 2),))]
+    assert boolfn.find_quadratic_with(F) == nth_quadratic_spec(F, 1)
     spec = boolfn.find_quadratic_with(F, rank=4, walsh0=16)
-    assert boolfn.quadratic_rank(F, spec).r == 4
+    assert boolfn.quadratic_rank(F, spec) == 4
     assert boolfn.walsh_transform(F, spec).values[0] == 16
     with pytest.raises(errors.SizeLimitError):
         boolfn.find_quadratic_with(F, rank=5, limit=50)  # odd rank is impossible
 
 
-def sequential_find(F, rank, walsh0, limit):
-    """The search one spec at a time: the first of `limit` specs that matches."""
-    for spec in islice(boolfn.iter_quadratic_specs(F), limit):
-        if (boolfn.quadratic_rank(F, spec).r == rank
+@lru_cache(maxsize=None)
+def sequential_find(m, rank, walsh0, limit):
+    """The search one spec at a time: (n, spec) for the first of `limit` candidates that matches."""
+    F = default_field(2, m)
+    for n in range(1, min(limit, F.q ** (F.m // 2 + 1) - 1) + 1):
+        spec = nth_quadratic_spec(F, n)
+        if (boolfn.quadratic_rank(F, spec) == rank
                 and boolfn.walsh_transform(F, spec).values[0] == walsh0):
-            return spec
+            return n, spec
     return None
 
 
@@ -280,19 +343,36 @@ def sequential_find(F, rank, walsh0, limit):
 @pytest.mark.parametrize("m,rank,walsh0", [
     (4, 4, 4), (6, 6, 8),                  # bent
     (5, 4, 8), (7, 6, 16),                 # semibent
+    (9, 8, 32),                            # semibent past n = q: f_1 is decoded too
 ])
 def test_find_quadratic_with_matches_a_sequential_walk(monkeypatch, chunk, m, rank, walsh0):
     monkeypatch.setattr(boolfn, "RANK_CHUNK", chunk)
     F = default_field(2, m)
-    want = sequential_find(F, rank, walsh0, 10**6)
-    assert want is not None
+    found = sequential_find(m, rank, walsh0, 10**6)
+    assert found is not None
+    seen, want = found
     assert boolfn.find_quadratic_with(F, rank=rank, walsh0=walsh0) == want
     # limit counts specs examined: the match is the last one a tight limit admits
-    seen = next(i for i, s in enumerate(boolfn.iter_quadratic_specs(F), 1) if s == want)
     assert boolfn.find_quadratic_with(F, rank=rank, walsh0=walsh0, limit=seen) == want
     with pytest.raises(errors.SizeLimitError,
                        match="^no quadratic function matched within the search budget$"):
         boolfn.find_quadratic_with(F, rank=rank, walsh0=walsh0, limit=seen - 1)
+
+
+def test_find_quadratic_with_holds_a_few_tables_at_q_2_16():
+    # at q = TABLE_BLOCK the f_hat(0) test reads one candidate table at a time:
+    # 16 tables at once would be 16 q-entry int32 arrays before any temporary.
+    # f_hat(0) is even, so walsh0 = 1 never matches and every candidate is read
+    F = default_field(2, 16)
+    boolfn.find_quadratic_with(F, limit=1)  # builds the field's tables first
+    tracemalloc.start()
+    try:
+        with pytest.raises(errors.SizeLimitError):
+            boolfn.find_quadratic_with(F, walsh0=1, limit=16)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 4 * F.q
 
 
 def test_parseval_holds_for_every_tested_spectrum():

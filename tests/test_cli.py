@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from dscodes import cli, codes, designs, verify
 from dscodes.cli import entry
 from dscodes.errors import InvariantError
-from dscodes.gf import default_field
+from dscodes.gf import Field, default_field
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -223,6 +223,48 @@ def test_field_above_table_cap_exits_1(extra):
     assert proc.stdout == ""
     assert proc.stderr.startswith("error:")
     assert "Traceback" not in proc.stderr
+
+
+FIELD_CONFLICTS = [
+    ("walsh", "--p", "3", "--m", "5", "--func", "1@3"),
+    ("code", "--family", "maschietti:segre", "--p", "3", "--m", "5"),
+    ("code", "--family", "bool:1@3", "--p", "3", "--m", "5"),
+    ("code", "--family", "hkm:1", "--p", "5", "--m", "7"),
+]
+
+
+@pytest.mark.parametrize("argv", FIELD_CONFLICTS, ids=["walsh", "maschietti", "bool", "hkm"])
+def test_a_field_flag_the_family_fixes_otherwise_exits_1(capsys, monkeypatch, argv):
+    def no_field(*args, **kwargs):
+        raise AssertionError("built a field")
+
+    monkeypatch.setattr(cli, "Field", no_field)  # refused before any field is built
+    rc, out, err = run(capsys, *argv)
+    assert rc == 1 and out == ""
+    assert err.startswith("error: --p ") and "conflicts with" in err
+
+
+def test_field_flag_conflicts_exit_1_under_python_O():
+    # the refusal is no assert statement: -O keeps it
+    code = ("import sys\nfrom dscodes.cli import entry\n"
+            f"sys.exit(sum(entry(list(a)) for a in {FIELD_CONFLICTS!r}))")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert proc.returncode == len(FIELD_CONFLICTS) and proc.stdout == ""
+    assert proc.stderr.count("conflicts with") == len(FIELD_CONFLICTS)
+
+
+@pytest.mark.parametrize("modulus", ["1,2,0,1", "1,0,2,1"])
+def test_hkm_takes_the_modulus_flag(capsys, modulus):
+    # 1,2,0,1 is GF(27)'s default modulus; 1,0,2,1 gives another primitive element
+    rc, out, _ = run(capsys, "construct", "--family", "hkm:1", "--modulus", modulus)
+    assert rc == 0
+    F = Field(3, 3, modulus=tuple(int(c) for c in modulus.split(",")))
+    assert out.splitlines()[1] == " ".join(map(str, designs.hkm_set(F).elems.tolist()))
+    rc, _, err = run(capsys, "construct", "--family", "hkm:2", "--max-field-bits", "5")
+    assert rc == 1 and err == "error: GF(3^6) exceeds the field cap 2^5\n"
 
 
 @pytest.mark.parametrize("argv", [

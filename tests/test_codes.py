@@ -94,7 +94,7 @@ def test_weight_enumerator_matches_brute_force(p, m, family):
 
 
 def test_weight_enumerator_hkm_brute_force():
-    D = designs.hkm_set(1)
+    D = designs.hkm_set(default_field(3, 3))
     E = codes.weight_enumerator(D)
     assert E.counts == brute_enumerator(D)[0]
     assert (E.n, E.k) == (4, 3)
@@ -276,7 +276,7 @@ def test_dual_distance_witness_frozen():
 
 
 def test_pless_moments_hkm_h1():
-    D = designs.hkm_set(1)
+    D = designs.hkm_set(default_field(3, 3))
     E = codes.weight_enumerator(D)
     W = codes.dual_distance_witness(D)
     rep = codes.pless_moment_check(E, W)
@@ -326,7 +326,7 @@ def test_enumerator_json_round_trip_and_bytes(capsys):
     s = json.dumps(obj, separators=(",", ":"))
     assert s == ('{"p":3,"m":3,"n":4,"k":3,"weights":'
                  '[{"w":0,"A":1},{"w":2,"A":12},{"w":3,"A":8},{"w":4,"A":6}]}')
-    E = codes.weight_enumerator(designs.hkm_set(1))
+    E = codes.weight_enumerator(designs.hkm_set(default_field(3, 3)))
     assert (obj["p"], obj["m"], obj["n"], obj["k"]) == (E.p, E.m, E.n, E.k)
     assert {row["w"]: row["A"] for row in obj["weights"]} == E.counts
 

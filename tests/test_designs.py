@@ -12,7 +12,7 @@ from dscodes.designs import (
     FuncSpec,
     IrregularDesign,
 )
-from dscodes.gf import MAX_FIELD_BITS, Field, default_field
+from dscodes.gf import Field, default_field
 
 
 def test_paley_gf7_is_the_quadratic_residues():
@@ -50,7 +50,7 @@ def test_set_constructions_read_no_log_table():
     # the sets come off the exp and trace tables; the log table stays unbuilt
     sets = [designs.paley_set(Field(p, m)) for p, m in ((3, 5), (7, 3), (131, 2), (13, 1))]
     sets += [designs.maschietti_set(Field(2, 7), case) for case in designs.MASCHIETTI_CASES]
-    sets.append(designs.hkm_set(2, max_bits=MAX_FIELD_BITS))
+    sets.append(designs.hkm_set(Field(3, 6)))
     for D in sets:
         assert D.field._exp is not None and D.field._log is None, D.family_tag
 
@@ -333,11 +333,17 @@ def test_maschietti_image_is_two_to_one():
 
 
 def test_hkm_set_frozen_h1():
-    D = designs.hkm_set(1)
+    D = designs.hkm_set(default_field(3, 3))
     assert D.elems.tolist() == [1, 14, 17, 20]
     assert designs.to_cyclic_residues(D, v=13).tolist() == [0, 7, 8, 11]
     cls = designs.classify_design(CyclicGroup(13), designs.to_cyclic_residues(D, v=13))
     assert cls == DifferenceSet(13, 4, 1)
+
+
+@pytest.mark.parametrize("pm", [(3, 4), (2, 3), (5, 3)])
+def test_hkm_set_needs_gf_3_to_3h(pm):
+    with pytest.raises(ValueError, match="HKM sets live in GF"):
+        designs.hkm_set(default_field(*pm))
 
 
 def test_boolean_support_size():
