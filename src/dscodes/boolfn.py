@@ -22,7 +22,7 @@ from .designs import TABLE_BLOCK, FuncSpec, coefficient_rows, evaluate_rows, tab
 from .gf import Field, column_span, gfp_rank
 
 AB_DEGREE_LIMIT = 9
-# quadratic forms ranked per stacked gfp_rank call while searching
+# quadratic forms evaluated and ranked per stacked gfp_rank call
 RANK_CHUNK = 256
 
 
@@ -154,8 +154,10 @@ def quadratic_rank(F: Field, f, exps=None):
     A FuncSpec gives an int; a sequence of them (trace- or GF(q)-valued), or
     with exps a coefficient matrix of traced forms over exps, an int64 array.
     A bad exponent (not p^i + p^j) raises before anything is evaluated.  The
-    forms are evaluated as one matrix on the m + m^2 points a_i, a_i + a_j,
-    and B(a_i, a_j) = f(a_i + a_j) - f(a_i) - f(a_j) goes to one gfp_rank.
+    forms are evaluated RANK_CHUNK at a time as one matrix on the m + m^2
+    points a_i, a_i + a_j, and each chunk's B(a_i, a_j) = f(a_i + a_j) -
+    f(a_i) - f(a_j) goes to one gfp_rank, so the stack never holds more than
+    RANK_CHUNK forms.
     """
     if exps is None:
         specs = [f] if isinstance(f, FuncSpec) else list(f)
@@ -172,16 +174,19 @@ def quadratic_rank(F: Field, f, exps=None):
     m = F.m
     basis = np.asarray(F.basis(), dtype=np.int32)
     points = np.concatenate((basis, F.add(basis[:, None], basis[None, :]).ravel()))
-    vals = evaluate_rows(F, exps, coeffs, points)
-    vals = np.where(traced[:, None], F.trace_table[vals], vals)
-    fb, fpair = vals[:, :m], vals[:, m:].reshape(-1, m, m)
-    bilin = F.sub(F.sub(fpair, fb[:, :, None]), fb[:, None, :])
-    if traced.all():
-        rows = bilin  # a GF(p) value is its own constant digit
-    else:
-        # row (j, d) holds digit d of B(a_i, a_j) for every i
-        rows = F.digits(bilin).transpose(0, 2, 3, 1).reshape(-1, m * m, m)
-    ranks = gfp_rank(rows, F.p)
+    ranks = np.empty(len(coeffs), dtype=np.int64)
+    for lo in range(0, len(coeffs), RANK_CHUNK):
+        chunk, tr = coeffs[lo : lo + RANK_CHUNK], traced[lo : lo + RANK_CHUNK]
+        vals = evaluate_rows(F, exps, chunk, points)
+        vals = np.where(tr[:, None], F.trace_table[vals], vals)
+        fb, fpair = vals[:, :m], vals[:, m:].reshape(-1, m, m)
+        bilin = F.sub(F.sub(fpair, fb[:, :, None]), fb[:, None, :])
+        if tr.all():
+            rows = bilin  # a GF(p) value is its own constant digit
+        else:
+            # row (j, d) holds digit d of B(a_i, a_j) for every i
+            rows = F.digits(bilin).transpose(0, 2, 3, 1).reshape(-1, m * m, m)
+        ranks[lo : lo + RANK_CHUNK] = gfp_rank(rows, F.p)
     return int(ranks[0]) if isinstance(f, FuncSpec) else ranks
 
 

@@ -161,18 +161,26 @@ def _write_elements(out, elems):
     out.write("\n")
 
 
+def _classified(D, cyclic, classify=True):
+    """D in the group a command names, and its class there (None unless classify).
+
+    cyclic reads D as dlog residues in Z_(q-1), otherwise as elements of
+    (GF(q), +).  The work bound is checked before the residues are computed:
+    they keep k = len(D).
+    """
+    if classify:
+        designs.check_classify_work(len(D))
+    if cyclic:
+        elems, group = designs.to_cyclic_residues(D), CyclicGroup(D.field.q - 1)
+    else:
+        elems, group = D.elems, AdditiveGroup(D.field)
+    return elems, designs.classify_design(group, elems) if classify else None
+
+
 def cmd_construct(args):
     D, _ = _resolve_family(args)
     F = D.field
-    if args.classify:
-        designs.check_classify_work(len(D))  # dlog keeps k = len(D): refuse before the residues
-    elems = designs.to_cyclic_residues(D) if args.dlog else D.elems
-    cls = None
-    if args.classify:
-        if args.dlog:
-            cls = designs.classify_design(CyclicGroup(F.q - 1), elems)
-        else:
-            cls = designs.classify_design(AdditiveGroup(F), elems)
+    elems, cls = _classified(D, args.dlog, args.classify)
     if args.json:
         doc = {"family": args.family, "p": F.p, "m": F.m,
                "size": elems.size, "elements": elems.tolist()}
@@ -190,13 +198,7 @@ def cmd_construct(args):
 
 def cmd_analyze_design(args):
     D, _ = _resolve_family(args)
-    F = D.field
-    if args.group == "cyclic":
-        designs.check_classify_work(len(D))  # dlog keeps k = len(D): refuse before the residues
-        elems = designs.to_cyclic_residues(D)
-        cls = designs.classify_design(CyclicGroup(F.q - 1), elems)
-    else:
-        cls = designs.classify_design(AdditiveGroup(F), D.elems)
+    _, cls = _classified(D, args.group == "cyclic")
     if args.json:
         doc = {"family": args.family, "group": args.group,
                "v": cls.v, "k": cls.k, "classification": _design_str(cls)}

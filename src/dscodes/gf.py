@@ -175,8 +175,6 @@ def column_span(cols, p: int) -> np.ndarray:
 
 # elements per block of an exp doubling level: a block's buffers stay in cache
 EXP_BLOCK = 1 << 13
-# scalar steps x -> alpha*x that seed the exp table of GF(p^m): SEED_WALK/m, at least 2m
-SEED_WALK = 128
 # an odd-p unpack table has at most 2^UNPACK_BITS entries (int32, in cache)
 UNPACK_BITS = 15
 
@@ -305,7 +303,6 @@ class Field:
         else:
             self.modulus = self._default_modulus()
         self.alpha = p if m >= 2 else (-self.modulus[0]) % p
-        self._pm1 = p ** (m - 1)
         self._exp = None
         self._log = None
         self._trace_table = None
@@ -392,21 +389,6 @@ class Field:
         out[(a == 0) | (b == 0)] = 0
         return _int_if_scalar(out.astype(_element_dtype(a, b), copy=False))
 
-    def _mul_by_alpha(self, a: int) -> int:
-        """a * alpha without exp/log tables (seeds their build)."""
-        if self.m == 1:
-            return a * self.alpha % self.p
-        top, rest = divmod(a, self._pm1)
-        if top == 0:
-            return rest * self.p
-        b = rest * self.p
-        acc, mult = 0, 1
-        for i in range(self.m):
-            acc += ((b % self.p) - top * self.modulus[i]) % self.p * mult
-            b //= self.p
-            mult *= self.p
-        return acc
-
     def pow(self, a, e: int):
         """Elementwise a^e for an int e (0^0 = 1, 0^e = 0 for e > 0).
 
@@ -451,7 +433,8 @@ class Field:
 
         Once exp[:n] is known, so are the columns exp[s:s+m] of x -> alpha^s*x
         for s = n - m, and that map sends exp[m:n] to exp[n:2n-m]: each level
-        doubles n - m.  The map is GF(p)-linear on digit vectors, so with
+        doubles n - m, so from the closed-form seed n = m + 1 the levels add
+        1, 2, 4, ... entries.  The map is GF(p)-linear on digit vectors, so with
         r = ceil(m/2) it is lo[x mod p^r] + hi[x div p^r], each half-table the
         column span of its columns.  A level runs in blocks of at most
         EXP_BLOCK entries through buffers allocated here once, at the size of
@@ -531,21 +514,19 @@ class Field:
     def _ensure_tables(self):
         """exp[t] = alpha^t, int32 (entries below q <= 2^25), read-only.
 
-        A scalar walk x -> alpha*x gives the first max(2m, SEED_WALK/m)
-        entries and _double fills the rest.  The build raises InvariantError
-        unless exp is a permutation of GF(q)*, checked on a q-byte mask.
+        The seed is closed-form: alpha^j = p^j for j < m, and modulo
+        x^m + c_{m-1} x^(m-1) + ... + c_0, alpha^m = sum_j (-c_j mod p) p^j
+        (for m = 1 that is alpha = -c_0 itself).  _double fills the rest from
+        exp[:m+1].  The build raises InvariantError unless exp is a
+        permutation of GF(q)*, checked on a q-byte mask.
         """
         if self._exp is not None:
             return
-        size = self.q - 1
+        m, size = self.m, self.q - 1
+        top = -np.asarray(self.modulus[:m], dtype=np.int64) % self.p @ self._powers
         exp = np.empty(size, dtype=np.int32)
-        # the walk costs O(m) per step and a doubling level a few dozen numpy
-        # calls, so it goes on while it is cheaper than the levels it saves
-        walk = [1]
-        for _ in range(min(max(2 * self.m, SEED_WALK // self.m), size) - 1):
-            walk.append(self._mul_by_alpha(walk[-1]))
-        exp[: len(walk)] = walk
-        self._double(exp, len(walk))
+        exp[: m + 1] = np.append(self._powers, top)[:size]  # GF(2) has one entry
+        self._double(exp, m + 1)
         # marked a block at a time, so the index conversion to intp stays small
         seen = np.zeros(self.q, dtype=bool)
         for lo in range(0, size, EXP_BLOCK):

@@ -231,20 +231,25 @@ for _m in (5, 7, 9, 11):
 # ---------------------------------------------------------------------------
 # criteria 7-9: bent / semibent / almost bent codes
 
+def _support_and_spectrum(F, f):
+    """The support D_f and the Walsh spectrum of Tr(f), from one q-point table."""
+    tbl = FuncSpec(f.terms, True).table(F)
+    D = designs.defining_set(F, np.flatnonzero(tbl == 1), "bool-support")
+    return D, boolfn.walsh_from_table(F, tbl)
+
+
 @lru_cache(maxsize=None)
 def _bent_instance(m):
     F = default_field(2, m)
     spec = boolfn.find_quadratic_with(F, rank=m, walsh0=1 << (m // 2))
-    D = designs.boolean_support(F, spec)
-    return F, spec, D
+    return F, spec, *_support_and_spectrum(F, spec)
 
 
 def _bent_case(m):
     def run():
-        F, spec, D = _bent_instance(m)
+        F, _, D, s = _bent_instance(m)
         n_f = len(D)
         want_nf = 2 ** (m - 1) - 2 ** ((m - 2) // 2)
-        s = boolfn.walsh_transform(F, spec)
         cls = boolfn.classify_spectrum(s)
         E = codes.weight_enumerator(D)
         pred = codes.predicted_enumerator("thm-bentcodes", m=m, n_f=n_f)
@@ -267,16 +272,14 @@ for _m in (4, 6, 8):
 def _semibent_instance(m):
     F = default_field(2, m)
     spec = boolfn.find_quadratic_with(F, rank=m - 1, walsh0=1 << ((m + 1) // 2))
-    D = designs.boolean_support(F, spec)
-    return F, spec, D
+    return F, spec, *_support_and_spectrum(F, spec)
 
 
 def _semibent_case(m):
     def run():
-        F, spec, D = _semibent_instance(m)
+        F, spec, D, s = _semibent_instance(m)
         n_f = len(D)
         want_nf = 2 ** (m - 1) - 2 ** ((m - 1) // 2)
-        s = boolfn.walsh_transform(F, spec)
         cls = boolfn.classify_spectrum(s)
         r = boolfn.quadratic_rank(F, spec)
         E = codes.weight_enumerator(D)
@@ -301,14 +304,14 @@ def _ab_case(m):
         F = default_field(2, m)
         g = FuncSpec(((1, 3),), False)
         ab = boolfn.is_almost_bent(F, g)
-        # lambda_g(1, 0) is f_hat(0) of Tr(g), which walsh_transform takes of a
-        # GF(q)-valued g; an AB g has it in {0, +-2^((m+1)/2)}, each fixing
+        # lambda_g(1, 0) is f_hat(0) of Tr(g), read off the table of Tr(g) that
+        # also gives D_g; an AB g has it in {0, +-2^((m+1)/2)}, each fixing
         # n_f = 2^(m-1) - f_hat(0)/2, and any other value admits no n_f
-        lam0 = int(boolfn.walsh_transform(F, g).values[0])
+        D, s = _support_and_spectrum(F, g)
+        lam0 = int(s.values[0])
         half, shift = 1 << (m - 1), 1 << ((m - 1) // 2)
         admissible = {0: half, 2 * shift: half - shift, -2 * shift: half + shift}
         want_nf = [admissible[lam0]] if lam0 in admissible else []
-        D = designs.boolean_support(F, g)
         n_f = len(D)
         E = codes.weight_enumerator(D)
         pred = codes.predicted_enumerator("thm-abcodes", m=m, n_f=n_f)
@@ -405,29 +408,29 @@ def _hkm_lemma_case(h):
         F, D = _hkm_instance(h)
         m, e = 3 * h, 3**h
         ell = 3 ** (2 * h) - 3**h + 1
-        if h == 1:
-            us = list(range(F.q))
-            bs = list(range(1, F.q))
-        else:
-            step = (F.q - 1) // 127
-            us = [0] + [int(F.exp_table[t]) for t in range(0, F.q - 1, step)]
-            bs = [int(F.exp_table[t]) for t in range(0, F.q - 1, step)]
+        bs = np.arange(1, F.q) if h == 1 else F.exp_table[:: (F.q - 1) // 127]
+        us = np.append(0, bs)
         problems = []
         # row (u, v) is the form Tr(u x^(e+1) + v x^2); a rank call per family
         # keeps gfp_rank's stack, and so peak memory, at one family's size
         exps = (e + 1, 2)
-        r_one, *r_us = boolfn.quadratic_rank(F, [(u, 1) for u in [1, *us]], exps).tolist()
-        r_partners = boolfn.quadratic_rank(F, [(F.neg(F.add(1, u)), 1) for u in us], exps).tolist()
-        r_bs = boolfn.quadratic_rank(F, [(b, 0) for b in bs], exps).tolist()
+
+        def ranks(u, v):
+            rows = np.column_stack((u, np.full(u.size, v)))
+            return boolfn.quadratic_rank(F, rows, exps).tolist()
+
+        r_one, *r_us = ranks(np.append(1, us), 1)
+        r_partners = ranks(F.neg(F.add(1, us)), 1)
+        r_bs = ranks(bs, 0)
         if r_one != m:
             problems.append(f"rank(Q_1) = {r_one}")
         allowed_ranks = {m, m - h, m - 2 * h}
-        for u, r, r_partner in zip(us, r_us, r_partners):
+        for u, r, r_partner in zip(us.tolist(), r_us, r_partners):
             if r not in allowed_ranks:
                 problems.append(f"rank(Q_{u}) = {r}")
             if max(r, r_partner) != m:
                 problems.append(f"neither Q_{u} nor its partner has full rank")
-        for b, r in zip(bs, r_bs):
+        for b, r in zip(bs.tolist(), r_bs):
             if r != m:
                 problems.append(f"rank(Tr({b} x^{e+1})) < {m}")
         f_hkm = FuncSpec(((1, 1), (1, ell)), True)
@@ -441,7 +444,7 @@ def _hkm_lemma_case(h):
         d0 = designs._distinct(np.sort(np.concatenate((D.elems, F.neg(D.elems)))))
         allowed_chi = {-1, 3 ** (2 * h - 1) - 1, -(3 ** (2 * h - 1)) - 1}
         triples = designs.joint_counts(F, f_hkm, bs)
-        for b, triple, chi_sum in zip(bs, triples, char_sum(F, d0, bs)):
+        for b, triple, chi_sum in zip(bs.tolist(), triples, char_sum(F, d0, bs)):
             if triple not in allowed_triples:
                 problems.append(f"N_(b,a) triple {triple} at b={b}")
             chi = is_rational(chi_sum)
@@ -590,8 +593,8 @@ CASES["prop-parseval"] = _parseval_case()
 def _pless_case():
     def run():
         _, hd = _hkm_instance(1)
-        _, _, bd = _bent_instance(6)
-        _, _, smd = _semibent_instance(7)
+        bd = _bent_instance(6)[2]
+        smd = _semibent_instance(7)[2]
         instances = [
             ("skew-q27", *_family_enumerator("paley", 3, 3)),
             ("qr-p3m2", *_family_enumerator("paley", 3, 2)),
@@ -620,7 +623,7 @@ def _complement_case():
     def run():
         problems = []
         F7 = default_field(7, 1)
-        Fb, _, Db = _bent_instance(4)
+        Fb, _, Db, _ = _bent_instance(4)
         for name, G, elems in (
                 ("paley GF(7)", AdditiveGroup(F7), designs.paley_set(F7).elems),
                 ("hkm h=1", CyclicGroup(13), designs.to_cyclic_residues(_hkm_instance(1)[1], v=13)),

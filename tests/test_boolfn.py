@@ -201,6 +201,27 @@ def test_quadratic_rank_batch_edges():
         boolfn.quadratic_rank(F, [gold] * 3 + [FuncSpec(((1, 7),), True)])
 
 
+def test_quadratic_rank_holds_one_chunk_of_forms_at_a_time():
+    # a GF(q)-valued form ranks an (m*m, m) digit matrix, so one chunk's
+    # stack is RANK_CHUNK*m^3 int64 entries; gfp_rank copies it a few times,
+    # and the 4*RANK_CHUNK forms in one stack would peak about four times higher
+    F = default_field(2, 9)
+    exps = (2, 3, 5, 17)  # x^2 is additive: a form of it alone has rank 0
+    rng = np.random.default_rng(9)
+    coeffs = rng.integers(0, F.q, (4 * boolfn.RANK_CHUNK, len(exps)))
+    coeffs[rng.integers(0, 3, coeffs.shape) > 0] = 0  # most terms absent
+    forms = [FuncSpec(tuple(zip(row, exps)), False) for row in coeffs.tolist()]
+    tracemalloc.start()
+    try:
+        ranks = boolfn.quadratic_rank(F, forms)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ranks.tolist() == [boolfn.quadratic_rank(F, f) for f in forms]
+    stack = boolfn.RANK_CHUNK * F.m**3 * 8
+    assert peak < 6 * stack, peak / stack
+
+
 def test_galois_sum_frozen_values():
     assert boolfn.quadratic_galois_sum(default_field(3, 2), FuncSpec(((1, 2),), False)) == 6
     assert boolfn.quadratic_galois_sum(default_field(3, 3), FuncSpec(((1, 2),), True)) == 0

@@ -19,7 +19,6 @@ from dscodes import errors, gf
 from dscodes.gf import (
     EXP_BLOCK,
     MAX_FIELD_BITS,
-    SEED_WALK,
     UNPACK_BITS,
     Field,
     _Packing,
@@ -45,12 +44,23 @@ def test_default_moduli_are_the_documented_scan_results():
     assert default_field(7, 1).alpha == 3
 
 
+def _x_mod(mod, p):
+    """x reduced modulo the monic mod, as a coefficient list: the digits of alpha."""
+    return [(-mod[0]) % p] if len(mod) == 2 else [0, 1] + [0] * (len(mod) - 3)
+
+
+def _times_alpha(F, a):
+    """alpha * a by the schoolbook product modulo F.modulus: the reference step."""
+    da = _digit_list(a, F.p, F.m)
+    return _index(_poly_mulmod(da, _x_mod(F.modulus, F.p), F.modulus, F.p), F.p)
+
+
 def _list_x_order_is_maximal(mod, p, primes):
     """x has order p^m - 1 modulo mod, by list-based square-and-multiply; the oracle."""
     m = len(mod) - 1
     qm1 = p**m - 1
     one = [1] + [0] * (m - 1)
-    base = [(-mod[0]) % p] if m == 1 else [0, 1] + [0] * (m - 2)
+    base = _x_mod(mod, p)
 
     def xpow(e):
         acc, b = one, base
@@ -263,12 +273,12 @@ def test_tables_match_scalar_ops():
 
 
 def _walked_tables(F):
-    """exp/log by the scalar walk exp[t+1] = alpha*exp[t]: the reference for the doubling build."""
+    """exp/log by the schoolbook walk exp[t+1] = alpha*exp[t]: the reference for the doubling build."""
     exp = np.empty(F.q - 1, dtype=np.int32)
     cur = 1
     for t in range(F.q - 1):
         exp[t] = cur
-        cur = F._mul_by_alpha(cur)
+        cur = _times_alpha(F, cur)
     assert cur == 1
     log = np.full(F.q, -1, dtype=np.int32)
     log[exp] = np.arange(F.q - 1)
@@ -292,12 +302,28 @@ def test_tables_match_the_scalar_walk(p, m, modulus):
     assert F.log_table.tobytes() == log.tobytes()
 
 
+# only GF(2), whose exp table is [1], truncates the seed; x + 2 over GF(7)
+# and x^3 + x^2 + 2x + 1 over GF(3) are not the default moduli
+@pytest.mark.parametrize("p,m,modulus", [
+    (2, 1, None), (3, 1, None), (7, 1, (2, 1)), (2, 2, None), (3, 3, None),
+    (3, 3, (1, 2, 1, 1)), (5, 6, None), (2, 13, (1, 0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 0, 1, 1)),
+])
+def test_exp_seed_is_read_off_the_modulus(p, m, modulus):
+    F = Field(p, m, modulus)
+    # alpha^j = p^j below m, and alpha^m = -(c_0 + ... + c_{m-1} alpha^(m-1))
+    seed = [p**j for j in range(m)] + [_index([(-c) % p for c in F.modulus[:m]], p)]
+    exp = F.exp_table
+    assert exp[: m + 1].tolist() == seed[: F.q - 1]
+    assert exp[0] == 1 and all(exp[t + 1] == _times_alpha(F, int(exp[t]))
+                               for t in range(min(m + 1, F.q - 2)))
+
+
 def _doubling_seams(F):
     """Each t where exp[t+1] is the first entry of a doubling level or block, or
-    follows the last entry of one: the seed walk's end, every level and block
-    edge, and the last (partial) block."""
+    follows the last entry of one: the closed-form seed's end, every level and
+    block edge, and the last (partial) block."""
     m, size = F.m, F.q - 1
-    n = min(max(2 * m, SEED_WALK // m), size)
+    n = min(m + 1, size)
     seams = {0, n - 1}
     while n < size:
         step = min(n - m, size - n)
@@ -311,10 +337,10 @@ def _assert_tables_are_the_powers_of_alpha(F):
     exp, log = F.exp_table, F.log_table
     assert np.array_equal(np.sort(exp), np.arange(1, F.q))
     assert np.array_equal(log[exp], np.arange(F.q - 1)) and log[0] == -1
-    # the scalar step across every seam of the doubling, the last block included
+    # the schoolbook step across every seam of the doubling, the last block included
     for t in _doubling_seams(F):
-        assert exp[t + 1] == F._mul_by_alpha(int(exp[t]))
-    assert F._mul_by_alpha(int(exp[-1])) == 1
+        assert exp[t + 1] == _times_alpha(F, int(exp[t]))
+    assert _times_alpha(F, int(exp[-1])) == 1
 
 
 def test_tables_at_the_field_cap_are_a_permutation():
@@ -436,11 +462,11 @@ def test_tables_refuse_an_alpha_that_is_not_primitive():
     F = Field(2, 4)
     F.modulus = (1, 1, 1, 1, 1)  # x^4 + x^3 + x^2 + x + 1: alpha has order 5
     G = Field(7, 1)
-    G.alpha = 2  # order 3 mod 7
+    G.modulus = (5, 1)  # x - 2: alpha = 2 has order 3 mod 7
     for K, order in ((F, 5), (G, 3)):
         walk = [1]
         for _ in range(order):
-            walk.append(K._mul_by_alpha(walk[-1]))
+            walk.append(_times_alpha(K, walk[-1]))
         assert walk[-1] == 1 and len(set(walk)) == order
         with pytest.raises(errors.InvariantError, match="not a permutation"):
             K.exp_table
@@ -453,7 +479,7 @@ from dscodes import errors, gf
 F = gf.Field(2, 4)
 F.modulus = (1, 1, 1, 1, 1)
 G = gf.Field(7, 1)
-G.alpha = 2
+G.modulus = (5, 1)
 H = gf.Field(3, 2)
 H.modulus = (1, 0, 1)  # x^2 + 1: x has order 4, not 8
 for K in (F, G, H):

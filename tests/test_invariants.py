@@ -1,6 +1,9 @@
 import ast
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 from dscodes import verify
@@ -99,3 +102,39 @@ def test_every_error_class_is_raised_somewhere():
     raised = {_raised_name(node) for path in sorted(PACKAGE.rglob("*.py"))
               for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))}
     assert sorted(declared - raised - {"ToolkitError"}) == []
+
+
+# counts the Field calls whose arguments are all 0-d while every case runs once
+_COUNT_SCALAR_CALLS = """
+import numpy as np
+from dscodes import gf, verify
+
+calls = 0
+
+
+def counted(method):
+    def wrapper(self, *args):
+        global calls
+        calls += all(np.ndim(a) == 0 for a in args)
+        return method(self, *args)
+    return wrapper
+
+
+for name in ("add", "neg", "sub", "mul", "pow", "inv", "trace", "dlog"):
+    setattr(gf.Field, name, counted(getattr(gf.Field, name)))
+reports = verify.run_cases()
+print(calls, all(r.verdict == "pass" for r in reports))
+"""
+
+
+def test_verify_makes_few_scalar_field_calls():
+    # the registry builds its samples and coefficient rows as arrays: a case
+    # that loops over field elements one call at a time shows up here.  A
+    # fresh process, so no earlier test has filled verify's caches.
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(PACKAGE.parent), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", _COUNT_SCALAR_CALLS], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    calls, passed = proc.stdout.split()
+    assert passed == "True" and int(calls) <= 20, proc.stdout
