@@ -105,11 +105,16 @@ class IrregularDesign:
 
 
 def _int64_copy(elems):
-    """A fresh int64 array of an integer array, a DefiningSet or any iterable of ints."""
+    """A fresh int64 array of an integer array, a DefiningSet or any iterable of ints.
+
+    Floats and bools raise ValueError rather than being truncated to integers.
+    """
     if isinstance(elems, DefiningSet):
         elems = elems.elems
     elif not isinstance(elems, np.ndarray):
-        return np.fromiter(elems, dtype=np.int64)  # lists and sets alike
+        elems = np.array(list(elems))  # lists, sets and ranges alike
+    if elems.size and elems.dtype.kind not in "iu":
+        raise ValueError(f"set elements must be integers, got dtype {elems.dtype}")
     return elems.astype(np.int64)
 
 

@@ -22,6 +22,8 @@ and every candidate with a root in GF(p): it is reducible.
 
 from __future__ import annotations
 
+import numbers
+import operator
 from functools import cached_property, lru_cache
 from math import prod
 
@@ -277,8 +279,9 @@ class Field:
 
     def __init__(self, p: int, m: int, modulus=None, *,
                  max_bits: int = MAX_FIELD_BITS):
-        if not isinstance(p, int) or not is_prime(p):
+        if not isinstance(p, numbers.Integral) or not is_prime(int(p)):
             raise NotPrimeError(f"characteristic {p} is not prime")
+        p, m = int(p), operator.index(m)  # numpy integers become Python ints
         if m < 1:
             raise ValueError("extension degree m must be >= 1")
         bits = min(max_bits, MAX_FIELD_BITS)  # max_bits can only lower the cap

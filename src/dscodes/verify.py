@@ -1,9 +1,10 @@
 """Verification case registry: every closed-form claim, checked by enumeration.
 
-Each case builds its family from scratch, computes the exact quantity the
-claim predicts (weight enumerator, design parameters, rank, character sum),
-and compares against the frozen expected values.  Case ids are stable strings
-so CI can pin individual regressions.
+Each case is a function of its parameters, registered in CASES under a
+stable id (so CI can pin individual regressions) as a zero-argument callable.
+It builds its family, computes the exact quantity the claim predicts (weight
+enumerator, design parameters, rank, character sum), and compares it against
+the paper's closed form.  Only GLYNN2_ENUMERATORS (m = 5-11) is a frozen table.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import os
 import time
 import traceback
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import product
 
 import numpy as np
@@ -56,7 +57,8 @@ def run_case(cid: str) -> CaseReport:
 def run_cases(case_filter=None):
     ids = sorted(CASES)
     if case_filter:
-        ids = [c for c in ids if c in set(case_filter)]
+        wanted = set(case_filter)
+        ids = [c for c in ids if c in wanted]
     return [run_case(c) for c in ids]
 
 
@@ -86,64 +88,54 @@ def _family_enumerator(tag, p, m):
 # criterion 1: one-weight codes from skew Paley sets
 
 def _skew_case(p, m):
-    def run():
-        q = p**m
-        F = default_field(p, m)
-        D, E = _family_enumerator("paley", p, m)
-        skew = designs.is_skew_set(F, D)
-        pred = codes.predicted_enumerator("thm-part2", p=p, m=m)
-        ok, exp, act, detail = _check_prediction(E, pred)
-        d = codes.minimum_distance(E)
-        gries = codes.griesmer_check(E.n, E.k, d, p)
-        ok = ok and skew and gries == "meets"
-        exp = f"skew partition, {exp}, griesmer meets"
-        act = f"skew={skew}, {act}, griesmer {gries}"
-        return ok, exp, act, detail
-
-    return run
+    F = default_field(p, m)
+    D, E = _family_enumerator("paley", p, m)
+    skew = designs.is_skew_set(F, D)
+    pred = codes.predicted_enumerator("thm-part2", p=p, m=m)
+    ok, exp, act, detail = _check_prediction(E, pred)
+    d = codes.minimum_distance(E)
+    gries = codes.griesmer_check(E.n, E.k, d, p)
+    ok = ok and skew and gries == "meets"
+    exp = f"skew partition, {exp}, griesmer meets"
+    act = f"skew={skew}, {act}, griesmer {gries}"
+    return ok, exp, act, detail
 
 
 for _p, _m in ((7, 1), (11, 1), (19, 1), (23, 1), (3, 3)):
-    CASES[f"skew-q{_p**_m}"] = _skew_case(_p, _m)
+    CASES[f"skew-q{_p**_m}"] = partial(_skew_case, _p, _m)
 
 
 # ---------------------------------------------------------------------------
 # criterion 2: quadratic-residue codes
 
 def _qr_case(p, m):
-    def run():
-        _, E = _family_enumerator("paley", p, m)
-        pred = codes.predicted_enumerator("thm-part1", p=p, m=m)
-        return _check_prediction(E, pred)
-
-    return run
+    _, E = _family_enumerator("paley", p, m)
+    pred = codes.predicted_enumerator("thm-part1", p=p, m=m)
+    return _check_prediction(E, pred)
 
 
 for _p, _m in ((3, 2), (3, 4), (5, 2), (7, 2), (3, 3), (5, 3)):
-    CASES[f"qr-p{_p}m{_m}"] = _qr_case(_p, _m)
+    CASES[f"qr-p{_p}m{_m}"] = partial(_qr_case, _p, _m)
 
 
 # ---------------------------------------------------------------------------
 # criterion 3: image codes of e-to-1 quadratic forms
 
 def _qf_case(p, m, terms):
-    def run():
-        F = default_field(p, m)
-        f = FuncSpec(terms(F), False)
-        e = designs.eto1_check(F, f)
-        if e != 2:
-            return False, "e = 2", f"e = {e}", ""
-        r = boolfn.quadratic_rank(F, f)
-        D = designs.image_set(F, f)
-        E = codes.weight_enumerator(D)
-        pred = codes.predicted_enumerator("thm-qfcodes", p=p, m=m, r=r, e=e)
-        ok, exp, act, detail = _check_prediction(E, pred)
-        return ok, f"e=2, rank-{r} branch: {exp}", f"e={e}, r={r}: {act}", detail
-
-    return run
+    F = default_field(p, m)
+    f = FuncSpec(terms(F), False)
+    e = designs.eto1_check(F, f)
+    if e != 2:
+        return False, "e = 2", f"e = {e}", ""
+    r = boolfn.quadratic_rank(F, f)
+    D = designs.image_set(F, f)
+    E = codes.weight_enumerator(D)
+    pred = codes.predicted_enumerator("thm-qfcodes", p=p, m=m, r=r, e=e)
+    ok, exp, act, detail = _check_prediction(E, pred)
+    return ok, f"e=2, rank-{r} branch: {exp}", f"e={e}, r={r}: {act}", detail
 
 
-CASES["qf-gold-q27"] = _qf_case(3, 3, lambda F: ((1, 3**1 + 1),))
+CASES["qf-gold-q27"] = partial(_qf_case, 3, 3, lambda F: ((1, 3**1 + 1),))
 
 
 def _trinomial_terms(F):
@@ -151,53 +143,47 @@ def _trinomial_terms(F):
     return ((1, 10), (F.neg(u), 6), (F.neg(F.mul(u, u)), 2))
 
 
-CASES["qf-trin-q27"] = _qf_case(3, 3, _trinomial_terms)
-CASES["qf-trin-q243"] = _qf_case(3, 5, _trinomial_terms)
+CASES["qf-trin-q27"] = partial(_qf_case, 3, 3, _trinomial_terms)
+CASES["qf-trin-q243"] = partial(_qf_case, 3, 5, _trinomial_terms)
 
 
 # ---------------------------------------------------------------------------
 # criterion 4: Maschietti difference sets
 
 def _maschietti_ds_case(m):
-    def run():
-        F = default_field(2, m)
-        v, k, lam = 2**m - 1, 2 ** (m - 1) - 1, 2 ** (m - 2) - 1
-        want = designs.DifferenceSet(v, k, lam)
-        got = {}
-        for case in designs.MASCHIETTI_CASES:
-            D = designs.maschietti_set(F, case)
-            residues = designs.to_cyclic_residues(D)
-            got[case] = designs.classify_design(CyclicGroup(v), residues)
-        ok = all(cls == want for cls in got.values())
-        act = "; ".join(f"{c}: {cls}" for c, cls in got.items())
-        return ok, f"all four cases {want}", act, ""
-
-    return run
+    F = default_field(2, m)
+    v, k, lam = 2**m - 1, 2 ** (m - 1) - 1, 2 ** (m - 2) - 1
+    want = designs.DifferenceSet(v, k, lam)
+    got = {}
+    for case in designs.MASCHIETTI_CASES:
+        D = designs.maschietti_set(F, case)
+        residues = designs.to_cyclic_residues(D)
+        got[case] = designs.classify_design(CyclicGroup(v), residues)
+    ok = all(cls == want for cls in got.values())
+    act = "; ".join(f"{c}: {cls}" for c, cls in got.items())
+    return ok, f"all four cases {want}", act, ""
 
 
 for _m in (5, 7):
-    CASES[f"maschietti-ds-m{_m}"] = _maschietti_ds_case(_m)
+    CASES[f"maschietti-ds-m{_m}"] = partial(_maschietti_ds_case, _m)
 
 
 # ---------------------------------------------------------------------------
 # criteria 5-6: hyperoval codes
 
 def _hyperoval_code_case(case, m):
-    def run():
-        _, E = _family_enumerator(case, 2, m)
-        pred = codes.predicted_enumerator("thm-hyperovalDS", m=m)
-        ok, exp, act, detail = _check_prediction(E, pred)
-        d_want = 2 ** (m - 2) - 2 ** ((m - 3) // 2)
-        ok = ok and codes.minimum_distance(E) == d_want and E.k == m
-        return ok, f"[{2**(m-1)-1},{m},{d_want}] {exp}", act, detail
-
-    return run
+    _, E = _family_enumerator(case, 2, m)
+    pred = codes.predicted_enumerator("thm-hyperovalDS", m=m)
+    ok, exp, act, detail = _check_prediction(E, pred)
+    d_want = 2 ** (m - 2) - 2 ** ((m - 3) // 2)
+    ok = ok and codes.minimum_distance(E) == d_want and E.k == m
+    return ok, f"[{2**(m-1)-1},{m},{d_want}] {exp}", act, detail
 
 
 for _m in (5, 7, 9):
-    CASES[f"segre-m{_m}"] = _hyperoval_code_case("segre", _m)
+    CASES[f"segre-m{_m}"] = partial(_hyperoval_code_case, "segre", _m)
 for _m in (5, 7):
-    CASES[f"glynn1-m{_m}"] = _hyperoval_code_case("glynn1", _m)
+    CASES[f"glynn1-m{_m}"] = partial(_hyperoval_code_case, "glynn1", _m)
 
 GLYNN2_ENUMERATORS = {
     5: (15, 5, {0: 1, 6: 10, 8: 15, 10: 6}),
@@ -208,24 +194,21 @@ GLYNN2_ENUMERATORS = {
 
 
 def _glynn2_case(m):
-    def run():
-        _, E = _family_enumerator("glynn2", 2, m)
-        n, k, counts = GLYNN2_ENUMERATORS[m]
-        want = codes.WeightEnumerator(2, m, n, k, counts)
-        ok = (E.n, E.k, E.counts) == (n, k, counts)
-        detail = ""
-        if m >= 9:
-            pred = codes.predicted_enumerator("glynn2-conjecture", m=m)
-            rep = codes.compare_prediction(E, pred)
-            ok = ok and rep.ok
-            detail = "; ".join(rep.mismatches)
-        return ok, _fmt(want), _fmt(E), detail
-
-    return run
+    _, E = _family_enumerator("glynn2", 2, m)
+    n, k, counts = GLYNN2_ENUMERATORS[m]
+    want = codes.WeightEnumerator(2, m, n, k, counts)
+    ok = (E.n, E.k, E.counts) == (n, k, counts)
+    detail = ""
+    if m >= 9:
+        pred = codes.predicted_enumerator("glynn2-conjecture", m=m)
+        rep = codes.compare_prediction(E, pred)
+        ok = ok and rep.ok
+        detail = "; ".join(rep.mismatches)
+    return ok, _fmt(want), _fmt(E), detail
 
 
 for _m in (5, 7, 9, 11):
-    CASES[f"glynn2-m{_m}"] = _glynn2_case(_m)
+    CASES[f"glynn2-m{_m}"] = partial(_glynn2_case, _m)
 
 
 # ---------------------------------------------------------------------------
@@ -246,26 +229,23 @@ def _bent_instance(m):
 
 
 def _bent_case(m):
-    def run():
-        F, _, D, s = _bent_instance(m)
-        n_f = len(D)
-        want_nf = 2 ** (m - 1) - 2 ** ((m - 2) // 2)
-        cls = boolfn.classify_spectrum(s)
-        E = codes.weight_enumerator(D)
-        pred = codes.predicted_enumerator("thm-bentcodes", m=m, n_f=n_f)
-        ok, exp, act, detail = _check_prediction(E, pred)
-        design = designs.classify_design(AdditiveGroup(F), D.elems)
-        want_design = designs.DifferenceSet(2**m, want_nf, 2 ** (m - 2) - 2 ** ((m - 2) // 2))
-        ok = ok and n_f == want_nf and cls.variant == "bent" and design == want_design
-        exp = f"bent, n_f={want_nf}, {want_design}, {exp}"
-        act = f"{cls.variant}, n_f={n_f}, {design}, {act}"
-        return ok, exp, act, detail
-
-    return run
+    F, _, D, s = _bent_instance(m)
+    n_f = len(D)
+    want_nf = 2 ** (m - 1) - 2 ** ((m - 2) // 2)
+    cls = boolfn.classify_spectrum(s)
+    E = codes.weight_enumerator(D)
+    pred = codes.predicted_enumerator("thm-bentcodes", m=m, n_f=n_f)
+    ok, exp, act, detail = _check_prediction(E, pred)
+    design = designs.classify_design(AdditiveGroup(F), D.elems)
+    want_design = designs.DifferenceSet(2**m, want_nf, 2 ** (m - 2) - 2 ** ((m - 2) // 2))
+    ok = ok and n_f == want_nf and cls.variant == "bent" and design == want_design
+    exp = f"bent, n_f={want_nf}, {want_design}, {exp}"
+    act = f"{cls.variant}, n_f={n_f}, {design}, {act}"
+    return ok, exp, act, detail
 
 
 for _m in (4, 6, 8):
-    CASES[f"bent-m{_m}"] = _bent_case(_m)
+    CASES[f"bent-m{_m}"] = partial(_bent_case, _m)
 
 
 @lru_cache(maxsize=None)
@@ -276,56 +256,50 @@ def _semibent_instance(m):
 
 
 def _semibent_case(m):
-    def run():
-        F, spec, D, s = _semibent_instance(m)
-        n_f = len(D)
-        want_nf = 2 ** (m - 1) - 2 ** ((m - 1) // 2)
-        cls = boolfn.classify_spectrum(s)
-        r = boolfn.quadratic_rank(F, spec)
-        E = codes.weight_enumerator(D)
-        pred = codes.predicted_enumerator("thm-semibentcodes", m=m, n_f=n_f)
-        ok, exp, act, detail = _check_prediction(E, pred)
-        ok = ok and n_f == want_nf and cls.variant == "semibent" and r == m - 1
-        if m == 7:
-            ok = ok and (E.n, E.k, codes.minimum_distance(E)) == (56, 7, 24)
-        exp = f"semibent rank {m-1}, n_f={want_nf}, {exp}"
-        act = f"{cls.variant} rank {r}, n_f={n_f}, {act}"
-        return ok, exp, act, detail
-
-    return run
+    F, spec, D, s = _semibent_instance(m)
+    n_f = len(D)
+    want_nf = 2 ** (m - 1) - 2 ** ((m - 1) // 2)
+    cls = boolfn.classify_spectrum(s)
+    r = boolfn.quadratic_rank(F, spec)
+    E = codes.weight_enumerator(D)
+    pred = codes.predicted_enumerator("thm-semibentcodes", m=m, n_f=n_f)
+    ok, exp, act, detail = _check_prediction(E, pred)
+    ok = ok and n_f == want_nf and cls.variant == "semibent" and r == m - 1
+    if m == 7:
+        ok = ok and (E.n, E.k, codes.minimum_distance(E)) == (56, 7, 24)
+    exp = f"semibent rank {m-1}, n_f={want_nf}, {exp}"
+    act = f"{cls.variant} rank {r}, n_f={n_f}, {act}"
+    return ok, exp, act, detail
 
 
 for _m in (5, 7):
-    CASES[f"semibent-m{_m}"] = _semibent_case(_m)
+    CASES[f"semibent-m{_m}"] = partial(_semibent_case, _m)
 
 
 def _ab_case(m):
-    def run():
-        F = default_field(2, m)
-        g = FuncSpec(((1, 3),), False)
-        ab = boolfn.is_almost_bent(F, g)
-        # lambda_g(1, 0) is f_hat(0) of Tr(g), read off the table of Tr(g) that
-        # also gives D_g; an AB g has it in {0, +-2^((m+1)/2)}, each fixing
-        # n_f = 2^(m-1) - f_hat(0)/2, and any other value admits no n_f
-        D, s = _support_and_spectrum(F, g)
-        lam0 = int(s.values[0])
-        half, shift = 1 << (m - 1), 1 << ((m - 1) // 2)
-        admissible = {0: half, 2 * shift: half - shift, -2 * shift: half + shift}
-        want_nf = [admissible[lam0]] if lam0 in admissible else []
-        n_f = len(D)
-        E = codes.weight_enumerator(D)
-        pred = codes.predicted_enumerator("thm-abcodes", m=m, n_f=n_f)
-        ok, exp, act, detail = _check_prediction(E, pred)
-        ok = ok and ab and n_f in want_nf
-        exp = f"almost bent, n_f in {want_nf}, {exp}"
-        act = f"almost_bent={ab}, lambda(1,0)={lam0}, n_f={n_f}, {act}"
-        return ok, exp, act, detail
-
-    return run
+    F = default_field(2, m)
+    g = FuncSpec(((1, 3),), False)
+    ab = boolfn.is_almost_bent(F, g)
+    # lambda_g(1, 0) is f_hat(0) of Tr(g), read off the table of Tr(g) that
+    # also gives D_g; an AB g has it in {0, +-2^((m+1)/2)}, each fixing
+    # n_f = 2^(m-1) - f_hat(0)/2, and any other value admits no n_f
+    D, s = _support_and_spectrum(F, g)
+    lam0 = int(s.values[0])
+    half, shift = 1 << (m - 1), 1 << ((m - 1) // 2)
+    admissible = {0: half, 2 * shift: half - shift, -2 * shift: half + shift}
+    want_nf = [admissible[lam0]] if lam0 in admissible else []
+    n_f = len(D)
+    E = codes.weight_enumerator(D)
+    pred = codes.predicted_enumerator("thm-abcodes", m=m, n_f=n_f)
+    ok, exp, act, detail = _check_prediction(E, pred)
+    ok = ok and ab and n_f in want_nf
+    exp = f"almost bent, n_f in {want_nf}, {exp}"
+    act = f"almost_bent={ab}, lambda(1,0)={lam0}, n_f={n_f}, {act}"
+    return ok, exp, act, detail
 
 
 for _m in (5, 7):
-    CASES[f"ab-m{_m}"] = _ab_case(_m)
+    CASES[f"ab-m{_m}"] = partial(_ab_case, _m)
 
 
 # ---------------------------------------------------------------------------
@@ -344,40 +318,37 @@ def _qbf_samples(m=6):
 
 
 def _qbf_case(rank):
-    def run():
-        F, exps, rows, ranks, tables, spectra = _qbf_samples()
-        m = F.m
-        sample = np.flatnonzero(ranks == rank).tolist()
-        total = int(np.count_nonzero(ranks > 0))
-        if not sample or total < 20:
-            return False, f">= 1 rank-{rank} sample among >= 20 total", f"{len(sample)} of {total}", ""
-        amp = 1 << (m - rank // 2)
-        lobe, wing = 1 << (rank - 1), 1 << ((rank - 2) // 2)
-        want_hist = {0: (1 << m) - (1 << rank), amp: lobe + wing, -amp: lobe - wing}
-        want_hist = {v: c for v, c in want_hist.items() if c}
-        bad = []
-        for i in sample:
-            s = spectra[i]
-            terms = tuple((int(c), e) for c, e in zip(rows[i], exps) if c)
-            if s.histogram() != want_hist:
-                bad.append(f"spectrum {s.histogram()} for {terms}")
-                continue
-            D = designs.defining_set(F, np.flatnonzero(tables[i] == 1), "bool-support")
-            E = codes.weight_enumerator(D)
-            pred = codes.predicted_enumerator("thm-CodeQBFs", m=m, r=rank,
-                                              walsh0=int(s.values[0]))
-            rep = codes.compare_prediction(E, pred)
-            if not rep.ok:
-                bad.append(f"{terms}: {'; '.join(rep.mismatches)}")
-        exp = f"{len(sample)} rank-{rank} functions match spectrum table and enumerator table"
-        act = "all match" if not bad else f"{len(bad)} mismatches"
-        return not bad, exp, act, "; ".join(bad[:4])
-
-    return run
+    F, exps, rows, ranks, tables, spectra = _qbf_samples()
+    m = F.m
+    sample = np.flatnonzero(ranks == rank).tolist()
+    total = int(np.count_nonzero(ranks > 0))
+    if not sample or total < 20:
+        return False, f">= 1 rank-{rank} sample among >= 20 total", f"{len(sample)} of {total}", ""
+    amp = 1 << (m - rank // 2)
+    lobe, wing = 1 << (rank - 1), 1 << ((rank - 2) // 2)
+    want_hist = {0: (1 << m) - (1 << rank), amp: lobe + wing, -amp: lobe - wing}
+    want_hist = {v: c for v, c in want_hist.items() if c}
+    bad = []
+    for i in sample:
+        s = spectra[i]
+        terms = tuple((int(c), e) for c, e in zip(rows[i], exps) if c)
+        if s.histogram() != want_hist:
+            bad.append(f"spectrum {s.histogram()} for {terms}")
+            continue
+        D = designs.defining_set(F, np.flatnonzero(tables[i] == 1), "bool-support")
+        E = codes.weight_enumerator(D)
+        pred = codes.predicted_enumerator("thm-CodeQBFs", m=m, r=rank,
+                                          walsh0=int(s.values[0]))
+        rep = codes.compare_prediction(E, pred)
+        if not rep.ok:
+            bad.append(f"{terms}: {'; '.join(rep.mismatches)}")
+    exp = f"{len(sample)} rank-{rank} functions match spectrum table and enumerator table"
+    act = "all match" if not bad else f"{len(bad)} mismatches"
+    return not bad, exp, act, "; ".join(bad[:4])
 
 
 for _r in (2, 4, 6):
-    CASES[f"qbf-m6-r{_r}"] = _qbf_case(_r)
+    CASES[f"qbf-m6-r{_r}"] = partial(_qbf_case, _r)
 
 
 # ---------------------------------------------------------------------------
@@ -390,106 +361,97 @@ def _hkm_instance(h):
 
 
 def _hkm_code_case(h):
-    def run():
-        F, D = _hkm_instance(h)
-        E = codes.weight_enumerator(D)
-        pred = codes.predicted_enumerator("thm-HKMcodes", h=h)
-        return _check_prediction(E, pred)
-
-    return run
+    F, D = _hkm_instance(h)
+    E = codes.weight_enumerator(D)
+    pred = codes.predicted_enumerator("thm-HKMcodes", h=h)
+    return _check_prediction(E, pred)
 
 
-CASES["hkm-h1"] = _hkm_code_case(1)
-CASES["hkm-h3"] = _hkm_code_case(3)
+CASES["hkm-h1"] = partial(_hkm_code_case, 1)
+CASES["hkm-h3"] = partial(_hkm_code_case, 3)
 
 
 def _hkm_lemma_case(h):
-    def run():
-        F, D = _hkm_instance(h)
-        m, e = 3 * h, 3**h
-        ell = 3 ** (2 * h) - 3**h + 1
-        bs = np.arange(1, F.q) if h == 1 else F.exp_table[:: (F.q - 1) // 127]
-        us = np.append(0, bs)
-        problems = []
-        # row (u, v) is the form Tr(u x^(e+1) + v x^2); a rank call per family
-        # keeps gfp_rank's stack, and so peak memory, at one family's size
-        exps = (e + 1, 2)
+    F, D = _hkm_instance(h)
+    m, e = 3 * h, 3**h
+    ell = 3 ** (2 * h) - 3**h + 1
+    bs = np.arange(1, F.q) if h == 1 else F.exp_table[:: (F.q - 1) // 127]
+    us = np.append(0, bs)
+    problems = []
+    # row (u, v) is the form Tr(u x^(e+1) + v x^2); a rank call per family
+    # keeps gfp_rank's stack, and so peak memory, at one family's size
+    exps = (e + 1, 2)
 
-        def ranks(u, v):
-            rows = np.column_stack((u, np.full(u.size, v)))
-            return boolfn.quadratic_rank(F, rows, exps).tolist()
+    def ranks(u, v):
+        rows = np.column_stack((u, np.full(u.size, v)))
+        return boolfn.quadratic_rank(F, rows, exps).tolist()
 
-        r_one, *r_us = ranks(np.append(1, us), 1)
-        r_partners = ranks(F.neg(F.add(1, us)), 1)
-        r_bs = ranks(bs, 0)
-        if r_one != m:
-            problems.append(f"rank(Q_1) = {r_one}")
-        allowed_ranks = {m, m - h, m - 2 * h}
-        for u, r, r_partner in zip(us.tolist(), r_us, r_partners):
-            if r not in allowed_ranks:
-                problems.append(f"rank(Q_{u}) = {r}")
-            if max(r, r_partner) != m:
-                problems.append(f"neither Q_{u} nor its partner has full rank")
-        for b, r in zip(bs.tolist(), r_bs):
-            if r != m:
-                problems.append(f"rank(Tr({b} x^{e+1})) < {m}")
-        f_hkm = FuncSpec(((1, 1), (1, ell)), True)
-        base = 3 ** (m - 2)
-        dev = 2 * 3 ** (2 * (h - 1))
-        allowed_triples = {
-            (base, base, base),
-            (base + dev, base - dev // 2, base - dev // 2),
-            (base - dev, base + dev // 2, base + dev // 2),
-        }
-        d0 = designs._distinct(np.sort(np.concatenate((D.elems, F.neg(D.elems)))))
-        allowed_chi = {-1, 3 ** (2 * h - 1) - 1, -(3 ** (2 * h - 1)) - 1}
-        triples = designs.joint_counts(F, f_hkm, bs)
-        for b, triple, chi_sum in zip(bs.tolist(), triples, char_sum(F, d0, bs)):
-            if triple not in allowed_triples:
-                problems.append(f"N_(b,a) triple {triple} at b={b}")
-            chi = is_rational(chi_sum)
-            if chi not in allowed_chi:
-                problems.append(f"chi_1(bD_0) = {chi} at b={b}")
-        exp = f"rank/count/character lemmas on {len(us)} u's and {len(bs)} b's"
-        act = "all hold" if not problems else f"{len(problems)} violations"
-        return not problems, exp, act, "; ".join(problems[:4])
-
-    return run
+    r_one, *r_us = ranks(np.append(1, us), 1)
+    r_partners = ranks(F.neg(F.add(1, us)), 1)
+    r_bs = ranks(bs, 0)
+    if r_one != m:
+        problems.append(f"rank(Q_1) = {r_one}")
+    allowed_ranks = {m, m - h, m - 2 * h}
+    for u, r, r_partner in zip(us.tolist(), r_us, r_partners):
+        if r not in allowed_ranks:
+            problems.append(f"rank(Q_{u}) = {r}")
+        if max(r, r_partner) != m:
+            problems.append(f"neither Q_{u} nor its partner has full rank")
+    for b, r in zip(bs.tolist(), r_bs):
+        if r != m:
+            problems.append(f"rank(Tr({b} x^{e+1})) < {m}")
+    f_hkm = FuncSpec(((1, 1), (1, ell)), True)
+    base = 3 ** (m - 2)
+    dev = 2 * 3 ** (2 * (h - 1))
+    allowed_triples = {
+        (base, base, base),
+        (base + dev, base - dev // 2, base - dev // 2),
+        (base - dev, base + dev // 2, base + dev // 2),
+    }
+    d0 = designs._distinct(np.sort(np.concatenate((D.elems, F.neg(D.elems)))))
+    allowed_chi = {-1, 3 ** (2 * h - 1) - 1, -(3 ** (2 * h - 1)) - 1}
+    triples = designs.joint_counts(F, f_hkm, bs)
+    for b, triple, chi_sum in zip(bs.tolist(), triples, char_sum(F, d0, bs)):
+        if triple not in allowed_triples:
+            problems.append(f"N_(b,a) triple {triple} at b={b}")
+        chi = is_rational(chi_sum)
+        if chi not in allowed_chi:
+            problems.append(f"chi_1(bD_0) = {chi} at b={b}")
+    exp = f"rank/count/character lemmas on {len(us)} u's and {len(bs)} b's"
+    act = "all hold" if not problems else f"{len(problems)} violations"
+    return not problems, exp, act, "; ".join(problems[:4])
 
 
-CASES["hkm-lemmas-h1"] = _hkm_lemma_case(1)
-CASES["hkm-lemmas-h3"] = _hkm_lemma_case(3)
+CASES["hkm-lemmas-h1"] = partial(_hkm_lemma_case, 1)
+CASES["hkm-lemmas-h3"] = partial(_hkm_lemma_case, 3)
 
 
 # ---------------------------------------------------------------------------
 # criterion 12: quadratic Gauss sums and the character-sum weight route
 
 def _zd13_case(p, m):
-    def run():
-        F = default_field(p, m)
-        specs = [FuncSpec(((1, 2),), True), FuncSpec(((F.alpha, 2),), True)]
-        for ell in range(1, m):
-            specs.append(FuncSpec(((1, p**ell + 1),), True))
-            specs.append(FuncSpec(((F.alpha, p**ell + 1), (1, 2)), True))
-        specs.append(FuncSpec(((1, 2),), False))
-        specs.append(FuncSpec(((1, p + 1),), False))  # every registered m is at least 2
-        problems = []
-        # the sum sees the composed GF(p)-valued form, so its rank governs
-        ranks = boolfn.quadratic_rank(F, [FuncSpec(s.terms, True) for s in specs])
-        for spec, r in zip(specs, ranks.tolist()):
-            gs = boolfn.quadratic_galois_sum(F, spec)
-            want = {0} if r % 2 else {(p - 1) * p ** (m - r // 2), -(p - 1) * p ** (m - r // 2)}
-            if gs not in want:
-                problems.append(f"{spec.terms} rank {r}: sum {gs} not in {sorted(want)}")
-        exp = f"{len(specs)} forms: sum in {{0, +-(p-1)p^(m-r/2)}} per rank parity"
-        act = "all hold" if not problems else f"{len(problems)} violations"
-        return not problems, exp, act, "; ".join(problems[:4])
-
-    return run
+    F = default_field(p, m)
+    specs = [FuncSpec(((1, 2),), True), FuncSpec(((F.alpha, 2),), True)]
+    for ell in range(1, m):
+        specs.append(FuncSpec(((1, p**ell + 1),), True))
+        specs.append(FuncSpec(((F.alpha, p**ell + 1), (1, 2)), True))
+    specs.append(FuncSpec(((1, 2),), False))
+    specs.append(FuncSpec(((1, p + 1),), False))  # every registered m is at least 2
+    problems = []
+    # the sum sees the composed GF(p)-valued form, so its rank governs
+    ranks = boolfn.quadratic_rank(F, [FuncSpec(s.terms, True) for s in specs])
+    for spec, r in zip(specs, ranks.tolist()):
+        gs = boolfn.quadratic_galois_sum(F, spec)
+        want = {0} if r % 2 else {(p - 1) * p ** (m - r // 2), -(p - 1) * p ** (m - r // 2)}
+        if gs not in want:
+            problems.append(f"{spec.terms} rank {r}: sum {gs} not in {sorted(want)}")
+    exp = f"{len(specs)} forms: sum in {{0, +-(p-1)p^(m-r/2)}} per rank parity"
+    act = "all hold" if not problems else f"{len(problems)} violations"
+    return not problems, exp, act, "; ".join(problems[:4])
 
 
 for _p, _m in ((3, 2), (3, 3), (3, 4), (5, 2), (5, 3)):
-    CASES[f"lemma-zd13-p{_p}m{_m}"] = _zd13_case(_p, _m)
+    CASES[f"lemma-zd13-p{_p}m{_m}"] = partial(_zd13_case, _p, _m)
 
 
 def _charsum_weights_case():
@@ -498,146 +460,131 @@ def _charsum_weights_case():
             return np.arange(F.q)
         return np.append(np.arange(0, F.q, max(1, F.q // 25)), F.q - 1)
 
-    def run():
-        families = []
-        families.append(designs.paley_set(default_field(3, 3)))
-        families.append(designs.paley_set(default_field(3, 2)))
-        families.append(designs.paley_set(default_field(3, 5)))
-        families.append(designs.paley_set(default_field(7, 2)))
-        families.append(_hkm_instance(1)[1])
-        families.append(designs.maschietti_set(default_field(2, 5), "singer"))
-        families.append(designs.boolean_support(default_field(2, 5), FuncSpec(((1, 3),), True)))
-        families.append(designs.maschietti_set(default_field(2, 9), "glynn2"))
-        checked = 0
-        problems = []
-        for D in families:
-            F = D.field
-            xs = sample_points(F)
-            directs = len(D) - np.count_nonzero(codes.codeword(D, xs) == 0, axis=1)
-            vias = codes.weight_via_charsum(D, xs)
-            checked += xs.size
-            for x, direct, via in zip(xs.tolist(), directs.tolist(), vias):
-                if direct != via:
-                    problems.append(f"{D.family_tag} q={F.q} x={x}: {via} != {direct}")
-        exp = "character-sum weight equals direct weight on every sampled x"
-        act = f"{checked} points checked" + ("" if not problems else f", {len(problems)} mismatches")
-        return not problems, exp, act, "; ".join(problems[:4])
-
-    return run
+    families = []
+    families.append(designs.paley_set(default_field(3, 3)))
+    families.append(designs.paley_set(default_field(3, 2)))
+    families.append(designs.paley_set(default_field(3, 5)))
+    families.append(designs.paley_set(default_field(7, 2)))
+    families.append(_hkm_instance(1)[1])
+    families.append(designs.maschietti_set(default_field(2, 5), "singer"))
+    families.append(designs.boolean_support(default_field(2, 5), FuncSpec(((1, 3),), True)))
+    families.append(designs.maschietti_set(default_field(2, 9), "glynn2"))
+    checked = 0
+    problems = []
+    for D in families:
+        F = D.field
+        xs = sample_points(F)
+        directs = len(D) - np.count_nonzero(codes.codeword(D, xs) == 0, axis=1)
+        vias = codes.weight_via_charsum(D, xs)
+        checked += xs.size
+        for x, direct, via in zip(xs.tolist(), directs.tolist(), vias):
+            if direct != via:
+                problems.append(f"{D.family_tag} q={F.q} x={x}: {via} != {direct}")
+    exp = "character-sum weight equals direct weight on every sampled x"
+    act = f"{checked} points checked" + ("" if not problems else f", {len(problems)} mismatches")
+    return not problems, exp, act, "; ".join(problems[:4])
 
 
-CASES["charsum-weights"] = _charsum_weights_case()
+CASES["charsum-weights"] = _charsum_weights_case
 
 
 # ---------------------------------------------------------------------------
 # criterion 13: structural property suites
 
 def _invariance_case():
-    def run():
-        problems = []
-        F = default_field(3, 3)
-        D = designs.paley_set(F)
-        base = codes.weight_enumerator(D)
-        for a in (F.alpha, F.mul(F.alpha, F.alpha), 2):
-            scaled = designs.defining_set(F, F.mul(a, D.elems), "scaled")
-            if codes.weight_enumerator(scaled).counts != base.counts:
-                problems.append(f"scaling by {a} changed the enumerator")
-        shuffled = DefiningSet(F, D.elems[::-1], "shuffled")
-        if codes.weight_enumerator(shuffled).counts != base.counts:
-            problems.append("permuting coordinates changed the enumerator")
-        alt = Field(3, 3, modulus=(1, 2, 1, 1))  # x^3 + x^2 + 2x + 1; the default is x^3 + 2x + 1
-        for build in (designs.paley_set, lambda G: designs.image_set(G, FuncSpec(((1, 4),), False))):
-            e1 = codes.weight_enumerator(build(F))
-            e2 = codes.weight_enumerator(build(alt))
-            if e1.counts != e2.counts:
-                problems.append(f"modulus change altered {build} enumerator")
-        exp_ok = "scaling, permutation, and modulus changes leave enumerators fixed"
-        act = "all invariant" if not problems else f"{len(problems)} violations"
-        return not problems, exp_ok, act, "; ".join(problems)
-
-    return run
+    problems = []
+    F = default_field(3, 3)
+    D = designs.paley_set(F)
+    base = codes.weight_enumerator(D)
+    for a in (F.alpha, F.mul(F.alpha, F.alpha), 2):
+        scaled = designs.defining_set(F, F.mul(a, D.elems), "scaled")
+        if codes.weight_enumerator(scaled).counts != base.counts:
+            problems.append(f"scaling by {a} changed the enumerator")
+    shuffled = DefiningSet(F, D.elems[::-1], "shuffled")
+    if codes.weight_enumerator(shuffled).counts != base.counts:
+        problems.append("permuting coordinates changed the enumerator")
+    alt = Field(3, 3, modulus=(1, 2, 1, 1))  # x^3 + x^2 + 2x + 1; the default is x^3 + 2x + 1
+    for build in (designs.paley_set, lambda G: designs.image_set(G, FuncSpec(((1, 4),), False))):
+        e1 = codes.weight_enumerator(build(F))
+        e2 = codes.weight_enumerator(build(alt))
+        if e1.counts != e2.counts:
+            problems.append(f"modulus change altered {build} enumerator")
+    exp_ok = "scaling, permutation, and modulus changes leave enumerators fixed"
+    act = "all invariant" if not problems else f"{len(problems)} violations"
+    return not problems, exp_ok, act, "; ".join(problems)
 
 
-CASES["prop-enumerator-invariance"] = _invariance_case()
+CASES["prop-enumerator-invariance"] = _invariance_case
 
 
 def _parseval_case():
-    def run():
-        problems = []
-        for m, specs in ((5, [((1, 3),)]), (6, [((1, 3),), ((2, 3), (1, 5))])):
-            F = default_field(2, m)
-            for terms in specs:
-                tbl = FuncSpec(terms, True).table(F)
-                s = boolfn.walsh_from_table(F, tbl)
-                # |v| <= 2^m over 2^m frequencies, so the int64 sum of squares is at
-                # most 2^(3m) <= 2^18 here, and 2^(2m) <= 2^44 when Parseval holds: exact
-                if int(s.values @ s.values) != 1 << (2 * m):
-                    problems.append(f"Parseval fails for {terms} on m={m}")
-                signs = 1 - 2 * tbl
-                back = fwht(fwht(signs.astype(np.int64).copy()))
-                if not np.array_equal(back, (1 << m) * signs):
-                    problems.append(f"inverse transform fails for {terms} on m={m}")
-            umap = boolfn._trace_pairing_map(F)
-            if sorted(umap.tolist()) != list(range(F.q)):
-                problems.append(f"frequency relabeling not a bijection on m={m}")
-        exp = "Parseval, inverse transform, and frequency bijection hold"
-        act = "all hold" if not problems else f"{len(problems)} violations"
-        return not problems, exp, act, "; ".join(problems)
-
-    return run
+    problems = []
+    for m, specs in ((5, [((1, 3),)]), (6, [((1, 3),), ((2, 3), (1, 5))])):
+        F = default_field(2, m)
+        for terms in specs:
+            tbl = FuncSpec(terms, True).table(F)
+            s = boolfn.walsh_from_table(F, tbl)
+            # |v| <= 2^m over 2^m frequencies, so the int64 sum of squares is at
+            # most 2^(3m) <= 2^18 here, and 2^(2m) <= 2^44 when Parseval holds: exact
+            if int(s.values @ s.values) != 1 << (2 * m):
+                problems.append(f"Parseval fails for {terms} on m={m}")
+            signs = 1 - 2 * tbl
+            back = fwht(fwht(signs.astype(np.int64).copy()))
+            if not np.array_equal(back, (1 << m) * signs):
+                problems.append(f"inverse transform fails for {terms} on m={m}")
+        umap = boolfn._trace_pairing_map(F)
+        if sorted(umap.tolist()) != list(range(F.q)):
+            problems.append(f"frequency relabeling not a bijection on m={m}")
+    exp = "Parseval, inverse transform, and frequency bijection hold"
+    act = "all hold" if not problems else f"{len(problems)} violations"
+    return not problems, exp, act, "; ".join(problems)
 
 
-CASES["prop-parseval"] = _parseval_case()
+CASES["prop-parseval"] = _parseval_case
 
 
 def _pless_case():
-    def run():
-        _, hd = _hkm_instance(1)
-        bd = _bent_instance(6)[2]
-        smd = _semibent_instance(7)[2]
-        instances = [
-            ("skew-q27", *_family_enumerator("paley", 3, 3)),
-            ("qr-p3m2", *_family_enumerator("paley", 3, 2)),
-            ("hkm-h1", hd, codes.weight_enumerator(hd)),
-            ("segre-m5", *_family_enumerator("segre", 2, 5)),
-            ("bent-m6", bd, codes.weight_enumerator(bd)),
-            ("semibent-m7", smd, codes.weight_enumerator(smd)),
-        ]
-        problems = []
-        for name, D, E in instances:
-            W = codes.dual_distance_witness(D)
-            rep = codes.pless_moment_check(E, W)
-            if not rep.ok:
-                problems.append(f"{name}: {rep}")
-        exp = "all authorized Pless moment identities hold"
-        act = "all hold" if not problems else f"{len(problems)} violations"
-        return not problems, exp, act, "; ".join(problems)
-
-    return run
+    _, hd = _hkm_instance(1)
+    bd = _bent_instance(6)[2]
+    smd = _semibent_instance(7)[2]
+    instances = [
+        ("skew-q27", *_family_enumerator("paley", 3, 3)),
+        ("qr-p3m2", *_family_enumerator("paley", 3, 2)),
+        ("hkm-h1", hd, codes.weight_enumerator(hd)),
+        ("segre-m5", *_family_enumerator("segre", 2, 5)),
+        ("bent-m6", bd, codes.weight_enumerator(bd)),
+        ("semibent-m7", smd, codes.weight_enumerator(smd)),
+    ]
+    problems = []
+    for name, D, E in instances:
+        W = codes.dual_distance_witness(D)
+        rep = codes.pless_moment_check(E, W)
+        if not rep.ok:
+            problems.append(f"{name}: {rep}")
+    exp = "all authorized Pless moment identities hold"
+    act = "all hold" if not problems else f"{len(problems)} violations"
+    return not problems, exp, act, "; ".join(problems)
 
 
-CASES["prop-pless"] = _pless_case()
+CASES["prop-pless"] = _pless_case
 
 
 def _complement_case():
-    def run():
-        problems = []
-        F7 = default_field(7, 1)
-        Fb, _, Db, _ = _bent_instance(4)
-        for name, G, elems in (
-                ("paley GF(7)", AdditiveGroup(F7), designs.paley_set(F7).elems),
-                ("hkm h=1", CyclicGroup(13), designs.to_cyclic_residues(_hkm_instance(1)[1], v=13)),
-                ("bent m=4 support", AdditiveGroup(Fb), Db.elems)):
-            cls = designs.classify_design(G, elems)
-            ccls = designs.classify_design(G, designs.complement_in_group(G, elems))
-            v, k, lam = cls.v, cls.k, cls.lam
-            if ccls != designs.DifferenceSet(v, v - k, v - 2 * k + lam):
-                problems.append(f"{name}: complement {ccls}")
-        exp = "complement of a (v,k,lam) difference set is (v, v-k, v-2k+lam)"
-        act = "all hold" if not problems else f"{len(problems)} violations"
-        return not problems, exp, act, "; ".join(problems)
-
-    return run
+    problems = []
+    F7 = default_field(7, 1)
+    Fb, _, Db, _ = _bent_instance(4)
+    for name, G, elems in (
+            ("paley GF(7)", AdditiveGroup(F7), designs.paley_set(F7).elems),
+            ("hkm h=1", CyclicGroup(13), designs.to_cyclic_residues(_hkm_instance(1)[1], v=13)),
+            ("bent m=4 support", AdditiveGroup(Fb), Db.elems)):
+        cls = designs.classify_design(G, elems)
+        ccls = designs.classify_design(G, designs.complement_in_group(G, elems))
+        v, k, lam = cls.v, cls.k, cls.lam
+        if ccls != designs.DifferenceSet(v, v - k, v - 2 * k + lam):
+            problems.append(f"{name}: complement {ccls}")
+    exp = "complement of a (v,k,lam) difference set is (v, v-k, v-2k+lam)"
+    act = "all hold" if not problems else f"{len(problems)} violations"
+    return not problems, exp, act, "; ".join(problems)
 
 
-CASES["prop-complement"] = _complement_case()
+CASES["prop-complement"] = _complement_case

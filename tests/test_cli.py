@@ -278,6 +278,21 @@ def test_output_is_the_same_under_python_O(argv):
     assert optimized.stdout == plain.stdout and plain.stdout
 
 
+def test_verify_paper_is_the_same_under_python_O(capsys):
+    # every case's checks are plain comparisons, none an assert statement
+    def reports(out):
+        doc = json.loads(out)
+        for r in doc:
+            r.pop("seconds")
+        return doc
+
+    rc, out, _ = run(capsys, "verify-paper", "--json")
+    optimized = run_process("verify-paper", "--json", flags=("-O",))
+    assert rc == optimized.returncode == 0
+    plain = reports(out)
+    assert len(plain) == len(verify.CASES) and reports(optimized.stdout) == plain
+
+
 @pytest.mark.parametrize("flags", [(), ("-O",), None], ids=["plain", "O", "in-process"])
 @pytest.mark.parametrize("argv", [
     # k = 2 078 760: about 4.3e12 differences

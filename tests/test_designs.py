@@ -109,6 +109,16 @@ def test_classify_refuses_more_than_the_work_budget_before_counting(monkeypatch,
         designs.classify_design(G, [1, 2, 3, 4, 5, 6, 6])
 
 
+@pytest.mark.parametrize("elems", [[1.5, 2.7], np.array([1.0, 2.0]), np.array([False, True]),
+                                   [True, False]])
+def test_non_integer_elements_are_refused_not_truncated(elems):
+    F = default_field(3, 2)
+    with pytest.raises(ValueError, match="integers"):
+        designs.defining_set(F, elems)
+    with pytest.raises(ValueError, match="integers"):
+        designs.classify_design(AdditiveGroup(F), elems)
+
+
 class Counted(Exception):
     pass
 

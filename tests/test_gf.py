@@ -181,6 +181,18 @@ def test_rejects_composite_characteristic():
         Field(6, 1)
     with pytest.raises(errors.NotPrimeError):
         Field(1, 1)
+    for p in (3.0, "3", None):
+        with pytest.raises(errors.NotPrimeError):
+            Field(p, 2)
+
+
+def test_numpy_integer_arguments_become_python_ints():
+    F = Field(np.int64(3), np.int64(2))
+    assert (F.p, F.m, F.q) == (3, 2, 9)
+    assert all(type(v) is int for v in (F.p, F.m, F.q))
+    assert Field(np.uint8(2), 3).q == 8
+    with pytest.raises(TypeError):
+        Field(3, 2.0)
 
 
 def test_field_size_cap():

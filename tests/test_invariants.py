@@ -86,6 +86,25 @@ def test_verify_cases_match_the_benchmark_record():
     assert sorted(verify.CASES) == sorted(recorded)
 
 
+def test_each_case_reports_the_same_alone_from_cold_caches():
+    # a case must not lean on what an earlier case left in a cache, nor on the
+    # order in which the registry runs
+    caches = [fn for fn in vars(verify).values()
+              if hasattr(fn, "cache_clear") and fn.__module__ == verify.__name__]
+    assert len(caches) == 5
+
+    def outcome(report):
+        return report.verdict, report.expected, report.actual, report.detail
+
+    together = {r.case_id: outcome(r) for r in verify.run_cases()}
+    alone = {}
+    for cid in sorted(verify.CASES):
+        for cache in caches:
+            cache.cache_clear()
+        alone[cid] = outcome(verify.run_case(cid))
+    assert alone == together
+
+
 def _raised_name(node):
     if isinstance(node, ast.Raise) and node.exc is not None:
         exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
