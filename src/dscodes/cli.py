@@ -385,9 +385,9 @@ def build_parser():
     # None stands for codes.DEFAULT_MAX_WORK, which cmd_code reads: the
     # parser is built without importing codes
     sp.add_argument("--max-work", type=int, default=None, dest="max_work",
-                    help="refuse an enumeration whose route costs more operations: "
-                         "q*m*p^2 for the transform, q*n for the direct "
-                         "route's table lookups")
+                    help="refuse an enumeration whose cheaper route costs more "
+                         "operations: q*m*p^2 for the transform, n*(q-1)/(p-1) "
+                         "for the direct route's table lookups")
     sp.add_argument("--json", action="store_true")
     sp.set_defaults(fn=cmd_code)
 

@@ -10,10 +10,10 @@ cyclotomic.zero_counts, an exact integer transform of the multiplicity vector
 of D over GF(p)^m -- the paper's character-sum route
 wt(c_x) = ((p-1)n - sum_y chi(yxD))/p, run for all x at once -- at a cost of
 q*m*p^2 operations: the Walsh-Hadamard butterfly for p = 2 and the
-Vilenkin-Chrestenson transform in counting form for odd p.  When p^2 >= n
-(large p, small m) the direct route is cheaper: x = alpha^s gives
-Tr(x d) = Tr(alpha^(s + log d)), one lookup in the exp/log/trace tables, for
-the (q-1)/(p-1) GF(p)*-orbit representatives s, budgeted as q*n operations.
+Vilenkin-Chrestenson transform in counting form for odd p.  The direct route
+reads Tr(alpha^s d) = Tr(alpha^(s + log d)) from the exp/log/trace tables for
+the (q-1)/(p-1) GF(p)*-orbit representatives s, n*(q-1)/(p-1) lookups, and
+weight_enumerator runs the route with the smaller count.
 Dimension is derived twice and the two must agree: from the kernel size of the
 enumeration, and as dim span_GF(p)(D) on a q-entry membership mask of the
 span, which needs no generator matrix.
@@ -41,7 +41,8 @@ from .errors import (
 )
 from .gf import Field
 
-# entries of the transform state: two int32 buffers of q*p counts for odd p
+# entries of the transform state (two int32 buffers of q*p counts for odd p);
+# a field whose state is larger is enumerated by the direct route
 MAX_TRANSFORM_STATE = 1 << 26
 
 
@@ -74,8 +75,8 @@ def span_dimension(F: Field, elems) -> int:
 
 
 def generator_matrix(D: DefiningSet):
-    """Row i is the codeword of the basis element alpha^i."""
-    return codeword(D, D.field.basis())
+    """Row i is the codeword of alpha^i; rows are built singly to hold one row of products."""
+    return np.stack([codeword(D, b) for b in D.field.basis()])
 
 
 @dataclass(frozen=True)
@@ -100,20 +101,14 @@ class WeightEnumerator:
         return " + ".join(parts)
 
 
-def _transform_counts(D: DefiningSet, max_work=DEFAULT_MAX_WORK):
+def _transform_counts(D: DefiningSet):
     """Weight histogram over all q messages by the exact transform route."""
     F, n = D.field, len(D)
-    p, q = F.p, F.q
-    work = q * F.m * p * p
-    if work > max_work:
-        raise SizeLimitError(f"q*m*p^2 = {work} exceeds the work budget {max_work}")
-    if q * p > MAX_TRANSFORM_STATE:
-        raise SizeLimitError(f"transform state q*p = {q * p} exceeds {MAX_TRANSFORM_STATE}")
-    zeros = zero_counts(np.bincount(D.elems, minlength=q), p, F.m)
+    zeros = zero_counts(np.bincount(D.elems, minlength=F.q), F.p, F.m)
     return np.bincount(n - zeros, minlength=n + 1)
 
 
-def _direct_counts(D: DefiningSet, max_work=DEFAULT_MAX_WORK):
+def _direct_counts(D: DefiningSet):
     """Weight histogram over all q messages by gathers from T[t] = Tr(alpha^t).
 
     x = alpha^s has Tr(x d) = T[s + log d] for d != 0, and d = 0 adds no weight.
@@ -121,8 +116,6 @@ def _direct_counts(D: DefiningSet, max_work=DEFAULT_MAX_WORK):
     only s < (q-1)/(p-1) is visited, each counting p-1 times; x = 0 counts once.
     """
     F, n = D.field, len(D)
-    if F.q * n > max_work:
-        raise SizeLimitError(f"q*n = {F.q * n} exceeds the work budget {max_work}")
     T2 = trace_exp_table(F)  # s + log d needs no reduction mod q-1
     logs = F.log_table[D.elems[D.elems != 0]]
     reps = (F.q - 1) // (F.p - 1)
@@ -147,15 +140,18 @@ def _p_power_exponent(t, p):
 
 
 def weight_enumerator(D: DefiningSet, max_work=DEFAULT_MAX_WORK) -> WeightEnumerator:
-    """Exact enumerator; max_work bounds the chosen route's operation count."""
-    F = D.field
-    n = len(D)
-    # measured in one process (2-vCPU Xeon, numpy 2.4.6): the transform beats the
-    # direct lookups on every benchmark rung (Paley 3^9 2.6 vs 227 ms, 5^6 3.8 vs 59,
-    # 7^5 4.2 vs 47, hkm:3 1.6 vs 61) and loses at GF(13^3), 3.1 vs 0.7 ms; p^2 < n
-    # is kept so that no benchmark input changes route (re-tuning is left open)
-    route = _transform_counts if F.p * F.p < n else _direct_counts
-    counts = route(D, max_work)
+    """Exact enumerator by the feasible route with the smaller operation count.
+
+    A tie goes to the transform; a count above max_work is refused before either runs.
+    """
+    F, n = D.field, len(D)
+    p, q = F.p, F.q
+    route, formula, work = _direct_counts, "n*(q-1)/(p-1)", n * (q - 1) // (p - 1)
+    if q * p <= MAX_TRANSFORM_STATE and q * F.m * p * p <= work:
+        route, formula, work = _transform_counts, "q*m*p^2", q * F.m * p * p
+    if work > max_work:
+        raise SizeLimitError(f"{formula} = {work} exceeds the work budget {max_work}")
+    counts = route(D)
     kersize = int(counts[0])
     e = _p_power_exponent(kersize, F.p)
     if e is None:

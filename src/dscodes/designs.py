@@ -217,8 +217,11 @@ def defining_set(F: Field, elems, family_tag="custom") -> DefiningSet:
 
 
 def complement_in_group(G, D):
-    dset = set(D)
-    return [x for x in range(G.order) if x not in dset]
+    """Sorted list of the elements of G not in D; members of D outside G are ignored."""
+    arr = _int64_copy(D)
+    outside = np.ones(G.order, dtype=bool)
+    outside[arr[(arr >= 0) & (arr < G.order)]] = False
+    return np.flatnonzero(outside).tolist()
 
 
 def to_cyclic_residues(D: DefiningSet, v=None):

@@ -278,6 +278,16 @@ def test_output_is_the_same_under_python_O(argv):
     assert optimized.stdout == plain.stdout and plain.stdout
 
 
+def test_an_over_budget_transform_yields_to_the_direct_route_under_python_O():
+    # GF(13^3): the transform's q*m*p^2 = 1 113 879 is over this budget, the direct
+    # route's n*(q-1)/(p-1) = 366*183 = 66 978 is within it and is the one that runs
+    argv = ("code", "--family", "qf-image:1@6", "--p", "13", "--m", "3")
+    budgeted = run_process(*argv, "--max-work", "900000", flags=("-O",))
+    plain = run_process(*argv)
+    assert budgeted.returncode == plain.returncode == 0
+    assert budgeted.stdout == plain.stdout and plain.stdout
+
+
 def test_verify_paper_is_the_same_under_python_O(capsys):
     # every case's checks are plain comparisons, none an assert statement
     def reports(out):

@@ -1,4 +1,6 @@
 import json
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -39,6 +41,23 @@ def test_generator_matrix_rows_are_basis_codewords():
     G = codes.generator_matrix(D)
     for i, b in enumerate(F.basis()):
         assert np.array_equal(G[i], codes.codeword(D, b))
+
+
+@pytest.mark.parametrize("field, family", [((3, 9), "paley"), ((2, 13), "segre")])
+def test_generator_matrix_holds_one_row_of_products_at_a_time(field, family):
+    F = default_field(*field)
+    D = designs.paley_set(F) if family == "paley" else designs.maschietti_set(F, family)
+    codes.codeword(D, 1)  # build the field tables outside the traced call
+    tracemalloc.start()
+    try:
+        G = codes.generator_matrix(D)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the rows and their stack, plus a few int64 products of one row; all m rows
+    # of products at once take about 3*m int64 rows
+    assert G.shape == (F.m, len(D))
+    assert peak <= 2 * G.nbytes + 4 * 8 * len(D)
 
 
 def reference_generator(F, elems):
@@ -165,16 +184,17 @@ def test_span_dimension_edges():
 
 
 @pytest.mark.parametrize("field, family", [
-    ((3, 3), "paley"),   # transform route, p^2 < n
-    ((7, 1), "paley"),   # direct route, p^2 >= n
-    ((2, 5), "segre"),
+    ((3, 5), "paley"),  # the transform route
+    ((7, 1), "paley"),  # the direct route
+    ((2, 5), "segre"),  # the direct route
 ])
 @pytest.mark.parametrize("offset", [1, -1])
-def test_wrong_span_dimension_fails_the_enumerator(monkeypatch, field, family, offset):
+def test_wrong_span_dimension_fails_the_enumerator(monkeypatch, routes_taken, field, family, offset):
     # the span dimension is the oracle for the kernel-fibre size: it must stay live
     F = default_field(*field)
     D = designs.paley_set(F) if family == "paley" else designs.maschietti_set(F, family)
     codes.weight_enumerator(D)
+    assert routes_taken == ["_transform_counts" if field == (3, 5) else "_direct_counts"]
     real = codes.span_dimension
     monkeypatch.setattr(codes, "span_dimension", lambda F, elems: real(F, elems) + offset)
     with pytest.raises(errors.InvariantError, match="span dimension"):
@@ -189,6 +209,22 @@ def test_work_budget_is_enforced():
 
 
 ROUTES = (codes._transform_counts, codes._direct_counts)
+
+
+@pytest.fixture
+def routes_taken(monkeypatch):
+    """The names of the routes weight_enumerator calls, in call order."""
+    taken = []
+
+    def recorded(route):
+        def call(D):
+            taken.append(route.__name__)
+            return route(D)
+        return call
+
+    for route in ROUTES:
+        monkeypatch.setattr(codes, route.__name__, recorded(route))
+    return taken
 
 
 def _route_enumerator(counts):
@@ -222,33 +258,68 @@ def test_transform_and_direct_routes_match_brute_force(data):
         assert E.k < m
 
 
-@pytest.mark.parametrize("route, work", [
-    (codes._transform_counts, 27 * 3 * 3**2),  # q*m*p^2
-    (codes._direct_counts, 27 * 13),  # q*n
+# Paley GF(3^5): q*m*p^2 = 10935 < n*(q-1)/(p-1) = 121*121 = 14641, so the transform runs;
+# Paley GF(3^3): n*(q-1)/(p-1) = 13*13 = 169 < q*m*p^2 = 729, so the direct route runs
+@pytest.mark.parametrize("m, route, formula, work", [
+    (5, "_transform_counts", "q*m*p^2", 3**5 * 5 * 3**2),
+    (3, "_direct_counts", "n*(q-1)/(p-1)", 13 * 26 // 2),
+], ids=["transform", "direct"])
+def test_each_route_enforces_its_work_budget(routes_taken, m, route, formula, work):
+    D = designs.paley_set(default_field(3, m))
+    with pytest.raises(errors.SizeLimitError,
+                       match=re.escape(f"{formula} = {work} exceeds the work budget {work - 1}")):
+        codes.weight_enumerator(D, max_work=work - 1)
+    assert routes_taken == []  # refused before either route was called
+    E = codes.weight_enumerator(D, max_work=work)
+    assert routes_taken == [route]
+    assert E.counts == codes.predicted_enumerator("thm-part2", p=3, m=m).counts
+
+
+def test_transform_state_cap_is_enforced(monkeypatch, routes_taken):
+    # Paley GF(3^5) takes the transform while its q*p = 729 state entries fit the cap
+    D = designs.paley_set(default_field(3, 5))
+    monkeypatch.setattr(codes, "MAX_TRANSFORM_STATE", 3**5 * 3)
+    codes.weight_enumerator(D)
+    assert routes_taken == ["_transform_counts"]
+    # past the cap the direct route runs, budgeted by its own count
+    monkeypatch.setattr(codes, "MAX_TRANSFORM_STATE", 3**5 * 3 - 1)
+    with pytest.raises(errors.SizeLimitError,
+                       match=re.escape("n*(q-1)/(p-1) = 14641 exceeds the work budget 14640")):
+        codes.weight_enumerator(D, max_work=14640)
+    assert routes_taken == ["_transform_counts"]
+    assert codes.weight_enumerator(D, max_work=14641).counts == {0: 1, 81: 242}
+    assert routes_taken == ["_transform_counts", "_direct_counts"]
+
+
+@pytest.mark.parametrize("argv, route", [
+    # n*(q-1)/(p-1) = 1098*183 = 200 934 < q*m*p^2 = 1 113 879
+    (("--family", "paley", "--p", "13", "--m", "3"), "_direct_counts"),
+    # the enum-ladder rungs of perfbench, each far cheaper by the transform
+    (("--family", "maschietti:segre", "--m", "13"), "_transform_counts"),
+    (("--family", "maschietti:glynn1", "--m", "13"), "_transform_counts"),
+    (("--family", "maschietti:segre", "--m", "15"), "_transform_counts"),
+    (("--family", "maschietti:glynn1", "--m", "15"), "_transform_counts"),
+    (("--family", "paley", "--p", "3", "--m", "9"), "_transform_counts"),
+    (("--family", "paley", "--p", "5", "--m", "6"), "_transform_counts"),
+    (("--family", "paley", "--p", "7", "--m", "5"), "_transform_counts"),
+    (("--family", "hkm:3"), "_transform_counts"),
 ])
-def test_each_route_enforces_its_work_budget(route, work):
-    D = designs.paley_set(default_field(3, 3))
-    assert _route_enumerator(route(D, max_work=work))[0] == {0: 1, 9: 26}
-    with pytest.raises(errors.SizeLimitError):
-        route(D, max_work=work - 1)
-
-
-def test_transform_state_cap_is_enforced(monkeypatch):
-    D = designs.paley_set(default_field(3, 3))
-    monkeypatch.setattr(codes, "MAX_TRANSFORM_STATE", 27 * 3 - 1)
-    with pytest.raises(errors.SizeLimitError, match="transform state"):
-        codes.weight_enumerator(D)
-    # the direct route has no such state
-    assert _route_enumerator(codes._direct_counts(D))[0] == {0: 1, 9: 26}
+def test_the_route_with_the_smaller_count_runs(routes_taken, argv, route):
+    D, _ = cli._resolve_family(cli.build_parser().parse_args(["code", *argv]))
+    codes.weight_enumerator(D)
+    assert routes_taken == [route]
 
 
 @pytest.mark.parametrize("p, m", [(4099, 1), (65521, 1), (131, 2), (257, 2)])
-def test_direct_route_matches_closed_form_at_large_p(p, m):
+def test_direct_route_matches_closed_form_at_large_p(routes_taken, p, m):
     # GF(4099) has m*(p-1)^2 > 2^24, past the integers a float32 product holds exactly
     F = default_field(p, m)
     D = designs.paley_set(F)
-    assert p * p >= len(D)  # so weight_enumerator takes the direct route
-    E = codes.weight_enumerator(D)
+    work = len(D) * (F.q - 1) // (p - 1)  # the direct route's count, below the transform's
+    E = codes.weight_enumerator(D, max_work=work)
+    assert routes_taken == ["_direct_counts"]
+    with pytest.raises(errors.SizeLimitError, match=re.escape(f"n*(q-1)/(p-1) = {work} exceeds")):
+        codes.weight_enumerator(D, max_work=work - 1)
     P = codes.predicted_enumerator("thm-part1", p=p, m=m)
     assert (E.n, E.k, E.counts) == (P.n, P.k, P.counts)
 

@@ -197,6 +197,7 @@ def test_sets_are_read_only_int64_arrays():
 def test_complement_and_residues():
     G = CyclicGroup(7)
     assert designs.complement_in_group(G, [1, 2, 4]) == [0, 3, 5, 6]
+    assert designs.complement_in_group(G, []) == list(range(7))
     F = default_field(3, 3)
     D = designs.defining_set(F, [F.pow(F.alpha, t) for t in (0, 5, 11)])
     assert designs.to_cyclic_residues(D).tolist() == [0, 5, 11]
@@ -204,6 +205,24 @@ def test_complement_and_residues():
     assert designs.to_cyclic_residues(D, v=5).tolist() == [0, 0, 1]
     with pytest.raises(errors.LogOfZeroError):
         designs.to_cyclic_residues(designs.defining_set(F, [0, 1]))
+
+
+@given(st.data())
+def test_complement_in_group_matches_a_set_reference(data):
+    F = default_field(3, 3)
+    G = data.draw(st.sampled_from([CyclicGroup(data.draw(st.integers(1, 60))), AdditiveGroup(F)]))
+    # duplicates and values outside the group, which are ignored
+    elems = data.draw(st.lists(st.integers(-5, G.order + 5), max_size=40))
+    kind = data.draw(st.sampled_from(["list", "array", "defining-set"]))
+    if kind == "array":
+        elems = np.array(elems, dtype=np.int64)
+    elif kind == "defining-set":
+        G = AdditiveGroup(F)
+        elems = designs.defining_set(F, {x % F.q for x in elems} | {1})
+    dset = set(elems)
+    got = designs.complement_in_group(G, elems)
+    assert got == [x for x in range(G.order) if x not in dset]
+    assert all(type(x) is int for x in got)
 
 
 def scalar_eval(F, f, x):
