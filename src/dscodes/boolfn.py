@@ -3,10 +3,11 @@
 Everything here is exact integer arithmetic.  The Walsh transform runs as
 cyclotomic.fwht, the butterfly over the index bits that also enumerates the
 binary codes; translating between "XOR-dot of indices" and the field pairing
-Tr(wx) is a GF(2)-linear relabeling of the frequency axis, built once per
-field from the trace form and cached.  Quadratic forms are coefficient rows
-over an exponent tuple (0 = absent term), evaluated by designs.evaluate_rows on
-the m + m^2 points a rank reads and on whole tables alike.
+Tr(wx) is a GF(2)-linear relabeling of the frequency axis, the column span
+of the trace form's basis rows, built for each transform.  Quadratic forms
+are coefficient rows over an exponent tuple (0 = absent term), evaluated by
+designs.evaluate_rows on the m + m^2 points a rank reads and on whole tables
+alike.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import EvenDegreeError, NotQuadraticFormError, SizeLimitError
+from .errors import SizeLimitError, ToolkitError
 from .cyclotomic import fwht
 from .designs import TABLE_BLOCK, FuncSpec, coefficient_rows, evaluate_rows, table_rows
 from .gf import Field, column_span, gfp_rank
@@ -67,16 +68,10 @@ def _trace_pairing_map(F: Field):
     values on the basis.  int32: the XOR of element indices below q <= 2^25
     stays below q.
     """
-    umap = getattr(F, "_walsh_umap", None)
-    if umap is not None:
-        return umap
     basis = np.asarray(F.basis(), dtype=np.int64)
     # bit j of ubasis[i] is Tr(alpha^i alpha^j)
     ubasis = F.trace(F.mul(basis[:, None], basis[None, :])) @ basis
-    umap = column_span(ubasis.astype(np.int32), 2)
-    umap.setflags(write=False)  # shared by every later spectrum on F
-    F._walsh_umap = umap
-    return umap
+    return column_span(ubasis.astype(np.int32), 2)
 
 
 def _signs(table):
@@ -99,7 +94,7 @@ def walsh_from_table(F: Field, ftable):
 
 def walsh_transform(F: Field, f: FuncSpec) -> WalshSpectrum:
     if F.p != 2:
-        raise ValueError("Walsh transform is defined over GF(2^m)")
+        raise ToolkitError("Walsh transform is defined over GF(2^m)")
     return walsh_from_table(F, FuncSpec(f.terms, True).table(F))
 
 
@@ -168,7 +163,7 @@ def quadratic_rank(F: Field, f, exps=None):
         traced = np.ones(len(coeffs), dtype=bool)
     for e in exps:
         if not _is_quadratic_exponent(F.p, e):
-            raise NotQuadraticFormError(f"exponent {e} is not of the form p^i+p^j")
+            raise ToolkitError(f"exponent {e} is not of the form p^i+p^j")
     if not len(coeffs):
         return np.zeros(0, dtype=np.int64)
     m = F.m
@@ -206,9 +201,9 @@ def quadratic_galois_sum(F: Field, f: FuncSpec) -> int:
 def is_almost_bent(F: Field, g: FuncSpec) -> bool:
     """All lambda_g(a,b), a != 0, in {0, +-2^((m+1)/2)}; exhaustive check."""
     if F.p != 2:
-        raise ValueError("almost bent functions live on GF(2^m)")
+        raise ToolkitError("almost bent functions live on GF(2^m)")
     if F.m % 2 == 0:
-        raise EvenDegreeError("almost bent functions exist only for odd m")
+        raise ToolkitError("almost bent functions exist only for odd m")
     # checked before anything q^2 is built: the stacked state below has
     # (q-1)*q < 2^(2*AB_DEGREE_LIMIT) = 2^18 entries
     if F.m > AB_DEGREE_LIMIT:

@@ -33,12 +33,7 @@ import numpy as np
 
 from .cyclotomic import char_sum, trace_exp_table, zero_counts
 from .designs import DEFAULT_MAX_WORK, DefiningSet
-from .errors import (
-    InvariantError,
-    PreconditionFailedError,
-    SizeLimitError,
-    ZeroDimensionalError,
-)
+from .errors import InvariantError, PreconditionFailedError, SizeLimitError, ToolkitError
 from .gf import Field
 
 # entries of the transform state (two int32 buffers of q*p counts for odd p);
@@ -187,7 +182,7 @@ def weight_via_charsum(D: DefiningSet, x):
 
 def minimum_distance(E: WeightEnumerator) -> int:
     if E.k < 1:
-        raise ZeroDimensionalError("no nonzero codewords")
+        raise ToolkitError("no nonzero codewords")
     return min(w for w in E.counts if w > 0)
 
 
@@ -258,9 +253,9 @@ class Prediction:
     weight_set: tuple | None = None  # when the claim fixes only the weights
 
 
-def _require(cond, clause, detail=""):
+def _require(cond, clause, detail):
     if not cond:
-        raise PreconditionFailedError(clause, detail)
+        raise PreconditionFailedError(f"{clause}: {detail}")
 
 
 def _exact(fr: Fraction) -> int:
@@ -387,7 +382,7 @@ def predicted_enumerator(claim: str, **kw) -> Prediction:
         d1, d2 = 1 << ((m - 3) // 2), 1 << ((m - 1) // 2)
         ws = (mid - d2, mid - d1, mid, mid + d1, mid + d2)
         return Prediction(claim, (1 << (m - 1)) - 1, m, None, weight_set=ws)
-    raise PreconditionFailedError("known claim id", claim)
+    raise PreconditionFailedError(f"known claim id: {claim}")
 
 
 @dataclass(frozen=True)

@@ -15,17 +15,7 @@ from functools import reduce
 
 import numpy as np
 
-from .errors import (
-    ElementNotInGroupError,
-    EmptySetError,
-    EvenCharacteristicError,
-    EvenDegreeError,
-    InvariantError,
-    LogOfZeroError,
-    NotTwoToOneError,
-    SizeLimitError,
-    UnknownKindError,
-)
+from .errors import InvariantError, SizeLimitError, ToolkitError
 from .cyclotomic import char_sum
 from .gf import Field
 
@@ -60,7 +50,7 @@ class AdditiveGroup:
 
     def check(self, x):
         if not 0 <= x < self.order:
-            raise ElementNotInGroupError(f"{x} not in additive group of order {self.order}")
+            raise ToolkitError(f"{x} not in additive group of order {self.order}")
 
     def _difference_counts(self, elems):
         return _blocked_difference_counts(elems, self.order, self.field.sub)
@@ -75,7 +65,7 @@ class CyclicGroup:
 
     def check(self, x):
         if not 0 <= x < self.order:
-            raise ElementNotInGroupError(f"{x} not in Z_{self.order}")
+            raise ToolkitError(f"{x} not in Z_{self.order}")
 
     def _difference_counts(self, elems):
         return _blocked_difference_counts(elems, self.order,
@@ -143,7 +133,7 @@ def classify_design(G, D):
     """Classify D by its difference spectrum over the nonzero group elements."""
     elems = _distinct(_sorted_array(D))
     if not elems.size:
-        raise EmptySetError("cannot classify an empty set")
+        raise ToolkitError("cannot classify an empty set")
     outside = elems[(elems < 0) | (elems >= G.order)]
     if outside.size:
         G.check(int(outside[0]))  # raises, naming the first offender in sorted order
@@ -208,10 +198,10 @@ def defining_set(F: Field, elems, family_tag="custom") -> DefiningSet:
         if np.any(arr[1:] == arr[:-1]):
             raise ValueError("defining set has duplicate elements")
     if not arr.size:
-        raise EmptySetError("defining set is empty")
+        raise ToolkitError("defining set is empty")
     if arr[0] < 0 or arr[-1] >= F.q:
         bad = arr[(arr < 0) | (arr >= F.q)][0]  # the first offender in sorted order
-        raise ElementNotInGroupError(f"{bad} outside GF({F.q})")
+        raise ToolkitError(f"{bad} outside GF({F.q})")
     arr.setflags(write=False)
     return DefiningSet(F, arr, family_tag)
 
@@ -231,7 +221,7 @@ def to_cyclic_residues(D: DefiningSet, v=None):
         v = F.q - 1
     logs = F.log_table[D.elems].astype(np.int64)
     if np.any(logs < 0):
-        raise LogOfZeroError("dlog(0) is undefined")
+        raise ToolkitError("dlog(0) is undefined")
     return np.sort(logs % v)
 
 
@@ -345,7 +335,7 @@ def parse_func_spec(F: Field, expr: str, to_prime_subfield=False) -> FuncSpec:
 def paley_set(F: Field) -> DefiningSet:
     """All nonzero squares of GF(q), q odd."""
     if F.p == 2:
-        raise EvenCharacteristicError("Paley sets need odd characteristic")
+        raise ToolkitError("Paley sets need odd characteristic")
     # the squares are the even powers exp[::2] (q - 1 is even), read off a
     # mask in index order, so the set comes out sorted
     is_square = np.zeros(F.q, dtype=bool)
@@ -387,7 +377,7 @@ MASCHIETTI_CASES = ("singer", "segre", "glynn1", "glynn2")
 
 def maschietti_rho(m: int, case: str) -> int:
     if m % 2 == 0:
-        raise EvenDegreeError("hyperoval exponents need odd m")
+        raise ToolkitError("hyperoval exponents need odd m")
     if case == "singer":
         return 2
     if case == "segre":
@@ -399,14 +389,14 @@ def maschietti_rho(m: int, case: str) -> int:
     if case == "glynn2":
         sigma = (m + 1) // 2
         return 3 * 2**sigma + 4
-    raise UnknownKindError(f"unknown hyperoval case {case!r}")
+    raise ToolkitError(f"unknown hyperoval case {case!r}")
 
 
 def maschietti_set(F: Field, case: str) -> DefiningSet:
     """Image of x^rho + x minus 0, after checking the map is two-to-one."""
     rho = maschietti_rho(F.m, case)
     if F.p != 2:
-        raise EvenCharacteristicError("hyperoval constructions live in GF(2^m)")
+        raise ToolkitError("hyperoval constructions live in GF(2^m)")
     # in exponent space x = alpha^t has x^rho + x = exp[t*rho mod (q-1)] XOR exp[t]
     n, exp = F.q - 1, F.exp_table
     images = np.empty(n, dtype=np.int32)
@@ -426,14 +416,14 @@ def maschietti_set(F: Field, case: str) -> DefiningSet:
     pairs = images[1:]
     if (images[0] != 0 or (n > 1 and pairs[0] == 0)
             or np.any(pairs[0::2] != pairs[1::2]) or np.any(pairs[2::2] <= pairs[1:-1:2])):
-        raise NotTwoToOneError(f"x^{rho}+x is not two-to-one on GF(2^{F.m})")
+        raise ToolkitError(f"x^{rho}+x is not two-to-one on GF(2^{F.m})")
     return defining_set(F, pairs[0::2], f"maschietti-{case}")
 
 
 def hkm_set(F: Field) -> DefiningSet:
     """{alpha^t: t < (q-1)/2, Tr(alpha^t + alpha^{t*l}) = 0} in F = GF(3^{3h})."""
     if F.p != 3 or F.m % 3:
-        raise ValueError(f"HKM sets live in GF(3^(3h)), not GF({F.p}^{F.m})")
+        raise ToolkitError(f"HKM sets live in GF(3^(3h)), not GF({F.p}^{F.m})")
     m, h = F.m, F.m // 3
     ell = 3 ** (2 * h) - 3**h + 1
     n = (F.q - 1) // 2

@@ -29,14 +29,7 @@ from math import prod
 
 import numpy as np
 
-from .errors import (
-    InvariantError,
-    LogOfZeroError,
-    NotPrimeError,
-    NotPrimitivePolynomialError,
-    SizeLimitError,
-    ZeroInputError,
-)
+from .errors import InvariantError, SizeLimitError, ToolkitError
 
 # Every field carries exp/log tables, so the field cap is the table cap.
 MAX_FIELD_BITS = 22
@@ -280,7 +273,7 @@ class Field:
     def __init__(self, p: int, m: int, modulus=None, *,
                  max_bits: int = MAX_FIELD_BITS):
         if not isinstance(p, numbers.Integral) or not is_prime(int(p)):
-            raise NotPrimeError(f"characteristic {p} is not prime")
+            raise ToolkitError(f"characteristic {p} is not prime")
         p, m = int(p), operator.index(m)  # numpy integers become Python ints
         if m < 1:
             raise ValueError("extension degree m must be >= 1")
@@ -297,10 +290,10 @@ class Field:
         if modulus is not None:
             mod = tuple(int(c) % p for c in modulus)
             if len(mod) != m + 1 or mod[m] != 1:
-                raise NotPrimitivePolynomialError(
+                raise ToolkitError(
                     f"modulus must be monic of degree {m} (got {modulus})")
             if not _x_order_is_maximal([mod], p, self._qm1_primes)[0]:
-                raise NotPrimitivePolynomialError(
+                raise ToolkitError(
                     f"{self._poly_str(mod)} is not primitive over GF({p})")
             self.modulus = mod
         else:
@@ -395,11 +388,11 @@ class Field:
     def pow(self, a, e: int):
         """Elementwise a^e for an int e (0^0 = 1, 0^e = 0 for e > 0).
 
-        A negative e inverts first, so a 0 among the inputs raises ZeroInputError.
+        A negative e inverts first, so a 0 among the inputs raises ToolkitError.
         """
         a = np.asarray(a)
         if e < 0 and np.any(a == 0):
-            raise ZeroInputError("zero has no inverse")
+            raise ToolkitError("zero has no inverse")
         # log a and k are below q-1, so int32 holds their product when (q-2)*k
         # < 2^31 (every small exponent) and int64 always does: below 2^50 for q <= 2^25
         k = e % (self.q - 1)
@@ -422,7 +415,7 @@ class Field:
     def dlog(self, a: int) -> int:
         """Discrete log base alpha, read from the log table."""
         if a == 0:
-            raise LogOfZeroError("dlog(0) is undefined")
+            raise ToolkitError("dlog(0) is undefined")
         return int(self.log_table[a])
 
     def basis(self) -> list[int]:

@@ -256,6 +256,59 @@ def test_field_flag_conflicts_exit_1_under_python_O():
     assert proc.stderr.count("conflicts with") == len(FIELD_CONFLICTS)
 
 
+# one refusal per kind of check, from a field flag to a claim's hypotheses and a
+# work budget: each exits 1 with exactly this stderr and no stdout
+REFUSALS = [
+    ("construct --family paley --p 4", "characteristic 4 is not prime"),
+    ("construct --family paley --p 3 --m 2 --modulus 1,0,1", "x^2 + 1 is not primitive over GF(3)"),
+    ("construct --family paley --p 2 --m 3", "Paley sets need odd characteristic"),
+    ("construct --family maschietti:segre --m 6", "hyperoval exponents need odd m"),
+    ("construct --family maschietti:foo --m 5", "unknown hyperoval case 'foo'"),
+    ("construct --family paley --p 3 --m 30", "GF(3^30) exceeds the field cap 2^22"),
+    ("construct --family qf-image:0@2 --p 3 --m 2", "defining set is empty"),
+    ("code --family qf-image:1@5 --p 3 --m 3 --expect thm-qfcodes",
+     "exponent 5 is not of the form p^i+p^j"),
+    ("code --family paley --p 3 --m 2 --expect thm-part2", "q = 3 (mod 4): q = 9"),
+    ("code --family bool:0@3 --m 5", "defining set is empty"),
+    ("code --family maschietti:singer --m 3 --expect thm-hyperovalDS", "m odd, m >= 5: m = 3"),
+    ("code --family qf-image:1@3 --m 4 --expect thm-qfcodes", "integral multiplicity: 15/2"),
+    ("code --family paley --p 3 --m 2 --modulus 1,1", "modulus must be monic of degree 2 (got (1, 1))"),
+    ("code --family paley --p 3 --m 9 --max-work 10",
+     "q*m*p^2 = 1594323 exceeds the work budget 10"),
+    ("walsh --func 1@0 --m 5", "bad exponent '0'"),
+]
+
+
+@pytest.mark.parametrize("argv,message", REFUSALS, ids=[a for a, _ in REFUSALS])
+def test_each_refusal_exits_1_with_its_message(capsys, argv, message):
+    assert run(capsys, *argv.split()) == (1, "", f"error: {message}\n")
+
+
+_RUN_REFUSALS = """
+import contextlib, io, json, sys
+from dscodes.cli import entry
+
+results = []
+for argv in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = entry(argv.split())
+    results.append([rc, out.getvalue(), err.getvalue()])
+print(json.dumps(results))
+"""
+
+
+def test_each_refusal_is_the_same_under_python_O():
+    # every refusal is a plain raise, so -O keeps each one and its message
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-O", "-c", _RUN_REFUSALS,
+                           json.dumps([a for a, _ in REFUSALS])],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [[1, "", f"error: {message}\n"] for _, message in REFUSALS]
+
+
 @pytest.mark.parametrize("modulus", ["1,2,0,1", "1,0,2,1"])
 def test_hkm_takes_the_modulus_flag(capsys, modulus):
     # 1,2,0,1 is GF(27)'s default modulus; 1,0,2,1 gives another primitive element

@@ -133,7 +133,7 @@ def test_all_zero_code_dimension_zero():
     D = designs.defining_set(F, [0])
     E = codes.weight_enumerator(D)
     assert E.k == 0 and E.counts == {0: 1}
-    with pytest.raises(errors.ZeroDimensionalError):
+    with pytest.raises(errors.ToolkitError, match="^no nonzero codewords$"):
         codes.minimum_distance(E)
 
 

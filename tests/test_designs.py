@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -56,7 +58,7 @@ def test_set_constructions_read_no_log_table():
 
 
 def test_paley_needs_odd_characteristic():
-    with pytest.raises(errors.EvenCharacteristicError):
+    with pytest.raises(errors.ToolkitError, match="^Paley sets need odd characteristic$"):
         designs.paley_set(default_field(2, 3))
 
 
@@ -90,9 +92,9 @@ def test_difference_function_counts_pairs():
 
 def test_classify_rejects_empty_and_foreign_elements():
     G = CyclicGroup(7)
-    with pytest.raises(errors.EmptySetError):
+    with pytest.raises(errors.ToolkitError, match="^cannot classify an empty set$"):
         designs.classify_design(G, [])
-    with pytest.raises(errors.ElementNotInGroupError):
+    with pytest.raises(errors.ToolkitError, match="^9 not in Z_7$"):
         designs.classify_design(G, [1, 9])
 
 
@@ -143,14 +145,14 @@ def test_defining_set_validation():
     F = default_field(3, 2)
     with pytest.raises(ValueError, match="^defining set has duplicate elements$"):
         designs.defining_set(F, [1, 1, 2])
-    with pytest.raises(errors.EmptySetError, match="^defining set is empty$"):
+    with pytest.raises(errors.ToolkitError, match="^defining set is empty$"):
         designs.defining_set(F, [])
-    with pytest.raises(errors.ElementNotInGroupError, match=r"^99 outside GF\(9\)$"):
+    with pytest.raises(errors.ToolkitError, match=r"^99 outside GF\(9\)$"):
         designs.defining_set(F, [4, 99])
     # the first offender in sorted order is named: a negative one before a large one
-    with pytest.raises(errors.ElementNotInGroupError, match=r"^-1 outside GF\(9\)$"):
+    with pytest.raises(errors.ToolkitError, match=r"^-1 outside GF\(9\)$"):
         designs.defining_set(F, [9, 4, -1, 12])
-    with pytest.raises(errors.ElementNotInGroupError, match=r"^9 outside GF\(9\)$"):
+    with pytest.raises(errors.ToolkitError, match=r"^9 outside GF\(9\)$"):
         designs.defining_set(F, [12, 9, 0])
     # duplicates are reported before a bad element
     with pytest.raises(ValueError, match="duplicate"):
@@ -161,9 +163,9 @@ def test_defining_set_validation():
     with pytest.raises(ValueError, match="duplicate"):
         designs.defining_set(F, np.array([3, 1, 2, 1]))
     # increasing input skips the sort and still names the first offender
-    with pytest.raises(errors.ElementNotInGroupError, match=r"^-3 outside GF\(9\)$"):
+    with pytest.raises(errors.ToolkitError, match=r"^-3 outside GF\(9\)$"):
         designs.defining_set(F, [-3, 1, 9, 12])
-    with pytest.raises(errors.ElementNotInGroupError, match=r"^9 outside GF\(9\)$"):
+    with pytest.raises(errors.ToolkitError, match=r"^9 outside GF\(9\)$"):
         designs.defining_set(F, np.array([1, 2, 9, 10]))
     D = designs.defining_set(F, [5, 1, 3])
     assert D.elems.tolist() == [1, 3, 5] and len(D) == 3 and list(D) == [1, 3, 5]
@@ -203,7 +205,7 @@ def test_complement_and_residues():
     assert designs.to_cyclic_residues(D).tolist() == [0, 5, 11]
     assert designs.to_cyclic_residues(D, v=13).tolist() == [0, 5, 11]
     assert designs.to_cyclic_residues(D, v=5).tolist() == [0, 0, 1]
-    with pytest.raises(errors.LogOfZeroError):
+    with pytest.raises(errors.ToolkitError, match=r"^dlog\(0\) is undefined$"):
         designs.to_cyclic_residues(designs.defining_set(F, [0, 1]))
 
 
@@ -292,9 +294,9 @@ def test_maschietti_exponents():
     assert designs.maschietti_rho(5, "glynn2") == 28
     assert designs.maschietti_rho(7, "glynn1") == 20
     assert designs.maschietti_rho(7, "glynn2") == 52
-    with pytest.raises(errors.EvenDegreeError):
+    with pytest.raises(errors.ToolkitError, match="^hyperoval exponents need odd m$"):
         designs.maschietti_rho(4, "segre")
-    with pytest.raises(errors.UnknownKindError):
+    with pytest.raises(errors.ToolkitError, match="^unknown hyperoval case 'nope'$"):
         designs.maschietti_rho(5, "nope")
 
 
@@ -335,7 +337,8 @@ def test_maschietti_two_to_one_check_matches_the_fiber_counts(monkeypatch, m):
             if want.size:
                 assert designs.maschietti_set(F, "segre").elems.tolist() == want.tolist()
         else:
-            with pytest.raises(errors.NotTwoToOneError):
+            with pytest.raises(errors.ToolkitError,
+                               match=re.escape(f"x^{rho}+x is not two-to-one on GF(2^{m})")):
                 designs.maschietti_set(F, "segre")
 
 
@@ -345,7 +348,7 @@ def test_maschietti_refuses_a_fiber_of_four(monkeypatch):
     F = Field(2, 3)
     F._exp = np.array([1, 4, 4, 4, 4, 7, 7], dtype=np.int32)
     monkeypatch.setattr(designs, "maschietti_rho", lambda m, case: 7)
-    with pytest.raises(errors.NotTwoToOneError):
+    with pytest.raises(errors.ToolkitError, match=r"^x\^7\+x is not two-to-one on GF\(2\^3\)$"):
         designs.maschietti_set(F, "segre")
 
 
@@ -371,7 +374,8 @@ def test_hkm_set_frozen_h1():
 
 @pytest.mark.parametrize("pm", [(3, 4), (2, 3), (5, 3)])
 def test_hkm_set_needs_gf_3_to_3h(pm):
-    with pytest.raises(ValueError, match="HKM sets live in GF"):
+    with pytest.raises(errors.ToolkitError,
+                       match=re.escape(f"HKM sets live in GF(3^(3h)), not GF({pm[0]}^{pm[1]})")):
         designs.hkm_set(default_field(*pm))
 
 

@@ -170,19 +170,19 @@ def test_alpha_13_is_minus_one_in_gf27():
 
 
 def test_rejects_non_primitive_modulus():
-    with pytest.raises(errors.NotPrimitivePolynomialError):
+    with pytest.raises(errors.ToolkitError, match=r"^x\^3 \+ 1 is not primitive over GF\(2\)$"):
         Field(2, 3, modulus=(1, 0, 0, 1))  # x^3 + 1 is reducible
-    with pytest.raises(errors.NotPrimitivePolynomialError):
+    with pytest.raises(errors.ToolkitError, match=r"^x\^2 \+ 1 is not primitive over GF\(3\)$"):
         Field(3, 2, modulus=(1, 0, 1))  # x^2 + 1 irreducible but order 4
 
 
 def test_rejects_composite_characteristic():
-    with pytest.raises(errors.NotPrimeError):
+    with pytest.raises(errors.ToolkitError, match="^characteristic 6 is not prime$"):
         Field(6, 1)
-    with pytest.raises(errors.NotPrimeError):
+    with pytest.raises(errors.ToolkitError, match="^characteristic 1 is not prime$"):
         Field(1, 1)
     for p in (3.0, "3", None):
-        with pytest.raises(errors.NotPrimeError):
+        with pytest.raises(errors.ToolkitError, match=re.escape(f"characteristic {p} is not prime")):
             Field(p, 2)
 
 
@@ -222,7 +222,7 @@ def test_inverse_and_order_exhaustive_gf27():
     for a in range(1, F.q):
         assert F.mul(a, F.inv(a)) == 1
         assert F.pow(a, F.q - 1) == 1
-    with pytest.raises(errors.ZeroInputError):
+    with pytest.raises(errors.ToolkitError, match="^zero has no inverse$"):
         F.inv(0)
 
 
@@ -260,7 +260,7 @@ def test_dlog_round_trip_and_zero():
     F = default_field(3, 3)
     for t in range(F.q - 1):
         assert F.dlog(F.pow(F.alpha, t)) == t
-    with pytest.raises(errors.LogOfZeroError):
+    with pytest.raises(errors.ToolkitError, match=r"^dlog\(0\) is undefined$"):
         F.dlog(0)
 
 
@@ -541,7 +541,7 @@ def test_pow_arrays_zero_and_full_period():
         # a negative exponent inverts, and refuses a zero anywhere in the input
         assert F.mul(F.pow(xs[1:], -1), xs[1:]).tolist() == [1] * (F.q - 1)
         assert F.pow(xs[1:], -2).tolist() == F.pow(F.inv(xs[1:]), 2).tolist()
-        with pytest.raises(errors.ZeroInputError):
+        with pytest.raises(errors.ToolkitError, match="^zero has no inverse$"):
             F.pow(xs, -1)
 
 

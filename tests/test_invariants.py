@@ -123,6 +123,24 @@ def test_every_error_class_is_raised_somewhere():
     assert sorted(declared - raised - {"ToolkitError"}) == []
 
 
+def _is_literal_message(node):
+    if isinstance(node, ast.Constant):
+        return isinstance(node.value, str) and node.value != ""
+    return isinstance(node, ast.JoinedStr) and bool(node.values)
+
+
+def test_every_toolkit_error_is_raised_with_a_message():
+    # refusals share a few classes, so the message alone tells one from
+    # another: each raise passes exactly one non-empty string or f-string
+    tree = ast.parse((PACKAGE / "errors.py").read_text(encoding="utf-8"))
+    declared = {node.name for node in tree.body if isinstance(node, ast.ClassDef)}
+    bare = _package_nodes_where(
+        lambda node: _raised_name(node) in declared
+        and not (isinstance(node.exc, ast.Call) and not node.exc.keywords
+                 and len(node.exc.args) == 1 and _is_literal_message(node.exc.args[0])))
+    assert bare == []
+
+
 # counts the Field calls whose arguments are all 0-d while every case runs once
 _COUNT_SCALAR_CALLS = """
 import numpy as np

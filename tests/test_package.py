@@ -132,8 +132,8 @@ def test_star_import_and_dir_cover_all():
 
 
 def test_checks_still_raise_under_python_O():
-    # each line names the exception one check raised; -O strips assert
-    # statements, so the checks must be plain raises
+    # each line names the exception one check raised and its message; -O
+    # strips assert statements, so the checks must be plain raises
     code = """
 import numpy as np
 from dscodes import designs, gf
@@ -142,7 +142,7 @@ def raised(fn, *args):
     try:
         fn(*args)
     except Exception as exc:
-        return type(exc).__name__
+        return f"{type(exc).__name__}: {exc}"
     return "nothing"
 
 F = gf.Field(3, 2)
@@ -154,8 +154,13 @@ G = gf.Field(3, 2)
 G.modulus = (1, 0, 1)  # x^2 + 1: x has order 4, not 8
 print(raised(G._ensure_tables))
 """
-    out = _python(code, flags=("-O",)).split()
-    assert out == ["ValueError", "ElementNotInGroupError", "NotTwoToOneError", "InvariantError"]
+    out = _python(code, flags=("-O",)).splitlines()
+    assert out == [
+        "ValueError: defining set has duplicate elements",
+        "ToolkitError: 9 outside GF(9)",
+        "ToolkitError: x^3+x is not two-to-one on GF(2^5)",
+        "InvariantError: exp table is not a permutation of GF(q)*: alpha is not primitive",
+    ]
 
 
 # -- the CLI's one-thread numpy load ------------------------------------------
