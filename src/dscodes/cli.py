@@ -228,40 +228,36 @@ def cmd_walsh(args):
 
 
 def _prediction_for(claim, D, ctx):
+    """codes.predicted_enumerator for a claim id, with every input it may read.
+
+    p, m, n_f = |D| and the hkm index go to every claim; e, r and f_hat(0)
+    are computed from the family's function for the claims that read them.
+    """
     from . import codes
 
-    F = D.field
-    if claim in ("thm-part1", "thm-part2"):
-        return codes.predicted_enumerator(claim, p=F.p, m=F.m)
+    if claim not in codes.CLAIMS:
+        raise UsageError(f"unknown claim id {claim!r}")
+    F, f = D.field, ctx.get("func")
+    kw = {"p": F.p, "m": F.m, "n_f": len(D), "h": ctx.get("h")}
     if claim == "thm-qfcodes":
-        f = ctx.get("func")
         if f is None:
             raise UsageError(f"--expect {claim} needs a qf-image family")
-        e = designs.eto1_check(F, f)
-        if e is None:
+        kw["e"] = designs.eto1_check(F, f)
+        if kw["e"] is None:
             raise UsageError("the map is not e-to-1 on nonzero elements")
         from . import boolfn
 
-        r = boolfn.quadratic_rank(F, f)
-        return codes.predicted_enumerator(claim, p=F.p, m=F.m, r=r, e=e)
-    if claim in ("thm-hyperovalDS", "glynn2-conjecture"):
-        return codes.predicted_enumerator(claim, m=F.m)
-    if claim in ("thm-bentcodes", "thm-semibentcodes", "thm-abcodes"):
-        return codes.predicted_enumerator(claim, m=F.m, n_f=len(D))
-    if claim == "thm-CodeQBFs":
-        f = ctx.get("func")
+        kw["r"] = boolfn.quadratic_rank(F, f)
+    elif claim == "thm-CodeQBFs":
         if f is None:
             raise UsageError(f"--expect {claim} needs a bool family")
         from . import boolfn
 
-        r = boolfn.quadratic_rank(F, f)
-        s = boolfn.walsh_transform(F, f)
-        return codes.predicted_enumerator(claim, m=F.m, r=r, walsh0=int(s.values[0]))
-    if claim == "thm-HKMcodes":
-        if "h" not in ctx:
-            raise UsageError(f"--expect {claim} needs an hkm family")
-        return codes.predicted_enumerator(claim, h=ctx["h"])
-    raise UsageError(f"unknown claim id {claim!r}")
+        kw["r"] = boolfn.quadratic_rank(F, f)
+        kw["walsh0"] = int(boolfn.walsh_transform(F, f).values[0])
+    elif claim == "thm-HKMcodes" and kw["h"] is None:
+        raise UsageError(f"--expect {claim} needs an hkm family")
+    return codes.predicted_enumerator(claim, **kw)
 
 
 def cmd_code(args):

@@ -64,7 +64,7 @@ def char_sum(F: Field, S, b) -> np.ndarray:
             offsets = p * np.arange(blk.size)[:, None]  # row r counts into [r*p, (r+1)*p)
             acc = 0
             for c0 in range(0, ls.size, cols):
-                # the int32 indices log b + log s stay below 2(q-1) <= 2^23
+                # the int32 indices log b + log s stay below 2(q-1) <= 2^26
                 tr = np.take(T2, blk + ls[c0 : c0 + cols])
                 acc = acc + np.bincount((tr + offsets).ravel(), minlength=blk.size * p)
             counts[live[lo : lo + rows]] += acc.reshape(-1, p)

@@ -177,9 +177,6 @@ class DefiningSet:
     def __len__(self):
         return self.elems.size
 
-    def __iter__(self):
-        return iter(self.elems)
-
     def __eq__(self, other):
         if not isinstance(other, DefiningSet):
             return NotImplemented
@@ -247,11 +244,6 @@ class FuncSpec:
             raise ValueError("repeated exponent")
         if any(e < 1 for e in exps):
             raise ValueError("exponents must be positive")
-
-    def evaluate(self, F: Field, xs):
-        """f(x) for every element index x in xs, as evaluate_rows computes it."""
-        out = evaluate_rows(F, *coefficient_rows([self]), np.ravel(xs), self.to_prime_subfield)
-        return out[0].reshape(np.shape(xs))
 
     def table(self, F: Field):
         """f(x) over all x in field-index order, an int32 array (see table_rows)."""

@@ -405,18 +405,9 @@ class Field:
         out[a == 0] = 0 if e else 1
         return _int_if_scalar(out.astype(_element_dtype(a), copy=False))
 
-    def inv(self, a):
-        return self.pow(a, -1)
-
     def trace(self, a):
         """Absolute trace to GF(p), as ints in [0, p)."""
         return _int_if_scalar(self.trace_table[a])
-
-    def dlog(self, a: int) -> int:
-        """Discrete log base alpha, read from the log table."""
-        if a == 0:
-            raise ToolkitError("dlog(0) is undefined")
-        return int(self.log_table[a])
 
     def basis(self) -> list[int]:
         """Polynomial basis 1, alpha, ..., alpha^(m-1) as element indices."""

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from dscodes import cli, codes, designs, verify
 from dscodes.cli import entry
-from dscodes.errors import InvariantError
+from dscodes.errors import InvariantError, PreconditionFailedError
 from dscodes.gf import Field, default_field
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -172,6 +172,41 @@ def test_code_with_matching_expectation(capsys):
     assert "expect thm-HKMcodes: pass" in out
 
 
+# one code whose enumerator each claim predicts, e = 2 and e = 1 (p = 2) for thm-qfcodes
+CLAIM_PASSES = [
+    ("code --family paley --p 3 --m 4", "thm-part1"),
+    ("code --family paley --p 3 --m 5", "thm-part2"),
+    ("code --family qf-image:1@6 --p 3 --m 2", "thm-qfcodes"),
+    ("code --family qf-image:1@3 --m 5", "thm-qfcodes"),
+    ("code --family maschietti:segre --m 7", "thm-hyperovalDS"),
+    ("code --family bool:1*u@3 --m 4", "thm-bentcodes"),
+    ("code --family bool:1@3 --m 5", "thm-semibentcodes"),
+    ("code --family bool:1@3 --m 5", "thm-abcodes"),
+    ("code --family bool:1@3 --m 6", "thm-CodeQBFs"),
+    ("code --family hkm:1", "thm-HKMcodes"),
+    ("code --family maschietti:glynn2 --m 9", "glynn2-conjecture"),
+]
+
+
+@pytest.mark.parametrize("argv,claim", CLAIM_PASSES, ids=[f"{a} {c}" for a, c in CLAIM_PASSES])
+def test_each_claim_passes_on_a_code_it_predicts(capsys, argv, claim):
+    rc, out, err = run(capsys, *argv.split(), "--expect", claim)
+    assert (rc, err) == (0, "")
+    assert out.splitlines()[-1] == f"expect {claim}: pass"
+
+
+def test_every_listed_claim_and_no_other_id_gets_past_dispatch():
+    assert set(codes.CLAIMS) == {c for _, c in CLAIM_PASSES}  # each has a passing run above
+    inputs = {"p": 3, "m": 5, "n_f": 16, "r": 2, "e": 2, "walsh0": 0, "h": 1}
+    for claim in codes.CLAIMS:
+        try:
+            codes.predicted_enumerator(claim, **inputs)
+        except PreconditionFailedError as exc:  # outside the claim's hypotheses
+            assert not str(exc).startswith("known claim id"), claim
+    with pytest.raises(PreconditionFailedError, match="^known claim id: thm-nope$"):
+        codes.predicted_enumerator("thm-nope", **inputs)
+
+
 def test_code_mismatch_exits_2_and_lists_diffs(capsys):
     rc, out, _ = run(capsys, "code", "--family", "maschietti:glynn2", "--m", "9",
                      "--expect", "thm-hyperovalDS")
@@ -276,6 +311,15 @@ REFUSALS = [
     ("code --family paley --p 3 --m 9 --max-work 10",
      "q*m*p^2 = 1594323 exceeds the work budget 10"),
     ("walsh --func 1@0 --m 5", "bad exponent '0'"),
+    ("code --family paley --p 3 --m 3 --expect thm-nope", "unknown claim id 'thm-nope'"),
+    ("code --family paley --p 3 --m 3 --expect thm-qfcodes",
+     "--expect thm-qfcodes needs a qf-image family"),
+    ("code --family paley --p 3 --m 3 --expect thm-CodeQBFs",
+     "--expect thm-CodeQBFs needs a bool family"),
+    ("code --family paley --p 3 --m 3 --expect thm-HKMcodes",
+     "--expect thm-HKMcodes needs an hkm family"),
+    ("code --family qf-image:1@2,1@4 --p 3 --m 2 --expect thm-qfcodes",
+     "the map is not e-to-1 on nonzero elements"),
 ]
 
 

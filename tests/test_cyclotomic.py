@@ -73,7 +73,9 @@ def test_many_point_routes_match_their_scalar_definitions(monkeypatch, pm, block
     assert weights[0] == 0
 
     f = FuncSpec(((1, p + 1), (1, 1)), True)  # f(0) = 0 puts 0 in the kernel
-    kernel = [x for x in range(F.q) if f.evaluate(F, x) == 0]
+    values = designs.evaluate_rows(F, *designs.coefficient_rows([f]), np.arange(F.q),
+                                   f.to_prime_subfield)[0]
+    kernel = np.flatnonzero(values == 0).tolist()
     assert designs.joint_counts(F, f, bs) == [tuple(_oracle_row(F, kernel, b)) for b in bs]
 
 

@@ -220,10 +220,10 @@ def test_field_size_cap_is_checked_before_p_to_the_m(m, max_bits):
 def test_inverse_and_order_exhaustive_gf27():
     F = default_field(3, 3)
     for a in range(1, F.q):
-        assert F.mul(a, F.inv(a)) == 1
+        assert F.mul(a, F.pow(a, -1)) == 1
         assert F.pow(a, F.q - 1) == 1
     with pytest.raises(errors.ToolkitError, match="^zero has no inverse$"):
-        F.inv(0)
+        F.pow(0, -1)
 
 
 @given(st.integers(0, 26), st.integers(0, 26), st.integers(0, 26))
@@ -259,9 +259,9 @@ def test_trace_is_linear_and_onto():
 def test_dlog_round_trip_and_zero():
     F = default_field(3, 3)
     for t in range(F.q - 1):
-        assert F.dlog(F.pow(F.alpha, t)) == t
-    with pytest.raises(errors.ToolkitError, match=r"^dlog\(0\) is undefined$"):
-        F.dlog(0)
+        assert F.log_table[F.pow(F.alpha, t)] == t
+    # zero has no log: the table marks it -1 (designs.to_cyclic_residues refuses it)
+    assert F.log_table[0] == -1
 
 
 def test_digits_round_trip():
@@ -540,7 +540,7 @@ def test_pow_arrays_zero_and_full_period():
         assert F.mul(0, xs).tolist() == [0] * F.q
         # a negative exponent inverts, and refuses a zero anywhere in the input
         assert F.mul(F.pow(xs[1:], -1), xs[1:]).tolist() == [1] * (F.q - 1)
-        assert F.pow(xs[1:], -2).tolist() == F.pow(F.inv(xs[1:]), 2).tolist()
+        assert F.pow(xs[1:], -2).tolist() == F.pow(F.pow(xs[1:], -1), 2).tolist()
         with pytest.raises(errors.ToolkitError, match="^zero has no inverse$"):
             F.pow(xs, -1)
 
@@ -753,7 +753,7 @@ def test_kernels_match_polynomial_oracle(pm, data):
     assert sorted(set(F.trace(np.arange(F.q)).tolist())) == list(range(F.p))
     assert F.digits(F.q - 1).tolist() == [F.p - 1] * F.m
     if a:
-        assert _oracle_mul(F, a, F.inv(a)) == 1
+        assert _oracle_mul(F, a, F.pow(a, -1)) == 1
     # 0-d inputs come back as Python ints
     for got in (F.add(a, b), F.neg(a), F.sub(a, b), F.mul(a, b), F.pow(a, e), F.trace(a)):
         assert type(got) is int

@@ -157,7 +157,7 @@ def counted(method):
     return wrapper
 
 
-for name in ("add", "neg", "sub", "mul", "pow", "inv", "trace", "dlog"):
+for name in ("add", "neg", "sub", "mul", "pow", "trace"):
     setattr(gf.Field, name, counted(getattr(gf.Field, name)))
 reports = verify.run_cases()
 print(calls, all(r.verdict == "pass" for r in reports))

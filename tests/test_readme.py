@@ -1,0 +1,38 @@
+"""Each `$ dscodes ...` example in README.md that shows its output prints exactly that."""
+
+import re
+import shlex
+from pathlib import Path
+
+import pytest
+
+from dscodes.cli import entry
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_examples(text):
+    """(argv, stdout) per paragraph of a sh block that is a `$ dscodes` line and its output."""
+    examples = []
+    for block in re.findall(r"^```sh\n(.*?)^```$", text, re.M | re.S):
+        for paragraph in block.strip("\n").split("\n\n"):
+            command, *output = paragraph.split("\n")
+            if command.startswith("$ dscodes ") and output and not output[0].startswith("$"):
+                argv = shlex.split(command[len("$ dscodes "):])
+                examples.append((argv, "\n".join(output) + "\n"))
+    return examples
+
+
+EXAMPLES = readme_examples(README.read_text())
+
+
+def test_the_readme_shows_seven_examples_with_output():
+    assert len(EXAMPLES) == 7
+
+
+@pytest.mark.parametrize("argv,stdout", EXAMPLES, ids=[" ".join(a) for a, _ in EXAMPLES])
+def test_readme_example_prints_what_the_readme_shows(capsys, argv, stdout):
+    rc = entry(argv)
+    out = capsys.readouterr()
+    assert (rc, out.err) == (0, "")
+    assert out.out == stdout
