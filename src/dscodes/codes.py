@@ -279,10 +279,20 @@ def _rows_to_prediction(claim, n, m, rows):
     return Prediction(claim, n, m, counts, extra)
 
 
-# the claim ids predicted_enumerator answers
-CLAIMS = ("thm-part1", "thm-part2", "thm-qfcodes", "thm-hyperovalDS", "thm-bentcodes",
-          "thm-semibentcodes", "thm-abcodes", "thm-CodeQBFs", "thm-HKMcodes",
-          "glynn2-conjecture")
+# the claim ids predicted_enumerator answers, each with the inputs its closed
+# form reads
+CLAIMS = {
+    "thm-part1": ("p", "m"),
+    "thm-part2": ("p", "m"),
+    "thm-qfcodes": ("p", "m", "r", "e"),
+    "thm-hyperovalDS": ("m",),
+    "thm-bentcodes": ("m", "n_f"),
+    "thm-semibentcodes": ("m", "n_f"),
+    "thm-abcodes": ("m", "n_f"),
+    "thm-CodeQBFs": ("m", "r", "walsh0"),
+    "thm-HKMcodes": ("h",),
+    "glynn2-conjecture": ("m",),
+}
 
 
 def predicted_enumerator(claim: str, *, p=None, m=None, n_f=None, r=None, e=None,
@@ -291,8 +301,13 @@ def predicted_enumerator(claim: str, *, p=None, m=None, n_f=None, r=None, e=None
 
     p and m fix GF(p^m), n_f = |D| is the support size, r the rank of a
     quadratic form, e the fiber size of an e-to-1 map, walsh0 = f_hat(0) and
-    h the HKM index; each claim reads only the inputs it names.
+    h the HKM index; each claim reads only the inputs CLAIMS names for it,
+    and a call without one of them raises ToolkitError.
     """
+    given = {"p": p, "m": m, "n_f": n_f, "r": r, "e": e, "walsh0": walsh0, "h": h}
+    missing = [name for name in CLAIMS.get(claim, ()) if given[name] is None]
+    if missing:
+        raise ToolkitError(f"{claim} needs {', '.join(missing)}")
     if claim == "thm-part2":
         q = p**m
         _require(q % 4 == 3, "q = 3 (mod 4)", f"q = {q}")
@@ -377,6 +392,7 @@ def predicted_enumerator(claim: str, *, p=None, m=None, n_f=None, r=None, e=None
         return _rows_to_prediction(claim, n_f, m, rows)
     if claim == "thm-HKMcodes":
         _require(h % 2 == 1, "h odd", f"h = {h}")
+        _require(m in (None, 3 * h), "m = 3h", f"m = {m}, h = {h}")
         m = 3 * h
         counts = {
             0: 1,

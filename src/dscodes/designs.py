@@ -46,7 +46,6 @@ class AdditiveGroup:
     def __init__(self, field: Field):
         self.field = field
         self.order = field.q
-        self.identity = 0
 
     def check(self, x):
         if not 0 <= x < self.order:
@@ -61,7 +60,6 @@ class CyclicGroup:
 
     def __init__(self, v: int):
         self.order = v
-        self.identity = 0
 
     def check(self, x):
         if not 0 <= x < self.order:
@@ -141,7 +139,7 @@ def classify_design(G, D):
     k = elems.size
     check_classify_work(k)
     counts = G._difference_counts(elems)
-    counts[G.identity] = -1  # exclude x = identity from the spectrum
+    counts[0] = -1  # exclude the identity, 0 in both groups, from the spectrum
     spec = {}
     hit = np.bincount(counts[counts >= 0])
     for val, cnt in enumerate(hit):

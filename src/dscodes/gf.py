@@ -226,19 +226,18 @@ class _Packing:
         s += top[a]  # the lower chunks are divided off, so a < p^k
         return s
 
-    def unpack(self, s, dst=None, x=None, part=None):
-        """The element indices of the packed values s, fields read mod p.
+    def unpack(self, s):
+        """The element indices of the packed values s, fields read mod p: int32.
 
-        s is consumed.  dst and part (int32) and x (int64) are optional
-        scratch of its shape; the result is dst, or else a new int32 array.
+        s is consumed.
         """
         tables, bits, mask = self.tables, self.chunk_bits, self.chunk_mask
         # "clip": see Field._double
-        dst = tables[0].take(np.bitwise_and(s, mask, out=x), out=dst, mode="clip")
+        out = tables[0].take(s & mask, mode="clip")
         for table in tables[1:]:
             s >>= bits
-            dst += table.take(np.bitwise_and(s, mask, out=x), out=part, mode="clip")
-        return dst
+            out += table.take(s & mask, mode="clip")
+        return out
 
 
 def _unpack_digits(p: int, m: int) -> int:
@@ -424,79 +423,41 @@ class Field:
         1, 2, 4, ... entries.  The map is GF(p)-linear on digit vectors, so with
         r = ceil(m/2) it is lo[x mod p^r] + hi[x div p^r], each half-table the
         column span of its columns.  A level runs in blocks of at most
-        EXP_BLOCK entries through buffers allocated here once, at the size of
-        the largest block.
+        EXP_BLOCK entries, so each block's temporaries stay in cache.
         """
         p, m, size = self.p, self.m, exp.size
-        levels = []
+        r = (m + 1) // 2
+        mask, pr = (1 << r) - 1, np.int64(p**r)
         while n < size:
             step = min(n - m, size - n)
-            levels.append((n, step))
-            n += step
-        if not levels:
-            return
-        block = min(EXP_BLOCK, max(step for _, step in levels))
-        # int64 indices: take would convert narrower ones to intp on every call
-        idx = np.empty(block, dtype=np.int64)
-        aux = np.empty(block, dtype=np.int64)
-        part = np.empty(block, dtype=np.int32)
-        r = (m + 1) // 2
-        if m == 1:
-            def level(cols):
+            cols = exp[n - m : n]
+            if m == 1:
                 a = np.int64(cols[0])  # x, a < p <= 2^25: the product needs int64
-
-                def scale(src, dst):
-                    # x mod p as x - (x div p)*p: floor_divide by a scalar is
-                    # far faster than remainder
-                    x, y = idx[: src.size], aux[: src.size]
-                    np.multiply(src, a, out=x)
-                    np.floor_divide(x, p, out=y)
-                    np.multiply(y, p, out=y)
-                    np.subtract(x, y, out=dst, casting="unsafe")  # below p: int32
-                return scale
-        elif p == 2:
-            mask = (1 << r) - 1
-
-            def level(cols):
+            elif p == 2:
                 # int32: the XOR of element indices below q <= 2^25 is below q
                 lo, hi = column_span(cols[:r], 2), column_span(cols[r:], 2)
-
-                def scale(src, dst):
-                    x, t = idx[: src.size], part[: src.size]
-                    np.bitwise_and(src, mask, out=x)
-                    # mode="clip" lets take write straight into out (every
-                    # index is in range); the default "raise" goes through a buffer
-                    lo.take(x, out=dst, mode="clip")
-                    np.right_shift(src, r, out=x)
-                    hi.take(x, out=t, mode="clip")
-                    dst ^= t
-                return scale
-        else:
-            pack, pr = self._packing, np.int64(p**r)
-            acc = np.empty(block, dtype=np.int64)
-
-            def level(cols):
+            else:
                 # the half-tables hold packed images (at most 45 bits for
                 # p^m <= 2^25, see _Packing), so one int64 addition joins them
-                digits = self.digits(cols)
+                pack, digits = self._packing, self.digits(cols)
                 lo, hi = (column_span(d, p) @ pack.weights for d in (digits[:r], digits[r:]))
-
-                def scale(src, dst):
-                    k = src.size
-                    x, y, s = idx[:k], aux[:k], acc[:k]
-                    np.floor_divide(src, pr, out=x)
-                    np.multiply(x, pr, out=y)
-                    np.subtract(src, y, out=y)  # src mod p^r
-                    lo.take(y, out=s, mode="clip")
-                    hi.take(x, out=y, mode="clip")
-                    s += y
-                    pack.unpack(s, dst, x, part[:k])
-                return scale
-        for n, step in levels:
-            scale = level(exp[n - m : n])
-            for lo in range(0, step, block):
-                hi = min(lo + block, step)
-                scale(exp[m + lo : m + hi], exp[n + lo : n + hi])
+            for i in range(0, step, EXP_BLOCK):
+                # int64 indices: take would convert narrower ones to intp on every call
+                x = exp[m + i : m + min(i + EXP_BLOCK, step)].astype(np.int64)
+                if m == 1:
+                    # x mod p as x - (x div p)*p: floor_divide by a scalar is
+                    # far faster than remainder
+                    x *= a
+                    y = x - x // p * p
+                elif p == 2:
+                    # mode="clip": every index is in range, so it clips
+                    # nothing, and it gathers faster than the default "raise"
+                    y = lo.take(x & mask, mode="clip") ^ hi.take(x >> r, mode="clip")
+                else:
+                    h = x // pr
+                    y = pack.unpack(lo.take(x - h * pr, mode="clip") + hi.take(h, mode="clip"))
+                exp[n + i : n + i + x.size] = y  # below q <= 2^25: int32
+            n += step
 
     def _ensure_tables(self):
         """exp[t] = alpha^t, int32 (entries below q <= 2^25), read-only.

@@ -379,6 +379,41 @@ def test_predicted_enumerator_preconditions():
         codes.predicted_enumerator("no-such-claim", m=6)
 
 
+# inputs inside each claim's hypotheses, exactly the ones CLAIMS lists for it
+CLAIM_INPUTS = {
+    "thm-part1": {"p": 3, "m": 4},
+    "thm-part2": {"p": 3, "m": 5},
+    "thm-qfcodes": {"p": 3, "m": 2, "r": 2, "e": 2},
+    "thm-hyperovalDS": {"m": 5},
+    "thm-bentcodes": {"m": 4, "n_f": 6},
+    "thm-semibentcodes": {"m": 5, "n_f": 16},
+    "thm-abcodes": {"m": 5, "n_f": 16},
+    "thm-CodeQBFs": {"m": 6, "r": 2, "walsh0": 0},
+    "thm-HKMcodes": {"h": 1},
+    "glynn2-conjecture": {"m": 9},
+}
+
+
+@pytest.mark.parametrize("claim", list(codes.CLAIMS))
+def test_a_claim_without_an_input_it_reads_is_refused_by_name(claim):
+    kw = CLAIM_INPUTS[claim]
+    assert tuple(kw) == codes.CLAIMS[claim]
+    assert codes.predicted_enumerator(claim, **kw).claim == claim  # the listed inputs suffice
+    for name in kw:
+        rest = {k: v for k, v in kw.items() if k != name}
+        with pytest.raises(errors.ToolkitError, match=f"^{claim} needs {name}$"):
+            codes.predicted_enumerator(claim, **rest)
+    with pytest.raises(errors.ToolkitError, match=f"^{claim} needs {', '.join(kw)}$"):
+        codes.predicted_enumerator(claim)
+
+
+def test_hkm_prediction_refuses_an_m_other_than_3h():
+    assert codes.predicted_enumerator("thm-HKMcodes", h=1).n == 4
+    assert codes.predicted_enumerator("thm-HKMcodes", h=1, m=3).n == 4
+    with pytest.raises(errors.PreconditionFailedError, match="^m = 3h: m = 5, h = 1$"):
+        codes.predicted_enumerator("thm-HKMcodes", h=1, m=5)
+
+
 def test_prediction_comparison_reports_mismatches():
     F = default_field(2, 9)
     E = codes.weight_enumerator(designs.maschietti_set(F, "glynn2"))

@@ -308,6 +308,19 @@ def _walked_tables(F):
 def test_tables_match_the_scalar_walk(p, m, modulus):
     F = Field(p, m, modulus)
     assert modulus is None or F.modulus != default_field(p, m).modulus
+    _assert_tables_are_the_walk(F)
+
+
+# every branch of the doubling (m = 1, p = 2, odd p) over many blocks, most of
+# them partial: a block of 1 puts a seam after every entry
+@pytest.mark.parametrize("block", [1, 5])
+@pytest.mark.parametrize("p,m", [(2, 9), (3, 5), (5, 3), (31, 2), (257, 1)])
+def test_tables_match_the_scalar_walk_in_small_blocks(monkeypatch, p, m, block):
+    monkeypatch.setattr(gf, "EXP_BLOCK", block)
+    _assert_tables_are_the_walk(Field(p, m))
+
+
+def _assert_tables_are_the_walk(F):
     exp, log = _walked_tables(F)
     assert F.exp_table.dtype == F.log_table.dtype == np.int32
     assert F.exp_table.tobytes() == exp.tobytes()
@@ -391,9 +404,8 @@ def test_packed_join_is_field_add(pm, data):
     powers = p ** np.arange(m, dtype=np.int64)
     for s, want in ((da @ pack.weights + db @ pack.weights, (da + db) % p @ powers),
                     (da @ pack.weights + pack.full - db @ pack.weights, (da - db) % p @ powers)):
-        got = np.empty(n, dtype=np.int32)
-        pack.unpack(s, got, np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int32))
-        assert got.tolist() == want.tolist()
+        got = pack.unpack(s)
+        assert got.dtype == np.int32 and got.tolist() == want.tolist()
 
 
 @pytest.mark.parametrize("p,m,sample", [(3, 5, None), (5, 3, None), (3, 13, 4000), (2039, 2, 4000)])
