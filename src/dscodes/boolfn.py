@@ -25,6 +25,8 @@ from .gf import Field, column_span, gfp_rank
 AB_DEGREE_LIMIT = 9
 # quadratic forms evaluated and ranked per stacked gfp_rank call
 RANK_CHUNK = 256
+# candidates find_quadratic_with examines before it gives up
+SEARCH_LIMIT = 200000
 
 
 @dataclass(frozen=True, eq=False)
@@ -93,37 +95,35 @@ def walsh_from_table(F: Field, ftable):
 
 
 def walsh_transform(F: Field, f: FuncSpec) -> WalshSpectrum:
+    """The spectrum of the Boolean function Tr(f)."""
     if F.p != 2:
         raise ToolkitError("Walsh transform is defined over GF(2^m)")
-    return walsh_from_table(F, FuncSpec(f.terms, True).table(F))
+    return walsh_from_table(F, f.table(F, traced=True))
 
 
 @dataclass(frozen=True)
 class SpectralClass:
     variant: str  # bent | semibent | plateaued | five-valued | other
-    n_f: int
-    values: tuple
     amplitude: int = 0
 
 
 def classify_spectrum(s: WalshSpectrum) -> SpectralClass:
     m = s.m
     distinct = s.distinct()
-    n_f = s.n_f
     nonzero = [v for v in distinct if v != 0]
     if m % 2 == 0 and all(abs(v) == 1 << (m // 2) for v in distinct):
-        return SpectralClass("bent", n_f, distinct, 1 << (m // 2))
+        return SpectralClass("bent", 1 << (m // 2))
     if m % 2 == 1 and set(distinct) <= {0, 1 << ((m + 1) // 2), -(1 << ((m + 1) // 2))}:
-        return SpectralClass("semibent", n_f, distinct, 1 << ((m + 1) // 2))
+        return SpectralClass("semibent", 1 << ((m + 1) // 2))
     if nonzero and all(abs(v) == abs(nonzero[0]) for v in nonzero):
         amp = abs(nonzero[0])
         if amp < 1 << m:
-            return SpectralClass("plateaued", n_f, distinct, amp)
+            return SpectralClass("plateaued", amp)
     if m % 2 == 1:
         lo, hi = 1 << ((m - 1) // 2), 1 << ((m + 1) // 2)
         if set(distinct) == {0, lo, -lo, hi, -hi}:
-            return SpectralClass("five-valued", n_f, distinct, hi)
-    return SpectralClass("other", n_f, distinct)
+            return SpectralClass("five-valued", hi)
+    return SpectralClass("other")
 
 
 # ---------------------------------------------------------------------------
@@ -143,24 +143,22 @@ def _is_quadratic_exponent(p, e):
     return False
 
 
-def quadratic_rank(F: Field, f, exps=None):
+def quadratic_rank(F: Field, f, exps=None, *, traced):
     """Rank r (codimension of the radical V_f) of one quadratic form or of each in a sequence.
 
-    A FuncSpec gives an int; a sequence of them (trace- or GF(q)-valued), or
-    with exps a coefficient matrix of traced forms over exps, an int64 array.
-    A bad exponent (not p^i + p^j) raises before anything is evaluated.  The
-    forms are evaluated RANK_CHUNK at a time as one matrix on the m + m^2
-    points a_i, a_i + a_j, and each chunk's B(a_i, a_j) = f(a_i + a_j) -
-    f(a_i) - f(a_j) goes to one gfp_rank, so the stack never holds more than
-    RANK_CHUNK forms.
+    A FuncSpec gives an int; a sequence of them, or with exps a coefficient
+    matrix over exps, an int64 array.  traced ranks every form as Tr(f), a
+    GF(p)-valued form, and otherwise as the GF(q)-valued f; the two ranks can
+    differ.  A bad exponent (not p^i + p^j) raises before anything is
+    evaluated.  The forms are evaluated RANK_CHUNK at a time as one matrix on
+    the m + m^2 points a_i, a_i + a_j, and each chunk's B(a_i, a_j) =
+    f(a_i + a_j) - f(a_i) - f(a_j) goes to one gfp_rank, so the stack never
+    holds more than RANK_CHUNK forms.
     """
     if exps is None:
-        specs = [f] if isinstance(f, FuncSpec) else list(f)
-        exps, coeffs = coefficient_rows(specs)
-        traced = np.array([spec.to_prime_subfield for spec in specs], dtype=bool)
+        exps, coeffs = coefficient_rows([f] if isinstance(f, FuncSpec) else list(f))
     else:
         coeffs = np.asarray(f, dtype=np.int32)
-        traced = np.ones(len(coeffs), dtype=bool)
     for e in exps:
         if not _is_quadratic_exponent(F.p, e):
             raise ToolkitError(f"exponent {e} is not of the form p^i+p^j")
@@ -171,27 +169,23 @@ def quadratic_rank(F: Field, f, exps=None):
     points = np.concatenate((basis, F.add(basis[:, None], basis[None, :]).ravel()))
     ranks = np.empty(len(coeffs), dtype=np.int64)
     for lo in range(0, len(coeffs), RANK_CHUNK):
-        chunk, tr = coeffs[lo : lo + RANK_CHUNK], traced[lo : lo + RANK_CHUNK]
-        vals = evaluate_rows(F, exps, chunk, points)
-        vals = np.where(tr[:, None], F.trace_table[vals], vals)
+        vals = evaluate_rows(F, exps, coeffs[lo : lo + RANK_CHUNK], points, traced)
         fb, fpair = vals[:, :m], vals[:, m:].reshape(-1, m, m)
         bilin = F.sub(F.sub(fpair, fb[:, :, None]), fb[:, None, :])
-        if tr.all():
-            rows = bilin  # a GF(p) value is its own constant digit
-        else:
+        if not traced:  # a traced value is in GF(p), its own constant digit
             # row (j, d) holds digit d of B(a_i, a_j) for every i
-            rows = F.digits(bilin).transpose(0, 2, 3, 1).reshape(-1, m * m, m)
-        ranks[lo : lo + RANK_CHUNK] = gfp_rank(rows, F.p)
+            bilin = F.digits(bilin).transpose(0, 2, 3, 1).reshape(-1, m * m, m)
+        ranks[lo : lo + RANK_CHUNK] = gfp_rank(bilin, F.p)
     return int(ranks[0]) if isinstance(f, FuncSpec) else ranks
 
 
 def quadratic_galois_sum(F: Field, f: FuncSpec) -> int:
-    """sum over y in GF(p)*, x in GF(q) of zeta^(y*f(x)), a rational integer.
+    """sum over y in GF(p)*, x in GF(q) of zeta^(y*Tr(f(x))), a rational integer.
 
-    The inner sum over y is p - 1 where f(x) = 0 and -1 elsewhere, so the
-    total is p*N0 - q with N0 = #{x : f(x) = 0}.
+    The inner sum over y is p - 1 where Tr(f(x)) = 0 and -1 elsewhere, so the
+    total is p*N0 - q with N0 = #{x : Tr(f(x)) = 0}.
     """
-    tbl = FuncSpec(f.terms, True).table(F)
+    tbl = f.table(F, traced=True)
     return F.p * int(np.count_nonzero(tbl == 0)) - F.q
 
 
@@ -220,30 +214,28 @@ def is_almost_bent(F: Field, g: FuncSpec) -> bool:
 # ---------------------------------------------------------------------------
 # searching the quadratic family f(x) = Tr(sum f_i x^(2^i+1))
 
-def find_quadratic_with(F: Field, rank=None, walsh0=None, limit=200000) -> FuncSpec:
-    """First quadratic Boolean function matching the requested rank / f_hat(0).
+def find_quadratic_with(F: Field, rank, walsh0) -> FuncSpec:
+    """First quadratic f whose Boolean function Tr(f) has this rank and f_hat(0).
 
-    Candidate n = 1, 2, ..., limit has coefficient f_i on x^(2^i+1),
+    Candidate n = 1, 2, ..., SEARCH_LIMIT has coefficient f_i on x^(2^i+1),
     i = 0..m//2, its base-q digit i (f_0 varies fastest).  RANK_CHUNK
     candidates at a time are decoded into coefficient rows and ranked in one
     call; the rows that pass read f_hat(0) = q - 2*wt(f) off their tables,
     max(1, TABLE_BLOCK // q) tables at a time, so memory stays O(q).
     """
     exps = tuple((1 << i) + 1 for i in range(F.m // 2 + 1))
-    stop = min(limit, F.q ** len(exps) - 1) + 1
+    stop = min(SEARCH_LIMIT, F.q ** len(exps) - 1) + 1
     per_block = max(1, TABLE_BLOCK // F.q)
     for lo in range(1, stop, RANK_CHUNK):
         n = np.arange(lo, min(lo + RANK_CHUNK, stop), dtype=np.int64)
         rows = np.empty((n.size, len(exps)), dtype=np.int32)
         for i in range(len(exps)):
             n, rows[:, i] = np.divmod(n, F.q)  # never q**i: (2^21)^3 overflows int64
-        if rank is not None:
-            rows = rows[quadratic_rank(F, rows, exps) == rank]
+        rows = rows[quadratic_rank(F, rows, exps, traced=True) == rank]
         for blk in range(0, len(rows), per_block):
             hits = rows[blk : blk + per_block]
-            if walsh0 is not None:
-                weights = np.count_nonzero(table_rows(F, exps, hits, traced=True), axis=1)
-                hits = hits[F.q - 2 * weights == walsh0]
+            weights = np.count_nonzero(table_rows(F, exps, hits, traced=True), axis=1)
+            hits = hits[F.q - 2 * weights == walsh0]
             if len(hits):
-                return FuncSpec(tuple((int(c), e) for c, e in zip(hits[0], exps) if c), True)
+                return FuncSpec(tuple((int(c), e) for c, e in zip(hits[0], exps) if c))
     raise SizeLimitError("no quadratic function matched within the search budget")

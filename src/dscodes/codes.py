@@ -276,6 +276,8 @@ def _rows_to_prediction(claim, n, m, rows):
             extra += a
         else:
             counts[w] = counts.get(w, 0) + a
+    for a in (*counts.values(), extra):  # a non-integral row is still reported first
+        _require(a >= 0, "nonnegative multiplicity", str(a))
     return Prediction(claim, n, m, counts, extra)
 
 
@@ -412,7 +414,6 @@ def predicted_enumerator(claim: str, *, p=None, m=None, n_f=None, r=None, e=None
 
 @dataclass(frozen=True)
 class PredictionReport:
-    claim: str
     ok: bool
     expected_k: int
     mismatches: tuple
@@ -430,12 +431,12 @@ def compare_prediction(E: WeightEnumerator, P: Prediction) -> PredictionReport:
         got = tuple(E.weights())
         if got != tuple(sorted(P.weight_set)):
             issues.append(f"weights: enumerated {got}, predicted {tuple(sorted(P.weight_set))}")
-        return PredictionReport(P.claim, not issues, exp_k, tuple(issues))
+        return PredictionReport(not issues, exp_k, tuple(issues))
     kersize = 1 + P.zero_weight_extra
     e = _p_power_exponent(kersize, E.p)
     if e is None:
         issues.append(f"predicted kernel size {kersize} is not a power of {E.p}")
-        return PredictionReport(P.claim, False, P.k, tuple(issues))
+        return PredictionReport(False, P.k, tuple(issues))
     exp_k = P.k - e
     if E.k != exp_k:
         issues.append(f"k: enumerated {E.k}, predicted {exp_k}")
@@ -451,5 +452,5 @@ def compare_prediction(E: WeightEnumerator, P: Prediction) -> PredictionReport:
             got, want = E.counts.get(w, 0), expected.get(w, 0)
             if got != want:
                 issues.append(f"A_{w}: enumerated {got}, predicted {want}")
-    return PredictionReport(P.claim, not issues, exp_k, tuple(issues))
+    return PredictionReport(not issues, exp_k, tuple(issues))
 

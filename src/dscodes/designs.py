@@ -170,7 +170,6 @@ class DefiningSet:
 
     field: Field
     elems: np.ndarray
-    family_tag: str = "custom"
 
     def __len__(self):
         return self.elems.size
@@ -178,13 +177,12 @@ class DefiningSet:
     def __eq__(self, other):
         if not isinstance(other, DefiningSet):
             return NotImplemented
-        return (self.field is other.field and self.family_tag == other.family_tag
-                and np.array_equal(self.elems, other.elems))
+        return self.field is other.field and np.array_equal(self.elems, other.elems)
 
     __hash__ = None  # equal sets must hash equal, and the array is not hashable
 
 
-def defining_set(F: Field, elems, family_tag="custom") -> DefiningSet:
+def defining_set(F: Field, elems) -> DefiningSet:
     arr = _int64_copy(elems)
     # the constructors build their sets in increasing order: one O(n) pass
     # confirms it and leaves nothing to sort or to check for duplicates
@@ -198,7 +196,7 @@ def defining_set(F: Field, elems, family_tag="custom") -> DefiningSet:
         bad = arr[(arr < 0) | (arr >= F.q)][0]  # the first offender in sorted order
         raise ToolkitError(f"{bad} outside GF({F.q})")
     arr.setflags(write=False)
-    return DefiningSet(F, arr, family_tag)
+    return DefiningSet(F, arr)
 
 
 def complement_in_group(G, D):
@@ -225,14 +223,14 @@ def to_cyclic_residues(D: DefiningSet, v=None):
 
 @dataclass(frozen=True)
 class FuncSpec:
-    """x -> sum of c*x^e terms, optionally followed by the absolute trace.
+    """x -> sum of c*x^e terms, a GF(q)-valued function.
 
     Coefficients are field-element codes; exponents are positive integers
     (reduced mod q-1 on nonzero inputs, with f(0) evaluated literally).
+    A consumer that reads Tr(f) traces f itself, as table(F, traced=True) does.
     """
 
     terms: tuple
-    to_prime_subfield: bool = False
 
     def __post_init__(self):
         if not self.terms:
@@ -243,9 +241,9 @@ class FuncSpec:
         if any(e < 1 for e in exps):
             raise ValueError("exponents must be positive")
 
-    def table(self, F: Field):
-        """f(x) over all x in field-index order, an int32 array (see table_rows)."""
-        return table_rows(F, *coefficient_rows([self]), self.to_prime_subfield)[0]
+    def table(self, F: Field, traced=False):
+        """f(x), or Tr(f(x)) if traced, for every x in index order, as int32 (see table_rows)."""
+        return table_rows(F, *coefficient_rows([self]), traced)[0]
 
 
 def coefficient_rows(specs):
@@ -294,7 +292,7 @@ def table_rows(F: Field, exps, coeffs, traced=False):
 _TERM_RE = re.compile(r"^(-)?(\d+)(?:\*(?:u|a|alpha)(?:\^(\d+))?)?$")
 
 
-def parse_func_spec(F: Field, expr: str, to_prime_subfield=False) -> FuncSpec:
+def parse_func_spec(F: Field, expr: str) -> FuncSpec:
     """Parse 'c@e' terms, e.g. '1@3' or '1@10,-1*u@6,-1*u^2@2' (u = alpha)."""
     terms = []
     for part in expr.split(","):
@@ -316,7 +314,7 @@ def parse_func_spec(F: Field, expr: str, to_prime_subfield=False) -> FuncSpec:
         if e < 1:
             raise ValueError(f"bad exponent {epart!r}")
         terms.append((c, e))
-    return FuncSpec(tuple(terms), to_prime_subfield)
+    return FuncSpec(tuple(terms))
 
 
 # ---------------------------------------------------------------------------
@@ -330,7 +328,7 @@ def paley_set(F: Field) -> DefiningSet:
     # mask in index order, so the set comes out sorted
     is_square = np.zeros(F.q, dtype=bool)
     is_square[F.exp_table[::2]] = True
-    return defining_set(F, np.flatnonzero(is_square), "paley")
+    return defining_set(F, np.flatnonzero(is_square))
 
 
 def is_skew_set(F: Field, D) -> bool:
@@ -344,7 +342,7 @@ def image_set(F: Field, f: FuncSpec) -> DefiningSet:
     """D(f) = {f(x): x in GF(q)} with 0 removed."""
     vals = np.flatnonzero(np.bincount(f.table(F), minlength=F.q))
     vals = vals[vals != 0]
-    return defining_set(F, vals, "qf-image")
+    return defining_set(F, vals)
 
 
 def eto1_check(F: Field, f: FuncSpec):
@@ -407,7 +405,7 @@ def maschietti_set(F: Field, case: str) -> DefiningSet:
     if (images[0] != 0 or (n > 1 and pairs[0] == 0)
             or np.any(pairs[0::2] != pairs[1::2]) or np.any(pairs[2::2] <= pairs[1:-1:2])):
         raise ToolkitError(f"x^{rho}+x is not two-to-one on GF(2^{F.m})")
-    return defining_set(F, pairs[0::2], f"maschietti-{case}")
+    return defining_set(F, pairs[0::2])
 
 
 def hkm_set(F: Field) -> DefiningSet:
@@ -424,15 +422,15 @@ def hkm_set(F: Field) -> DefiningSet:
     elems = xs[tr == 0]
     if len(elems) != (3 ** (m - 1) - 1) // 2:
         raise InvariantError(f"HKM set has {len(elems)} elements")
-    return defining_set(F, elems, "hkm")
+    return defining_set(F, elems)
 
 
 def boolean_support(F: Field, f: FuncSpec) -> DefiningSet:
-    """D_f = {x: f(x) = 1} for a Boolean (trace-valued) function on GF(2^m)."""
-    return defining_set(F, np.flatnonzero(FuncSpec(f.terms, True).table(F) == 1), "bool-support")
+    """D_f = {x: Tr(f(x)) = 1}, the support of the Boolean function Tr(f) on GF(2^m)."""
+    return defining_set(F, np.flatnonzero(f.table(F, traced=True) == 1))
 
 
 def joint_counts(F: Field, f: FuncSpec, bs) -> list:
-    """For each b in bs, the counts of {x: f(x)=0, Tr(bx)=a} indexed by a in GF(p)."""
-    kernel = np.nonzero(f.table(F) == 0)[0]
+    """For each b in bs, the counts of {x: Tr(f(x)) = 0, Tr(bx) = a} indexed by a in GF(p)."""
+    kernel = np.nonzero(f.table(F, traced=True) == 0)[0]
     return [tuple(row) for row in char_sum(F, kernel, bs).tolist()]

@@ -28,11 +28,11 @@ from .gf import Field, default_field
 @dataclass(frozen=True)
 class CaseReport:
     case_id: str
-    verdict: str  # pass | fail | error | skipped
+    verdict: str  # pass | fail | error
     expected: str
     actual: str
-    detail: str = ""
-    seconds: float = 0.0
+    detail: str
+    seconds: float
 
 
 CASES = {}
@@ -123,11 +123,11 @@ for _p, _m in ((3, 2), (3, 4), (5, 2), (7, 2), (3, 3), (5, 3)):
 
 def _qf_case(p, m, terms):
     F = default_field(p, m)
-    f = FuncSpec(terms(F), False)
+    f = FuncSpec(terms(F))
     e = designs.eto1_check(F, f)
     if e != 2:
         return False, "e = 2", f"e = {e}", ""
-    r = boolfn.quadratic_rank(F, f)
+    r = boolfn.quadratic_rank(F, f, traced=False)
     D = designs.image_set(F, f)
     E = codes.weight_enumerator(D)
     pred = codes.predicted_enumerator("thm-qfcodes", p=p, m=m, r=r, e=e)
@@ -216,8 +216,8 @@ for _m in (5, 7, 9, 11):
 
 def _support_and_spectrum(F, f):
     """The support D_f and the Walsh spectrum of Tr(f), from one q-point table."""
-    tbl = FuncSpec(f.terms, True).table(F)
-    D = designs.defining_set(F, np.flatnonzero(tbl == 1), "bool-support")
+    tbl = f.table(F, traced=True)
+    D = designs.defining_set(F, np.flatnonzero(tbl == 1))
     return D, boolfn.walsh_from_table(F, tbl)
 
 
@@ -260,7 +260,7 @@ def _semibent_case(m):
     n_f = len(D)
     want_nf = 2 ** (m - 1) - 2 ** ((m - 1) // 2)
     cls = boolfn.classify_spectrum(s)
-    r = boolfn.quadratic_rank(F, spec)
+    r = boolfn.quadratic_rank(F, spec, traced=True)
     E = codes.weight_enumerator(D)
     pred = codes.predicted_enumerator("thm-semibentcodes", m=m, n_f=n_f)
     ok, exp, act, detail = _check_prediction(E, pred)
@@ -278,7 +278,7 @@ for _m in (5, 7):
 
 def _ab_case(m):
     F = default_field(2, m)
-    g = FuncSpec(((1, 3),), False)
+    g = FuncSpec(((1, 3),))
     ab = boolfn.is_almost_bent(F, g)
     # lambda_g(1, 0) is f_hat(0) of Tr(g), read off the table of Tr(g) that
     # also gives D_g; an AB g has it in {0, +-2^((m+1)/2)}, each fixing
@@ -306,14 +306,14 @@ for _m in (5, 7):
 # criterion 10: quadratic Boolean functions on m = 6
 
 @lru_cache(maxsize=None)
-def _qbf_samples(m=6):
-    """The grid of forms Tr(sum f_i x^(2^i+1)), f_i in {0, 1, 2}, not all 0, as coefficient
+def _qbf_samples():
+    """The forms Tr(sum f_i x^(2^i+1)) on GF(2^6), f_i in {0, 1, 2}, not all 0, as coefficient
     rows over exps, with their ranks, 0/1 tables and Walsh spectra, each from one call."""
-    F = default_field(2, m)
-    exps = tuple((1 << i) + 1 for i in range(m // 2 + 1))
+    F = default_field(2, 6)
+    exps = tuple((1 << i) + 1 for i in range(F.m // 2 + 1))
     rows = np.array(list(product((0, 1, 2), repeat=len(exps)))[1:], dtype=np.int32)
     tables = designs.table_rows(F, exps, rows, traced=True)
-    return (F, exps, rows, boolfn.quadratic_rank(F, rows, exps), tables,
+    return (F, exps, rows, boolfn.quadratic_rank(F, rows, exps, traced=True), tables,
             boolfn.walsh_from_table(F, tables))
 
 
@@ -335,7 +335,7 @@ def _qbf_case(rank):
         if s.histogram() != want_hist:
             bad.append(f"spectrum {s.histogram()} for {terms}")
             continue
-        D = designs.defining_set(F, np.flatnonzero(tables[i] == 1), "bool-support")
+        D = designs.defining_set(F, np.flatnonzero(tables[i] == 1))
         E = codes.weight_enumerator(D)
         pred = codes.predicted_enumerator("thm-CodeQBFs", m=m, r=rank,
                                           walsh0=int(s.values[0]))
@@ -384,7 +384,7 @@ def _hkm_lemma_case(h):
 
     def ranks(u, v):
         rows = np.column_stack((u, np.full(u.size, v)))
-        return boolfn.quadratic_rank(F, rows, exps).tolist()
+        return boolfn.quadratic_rank(F, rows, exps, traced=True).tolist()
 
     r_one, *r_us = ranks(np.append(1, us), 1)
     r_partners = ranks(F.neg(F.add(1, us)), 1)
@@ -400,7 +400,7 @@ def _hkm_lemma_case(h):
     for b, r in zip(bs.tolist(), r_bs):
         if r != m:
             problems.append(f"rank(Tr({b} x^{e+1})) < {m}")
-    f_hkm = FuncSpec(((1, 1), (1, ell)), True)
+    f_hkm = FuncSpec(((1, 1), (1, ell)))
     base = 3 ** (m - 2)
     dev = 2 * 3 ** (2 * (h - 1))
     allowed_triples = {
@@ -431,15 +431,17 @@ CASES["hkm-lemmas-h3"] = partial(_hkm_lemma_case, 3)
 
 def _zd13_case(p, m):
     F = default_field(p, m)
-    specs = [FuncSpec(((1, 2),), True), FuncSpec(((F.alpha, 2),), True)]
+    specs = [FuncSpec(((1, 2),)), FuncSpec(((F.alpha, 2),))]
     for ell in range(1, m):
-        specs.append(FuncSpec(((1, p**ell + 1),), True))
-        specs.append(FuncSpec(((F.alpha, p**ell + 1), (1, 2)), True))
-    specs.append(FuncSpec(((1, 2),), False))
-    specs.append(FuncSpec(((1, p + 1),), False))  # every registered m is at least 2
+        specs.append(FuncSpec(((1, p**ell + 1),)))
+        specs.append(FuncSpec(((F.alpha, p**ell + 1), (1, 2))))
+    # repeats of the first spec and of the ell = 1 spec: the "N forms" count
+    # in expected is part of the JSON contract
+    specs.append(FuncSpec(((1, 2),)))
+    specs.append(FuncSpec(((1, p + 1),)))  # every registered m is at least 2
     problems = []
-    # the sum sees the composed GF(p)-valued form, so its rank governs
-    ranks = boolfn.quadratic_rank(F, [FuncSpec(s.terms, True) for s in specs])
+    # the sum sees the composed GF(p)-valued form Tr(f), so its rank governs
+    ranks = boolfn.quadratic_rank(F, specs, traced=True)
     for spec, r in zip(specs, ranks.tolist()):
         gs = boolfn.quadratic_galois_sum(F, spec)
         want = {0} if r % 2 else {(p - 1) * p ** (m - r // 2), -(p - 1) * p ** (m - r // 2)}
@@ -460,18 +462,19 @@ def _charsum_weights_case():
             return np.arange(F.q)
         return np.append(np.arange(0, F.q, max(1, F.q // 25)), F.q - 1)
 
-    families = []
-    families.append(designs.paley_set(default_field(3, 3)))
-    families.append(designs.paley_set(default_field(3, 2)))
-    families.append(designs.paley_set(default_field(3, 5)))
-    families.append(designs.paley_set(default_field(7, 2)))
-    families.append(_hkm_instance(1)[1])
-    families.append(designs.maschietti_set(default_field(2, 5), "singer"))
-    families.append(designs.boolean_support(default_field(2, 5), FuncSpec(((1, 3),), True)))
-    families.append(designs.maschietti_set(default_field(2, 9), "glynn2"))
+    families = [
+        ("paley", designs.paley_set(default_field(3, 3))),
+        ("paley", designs.paley_set(default_field(3, 2))),
+        ("paley", designs.paley_set(default_field(3, 5))),
+        ("paley", designs.paley_set(default_field(7, 2))),
+        ("hkm", _hkm_instance(1)[1]),
+        ("maschietti-singer", designs.maschietti_set(default_field(2, 5), "singer")),
+        ("bool-support", designs.boolean_support(default_field(2, 5), FuncSpec(((1, 3),)))),
+        ("maschietti-glynn2", designs.maschietti_set(default_field(2, 9), "glynn2")),
+    ]
     checked = 0
     problems = []
-    for D in families:
+    for name, D in families:
         F = D.field
         xs = sample_points(F)
         directs = len(D) - np.count_nonzero(codes.codeword(D, xs) == 0, axis=1)
@@ -479,7 +482,7 @@ def _charsum_weights_case():
         checked += xs.size
         for x, direct, via in zip(xs.tolist(), directs.tolist(), vias):
             if direct != via:
-                problems.append(f"{D.family_tag} q={F.q} x={x}: {via} != {direct}")
+                problems.append(f"{name} q={F.q} x={x}: {via} != {direct}")
     exp = "character-sum weight equals direct weight on every sampled x"
     act = f"{checked} points checked" + ("" if not problems else f", {len(problems)} mismatches")
     return not problems, exp, act, "; ".join(problems[:4])
@@ -497,14 +500,14 @@ def _invariance_case():
     D = designs.paley_set(F)
     base = codes.weight_enumerator(D)
     for a in (F.alpha, F.mul(F.alpha, F.alpha), 2):
-        scaled = designs.defining_set(F, F.mul(a, D.elems), "scaled")
+        scaled = designs.defining_set(F, F.mul(a, D.elems))
         if codes.weight_enumerator(scaled).counts != base.counts:
             problems.append(f"scaling by {a} changed the enumerator")
-    shuffled = DefiningSet(F, D.elems[::-1], "shuffled")
+    shuffled = DefiningSet(F, D.elems[::-1])
     if codes.weight_enumerator(shuffled).counts != base.counts:
         problems.append("permuting coordinates changed the enumerator")
     alt = Field(3, 3, modulus=(1, 2, 1, 1))  # x^3 + x^2 + 2x + 1; the default is x^3 + 2x + 1
-    for build in (designs.paley_set, lambda G: designs.image_set(G, FuncSpec(((1, 4),), False))):
+    for build in (designs.paley_set, lambda G: designs.image_set(G, FuncSpec(((1, 4),)))):
         e1 = codes.weight_enumerator(build(F))
         e2 = codes.weight_enumerator(build(alt))
         if e1.counts != e2.counts:
@@ -522,7 +525,7 @@ def _parseval_case():
     for m, specs in ((5, [((1, 3),)]), (6, [((1, 3),), ((2, 3), (1, 5))])):
         F = default_field(2, m)
         for terms in specs:
-            tbl = FuncSpec(terms, True).table(F)
+            tbl = FuncSpec(terms).table(F, traced=True)
             s = boolfn.walsh_from_table(F, tbl)
             # |v| <= 2^m over 2^m frequencies, so the int64 sum of squares is at
             # most 2^(3m) <= 2^18 here, and 2^(2m) <= 2^44 when Parseval holds: exact

@@ -12,9 +12,12 @@ from dscodes.designs import FuncSpec
 from dscodes.gf import default_field
 
 
-def brute_walsh(F, f):
-    """O(q^2) transform straight from the definition; the reference oracle."""
-    tbl = f.table(F) if f.to_prime_subfield else F.trace_table[f.table(F)]
+def brute_walsh(F, f, traced=True):
+    """O(q^2) transform of Tr(f) straight from the definition; the reference oracle.
+
+    Tr(f) is read off f.table(F, traced=True), or traced here from the
+    GF(q)-valued table when traced is False."""
+    tbl = f.table(F, traced=True) if traced else F.trace_table[f.table(F)]
     vals = []
     for w in range(F.q):
         acc = 0
@@ -32,13 +35,13 @@ def brute_walsh(F, f):
 ])
 def test_walsh_matches_brute_force_m4(terms, traced):
     F = default_field(2, 4)
-    f = FuncSpec(terms, traced)
-    assert boolfn.walsh_transform(F, f).values.tolist() == brute_walsh(F, f)
+    f = FuncSpec(terms)
+    assert boolfn.walsh_transform(F, f).values.tolist() == brute_walsh(F, f, traced)
 
 
 def test_walsh_matches_brute_force_m5():
     F = default_field(2, 5)
-    f = FuncSpec(((1, 3),), True)
+    f = FuncSpec(((1, 3),))
     s = boolfn.walsh_transform(F, f)
     assert s.values.tolist() == brute_walsh(F, f)
     assert s.histogram() == {-8: 6, 0: 16, 8: 10}
@@ -47,16 +50,16 @@ def test_walsh_matches_brute_force_m5():
 
 def test_walsh_requires_char_two():
     with pytest.raises(errors.ToolkitError, match=r"^Walsh transform is defined over GF\(2\^m\)$"):
-        boolfn.walsh_transform(default_field(3, 2), FuncSpec(((1, 2),), True))
+        boolfn.walsh_transform(default_field(3, 2), FuncSpec(((1, 2),)))
 
 
 def test_spectrum_classification():
     bent = WalshSpectrum(4, np.array((4,) * 8 + (-4,) * 8))
     assert boolfn.classify_spectrum(bent).variant == "bent"
     semi = boolfn.classify_spectrum(
-        boolfn.walsh_transform(default_field(2, 5), FuncSpec(((1, 3),), True)))
+        boolfn.walsh_transform(default_field(2, 5), FuncSpec(((1, 3),))))
     assert semi.variant == "semibent" and semi.amplitude == 8
-    affine = boolfn.walsh_transform(default_field(2, 4), FuncSpec(((1, 1),), True))
+    affine = boolfn.walsh_transform(default_field(2, 4), FuncSpec(((1, 1),)))
     assert boolfn.classify_spectrum(affine).variant == "other"
 
 
@@ -69,38 +72,43 @@ def test_five_valued_classification():
 
 def test_quadratic_rank_frozen_values():
     F5, F6 = default_field(2, 5), default_field(2, 6)
-    r = boolfn.quadratic_rank(F5, FuncSpec(((1, 3),), True))
+    r = boolfn.quadratic_rank(F5, FuncSpec(((1, 3),)), traced=True)
     assert type(r) is int and r == 4
-    assert boolfn.quadratic_rank(F6, FuncSpec(((1, 3),), True)) == 4
-    assert boolfn.quadratic_rank(F6, FuncSpec(((2, 3),), True)) == 6
-    assert boolfn.quadratic_rank(F6, FuncSpec(((1, 3), (1, 5)), True)) == 2
+    assert boolfn.quadratic_rank(F6, FuncSpec(((1, 3),)), traced=True) == 4
+    assert boolfn.quadratic_rank(F6, FuncSpec(((2, 3),)), traced=True) == 6
+    assert boolfn.quadratic_rank(F6, FuncSpec(((1, 3), (1, 5))), traced=True) == 2
     F9 = default_field(3, 2)
-    assert boolfn.quadratic_rank(F9, FuncSpec(((1, 2),), False)) == 2
+    assert boolfn.quadratic_rank(F9, FuncSpec(((1, 2),)), traced=False) == 2
     # field-valued and traced ranks can legitimately differ
     F81 = default_field(3, 4)
-    assert boolfn.quadratic_rank(F81, FuncSpec(((1, 4),), False)) == 4
-    assert boolfn.quadratic_rank(F81, FuncSpec(((1, 4),), True)) == 2
+    assert boolfn.quadratic_rank(F81, FuncSpec(((1, 4),)), traced=False) == 4
+    assert boolfn.quadratic_rank(F81, FuncSpec(((1, 4),)), traced=True) == 2
+
+
+def test_quadratic_rank_takes_its_flag_by_keyword_only():
+    F = default_field(3, 4)
+    f = FuncSpec(((1, 4),))
+    with pytest.raises(TypeError, match="traced"):
+        boolfn.quadratic_rank(F, f)
+    with pytest.raises(TypeError):
+        boolfn.quadratic_rank(F, [f], None, True)
 
 
 def test_quadratic_rank_rejects_other_exponents():
     F = default_field(2, 5)
     with pytest.raises(errors.ToolkitError, match=r"^exponent 7 is not of the form p\^i\+p\^j$"):
-        boolfn.quadratic_rank(F, FuncSpec(((1, 7),), True))
+        boolfn.quadratic_rank(F, FuncSpec(((1, 7),)), traced=True)
     F27 = default_field(3, 3)
     with pytest.raises(errors.ToolkitError, match=r"^exponent 5 is not of the form p\^i\+p\^j$"):
-        boolfn.quadratic_rank(F27, FuncSpec(((1, 5),), True))
-    boolfn.quadratic_rank(F27, FuncSpec(((1, 6),), True))  # 6 = 3 + 3 is fine
+        boolfn.quadratic_rank(F27, FuncSpec(((1, 5),)), traced=False)
+    boolfn.quadratic_rank(F27, FuncSpec(((1, 6),)), traced=True)  # 6 = 3 + 3 is fine
 
 
-def brute_rank(F, f):
-    """m - log_p |{a : B(a, x) = 0 for all x}| with B(a,x) = f(a+x) - f(a) - f(x)."""
-    vals = []
-    for x in range(F.q):
-        acc = 0
-        for c, e in f.terms:
-            acc = F.add(acc, F.mul(c, F.pow(x, e)))
-        vals.append(F.trace(acc) if f.to_prime_subfield else acc)
-    sub = (lambda u, v: (u - v) % F.p) if f.to_prime_subfield else F.sub
+def brute_rank(F, f, traced):
+    """m - log_p |{a : B(a, x) = 0 for all x}| with B(a,x) = f(a+x) - f(a) - f(x),
+    for Tr(f) if traced."""
+    vals = brute_table(F, f, traced)
+    sub = (lambda u, v: (u - v) % F.p) if traced else F.sub
 
     def bilinear(a, x):
         return sub(sub(vals[F.add(a, x)], vals[a]), vals[x])
@@ -116,7 +124,7 @@ def brute_rank(F, f):
 
 @st.composite
 def quadratic_form_batches(draw):
-    """One to four forms on one field, traced or GF(q)-valued.
+    """One to four forms on one field, and one tracing flag for the batch.
 
     Some share the first form's exponent tuple, the others draw their own, so
     one batch mixes exponent sets; a coefficient may be 0, an absent term.
@@ -132,46 +140,46 @@ def quadratic_form_batches(draw):
             chosen = draw(st.lists(st.sampled_from(exps), min_size=1, unique=True))
         coeffs = draw(st.lists(st.integers(0, F.q - 1), min_size=len(chosen),
                                max_size=len(chosen)))
-        forms.append(FuncSpec(tuple(zip(coeffs, chosen)), draw(st.booleans())))
-    return F, forms
+        forms.append(FuncSpec(tuple(zip(coeffs, chosen))))
+    return F, forms, draw(st.booleans())
 
 
 @given(quadratic_form_batches())
 def test_quadratic_rank_matches_brute_force_radical(batch):
-    F, forms = batch
-    ranks = boolfn.quadratic_rank(F, forms)
+    F, forms, traced = batch
+    ranks = boolfn.quadratic_rank(F, forms, traced=traced)
     assert ranks.dtype == np.int64 and ranks.shape == (len(forms),)
     for f, rank in zip(forms, ranks.tolist()):
-        assert rank == brute_rank(F, f)
-        single = boolfn.quadratic_rank(F, f)  # one FuncSpec in, one int out
+        assert rank == brute_rank(F, f, traced)
+        single = boolfn.quadratic_rank(F, f, traced=traced)  # one FuncSpec in, one int out
         assert type(single) is int and single == rank
-    # the same forms, traced, as one coefficient matrix over one exponent tuple
+    # the same forms as one coefficient matrix over one exponent tuple, either way
     exps, coeffs = designs.coefficient_rows(forms)
-    traced = [FuncSpec(f.terms, True) for f in forms]
-    assert boolfn.quadratic_rank(F, coeffs, exps).tolist() == [brute_rank(F, f) for f in traced]
+    for flag in (False, True):
+        assert (boolfn.quadratic_rank(F, coeffs, exps, traced=flag).tolist()
+                == [brute_rank(F, f, flag) for f in forms])
 
 
-def brute_table(F, f):
+def brute_table(F, f, traced):
     """f(x) for every x from scalar field operations, then Tr if traced."""
     vals = []
     for x in range(F.q):
         acc = 0
         for c, e in f.terms:
             acc = F.add(acc, F.mul(c, F.pow(x, e)))
-        vals.append(F.trace(acc) if f.to_prime_subfield else acc)
+        vals.append(F.trace(acc) if traced else acc)
     return vals
 
 
 @given(quadratic_form_batches())
 def test_row_tables_match_each_form_on_its_own(batch):
-    F, forms = batch
+    F, forms, _ = batch
     exps, coeffs = designs.coefficient_rows(forms)
     for traced in (False, True):
         tables = designs.table_rows(F, exps, coeffs, traced)
         assert tables.dtype == np.int32 and tables.shape == (len(forms), F.q)
         for f, row in zip(forms, tables.tolist()):
-            g = FuncSpec(f.terms, traced)
-            assert row == g.table(F).tolist() == brute_table(F, g)
+            assert row == f.table(F, traced).tolist() == brute_table(F, f, traced)
 
 
 @pytest.mark.parametrize("m", [4, 5, 6])
@@ -184,7 +192,7 @@ def test_row_tables_give_walsh_at_zero_and_one_stacked_butterfly(m):
     spectra = boolfn.walsh_from_table(F, tables)
     assert len(spectra) == len(grid)
     for row, tbl, s in zip(grid, tables, spectra):
-        f = FuncSpec(tuple((int(c), e) for c, e in zip(row, exps) if c), True)
+        f = FuncSpec(tuple((int(c), e) for c, e in zip(row, exps) if c))
         want = boolfn.walsh_transform(F, f)
         assert s == want and not s.values.flags.writeable
         assert F.q - 2 * int(np.count_nonzero(tbl)) == want.values[0]
@@ -192,13 +200,14 @@ def test_row_tables_give_walsh_at_zero_and_one_stacked_butterfly(m):
 
 def test_quadratic_rank_batch_edges():
     F = default_field(2, 6)
-    empty = boolfn.quadratic_rank(F, [])
+    empty = boolfn.quadratic_rank(F, [], traced=True)
     assert empty.dtype == np.int64 and empty.shape == (0,)
-    gold = FuncSpec(((1, 3),), True)
-    assert boolfn.quadratic_rank(F, (gold, gold)).tolist() == [boolfn.quadratic_rank(F, gold)] * 2
+    gold = FuncSpec(((1, 3),))
+    assert (boolfn.quadratic_rank(F, (gold, gold), traced=True).tolist()
+            == [boolfn.quadratic_rank(F, gold, traced=True)] * 2)
     # a bad exponent anywhere in the batch raises with the single-form message
     with pytest.raises(errors.ToolkitError, match="^exponent 7 is not of the form p\\^i\\+p\\^j$"):
-        boolfn.quadratic_rank(F, [gold] * 3 + [FuncSpec(((1, 7),), True)])
+        boolfn.quadratic_rank(F, [gold] * 3 + [FuncSpec(((1, 7),))], traced=True)
 
 
 def test_quadratic_rank_holds_one_chunk_of_forms_at_a_time():
@@ -210,22 +219,22 @@ def test_quadratic_rank_holds_one_chunk_of_forms_at_a_time():
     rng = np.random.default_rng(9)
     coeffs = rng.integers(0, F.q, (4 * boolfn.RANK_CHUNK, len(exps)))
     coeffs[rng.integers(0, 3, coeffs.shape) > 0] = 0  # most terms absent
-    forms = [FuncSpec(tuple(zip(row, exps)), False) for row in coeffs.tolist()]
+    forms = [FuncSpec(tuple(zip(row, exps))) for row in coeffs.tolist()]
     tracemalloc.start()
     try:
-        ranks = boolfn.quadratic_rank(F, forms)
+        ranks = boolfn.quadratic_rank(F, forms, traced=False)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert ranks.tolist() == [boolfn.quadratic_rank(F, f) for f in forms]
+    assert ranks.tolist() == [boolfn.quadratic_rank(F, f, traced=False) for f in forms]
     stack = boolfn.RANK_CHUNK * F.m**3 * 8
     assert peak < 6 * stack, peak / stack
 
 
 def test_galois_sum_frozen_values():
-    assert boolfn.quadratic_galois_sum(default_field(3, 2), FuncSpec(((1, 2),), False)) == 6
-    assert boolfn.quadratic_galois_sum(default_field(3, 3), FuncSpec(((1, 2),), True)) == 0
-    assert boolfn.quadratic_galois_sum(default_field(3, 4), FuncSpec(((1, 4),), False)) == -54
+    assert boolfn.quadratic_galois_sum(default_field(3, 2), FuncSpec(((1, 2),))) == 6
+    assert boolfn.quadratic_galois_sum(default_field(3, 3), FuncSpec(((1, 2),))) == 0
+    assert boolfn.quadratic_galois_sum(default_field(3, 4), FuncSpec(((1, 4),))) == -54
 
 
 def brute_lambda(F, g, a, b):
@@ -236,7 +245,7 @@ def brute_lambda(F, g, a, b):
 
 def test_lambda_spectrum():
     # lambda_g(1, .) is the Walsh spectrum of Tr(g), where verify's ab cases read lambda_g(1, 0)
-    g = FuncSpec(((1, 3),), False)
+    g = FuncSpec(((1, 3),))
     for m in (5, 7):
         F = default_field(2, m)
         s = boolfn.walsh_transform(F, g)
@@ -250,16 +259,16 @@ def test_lambda_spectrum():
 
 def test_is_almost_bent():
     F5 = default_field(2, 5)
-    assert boolfn.is_almost_bent(F5, FuncSpec(((1, 3),), False))
-    assert boolfn.is_almost_bent(F5, FuncSpec(((1, 5),), False))
-    assert not boolfn.is_almost_bent(F5, FuncSpec(((1, 1),), False))  # linear
+    assert boolfn.is_almost_bent(F5, FuncSpec(((1, 3),)))
+    assert boolfn.is_almost_bent(F5, FuncSpec(((1, 5),)))
+    assert not boolfn.is_almost_bent(F5, FuncSpec(((1, 1),)))  # linear
     with pytest.raises(errors.ToolkitError, match="^almost bent functions exist only for odd m$"):
-        boolfn.is_almost_bent(default_field(2, 6), FuncSpec(((1, 3),), False))
+        boolfn.is_almost_bent(default_field(2, 6), FuncSpec(((1, 3),)))
 
 
 def test_almost_bent_requires_char_two():
     with pytest.raises(errors.ToolkitError, match=r"^almost bent functions live on GF\(2\^m\)$"):
-        boolfn.is_almost_bent(default_field(3, 3), FuncSpec(((1, 2),), False))
+        boolfn.is_almost_bent(default_field(3, 3), FuncSpec(((1, 2),)))
 
 
 def brute_is_almost_bent(F, g):
@@ -283,7 +292,7 @@ def brute_is_almost_bent(F, g):
 ])
 def test_is_almost_bent_matches_the_exhaustive_lambda_spectrum(m, exps, ab):
     F = default_field(2, m)
-    g = FuncSpec(tuple((1, e) for e in exps), False)
+    g = FuncSpec(tuple((1, e) for e in exps))
     assert boolfn.is_almost_bent(F, g) == brute_is_almost_bent(F, g) == ab
 
 
@@ -292,7 +301,7 @@ def test_is_almost_bent_refuses_m_11_before_building_anything_quadratic():
     tracemalloc.start()
     try:
         with pytest.raises(errors.SizeLimitError):
-            boolfn.is_almost_bent(F, FuncSpec(((1, 3),), False))
+            boolfn.is_almost_bent(F, FuncSpec(((1, 3),)))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -314,9 +323,9 @@ def test_func_spec_table_peaks_below_the_walsh_step(terms):
     # every table the two steps read is built first, so only their own
     # temporaries are measured
     F = default_field(2, 18)
-    f = FuncSpec(terms, True)
-    f.table(F)
-    table_peak, tbl = _traced_peak(f.table, F)
+    f = FuncSpec(terms)
+    f.table(F, traced=True)
+    table_peak, tbl = _traced_peak(f.table, F, True)
     walsh_peak, _ = _traced_peak(boolfn.walsh_from_table, F, tbl)
     assert table_peak < walsh_peak
 
@@ -328,19 +337,21 @@ def nth_quadratic_spec(F, n):
         n, c = divmod(n, F.q)
         if c:
             terms.append((c, (1 << i) + 1))
-    return FuncSpec(tuple(terms), True)
+    return FuncSpec(tuple(terms))
 
 
-def test_find_quadratic_with_and_iteration_order():
+def test_find_quadratic_with_and_iteration_order(monkeypatch):
     F = default_field(2, 6)
     first = [nth_quadratic_spec(F, n).terms for n in (1, 2, 3)]
     assert first == [(((1, 2),)), (((2, 2),)), (((3, 2),))]
-    assert boolfn.find_quadratic_with(F) == nth_quadratic_spec(F, 1)
+    # Tr(x^2) = Tr(x) is linear and balanced: candidate 1 has rank 0 and f_hat(0) = 0
+    assert boolfn.find_quadratic_with(F, rank=0, walsh0=0) == nth_quadratic_spec(F, 1)
     spec = boolfn.find_quadratic_with(F, rank=4, walsh0=16)
-    assert boolfn.quadratic_rank(F, spec) == 4
+    assert boolfn.quadratic_rank(F, spec, traced=True) == 4
     assert boolfn.walsh_transform(F, spec).values[0] == 16
+    monkeypatch.setattr(boolfn, "SEARCH_LIMIT", 50)
     with pytest.raises(errors.SizeLimitError):
-        boolfn.find_quadratic_with(F, rank=5, limit=50)  # odd rank is impossible
+        boolfn.find_quadratic_with(F, rank=5, walsh0=0)  # odd rank is impossible
 
 
 @lru_cache(maxsize=None)
@@ -349,7 +360,7 @@ def sequential_find(m, rank, walsh0, limit):
     F = default_field(2, m)
     for n in range(1, min(limit, F.q ** (F.m // 2 + 1) - 1) + 1):
         spec = nth_quadratic_spec(F, n)
-        if (boolfn.quadratic_rank(F, spec) == rank
+        if (boolfn.quadratic_rank(F, spec, traced=True) == rank
                 and boolfn.walsh_transform(F, spec).values[0] == walsh0):
             return n, spec
     return None
@@ -368,23 +379,27 @@ def test_find_quadratic_with_matches_a_sequential_walk(monkeypatch, chunk, m, ra
     assert found is not None
     seen, want = found
     assert boolfn.find_quadratic_with(F, rank=rank, walsh0=walsh0) == want
-    # limit counts specs examined: the match is the last one a tight limit admits
-    assert boolfn.find_quadratic_with(F, rank=rank, walsh0=walsh0, limit=seen) == want
+    # SEARCH_LIMIT counts specs examined: the match is the last one a tight limit admits
+    monkeypatch.setattr(boolfn, "SEARCH_LIMIT", seen)
+    assert boolfn.find_quadratic_with(F, rank=rank, walsh0=walsh0) == want
+    monkeypatch.setattr(boolfn, "SEARCH_LIMIT", seen - 1)
     with pytest.raises(errors.SizeLimitError,
                        match="^no quadratic function matched within the search budget$"):
-        boolfn.find_quadratic_with(F, rank=rank, walsh0=walsh0, limit=seen - 1)
+        boolfn.find_quadratic_with(F, rank=rank, walsh0=walsh0)
 
 
-def test_find_quadratic_with_holds_a_few_tables_at_q_2_16():
+def test_find_quadratic_with_holds_a_few_tables_at_q_2_16(monkeypatch):
     # at q = TABLE_BLOCK the f_hat(0) test reads one candidate table at a time:
     # 16 tables at once would be 16 q-entry int32 arrays before any temporary.
-    # f_hat(0) is even, so walsh0 = 1 never matches and every candidate is read
+    # Candidates 1-16 are c*x^2, so Tr of each is linear, of rank 0; f_hat(0)
+    # is even, so walsh0 = 1 never matches and every candidate is read
     F = default_field(2, 16)
-    boolfn.find_quadratic_with(F, limit=1)  # builds the field's tables first
+    monkeypatch.setattr(boolfn, "SEARCH_LIMIT", 16)
+    boolfn.find_quadratic_with(F, rank=0, walsh0=0)  # builds the field's tables first
     tracemalloc.start()
     try:
         with pytest.raises(errors.SizeLimitError):
-            boolfn.find_quadratic_with(F, walsh0=1, limit=16)
+            boolfn.find_quadratic_with(F, rank=0, walsh0=1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -394,7 +409,7 @@ def test_find_quadratic_with_holds_a_few_tables_at_q_2_16():
 def test_parseval_holds_for_every_tested_spectrum():
     F = default_field(2, 6)
     for terms in (((1, 3),), ((2, 3),), ((1, 3), (1, 5))):
-        v = boolfn.walsh_transform(F, FuncSpec(terms, True)).values
+        v = boolfn.walsh_transform(F, FuncSpec(terms)).values
         # |v| <= 2^m over 2^m frequencies, so the int64 sum of squares is at most
         # 2^(3m) = 2^18, and 2^(2m) <= 2^44 when Parseval holds: exact
         assert int(v @ v) == 2 ** (2 * 6)
@@ -402,7 +417,7 @@ def test_parseval_holds_for_every_tested_spectrum():
 
 def test_spectra_are_read_only_int64_arrays():
     F = default_field(2, 5)
-    s = boolfn.walsh_transform(F, FuncSpec(((1, 3),), True))
+    s = boolfn.walsh_transform(F, FuncSpec(((1, 3),)))
     assert isinstance(s.values, np.ndarray) and s.values.dtype == np.int64
     with pytest.raises(ValueError):
         s.values[0] = 1
@@ -411,6 +426,6 @@ def test_spectra_are_read_only_int64_arrays():
     assert all(type(v) is int and type(c) is int for v, c in s.histogram().items())
     assert s.distinct() == (-8, 0, 8) and all(type(v) is int for v in s.distinct())
     # value equality through the arrays
-    assert s == boolfn.walsh_transform(F, FuncSpec(((1, 3),), True))
-    assert s != boolfn.walsh_transform(F, FuncSpec(((1, 5),), True))
+    assert s == boolfn.walsh_transform(F, FuncSpec(((1, 3),)))
+    assert s != boolfn.walsh_transform(F, FuncSpec(((1, 5),)))
     assert s != WalshSpectrum(5, s.values[::-1])

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import resource
@@ -47,9 +48,9 @@ def test_construct_prints_sorted_elements(capsys):
 def test_construct_builds_no_log_table(capsys, monkeypatch, family, field):
     fields = []
 
-    def spy(F, elems, tag="custom"):
+    def spy(F, elems):
         fields.append(F)
-        return make_set(F, elems, tag)
+        return make_set(F, elems)
 
     make_set = designs.defining_set
     monkeypatch.setattr(designs, "defining_set", spy)
@@ -320,6 +321,10 @@ REFUSALS = [
      "--expect thm-HKMcodes needs an hkm family"),
     ("code --family qf-image:1@2,1@4 --p 3 --m 2 --expect thm-qfcodes",
      "the map is not e-to-1 on nonzero elements"),
+    ("code --family bool:1@3 --m 5 --expect thm-qfcodes",
+     "--expect thm-qfcodes needs a qf-image family"),
+    ("code --family qf-image:1@5 --m 6 --expect thm-CodeQBFs",
+     "--expect thm-CodeQBFs needs a bool family"),
 ]
 
 
@@ -351,6 +356,21 @@ def test_each_refusal_is_the_same_under_python_O():
                           capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == [[1, "", f"error: {message}\n"] for _, message in REFUSALS]
+
+
+BENCHMARK_DIGESTS = json.loads(
+    (Path(SRC).parent / "perfbench" / "expected.json").read_text(encoding="utf-8"))["digests"]
+
+
+def test_every_benchmark_op_prints_its_recorded_stdout(capsys):
+    # the benchmark fails an op whose stdout hash differs from its record, so
+    # these 20 runs pin the output contract of construct, walsh and code
+    assert len(BENCHMARK_DIGESTS) == 20
+    got = {}
+    for argv in BENCHMARK_DIGESTS:
+        rc, out, _ = run(capsys, *argv.split())
+        got[argv] = (rc, hashlib.sha256(out.encode()).hexdigest())
+    assert got == {argv: (0, digest) for argv, digest in BENCHMARK_DIGESTS.items()}
 
 
 @pytest.mark.parametrize("modulus", ["1,2,0,1", "1,0,2,1"])

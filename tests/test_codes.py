@@ -414,6 +414,13 @@ def test_hkm_prediction_refuses_an_m_other_than_3h():
         codes.predicted_enumerator("thm-HKMcodes", h=1, m=5)
 
 
+def test_a_closed_form_never_predicts_a_negative_multiplicity():
+    # n_f = 32 is the constant function's support, not a semibent one at m = 5
+    # (those have 16 or 16 +- 4 elements); the weight rows give A_14 = -4
+    with pytest.raises(errors.PreconditionFailedError, match="^nonnegative multiplicity: -4$"):
+        codes.predicted_enumerator("thm-semibentcodes", m=5, n_f=32)
+
+
 def test_prediction_comparison_reports_mismatches():
     F = default_field(2, 9)
     E = codes.weight_enumerator(designs.maschietti_set(F, "glynn2"))

@@ -72,9 +72,8 @@ def test_many_point_routes_match_their_scalar_definitions(monkeypatch, pm, block
         assert w == codes.weight_via_charsum(D, x) == sum(t != 0 for t in scalar_word)
     assert weights[0] == 0
 
-    f = FuncSpec(((1, p + 1), (1, 1)), True)  # f(0) = 0 puts 0 in the kernel
-    values = designs.evaluate_rows(F, *designs.coefficient_rows([f]), np.arange(F.q),
-                                   f.to_prime_subfield)[0]
+    f = FuncSpec(((1, p + 1), (1, 1)))  # f(0) = 0 puts 0 in the kernel
+    values = designs.evaluate_rows(F, *designs.coefficient_rows([f]), np.arange(F.q), True)[0]
     kernel = np.flatnonzero(values == 0).tolist()
     assert designs.joint_counts(F, f, bs) == [tuple(_oracle_row(F, kernel, b)) for b in bs]
 

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from functools import lru_cache
 from pathlib import Path
 
 from dscodes import verify
@@ -86,23 +87,41 @@ def test_verify_cases_match_the_benchmark_record():
     assert sorted(verify.CASES) == sorted(recorded)
 
 
+def _outcome(report):
+    return report.verdict, report.expected, report.actual, report.detail
+
+
+@lru_cache(maxsize=None)
+def run_cases():
+    """Each case id's verdict, expected, actual and detail from one full run."""
+    return {r.case_id: _outcome(r) for r in verify.run_cases()}
+
+
 def test_each_case_reports_the_same_alone_from_cold_caches():
     # a case must not lean on what an earlier case left in a cache, nor on the
     # order in which the registry runs
     caches = [fn for fn in vars(verify).values()
               if hasattr(fn, "cache_clear") and fn.__module__ == verify.__name__]
     assert len(caches) == 5
-
-    def outcome(report):
-        return report.verdict, report.expected, report.actual, report.detail
-
-    together = {r.case_id: outcome(r) for r in verify.run_cases()}
+    together = run_cases()
     alone = {}
     for cid in sorted(verify.CASES):
         for cache in caches:
             cache.cache_clear()
-        alone[cid] = outcome(verify.run_case(cid))
+        alone[cid] = _outcome(verify.run_case(cid))
     assert alone == together
+
+
+def test_every_recorded_case_reports_its_recorded_strings():
+    # verify_paper_record.json holds each case's verdict, expected, actual and
+    # detail as the registry gave them at commit 44cc906: it pins the output
+    # contract, not any case's expected value.  A new id needs no record.
+    path = Path(__file__).resolve().parent / "verify_paper_record.json"
+    recorded = json.loads(path.read_text(encoding="utf-8"))
+    got = run_cases()
+    assert {cid: got.get(cid) for cid in recorded} == {
+        cid: (r["verdict"], r["expected"], r["actual"], r["detail"])
+        for cid, r in recorded.items()}
 
 
 def _raised_name(node):

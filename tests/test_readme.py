@@ -1,4 +1,5 @@
-"""Each `$ dscodes ...` example in README.md that shows its output prints exactly that."""
+"""README.md's examples print what it shows: each `$ dscodes ...` example with
+output, and each `print` line of the Library block against its `# ...` comment."""
 
 import re
 import shlex
@@ -36,3 +37,11 @@ def test_readme_example_prints_what_the_readme_shows(capsys, argv, stdout):
     out = capsys.readouterr()
     assert (rc, out.err) == (0, "")
     assert out.out == stdout
+
+
+def test_readme_library_block_prints_what_its_comments_show(capsys):
+    (block,) = re.findall(r"^```python\n(.*?)^```$", README.read_text(), re.M | re.S)
+    want = [line.rsplit("# ", 1)[1] for line in block.splitlines() if line.startswith("print(")]
+    assert want
+    exec(block, {})
+    assert capsys.readouterr().out.splitlines() == want
