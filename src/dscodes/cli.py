@@ -40,15 +40,12 @@ from .errors import InvariantError, ToolkitError
 from .gf import MAX_FIELD_BITS, Field, parse_modulus
 
 
-class UsageError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     # argparse exits 2 on bad flags; the CI contract reserves 2 for
-    # verification mismatches, so route parse errors through exit 1.
+    # verification mismatches, so route parse errors through exit 1, as a
+    # refusal whose message (an f-string, like every refusal's) is argparse's.
     def error(self, message):
-        raise UsageError(message)
+        raise ToolkitError(f"{message}")
 
 
 def _add_field_flags(sp):
@@ -70,8 +67,8 @@ def _field(args, what, p=None, m=None):
     for flag, fixed in (("p", p), ("m", m)):
         given = getattr(args, flag)
         if fixed is not None and given is not None and given != fixed:
-            raise UsageError(f"--{flag} {given} conflicts with {what}, "
-                             f"which fixes {flag} = {fixed}")
+            raise ToolkitError(f"--{flag} {given} conflicts with {what}, "
+                               f"which fixes {flag} = {fixed}")
     mod = parse_modulus(args.modulus) if args.modulus else None
     return Field(p if p is not None else 2 if args.p is None else args.p,
                  m if m is not None else 1 if args.m is None else args.m,
@@ -80,25 +77,26 @@ def _field(args, what, p=None, m=None):
 
 def _resolve_family(args):
     """Build the defining set named by --family; returns (set, context), where
-    context maps "qf-image" or "bool" to the family's function and "h" to hkm's h."""
+    context maps "qf-image" or "bool" to the family's function and its q-point
+    table, and "h" to hkm's h."""
     spec = args.family
     name, _, rest = spec.partition(":")
     if name == "paley":
         return designs.paley_set(_field(args, spec)), {}
-    if name == "qf-image":
-        F = _field(args, spec)
+    if name in ("qf-image", "bool"):
+        F = _field(args, spec, p=2 if name == "bool" else None)
         f = designs.parse_func_spec(F, rest)
-        return designs.image_set(F, f), {name: f}
+        table = f.table(F)
+        build = designs.image_set if name == "qf-image" else designs.boolean_support
+        return build(F, table), {name: (f, table)}
     if name == "maschietti":
         return designs.maschietti_set(_field(args, spec, p=2), rest), {}
     if name == "hkm":
+        if not rest.isdecimal() or int(rest) < 1:
+            raise ToolkitError(f"hkm index must be a positive integer, got {rest!r}")
         h = int(rest)
         return designs.hkm_set(_field(args, spec, p=3, m=3 * h)), {"h": h}
-    if name == "bool":
-        F = _field(args, spec, p=2)
-        f = designs.parse_func_spec(F, rest)
-        return designs.boolean_support(F, f), {name: f}
-    raise UsageError(f"unknown family {spec!r}")
+    raise ToolkitError(f"unknown family {spec!r}")
 
 
 def _design_str(cls):
@@ -237,29 +235,26 @@ def _prediction_for(claim, D, ctx):
     from . import codes
 
     if claim not in codes.CLAIMS:
-        raise UsageError(f"unknown claim id {claim!r}")
+        raise ToolkitError(f"unknown claim id {claim!r}")
     F = D.field
     kw = {"p": F.p, "m": F.m, "n_f": len(D), "h": ctx.get("h")}
-    if claim == "thm-qfcodes":
-        f = ctx.get("qf-image")
-        if f is None:
-            raise UsageError(f"--expect {claim} needs a qf-image family")
-        kw["e"] = designs.eto1_check(F, f)
-        if kw["e"] is None:
-            raise UsageError("the map is not e-to-1 on nonzero elements")
+    if claim in ("thm-qfcodes", "thm-CodeQBFs"):
+        family = "qf-image" if claim == "thm-qfcodes" else "bool"
+        if family not in ctx:
+            raise ToolkitError(f"--expect {claim} needs a {family} family")
+        f, table = ctx[family]
         from . import boolfn
 
-        kw["r"] = boolfn.quadratic_rank(F, f, traced=False)
-    elif claim == "thm-CodeQBFs":
-        f = ctx.get("bool")
-        if f is None:
-            raise UsageError(f"--expect {claim} needs a bool family")
-        from . import boolfn
-
-        kw["r"] = boolfn.quadratic_rank(F, f, traced=True)
-        kw["walsh0"] = int(boolfn.walsh_transform(F, f).values[0])
+        if claim == "thm-qfcodes":
+            kw["e"] = designs.eto1_check(table)
+            if kw["e"] is None:
+                raise ToolkitError("the map is not e-to-1 on nonzero elements")
+            kw["r"] = boolfn.quadratic_rank(F, f, traced=False)
+        else:
+            kw["r"] = boolfn.quadratic_rank(F, f, traced=True)
+            kw["walsh0"] = int(boolfn.walsh_from_table(F, F.trace_table[table]).values[0])
     elif claim == "thm-HKMcodes" and kw["h"] is None:
-        raise UsageError(f"--expect {claim} needs an hkm family")
+        raise ToolkitError(f"--expect {claim} needs an hkm family")
     return codes.predicted_enumerator(claim, **kw)
 
 
@@ -328,7 +323,7 @@ def cmd_verify_paper(args):
     if wanted:
         unknown = [c for c in wanted if c not in verify.CASES]
         if unknown:
-            raise UsageError(f"unknown case ids: {', '.join(unknown)}")
+            raise ToolkitError(f"unknown case ids: {', '.join(unknown)}")
     reports = verify.run_cases(wanted)
     if args.json:
         _emit([{"case": r.case_id, "verdict": r.verdict,
@@ -409,7 +404,7 @@ def entry(argv=None):
     try:
         args = parser.parse_args(argv)
         return args.fn(args)
-    except (UsageError, ToolkitError, ValueError, OSError) as exc:
+    except (ToolkitError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

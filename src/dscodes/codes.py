@@ -247,9 +247,8 @@ def pless_moment_check(E: WeightEnumerator, W: DualDistanceWitness) -> PlessRepo
 class Prediction:
     claim: str
     n: int
-    k: int
-    counts: dict | None  # weight -> multiplicity over all q inputs (A_0 = 1 included)
-    zero_weight_extra: int = 0  # predicted zero-weight words besides x = 0
+    k: int  # the predicted dimension
+    counts: dict | None  # weight -> multiplicity over p^k messages (A_0 = 1 included)
     weight_set: tuple | None = None  # when the claim fixes only the weights
 
 
@@ -263,22 +262,29 @@ def _exact(fr: Fraction) -> int:
     return int(fr)
 
 
-def _rows_to_prediction(claim, n, m, rows):
-    """rows: (weight Fraction, count Fraction); splits off any zero-weight mass."""
-    counts = {0: 1}
-    extra = 0
+def _rows_to_prediction(claim, p, n, m, rows):
+    """The Prediction of (weight, count) rows over all p^m messages x of GF(p^m).
+
+    Every count must be an integer >= 0.  The zero-weight rows and x = 0 form
+    the kernel, which must hold p^e messages, and p^e must divide every count;
+    the code then has dimension k = m - e, and each count is divided by p^e.
+    """
+    counts = {}
     for w, a in rows:
         a = _exact(Fraction(a))
         if a == 0:
             continue
         w = _exact(Fraction(w))
-        if w == 0:
-            extra += a
-        else:
-            counts[w] = counts.get(w, 0) + a
-    for a in (*counts.values(), extra):  # a non-integral row is still reported first
+        counts[w] = counts.get(w, 0) + a
+    for a in counts.values():  # a non-integral row is still reported first
         _require(a >= 0, "nonnegative multiplicity", str(a))
-    return Prediction(claim, n, m, counts, extra)
+    kersize = 1 + counts.pop(0, 0)
+    e = _p_power_exponent(kersize, p)
+    _require(e is not None, "kernel size a power of p", f"{kersize}, p = {p}")
+    for w, a in counts.items():
+        _require(a % kersize == 0, "kernel size divides every multiplicity",
+                 f"A_{w} = {a}, kernel size {kersize}")
+    return Prediction(claim, n, m - e, {0: 1} | {w: a // kersize for w, a in counts.items()})
 
 
 # the claim ids predicted_enumerator answers, each with the inputs its closed
@@ -304,29 +310,43 @@ def predicted_enumerator(claim: str, *, p=None, m=None, n_f=None, r=None, e=None
     p and m fix GF(p^m), n_f = |D| is the support size, r the rank of a
     quadratic form, e the fiber size of an e-to-1 map, walsh0 = f_hat(0) and
     h the HKM index; each claim reads only the inputs CLAIMS names for it,
-    and a call without one of them raises ToolkitError.
+    and a call without one of them raises ToolkitError.  Every claim but
+    glynn2-conjecture, which fixes only the weights, passes the checks of
+    _rows_to_prediction.
     """
     given = {"p": p, "m": m, "n_f": n_f, "r": r, "e": e, "walsh0": walsh0, "h": h}
     missing = [name for name in CLAIMS.get(claim, ()) if given[name] is None]
     if missing:
         raise ToolkitError(f"{claim} needs {', '.join(missing)}")
-    if claim == "thm-part2":
+    if claim == "glynn2-conjecture":
+        _require(m % 2 == 1 and m >= 9, "m odd, m >= 9", f"m = {m}")
+        mid = 1 << (m - 2)
+        d1, d2 = 1 << ((m - 3) // 2), 1 << ((m - 1) // 2)
+        ws = (mid - d2, mid - d1, mid, mid + d1, mid + d2)
+        return Prediction(claim, (1 << (m - 1)) - 1, m, None, weight_set=ws)
+    return _rows_to_prediction(claim, *_claim_rows(claim, **given))
+
+
+def _claim_rows(claim, *, p, m, n_f, r, e, walsh0, h):
+    """(p, n, m, rows) of a claim: its (weight, count) rows over all p^m messages.
+
+    The rows are unchecked; _rows_to_prediction checks them.
+    """
+    if claim in ("thm-part1", "thm-part2"):
         q = p**m
-        _require(q % 4 == 3, "q = 3 (mod 4)", f"q = {q}")
-        w = (p - 1) * q // (2 * p)
-        return Prediction(claim, (q - 1) // 2, m, {0: 1, w: q - 1})
-    if claim == "thm-part1":
-        _require(p % 2 == 1, "p odd", f"p = {p}")
-        q = p**m
-        if m % 2 == 1:
-            w = (p - 1) * q // (2 * p)
-            return Prediction(claim, (q - 1) // 2, m, {0: 1, w: q - 1})
-        root = isqrt(q)
-        rows = [
-            (Fraction((p - 1) * (q - root), 2 * p), Fraction(q - 1, 2)),
-            (Fraction((p - 1) * (q + root), 2 * p), Fraction(q - 1, 2)),
-        ]
-        return _rows_to_prediction(claim, (q - 1) // 2, m, rows)
+        if claim == "thm-part1":
+            _require(p % 2 == 1, "p odd", f"p = {p}")
+        else:
+            _require(q % 4 == 3, "q = 3 (mod 4)", f"q = {q}")
+        if m % 2 == 1:  # the only case of thm-part2, as q = 3 (mod 4) needs m odd
+            rows = [(Fraction((p - 1) * q, 2 * p), q - 1)]
+        else:
+            root = isqrt(q)
+            rows = [
+                (Fraction((p - 1) * (q - root), 2 * p), Fraction(q - 1, 2)),
+                (Fraction((p - 1) * (q + root), 2 * p), Fraction(q - 1, 2)),
+            ]
+        return p, (q - 1) // 2, m, rows
     if claim == "thm-qfcodes":
         # checked only at e = 2 (verify's qf-* cases) and at e = 1 with p = 2.
         # Elsewhere the form below is unconfirmed: x^4 is 4-to-1 on GF(3^2) and
@@ -335,26 +355,20 @@ def predicted_enumerator(claim: str, *, p=None, m=None, n_f=None, r=None, e=None
         # it has a hypothesis on e that is not checked here.
         q = p**m
         _require((q - 1) % e == 0, "e divides q-1", f"e = {e}")
-        n = (q - 1) // e
         if r % 2 == 1:
-            rows = [(Fraction((p - 1) * q, e * p), Fraction(q - 1))]
+            rows = [(Fraction((p - 1) * q, e * p), q - 1)]
         else:
             s = p ** (m - r // 2)
             rows = [
                 (Fraction((p - 1) * (q - s), e * p), Fraction(q - 1, 2)),
                 (Fraction((p - 1) * (q + s), e * p), Fraction(q - 1, 2)),
             ]
-        return _rows_to_prediction(claim, n, m, rows)
+        return p, (q - 1) // e, m, rows
     if claim == "thm-hyperovalDS":
         _require(m % 2 == 1 and m >= 5, "m odd, m >= 5", f"m = {m}")
         mid, dev = 1 << (m - 2), 1 << ((m - 3) // 2)
-        counts = {
-            0: 1,
-            mid - dev: mid + dev,
-            mid: (1 << (m - 1)) - 1,
-            mid + dev: mid - dev,
-        }
-        return Prediction(claim, (1 << (m - 1)) - 1, m, counts)
+        rows = [(mid - dev, mid + dev), (mid, (1 << (m - 1)) - 1), (mid + dev, mid - dev)]
+        return 2, (1 << (m - 1)) - 1, m, rows
     if claim == "thm-bentcodes":
         _require(m % 2 == 0 and m >= 4, "m even, m >= 4", f"m = {m}")
         half = Fraction(n_f, 2)
@@ -364,7 +378,7 @@ def predicted_enumerator(claim: str, *, p=None, m=None, n_f=None, r=None, e=None
             (half - dev, (Fraction((1 << m) - 1) - scale) / 2),
             (half + dev, (Fraction((1 << m) - 1) + scale) / 2),
         ]
-        return _rows_to_prediction(claim, n_f, m, rows)
+        return 2, n_f, m, rows
     if claim in ("thm-semibentcodes", "thm-abcodes"):
         _require(m % 2 == 1, "m odd", f"m = {m}")
         q = 1 << m
@@ -376,7 +390,7 @@ def predicted_enumerator(claim: str, *, p=None, m=None, n_f=None, r=None, e=None
             (Fraction(n_f, 2), q - 1 - 2 * bulk),
             (Fraction(n_f + shift, 2), bulk + tail),
         ]
-        return _rows_to_prediction(claim, n_f, m, rows)
+        return 2, n_f, m, rows
     if claim == "thm-CodeQBFs":
         _require(r % 2 == 0 and r >= 0, "rank even", f"r = {r}")
         amp = Fraction(1 << m, 1 << (r // 2))
@@ -391,66 +405,41 @@ def predicted_enumerator(claim: str, *, p=None, m=None, n_f=None, r=None, e=None
             (Fraction(n_f, 2) + amp / 4, lobe + wing - eps2),
             (Fraction(n_f, 2) - amp / 4, lobe - wing - eps3),
         ]
-        return _rows_to_prediction(claim, n_f, m, rows)
+        return 2, n_f, m, rows
     if claim == "thm-HKMcodes":
         _require(h % 2 == 1, "h odd", f"h = {h}")
         _require(m in (None, 3 * h), "m = 3h", f"m = {m}, h = {h}")
         m = 3 * h
-        counts = {
-            0: 1,
-            3 ** (m - 2) - 3 ** (2 * h - 2): 3 ** (2 * h) + 3**h,
-            3 ** (m - 2): 3**m - 2 * 3 ** (2 * h) - 1,
-            3 ** (m - 2) + 3 ** (2 * h - 2): 3 ** (2 * h) - 3**h,
-        }
-        return Prediction(claim, (3 ** (m - 1) - 1) // 2, m, counts)
-    if claim == "glynn2-conjecture":
-        _require(m % 2 == 1 and m >= 9, "m odd, m >= 9", f"m = {m}")
-        mid = 1 << (m - 2)
-        d1, d2 = 1 << ((m - 3) // 2), 1 << ((m - 1) // 2)
-        ws = (mid - d2, mid - d1, mid, mid + d1, mid + d2)
-        return Prediction(claim, (1 << (m - 1)) - 1, m, None, weight_set=ws)
+        dev = 3 ** (2 * h - 2)
+        rows = [
+            (3 ** (m - 2) - dev, 3 ** (2 * h) + 3**h),
+            (3 ** (m - 2), 3**m - 2 * 3 ** (2 * h) - 1),
+            (3 ** (m - 2) + dev, 3 ** (2 * h) - 3**h),
+        ]
+        return 3, (3 ** (m - 1) - 1) // 2, m, rows
     raise PreconditionFailedError(f"known claim id: {claim}")
 
 
 @dataclass(frozen=True)
 class PredictionReport:
     ok: bool
-    expected_k: int
     mismatches: tuple
 
 
 def compare_prediction(E: WeightEnumerator, P: Prediction) -> PredictionReport:
-    """Exact comparison; a predicted zero-weight surplus folds into the kernel."""
+    """Exact comparison of n, k and the multiplicities, or of the weights alone."""
     issues = []
     if E.n != P.n:
         issues.append(f"n: enumerated {E.n}, predicted {P.n}")
+    if E.k != P.k:
+        issues.append(f"k: enumerated {E.k}, predicted {P.k}")
     if P.weight_set is not None:
-        exp_k = P.k
-        if E.k != P.k:
-            issues.append(f"k: enumerated {E.k}, predicted {P.k}")
-        got = tuple(E.weights())
-        if got != tuple(sorted(P.weight_set)):
-            issues.append(f"weights: enumerated {got}, predicted {tuple(sorted(P.weight_set))}")
-        return PredictionReport(not issues, exp_k, tuple(issues))
-    kersize = 1 + P.zero_weight_extra
-    e = _p_power_exponent(kersize, E.p)
-    if e is None:
-        issues.append(f"predicted kernel size {kersize} is not a power of {E.p}")
-        return PredictionReport(False, P.k, tuple(issues))
-    exp_k = P.k - e
-    if E.k != exp_k:
-        issues.append(f"k: enumerated {E.k}, predicted {exp_k}")
-    expected = {}
-    for w, a in P.counts.items():
-        scaled, rem = divmod(a, kersize) if w != 0 else (1, 0)
-        if rem:
-            issues.append(f"A_{w} = {a} not divisible by kernel size {kersize}")
-            continue
-        expected[w] = scaled
-    if expected != E.counts and not any(i.startswith("A_") for i in issues):
-        for w in sorted(set(expected) | set(E.counts)):
-            got, want = E.counts.get(w, 0), expected.get(w, 0)
+        got, want = tuple(E.weights()), tuple(sorted(P.weight_set))
+        if got != want:
+            issues.append(f"weights: enumerated {got}, predicted {want}")
+    else:
+        for w in sorted(set(P.counts) | set(E.counts)):
+            got, want = E.counts.get(w, 0), P.counts.get(w, 0)
             if got != want:
                 issues.append(f"A_{w}: enumerated {got}, predicted {want}")
-    return PredictionReport(not issues, exp_k, tuple(issues))
-
+    return PredictionReport(not issues, tuple(issues))

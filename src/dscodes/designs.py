@@ -338,19 +338,19 @@ def is_skew_set(F: Field, D) -> bool:
                 and not np.isin(F.neg(arr), arr).any())
 
 
-def image_set(F: Field, f: FuncSpec) -> DefiningSet:
-    """D(f) = {f(x): x in GF(q)} with 0 removed."""
-    vals = np.flatnonzero(np.bincount(f.table(F), minlength=F.q))
+def image_set(F: Field, table) -> DefiningSet:
+    """D(f) = {f(x): x in GF(q)} with 0 removed, from f's table f.table(F)."""
+    vals = np.flatnonzero(np.bincount(table, minlength=F.q))
     vals = vals[vals != 0]
     return defining_set(F, vals)
 
 
-def eto1_check(F: Field, f: FuncSpec):
-    """e if f is e-to-1 on GF(q)* with f(0)=0 and f nonzero off 0, else None."""
-    tbl = f.table(F)
-    if tbl[0] != 0:
+def eto1_check(table):
+    """e if f is e-to-1 on GF(q)* with f(0)=0 and f nonzero off 0, else None,
+    from f's table f.table(F)."""
+    if table[0] != 0:
         return None
-    star = tbl[1:]
+    star = table[1:]
     if np.any(star == 0):
         return None
     fibers = np.bincount(star)
@@ -425,9 +425,10 @@ def hkm_set(F: Field) -> DefiningSet:
     return defining_set(F, elems)
 
 
-def boolean_support(F: Field, f: FuncSpec) -> DefiningSet:
-    """D_f = {x: Tr(f(x)) = 1}, the support of the Boolean function Tr(f) on GF(2^m)."""
-    return defining_set(F, np.flatnonzero(f.table(F, traced=True) == 1))
+def boolean_support(F: Field, table) -> DefiningSet:
+    """D_f = {x: Tr(f(x)) = 1}, the support of the Boolean function Tr(f) on
+    GF(2^m), from f's table f.table(F), which it traces itself."""
+    return defining_set(F, np.flatnonzero(F.trace_table[table] == 1))
 
 
 def joint_counts(F: Field, f: FuncSpec, bs) -> list:

@@ -68,7 +68,7 @@ def _fmt(E: codes.WeightEnumerator) -> str:
 
 def _check_prediction(E, pred):
     rep = codes.compare_prediction(E, pred)
-    expected = f"n={pred.n} k={rep.expected_k} per {pred.claim}"
+    expected = f"n={pred.n} k={pred.k} per {pred.claim}"
     return rep.ok, expected, _fmt(E), "; ".join(rep.mismatches)
 
 
@@ -124,11 +124,12 @@ for _p, _m in ((3, 2), (3, 4), (5, 2), (7, 2), (3, 3), (5, 3)):
 def _qf_case(p, m, terms):
     F = default_field(p, m)
     f = FuncSpec(terms(F))
-    e = designs.eto1_check(F, f)
+    table = f.table(F)
+    e = designs.eto1_check(table)
     if e != 2:
         return False, "e = 2", f"e = {e}", ""
     r = boolfn.quadratic_rank(F, f, traced=False)
-    D = designs.image_set(F, f)
+    D = designs.image_set(F, table)
     E = codes.weight_enumerator(D)
     pred = codes.predicted_enumerator("thm-qfcodes", p=p, m=m, r=r, e=e)
     ok, exp, act, detail = _check_prediction(E, pred)
@@ -462,14 +463,15 @@ def _charsum_weights_case():
             return np.arange(F.q)
         return np.append(np.arange(0, F.q, max(1, F.q // 25)), F.q - 1)
 
+    F25 = default_field(2, 5)
     families = [
         ("paley", designs.paley_set(default_field(3, 3))),
         ("paley", designs.paley_set(default_field(3, 2))),
         ("paley", designs.paley_set(default_field(3, 5))),
         ("paley", designs.paley_set(default_field(7, 2))),
         ("hkm", _hkm_instance(1)[1]),
-        ("maschietti-singer", designs.maschietti_set(default_field(2, 5), "singer")),
-        ("bool-support", designs.boolean_support(default_field(2, 5), FuncSpec(((1, 3),)))),
+        ("maschietti-singer", designs.maschietti_set(F25, "singer")),
+        ("bool-support", designs.boolean_support(F25, FuncSpec(((1, 3),)).table(F25))),
         ("maschietti-glynn2", designs.maschietti_set(default_field(2, 9), "glynn2")),
     ]
     checked = 0
@@ -507,7 +509,7 @@ def _invariance_case():
     if codes.weight_enumerator(shuffled).counts != base.counts:
         problems.append("permuting coordinates changed the enumerator")
     alt = Field(3, 3, modulus=(1, 2, 1, 1))  # x^3 + x^2 + 2x + 1; the default is x^3 + 2x + 1
-    for build in (designs.paley_set, lambda G: designs.image_set(G, FuncSpec(((1, 4),)))):
+    for build in (designs.paley_set, lambda G: designs.image_set(G, FuncSpec(((1, 4),)).table(G))):
         e1 = codes.weight_enumerator(build(F))
         e2 = codes.weight_enumerator(build(alt))
         if e1.counts != e2.counts:

@@ -208,12 +208,52 @@ def test_every_listed_claim_and_no_other_id_gets_past_dispatch():
         codes.predicted_enumerator("thm-nope", **inputs)
 
 
+# each mismatch run with every line it lists: the Glynn II code has five
+# weights, not thm-hyperovalDS's three, and x^4 is 4-to-1, outside the e = 2
+# that the qf-* cases check
+MISMATCHES = [
+    ("code --family maschietti:glynn2 --m 9 --expect thm-hyperovalDS", [
+        "A_112: enumerated 9, predicted 0",
+        "A_120: enumerated 108, predicted 136",
+        "A_128: enumerated 285, predicted 255",
+        "A_136: enumerated 108, predicted 120",
+        "A_144: enumerated 1, predicted 0"]),
+    ("code --family qf-image:1@4 --p 3 --m 4 --expect thm-qfcodes", [
+        "A_12: enumerated 60, predicted 40",
+        "A_15: enumerated 0, predicted 40",
+        "A_18: enumerated 20, predicted 0"]),
+    ("code --family qf-image:1@4 --p 3 --m 2 --expect thm-qfcodes", [
+        "k: enumerated 1, predicted 2",
+        "A_1: enumerated 0, predicted 4",
+        "A_2: enumerated 2, predicted 4"]),
+]
+
+
 def test_code_mismatch_exits_2_and_lists_diffs(capsys):
-    rc, out, _ = run(capsys, "code", "--family", "maschietti:glynn2", "--m", "9",
-                     "--expect", "thm-hyperovalDS")
-    assert rc == 2
-    assert "expect thm-hyperovalDS: fail" in out
-    assert "A_112: enumerated 9, predicted 0" in out
+    for argv, lines in MISMATCHES:
+        rc, out, err = run(capsys, *argv.split())
+        assert (rc, err) == (2, ""), argv
+        claim = argv.split()[-1]
+        assert out.splitlines()[5:] == [f"expect {claim}: fail"] + [f"  {ln}" for ln in lines]
+
+
+@pytest.mark.parametrize("argv", [
+    "code --family qf-image:1@10,-1*u@6,-1*u^2@2 --p 3 --m 5 --expect thm-qfcodes",
+    "code --family bool:1@3 --m 19 --expect thm-CodeQBFs",
+])
+def test_a_family_function_is_tabulated_once_per_command(capsys, monkeypatch, argv):
+    # the set, e and f_hat(0) are all read off one q-point table of f
+    tables = []
+
+    def spy(F, *rest):
+        tables.append(F.q)
+        return table_rows(F, *rest)
+
+    table_rows = designs.table_rows
+    monkeypatch.setattr(designs, "table_rows", spy)
+    rc, out, _ = run(capsys, *argv.split())
+    assert rc == 0 and out.endswith(": pass\n")
+    assert len(tables) == 1
 
 
 def test_code_json_round_trips(capsys):
@@ -325,6 +365,8 @@ REFUSALS = [
      "--expect thm-qfcodes needs a qf-image family"),
     ("code --family qf-image:1@5 --m 6 --expect thm-CodeQBFs",
      "--expect thm-CodeQBFs needs a bool family"),
+    ("construct --family hkm:x", "hkm index must be a positive integer, got 'x'"),
+    ("construct --family hkm:0", "hkm index must be a positive integer, got '0'"),
 ]
 
 
@@ -507,7 +549,7 @@ def test_verify_paper_ab_cases_json(capsys):
     for m in (5, 7):
         n_f = 1 << (m - 1)
         P = codes.predicted_enumerator("thm-abcodes", m=m, n_f=n_f)
-        assert P.zero_weight_extra == 0
+        assert P.k == m  # no predicted zero weight, so no kernel
         E = codes.WeightEnumerator(2, m, n_f, m, P.counts)
         want.append({
             "case": f"ab-m{m}", "verdict": "pass",

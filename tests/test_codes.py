@@ -421,6 +421,42 @@ def test_a_closed_form_never_predicts_a_negative_multiplicity():
         codes.predicted_enumerator("thm-semibentcodes", m=5, n_f=32)
 
 
+def test_a_predicted_zero_weight_is_folded_into_the_kernel():
+    # a rank-2 form with f_hat(0) = 32 on GF(2^6): its rows are
+    # 60 words of weight 8, 2 of weight 16 and 1 of weight 0, so together with
+    # x = 0 the kernel has 2 elements and k = 6 - 1
+    P = codes.predicted_enumerator("thm-CodeQBFs", m=6, r=2, walsh0=32)
+    assert (P.n, P.k, P.counts) == (16, 5, {0: 1, 8: 30, 16: 1})
+
+
+def test_a_kernel_that_is_no_power_of_p_is_refused():
+    # 4 zero-weight rows and x = 0 make a kernel of 5 elements, no power of 3
+    rows = [(0, 4), (2, 22)]
+    with pytest.raises(errors.PreconditionFailedError, match="^kernel size a power of p: 5, p = 3$"):
+        codes._rows_to_prediction("c", 3, 4, 3, rows)
+    # a kernel of 3 elements that does not divide A_2 = 25
+    rows = [(0, 2), (2, 25)]
+    with pytest.raises(errors.PreconditionFailedError,
+                       match="^kernel size divides every multiplicity: A_2 = 25, kernel size 3$"):
+        codes._rows_to_prediction("c", 3, 4, 3, rows)
+    assert codes._rows_to_prediction("c", 3, 4, 3, [(0, 2), (2, 24)]).counts == {0: 1, 2: 8}
+
+
+def test_every_claim_but_the_weight_set_one_is_checked_by_rows_to_prediction(monkeypatch):
+    seen = []
+
+    def spy(claim, *rest):
+        seen.append(claim)
+        return rows_to_prediction(claim, *rest)
+
+    rows_to_prediction = codes._rows_to_prediction
+    monkeypatch.setattr(codes, "_rows_to_prediction", spy)
+    for claim, kw in CLAIM_INPUTS.items():
+        P = codes.predicted_enumerator(claim, **kw)
+        assert (P.counts is None) == (P.weight_set is not None) == (claim == "glynn2-conjecture")
+    assert seen == [c for c in CLAIM_INPUTS if c != "glynn2-conjecture"]
+
+
 def test_prediction_comparison_reports_mismatches():
     F = default_field(2, 9)
     E = codes.weight_enumerator(designs.maschietti_set(F, "glynn2"))

@@ -280,16 +280,16 @@ def test_parse_func_spec_grammar():
 def test_image_set_of_squares_is_paley():
     F = default_field(7, 1)
     f = FuncSpec(((1, 2),))
-    assert np.array_equal(designs.image_set(F, f).elems, designs.paley_set(F).elems)
+    assert np.array_equal(designs.image_set(F, f.table(F)).elems, designs.paley_set(F).elems)
 
 
 def test_eto1_check():
     F = default_field(7, 1)
-    assert designs.eto1_check(F, FuncSpec(((1, 2),))) == 2
-    assert designs.eto1_check(F, FuncSpec(((1, 3),))) == 3
-    assert designs.eto1_check(F, FuncSpec(((1, 2), (1, 1)))) is None
+    assert designs.eto1_check(FuncSpec(((1, 2),)).table(F)) == 2
+    assert designs.eto1_check(FuncSpec(((1, 3),)).table(F)) == 3
+    assert designs.eto1_check(FuncSpec(((1, 2), (1, 1))).table(F)) is None
     # x + x^3 is nonzero off 0 but has fibres of sizes 1 and 2
-    assert designs.eto1_check(F, FuncSpec(((1, 1), (1, 3)))) is None
+    assert designs.eto1_check(FuncSpec(((1, 1), (1, 3))).table(F)) is None
 
 
 def test_maschietti_exponents():
@@ -387,10 +387,10 @@ def test_hkm_set_needs_gf_3_to_3h(pm):
 def test_boolean_support_size():
     F = default_field(2, 5)
     f = FuncSpec(((1, 3),))
-    D = designs.boolean_support(F, f)
+    D = designs.boolean_support(F, f.table(F))
     assert len(D) == 16
-    # the support of Tr(f): f itself is traced before thresholding
-    assert D.elems.tolist() == np.flatnonzero(F.trace_table[f.table(F)] == 1).tolist()
+    # the support of Tr(f): f's table is traced before thresholding
+    assert D.elems.tolist() == np.flatnonzero(f.table(F, traced=True) == 1).tolist()
 
 
 def test_joint_counts_matches_brute_force():
