@@ -229,8 +229,8 @@ def cmd_walsh(args):
 def _prediction_for(claim, D, ctx):
     """codes.predicted_enumerator for a claim id, with every input it may read.
 
-    p, m, n_f = |D| and the hkm index go to every claim; e, r and f_hat(0)
-    are computed from the family's function for the claims that read them.
+    p, m, n_f = |D| and the hkm index go to every claim; e and r are
+    computed from the family's function for the claims that read them.
     """
     from . import codes
 
@@ -249,10 +249,8 @@ def _prediction_for(claim, D, ctx):
             kw["e"] = designs.eto1_check(table)
             if kw["e"] is None:
                 raise ToolkitError("the map is not e-to-1 on nonzero elements")
-            kw["r"] = boolfn.quadratic_rank(F, f, traced=False)
-        else:
-            kw["r"] = boolfn.quadratic_rank(F, f, traced=True)
-            kw["walsh0"] = int(boolfn.walsh_from_table(F, F.trace_table[table]).values[0])
+        # thm-CodeQBFs ranks Tr(f), thm-qfcodes the GF(q)-valued f
+        kw["r"] = boolfn.quadratic_rank(F, f, traced=claim == "thm-CodeQBFs")
     elif claim == "thm-HKMcodes" and kw["h"] is None:
         raise ToolkitError(f"--expect {claim} needs an hkm family")
     return codes.predicted_enumerator(claim, **kw)

@@ -34,7 +34,7 @@ import numpy as np
 from .cyclotomic import char_sum, trace_exp_table, zero_counts
 from .designs import DEFAULT_MAX_WORK, DefiningSet
 from .errors import InvariantError, PreconditionFailedError, SizeLimitError, ToolkitError
-from .gf import Field
+from .gf import Field, is_prime
 
 # entries of the transform state (two int32 buffers of q*p counts for odd p);
 # a field whose state is larger is enumerated by the direct route
@@ -257,24 +257,25 @@ def _require(cond, clause, detail):
         raise PreconditionFailedError(f"{clause}: {detail}")
 
 
-def _exact(fr: Fraction) -> int:
-    _require(fr.denominator == 1, "integral multiplicity", str(fr))
+def _exact(fr: Fraction, clause) -> int:
+    _require(fr.denominator == 1, clause, str(fr))
     return int(fr)
 
 
 def _rows_to_prediction(claim, p, n, m, rows):
     """The Prediction of (weight, count) rows over all p^m messages x of GF(p^m).
 
-    Every count must be an integer >= 0.  The zero-weight rows and x = 0 form
-    the kernel, which must hold p^e messages, and p^e must divide every count;
-    the code then has dimension k = m - e, and each count is divided by p^e.
+    Every count must be an integer >= 0, as must the weight of a row with a
+    nonzero count (checked after its count).  The zero-weight rows and x = 0
+    form the kernel, which must hold p^e messages, and p^e must divide every
+    count; the code then has dimension k = m - e, each count divided by p^e.
     """
     counts = {}
     for w, a in rows:
-        a = _exact(Fraction(a))
+        a = _exact(Fraction(a), "integral multiplicity")
         if a == 0:
             continue
-        w = _exact(Fraction(w))
+        w = _exact(Fraction(w), "integral weight")
         counts[w] = counts.get(w, 0) + a
     for a in counts.values():  # a non-integral row is still reported first
         _require(a >= 0, "nonnegative multiplicity", str(a))
@@ -297,27 +298,32 @@ CLAIMS = {
     "thm-bentcodes": ("m", "n_f"),
     "thm-semibentcodes": ("m", "n_f"),
     "thm-abcodes": ("m", "n_f"),
-    "thm-CodeQBFs": ("m", "r", "walsh0"),
+    "thm-CodeQBFs": ("m", "n_f", "r"),
     "thm-HKMcodes": ("h",),
     "glynn2-conjecture": ("m",),
 }
 
 
 def predicted_enumerator(claim: str, *, p=None, m=None, n_f=None, r=None, e=None,
-                         walsh0=None, h=None) -> Prediction:
+                         h=None) -> Prediction:
     """The enumerator a claim predicts, from the inputs its closed form reads.
 
     p and m fix GF(p^m), n_f = |D| is the support size, r the rank of a
-    quadratic form, e the fiber size of an e-to-1 map, walsh0 = f_hat(0) and
-    h the HKM index; each claim reads only the inputs CLAIMS names for it,
-    and a call without one of them raises ToolkitError.  Every claim but
-    glynn2-conjecture, which fixes only the weights, passes the checks of
-    _rows_to_prediction.
+    quadratic form, e the fiber size of an e-to-1 map and h the HKM index;
+    each claim reads only the inputs CLAIMS names for it, and a call without
+    one of them raises ToolkitError.  Every given input must be in range (p
+    prime; m, n_f, e and h at least 1; 0 <= r <= m), or
+    PreconditionFailedError names it.  Every claim but glynn2-conjecture,
+    which fixes only the weights, passes the checks of _rows_to_prediction.
     """
-    given = {"p": p, "m": m, "n_f": n_f, "r": r, "e": e, "walsh0": walsh0, "h": h}
+    given = {"p": p, "m": m, "n_f": n_f, "r": r, "e": e, "h": h}
     missing = [name for name in CLAIMS.get(claim, ()) if given[name] is None]
     if missing:
         raise ToolkitError(f"{claim} needs {', '.join(missing)}")
+    _require(p is None or is_prime(p), "p prime", f"p = {p}")
+    for name, value in (("m", m), ("n_f", n_f), ("e", e), ("h", h)):
+        _require(value is None or value >= 1, f"{name} >= 1", f"{name} = {value}")
+    _require(r is None or 0 <= r and (m is None or r <= m), "0 <= r <= m", f"r = {r}, m = {m}")
     if claim == "glynn2-conjecture":
         _require(m % 2 == 1 and m >= 9, "m odd, m >= 9", f"m = {m}")
         mid = 1 << (m - 2)
@@ -327,7 +333,25 @@ def predicted_enumerator(claim: str, *, p=None, m=None, n_f=None, r=None, e=None
     return _rows_to_prediction(claim, *_claim_rows(claim, **given))
 
 
-def _claim_rows(claim, *, p, m, n_f, r, e, walsh0, h):
+def _plateaued_rows(m, n_f, amp):
+    """(weight, count) rows over x != 0 for the support D of a Boolean f on
+    GF(2^m) with f(0) = 0, n_f = |D| and f_hat(x) in {0, +-amp} for x != 0.
+
+    For x != 0, f_hat(x) = -2 sum_{d in D} (-1)^Tr(xd), so wt(c_x) =
+    n_f/2 + f_hat(x)/4.  With q = 2^m, two sums over x != 0 fix how often
+    f_hat(x) is -amp, 0 and +amp: sum f_hat(x) = q - f_hat(0) = 2 n_f (as
+    f(0) = 0) and, by Parseval, sum f_hat(x)^2 = q^2 - f_hat(0)^2 =
+    4 n_f (q - n_f).  So +-amp occur pair +- skew times, with skew = n_f/amp
+    and pair = 2 n_f (q - n_f)/amp^2, and 0 occurs q - 1 - 2 pair times.
+    """
+    q = 1 << m
+    pair = Fraction(2 * n_f * (q - n_f), amp * amp)
+    skew = Fraction(n_f, amp)
+    half, dev = Fraction(n_f, 2), Fraction(amp, 4)
+    return [(half - dev, pair - skew), (half, q - 1 - 2 * pair), (half + dev, pair + skew)]
+
+
+def _claim_rows(claim, *, p, m, n_f, r, e, h):
     """(p, n, m, rows) of a claim: its (weight, count) rows over all p^m messages.
 
     The rows are unchecked; _rows_to_prediction checks them.
@@ -369,43 +393,21 @@ def _claim_rows(claim, *, p, m, n_f, r, e, walsh0, h):
         mid, dev = 1 << (m - 2), 1 << ((m - 3) // 2)
         rows = [(mid - dev, mid + dev), (mid, (1 << (m - 1)) - 1), (mid + dev, mid - dev)]
         return 2, (1 << (m - 1)) - 1, m, rows
-    if claim == "thm-bentcodes":
-        _require(m % 2 == 0 and m >= 4, "m even, m >= 4", f"m = {m}")
-        half = Fraction(n_f, 2)
-        dev = Fraction(1 << ((m - 4) // 2))
-        scale = Fraction(n_f, 1 << ((m - 2) // 2))
-        rows = [
-            (half - dev, (Fraction((1 << m) - 1) - scale) / 2),
-            (half + dev, (Fraction((1 << m) - 1) + scale) / 2),
-        ]
-        return 2, n_f, m, rows
-    if claim in ("thm-semibentcodes", "thm-abcodes"):
-        _require(m % 2 == 1, "m odd", f"m = {m}")
-        q = 1 << m
-        shift = 1 << ((m - 1) // 2)
-        bulk = Fraction(n_f * (q - n_f), q)
-        tail = Fraction(n_f, 2 * shift)
-        rows = [
-            (Fraction(n_f - shift, 2), bulk - tail),
-            (Fraction(n_f, 2), q - 1 - 2 * bulk),
-            (Fraction(n_f + shift, 2), bulk + tail),
-        ]
-        return 2, n_f, m, rows
-    if claim == "thm-CodeQBFs":
-        _require(r % 2 == 0 and r >= 0, "rank even", f"r = {r}")
-        amp = Fraction(1 << m, 1 << (r // 2))
-        _require(walsh0 in (0, amp, -amp), "f_hat(0) in {0, +-2^(m-r/2)}", str(walsh0))
-        eps1, eps2, eps3 = (1, 0, 0) if walsh0 == 0 else (0, 1, 0) if walsh0 > 0 else (0, 0, 1)
-        n_f = _exact(Fraction(1 << (m - 1)) - Fraction(walsh0, 2))
-        _require(n_f > 0, "nonempty support", f"n_f = {n_f}")
-        lobe = Fraction(2) ** (r - 1)
-        wing = Fraction(2) ** ((r - 2) // 2)
-        rows = [
-            (Fraction(n_f, 2), Fraction((1 << m) - (1 << r) - eps1)),
-            (Fraction(n_f, 2) + amp / 4, lobe + wing - eps2),
-            (Fraction(n_f, 2) - amp / 4, lobe - wing - eps3),
-        ]
-        return 2, n_f, m, rows
+    if claim in ("thm-bentcodes", "thm-semibentcodes", "thm-abcodes", "thm-CodeQBFs"):
+        f0 = (1 << m) - 2 * n_f  # f_hat(0)
+        if claim == "thm-bentcodes":
+            _require(m % 2 == 0 and m >= 4, "m even, m >= 4", f"m = {m}")
+            amp = 1 << (m // 2)
+            # a bent spectrum has no zeros, so f_hat(0) is +-amp too
+            _require(f0 in (amp, -amp), "f_hat(0) in {+-2^(m/2)}", str(f0))
+        elif claim == "thm-CodeQBFs":
+            _require(r % 2 == 0, "rank even", f"r = {r}")
+            amp = 1 << (m - r // 2)
+            _require(f0 in (0, amp, -amp), "f_hat(0) in {0, +-2^(m-r/2)}", str(f0))
+        else:
+            _require(m % 2 == 1, "m odd", f"m = {m}")
+            amp = 1 << ((m + 1) // 2)
+        return 2, n_f, m, _plateaued_rows(m, n_f, amp)
     if claim == "thm-HKMcodes":
         _require(h % 2 == 1, "h odd", f"h = {h}")
         _require(m in (None, 3 * h), "m = 3h", f"m = {m}, h = {h}")

@@ -338,8 +338,7 @@ def _qbf_case(rank):
             continue
         D = designs.defining_set(F, np.flatnonzero(tables[i] == 1))
         E = codes.weight_enumerator(D)
-        pred = codes.predicted_enumerator("thm-CodeQBFs", m=m, r=rank,
-                                          walsh0=int(s.values[0]))
+        pred = codes.predicted_enumerator("thm-CodeQBFs", m=m, n_f=len(D), r=rank)
         rep = codes.compare_prediction(E, pred)
         if not rep.ok:
             bad.append(f"{terms}: {'; '.join(rep.mismatches)}")

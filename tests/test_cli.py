@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from dscodes import cli, codes, designs, verify
+from dscodes import boolfn, cli, codes, designs, verify
 from dscodes.cli import entry
 from dscodes.errors import InvariantError, PreconditionFailedError
 from dscodes.gf import Field, default_field
@@ -198,7 +198,7 @@ def test_each_claim_passes_on_a_code_it_predicts(capsys, argv, claim):
 
 def test_every_listed_claim_and_no_other_id_gets_past_dispatch():
     assert set(codes.CLAIMS) == {c for _, c in CLAIM_PASSES}  # each has a passing run above
-    inputs = {"p": 3, "m": 5, "n_f": 16, "r": 2, "e": 2, "walsh0": 0, "h": 1}
+    inputs = {"p": 3, "m": 5, "n_f": 16, "r": 2, "e": 2, "h": 1}
     for claim in codes.CLAIMS:
         try:
             codes.predicted_enumerator(claim, **inputs)
@@ -242,7 +242,7 @@ def test_code_mismatch_exits_2_and_lists_diffs(capsys):
     "code --family bool:1@3 --m 19 --expect thm-CodeQBFs",
 ])
 def test_a_family_function_is_tabulated_once_per_command(capsys, monkeypatch, argv):
-    # the set, e and f_hat(0) are all read off one q-point table of f
+    # the set and e are both read off one q-point table of f
     tables = []
 
     def spy(F, *rest):
@@ -254,6 +254,14 @@ def test_a_family_function_is_tabulated_once_per_command(capsys, monkeypatch, ar
     rc, out, _ = run(capsys, *argv.split())
     assert rc == 0 and out.endswith(": pass\n")
     assert len(tables) == 1
+
+
+def test_code_expect_codeqbfs_runs_no_walsh_transform(capsys, monkeypatch):
+    # the claim reads n_f = |D|, and f_hat(0) = q - 2 n_f, so no spectrum is needed
+    calls = []
+    monkeypatch.setattr(boolfn, "walsh_from_table", lambda *args: calls.append(args))
+    rc, out, _ = run(capsys, *"code --family bool:1@3 --m 6 --expect thm-CodeQBFs".split())
+    assert (rc, out.splitlines()[-1], calls) == (0, "expect thm-CodeQBFs: pass", [])
 
 
 def test_code_json_round_trips(capsys):
@@ -367,6 +375,7 @@ REFUSALS = [
      "--expect thm-CodeQBFs needs a bool family"),
     ("construct --family hkm:x", "hkm index must be a positive integer, got 'x'"),
     ("construct --family hkm:0", "hkm index must be a positive integer, got '0'"),
+    ("code --family bool:1@3 --m 6 --expect thm-bentcodes", "f_hat(0) in {+-2^(m/2)}: 16"),
 ]
 
 

@@ -1,13 +1,15 @@
 import json
 import re
 import tracemalloc
+from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from dscodes import cli, codes, designs, errors
+from dscodes import boolfn, cli, codes, designs, errors
 from dscodes.designs import FuncSpec
 from dscodes.gf import _poly_mulmod, default_field
 
@@ -374,7 +376,7 @@ def test_predicted_enumerator_preconditions():
     with pytest.raises(errors.PreconditionFailedError):
         codes.predicted_enumerator("thm-bentcodes", m=5, n_f=12)
     with pytest.raises(errors.PreconditionFailedError):
-        codes.predicted_enumerator("thm-CodeQBFs", m=6, r=4, walsh0=12)
+        codes.predicted_enumerator("thm-CodeQBFs", m=6, n_f=26, r=4)  # f_hat(0) = 12
     with pytest.raises(errors.PreconditionFailedError):
         codes.predicted_enumerator("no-such-claim", m=6)
 
@@ -388,7 +390,7 @@ CLAIM_INPUTS = {
     "thm-bentcodes": {"m": 4, "n_f": 6},
     "thm-semibentcodes": {"m": 5, "n_f": 16},
     "thm-abcodes": {"m": 5, "n_f": 16},
-    "thm-CodeQBFs": {"m": 6, "r": 2, "walsh0": 0},
+    "thm-CodeQBFs": {"m": 6, "n_f": 32, "r": 2},
     "thm-HKMcodes": {"h": 1},
     "glynn2-conjecture": {"m": 9},
 }
@@ -421,11 +423,76 @@ def test_a_closed_form_never_predicts_a_negative_multiplicity():
         codes.predicted_enumerator("thm-semibentcodes", m=5, n_f=32)
 
 
+# inputs out of range or outside a claim's hypotheses, each on top of the
+# claim's CLAIM_INPUTS: before the range checks they raised ZeroDivisionError,
+# TypeError or ValueError, leaked a float into a Fraction, or predicted
+# negative lengths and weights
+REFUSED_INPUTS = [
+    ("thm-qfcodes", {"e": 0}, "e >= 1: e = 0"),
+    ("thm-qfcodes", {"e": -1}, "e >= 1: e = -1"),
+    ("thm-qfcodes", {"r": 6}, "0 <= r <= m: r = 6, m = 2"),
+    ("thm-qfcodes", {"r": -2}, "0 <= r <= m: r = -2, m = 2"),
+    ("thm-part1", {"p": 9, "m": 1}, "p prime: p = 9"),
+    ("thm-HKMcodes", {"h": -1}, "h >= 1: h = -1"),
+    ("thm-part1", {"m": -1}, "m >= 1: m = -1"),
+    ("thm-part2", {"m": -1}, "m >= 1: m = -1"),
+    ("thm-semibentcodes", {"m": -1}, "m >= 1: m = -1"),
+    ("thm-CodeQBFs", {"m": -1}, "m >= 1: m = -1"),
+    ("thm-bentcodes", {"n_f": 0}, "n_f >= 1: n_f = 0"),
+    # a bent spectrum has no zeros, so n_f = 2^5 +- 2^2 at m = 6
+    ("thm-bentcodes", {"m": 6, "n_f": 12}, "f_hat(0) in {+-2^(m/2)}: 40"),
+]
+
+
+@pytest.mark.parametrize("claim,change,message", REFUSED_INPUTS,
+                         ids=[f"{c}-" + ",".join(f"{k}={v}" for k, v in ch.items())
+                              for c, ch, _ in REFUSED_INPUTS])
+def test_an_input_out_of_range_is_refused_by_name(claim, change, message):
+    with pytest.raises(errors.PreconditionFailedError, match=f"^{re.escape(message)}$"):
+        codes.predicted_enumerator(claim, **(CLAIM_INPUTS[claim] | change))
+
+
+def test_a_non_integral_weight_is_refused_as_a_weight():
+    # 8 words of weight 2*9/12
+    with pytest.raises(errors.PreconditionFailedError, match="^integral weight: 3/2$"):
+        codes.predicted_enumerator("thm-qfcodes", p=3, m=2, r=1, e=4)
+    # 1 word of weight n_f/2 - amp/4
+    with pytest.raises(errors.PreconditionFailedError, match="^integral weight: 1/2$"):
+        codes.predicted_enumerator("thm-CodeQBFs", m=2, n_f=2, r=2)
+    # a row whose count and weight are both non-integral names its count
+    with pytest.raises(errors.PreconditionFailedError, match="^integral multiplicity: 3/2$"):
+        codes._rows_to_prediction("c", 2, 3, 2, [(Fraction(1, 2), Fraction(3, 2))])
+
+
+@pytest.mark.parametrize("m", [4, 5, 7, 8])
+def test_every_small_quadratic_form_is_predicted_by_its_plateaued_claims(m):
+    # Tr(sum f_i x^(2^i+1)) with f_i in {0, 1, 2}, not all 0, built as verify's
+    # qbf cases build theirs; with f_i in {0, 1} alone no form is bent at m = 4, 8
+    F = default_field(2, m)
+    exps = tuple((1 << i) + 1 for i in range(m // 2 + 1))
+    rows = np.array(list(product((0, 1, 2), repeat=len(exps)))[1:], dtype=np.int32)
+    tables = designs.table_rows(F, exps, rows, traced=True)
+    ranks = boolfn.quadratic_rank(F, rows, exps, traced=True)
+    checked = []
+    for table, r in zip(tables, ranks.tolist()):
+        if not table.any():  # Tr(f) = 0, e.g. Tr(x^5) on GF(2^4)
+            continue
+        D = designs.defining_set(F, np.flatnonzero(table == 1))
+        E = codes.weight_enumerator(D)
+        # a rank-m form is bent, a rank-(m-1) form semibent; ranks are even
+        top = {m: "thm-bentcodes", m - 1: "thm-semibentcodes"}.get(r)
+        for claim in filter(None, ("thm-CodeQBFs", top)):
+            P = codes.predicted_enumerator(claim, m=m, n_f=len(D), r=r)
+            assert codes.compare_prediction(E, P).ok, (claim, r, len(D))
+            checked.append(claim)
+    assert {"thm-CodeQBFs", "thm-bentcodes" if m % 2 == 0 else "thm-semibentcodes"} <= set(checked)
+
+
 def test_a_predicted_zero_weight_is_folded_into_the_kernel():
-    # a rank-2 form with f_hat(0) = 32 on GF(2^6): its rows are
+    # a rank-2 form with f_hat(0) = 32 (n_f = 16) on GF(2^6): its rows are
     # 60 words of weight 8, 2 of weight 16 and 1 of weight 0, so together with
     # x = 0 the kernel has 2 elements and k = 6 - 1
-    P = codes.predicted_enumerator("thm-CodeQBFs", m=6, r=2, walsh0=32)
+    P = codes.predicted_enumerator("thm-CodeQBFs", m=6, n_f=16, r=2)
     assert (P.n, P.k, P.counts) == (16, 5, {0: 1, 8: 30, 16: 1})
 
 

@@ -1,5 +1,6 @@
 """README.md's examples print what it shows: each `$ dscodes ...` example with
-output, and each `print` line of the Library block against its `# ...` comment."""
+output, each `print` line of the Library block against its `# ...` comment,
+and the table of each claim's inputs against codes.CLAIMS."""
 
 import re
 import shlex
@@ -7,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from dscodes import codes
 from dscodes.cli import entry
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -45,3 +47,10 @@ def test_readme_library_block_prints_what_its_comments_show(capsys):
     assert want
     exec(block, {})
     assert capsys.readouterr().out.splitlines() == want
+
+
+def test_readme_claim_table_lists_the_inputs_of_codes_claims():
+    text = README.read_text()
+    table = text[text.index("| claim | inputs |"):].split("\n\n")[0]
+    rows = re.findall(r"^ *\| `(.+)` \| `(.+)` \|$", table, re.M)
+    assert rows == [(claim, ", ".join(inputs)) for claim, inputs in codes.CLAIMS.items()]
