@@ -14,8 +14,8 @@ __version__ = "0.1.0"
 
 # submodule -> the public names it defines
 _EXPORTS = {
-    "boolfn": ("classify_spectrum", "find_quadratic_with", "is_almost_bent",
-               "quadratic_galois_sum", "quadratic_rank", "walsh_transform"),
+    "boolfn": ("classify_spectrum", "is_almost_bent", "quadratic_galois_sum", "quadratic_rank",
+               "walsh_transform"),
     "codes": ("WeightEnumerator", "codeword", "compare_prediction", "dual_distance_witness",
               "generator_matrix", "griesmer_check", "minimum_distance", "pless_moment_check",
               "predicted_enumerator", "weight_enumerator", "weight_via_charsum"),

@@ -19,14 +19,12 @@ import numpy as np
 
 from .errors import SizeLimitError, ToolkitError
 from .cyclotomic import fwht
-from .designs import TABLE_BLOCK, FuncSpec, coefficient_rows, evaluate_rows, table_rows
+from .designs import FuncSpec, coefficient_rows, evaluate_rows
 from .gf import Field, column_span, gfp_rank
 
 AB_DEGREE_LIMIT = 9
 # quadratic forms evaluated and ranked per stacked gfp_rank call
 RANK_CHUNK = 256
-# candidates find_quadratic_with examines before it gives up
-SEARCH_LIMIT = 200000
 
 
 @dataclass(frozen=True, eq=False)
@@ -209,33 +207,3 @@ def is_almost_bent(F: Field, g: FuncSpec) -> bool:
     a = np.arange(1, F.q, dtype=np.int64)
     v = fwht(_signs(F.trace_table[F.mul(a[:, None], g.table(F))]))
     return bool(np.all((v == 0) | (np.abs(v) == amp)))
-
-
-# ---------------------------------------------------------------------------
-# searching the quadratic family f(x) = Tr(sum f_i x^(2^i+1))
-
-def find_quadratic_with(F: Field, rank, walsh0) -> FuncSpec:
-    """First quadratic f whose Boolean function Tr(f) has this rank and f_hat(0).
-
-    Candidate n = 1, 2, ..., SEARCH_LIMIT has coefficient f_i on x^(2^i+1),
-    i = 0..m//2, its base-q digit i (f_0 varies fastest).  RANK_CHUNK
-    candidates at a time are decoded into coefficient rows and ranked in one
-    call; the rows that pass read f_hat(0) = q - 2*wt(f) off their tables,
-    max(1, TABLE_BLOCK // q) tables at a time, so memory stays O(q).
-    """
-    exps = tuple((1 << i) + 1 for i in range(F.m // 2 + 1))
-    stop = min(SEARCH_LIMIT, F.q ** len(exps) - 1) + 1
-    per_block = max(1, TABLE_BLOCK // F.q)
-    for lo in range(1, stop, RANK_CHUNK):
-        n = np.arange(lo, min(lo + RANK_CHUNK, stop), dtype=np.int64)
-        rows = np.empty((n.size, len(exps)), dtype=np.int32)
-        for i in range(len(exps)):
-            n, rows[:, i] = np.divmod(n, F.q)  # never q**i: (2^21)^3 overflows int64
-        rows = rows[quadratic_rank(F, rows, exps, traced=True) == rank]
-        for blk in range(0, len(rows), per_block):
-            hits = rows[blk : blk + per_block]
-            weights = np.count_nonzero(table_rows(F, exps, hits, traced=True), axis=1)
-            hits = hits[F.q - 2 * weights == walsh0]
-            if len(hits):
-                return FuncSpec(tuple((int(c), e) for c, e in zip(hits[0], exps) if c))
-    raise SizeLimitError("no quadratic function matched within the search budget")

@@ -260,16 +260,15 @@ def cmd_code(args):
     from . import codes
 
     D, ctx = _resolve_family(args)
+    # a prediction needs only D and ctx, so a refused claim costs no enumeration
+    pred = _prediction_for(args.expect, D, ctx) if args.expect and args.expect != "none" else None
     max_work = codes.DEFAULT_MAX_WORK if args.max_work is None else args.max_work
     E = codes.weight_enumerator(D, max_work=max_work)
     d = codes.minimum_distance(E)
     gries = codes.griesmer_check(E.n, E.k, d, E.p)
     W = codes.dual_distance_witness(D)
     pless = codes.pless_moment_check(E, W)
-    rep = None
-    if args.expect and args.expect != "none":
-        pred = _prediction_for(args.expect, D, ctx)
-        rep = codes.compare_prediction(E, pred)
+    rep = None if pred is None else codes.compare_prediction(E, pred)
     if args.json:
         doc = {"family": args.family,
                "enumerator": {"p": E.p, "m": E.m, "n": E.n, "k": E.k,

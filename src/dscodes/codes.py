@@ -302,6 +302,10 @@ CLAIMS = {
     "thm-HKMcodes": ("h",),
     "glynn2-conjecture": ("m",),
 }
+# the claims that hold over one characteristic only, which a given p must be
+_CHARACTERISTIC = {"thm-HKMcodes": 3} | dict.fromkeys(
+    ("thm-hyperovalDS", "thm-bentcodes", "thm-semibentcodes", "thm-abcodes", "thm-CodeQBFs",
+     "glynn2-conjecture"), 2)
 
 
 def predicted_enumerator(claim: str, *, p=None, m=None, n_f=None, r=None, e=None,
@@ -313,8 +317,10 @@ def predicted_enumerator(claim: str, *, p=None, m=None, n_f=None, r=None, e=None
     each claim reads only the inputs CLAIMS names for it, and a call without
     one of them raises ToolkitError.  Every given input must be in range (p
     prime; m, n_f, e and h at least 1; 0 <= r <= m), or
-    PreconditionFailedError names it.  Every claim but glynn2-conjecture,
-    which fixes only the weights, passes the checks of _rows_to_prediction.
+    PreconditionFailedError names it.  A claim over GF(2^m), or GF(3^m) for
+    thm-HKMcodes, refuses any other given p before its own hypotheses.  Every
+    claim but glynn2-conjecture, which fixes only the weights, passes the
+    checks of _rows_to_prediction.
     """
     given = {"p": p, "m": m, "n_f": n_f, "r": r, "e": e, "h": h}
     missing = [name for name in CLAIMS.get(claim, ()) if given[name] is None]
@@ -324,6 +330,8 @@ def predicted_enumerator(claim: str, *, p=None, m=None, n_f=None, r=None, e=None
     for name, value in (("m", m), ("n_f", n_f), ("e", e), ("h", h)):
         _require(value is None or value >= 1, f"{name} >= 1", f"{name} = {value}")
     _require(r is None or 0 <= r and (m is None or r <= m), "0 <= r <= m", f"r = {r}, m = {m}")
+    char = _CHARACTERISTIC.get(claim)
+    _require(p in (None, char) or char is None, f"p = {char}", f"p = {p}")
     if claim == "glynn2-conjecture":
         _require(m % 2 == 1 and m >= 9, "m odd, m >= 9", f"m = {m}")
         mid = 1 << (m - 2)

@@ -222,11 +222,25 @@ def _support_and_spectrum(F, f):
     return D, boolfn.walsh_from_table(F, tbl)
 
 
+def _gold_instance(m, coeff, walsh0):
+    """(F, f, D_f, spectrum) for f = coeff*x^3 + a^2*x^2 on GF(2^m) with f_hat(0) = walsh0.
+
+    Tr(coeff*x^3) is a Gold function: bent for m even when coeff is not a
+    cube, semibent of rank m - 1 for m odd and coeff = 1.  Tr(a^2 x^2) =
+    Tr(a x), and adding Tr(a x) to a Boolean g moves g_hat(a) to frequency 0,
+    so a is the first frequency where Tr(coeff*x^3) has the value walsh0.
+    """
+    F = default_field(2, m)
+    g = FuncSpec(((coeff, 3),))
+    a = int(np.flatnonzero(boolfn.walsh_transform(F, g).values == walsh0)[0])
+    f = FuncSpec(g.terms + ((int(F.mul(a, a)), 2),)) if a else g
+    return F, f, *_support_and_spectrum(F, f)
+
+
 @lru_cache(maxsize=None)
 def _bent_instance(m):
-    F = default_field(2, m)
-    spec = boolfn.find_quadratic_with(F, rank=m, walsh0=1 << (m // 2))
-    return F, spec, *_support_and_spectrum(F, spec)
+    # alpha generates GF(2^m)*, of order 2^m - 1, a multiple of 3 for m even: not a cube
+    return _gold_instance(m, default_field(2, m).alpha, 1 << (m // 2))
 
 
 def _bent_case(m):
@@ -251,9 +265,7 @@ for _m in (4, 6, 8):
 
 @lru_cache(maxsize=None)
 def _semibent_instance(m):
-    F = default_field(2, m)
-    spec = boolfn.find_quadratic_with(F, rank=m - 1, walsh0=1 << ((m + 1) // 2))
-    return F, spec, *_support_and_spectrum(F, spec)
+    return _gold_instance(m, 1, 1 << ((m + 1) // 2))
 
 
 def _semibent_case(m):

@@ -1,12 +1,11 @@
 import tracemalloc
-from functools import lru_cache
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from dscodes import boolfn, designs, errors
+from dscodes import boolfn, designs, errors, verify
 from dscodes.boolfn import WalshSpectrum
 from dscodes.designs import FuncSpec
 from dscodes.gf import default_field
@@ -330,80 +329,19 @@ def test_func_spec_table_peaks_below_the_walsh_step(terms):
     assert table_peak < walsh_peak
 
 
-def nth_quadratic_spec(F, n):
-    """Search candidate n: base-q digit i of n is the coefficient of x^(2^i+1), f_0 fastest."""
-    terms = []
-    for i in range(F.m // 2 + 1):
-        n, c = divmod(n, F.q)
-        if c:
-            terms.append((c, (1 << i) + 1))
-    return FuncSpec(tuple(terms))
-
-
-def test_find_quadratic_with_and_iteration_order(monkeypatch):
-    F = default_field(2, 6)
-    first = [nth_quadratic_spec(F, n).terms for n in (1, 2, 3)]
-    assert first == [(((1, 2),)), (((2, 2),)), (((3, 2),))]
-    # Tr(x^2) = Tr(x) is linear and balanced: candidate 1 has rank 0 and f_hat(0) = 0
-    assert boolfn.find_quadratic_with(F, rank=0, walsh0=0) == nth_quadratic_spec(F, 1)
-    spec = boolfn.find_quadratic_with(F, rank=4, walsh0=16)
-    assert boolfn.quadratic_rank(F, spec, traced=True) == 4
-    assert boolfn.walsh_transform(F, spec).values[0] == 16
-    monkeypatch.setattr(boolfn, "SEARCH_LIMIT", 50)
-    with pytest.raises(errors.SizeLimitError):
-        boolfn.find_quadratic_with(F, rank=5, walsh0=0)  # odd rank is impossible
-
-
-@lru_cache(maxsize=None)
-def sequential_find(m, rank, walsh0, limit):
-    """The search one spec at a time: (n, spec) for the first of `limit` candidates that matches."""
-    F = default_field(2, m)
-    for n in range(1, min(limit, F.q ** (F.m // 2 + 1) - 1) + 1):
-        spec = nth_quadratic_spec(F, n)
-        if (boolfn.quadratic_rank(F, spec, traced=True) == rank
-                and boolfn.walsh_transform(F, spec).values[0] == walsh0):
-            return n, spec
-    return None
-
-
-@pytest.mark.parametrize("chunk", [1, 7, boolfn.RANK_CHUNK])
-@pytest.mark.parametrize("m,rank,walsh0", [
-    (4, 4, 4), (6, 6, 8),                  # bent
-    (5, 4, 8), (7, 6, 16),                 # semibent
-    (9, 8, 32),                            # semibent past n = q: f_1 is decoded too
-])
-def test_find_quadratic_with_matches_a_sequential_walk(monkeypatch, chunk, m, rank, walsh0):
-    monkeypatch.setattr(boolfn, "RANK_CHUNK", chunk)
-    F = default_field(2, m)
-    found = sequential_find(m, rank, walsh0, 10**6)
-    assert found is not None
-    seen, want = found
-    assert boolfn.find_quadratic_with(F, rank=rank, walsh0=walsh0) == want
-    # SEARCH_LIMIT counts specs examined: the match is the last one a tight limit admits
-    monkeypatch.setattr(boolfn, "SEARCH_LIMIT", seen)
-    assert boolfn.find_quadratic_with(F, rank=rank, walsh0=walsh0) == want
-    monkeypatch.setattr(boolfn, "SEARCH_LIMIT", seen - 1)
-    with pytest.raises(errors.SizeLimitError,
-                       match="^no quadratic function matched within the search budget$"):
-        boolfn.find_quadratic_with(F, rank=rank, walsh0=walsh0)
-
-
-def test_find_quadratic_with_holds_a_few_tables_at_q_2_16(monkeypatch):
-    # at q = TABLE_BLOCK the f_hat(0) test reads one candidate table at a time:
-    # 16 tables at once would be 16 q-entry int32 arrays before any temporary.
-    # Candidates 1-16 are c*x^2, so Tr of each is linear, of rank 0; f_hat(0)
-    # is even, so walsh0 = 1 never matches and every candidate is read
-    F = default_field(2, 16)
-    monkeypatch.setattr(boolfn, "SEARCH_LIMIT", 16)
-    boolfn.find_quadratic_with(F, rank=0, walsh0=0)  # builds the field's tables first
-    tracemalloc.start()
-    try:
-        with pytest.raises(errors.SizeLimitError):
-            boolfn.find_quadratic_with(F, rank=0, walsh0=1)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 8 * 4 * F.q
+@pytest.mark.parametrize("m", range(4, 21))
+def test_gold_instances_are_bent_or_semibent_with_the_wanted_f_hat_0(m):
+    # the unwrapped builders: nothing of these 2^20-point fields stays cached
+    if m % 2 == 0:
+        build, variant, rank = verify._bent_instance, "bent", m
+    else:
+        build, variant, rank = verify._semibent_instance, "semibent", m - 1
+    walsh0 = 1 << (m - rank // 2)
+    F, f, D, s = build.__wrapped__(m)
+    assert boolfn.classify_spectrum(s).variant == variant
+    assert s.values[0] == walsh0
+    assert boolfn.quadratic_rank(F, f, traced=True) == rank
+    assert len(D) == (1 << (m - 1)) - walsh0 // 2
 
 
 def test_parseval_holds_for_every_tested_spectrum():

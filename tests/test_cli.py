@@ -256,6 +256,20 @@ def test_a_family_function_is_tabulated_once_per_command(capsys, monkeypatch, ar
     assert len(tables) == 1
 
 
+@pytest.mark.parametrize("argv", [
+    "code --family paley --p 3 --m 9 --expect thm-nope",
+    "code --family paley --p 3 --m 9 --expect thm-hyperovalDS",
+    "code --family paley --p 3 --m 9 --expect thm-HKMcodes",
+])
+def test_code_refuses_a_claim_before_it_enumerates(capsys, monkeypatch, argv):
+    # the prediction reads only D and the family, so a refusal costs no enumeration
+    calls = []
+    monkeypatch.setattr(codes, "weight_enumerator", lambda *args, **kw: calls.append(args))
+    rc, out, err = run(capsys, *argv.split())
+    assert rc == 1 and out == "" and err.startswith("error: ")
+    assert calls == []
+
+
 def test_code_expect_codeqbfs_runs_no_walsh_transform(capsys, monkeypatch):
     # the claim reads n_f = |D|, and f_hat(0) = q - 2 n_f, so no spectrum is needed
     calls = []
@@ -376,6 +390,9 @@ REFUSALS = [
     ("construct --family hkm:x", "hkm index must be a positive integer, got 'x'"),
     ("construct --family hkm:0", "hkm index must be a positive integer, got '0'"),
     ("code --family bool:1@3 --m 6 --expect thm-bentcodes", "f_hat(0) in {+-2^(m/2)}: 16"),
+    ("code --family paley --p 3 --m 5 --expect thm-hyperovalDS", "p = 2: p = 3"),
+    ("code --family paley --p 3 --m 4 --expect thm-bentcodes", "p = 2: p = 3"),
+    ("code --family paley --p 3 --m 9 --expect glynn2-conjecture", "p = 2: p = 3"),
 ]
 
 

@@ -409,6 +409,20 @@ def test_a_claim_without_an_input_it_reads_is_refused_by_name(claim):
         codes.predicted_enumerator(claim)
 
 
+@pytest.mark.parametrize("claim", ["thm-hyperovalDS", "thm-bentcodes", "thm-semibentcodes",
+                                   "thm-abcodes", "thm-CodeQBFs", "glynn2-conjecture",
+                                   "thm-HKMcodes"])
+def test_a_claim_over_one_characteristic_refuses_any_other_p(claim):
+    char, foreign = (3, 2) if claim == "thm-HKMcodes" else (2, 3)
+    kw = CLAIM_INPUTS[claim]
+    assert codes.predicted_enumerator(claim, **kw, p=char).claim == claim
+    with pytest.raises(errors.PreconditionFailedError, match=f"^p = {char}: p = {foreign}$"):
+        codes.predicted_enumerator(claim, **kw, p=foreign)
+    # the characteristic is checked before the claim's own hypotheses (here m)
+    with pytest.raises(errors.PreconditionFailedError, match=f"^p = {char}: p = {foreign}$"):
+        codes.predicted_enumerator(claim, **(kw | {"m": 2}), p=foreign)
+
+
 def test_hkm_prediction_refuses_an_m_other_than_3h():
     assert codes.predicted_enumerator("thm-HKMcodes", h=1).n == 4
     assert codes.predicted_enumerator("thm-HKMcodes", h=1, m=3).n == 4
