@@ -27,7 +27,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
 
 import numpy as np
 
@@ -341,20 +340,22 @@ def predicted_enumerator(claim: str, *, p=None, m=None, n_f=None, r=None, e=None
     return _rows_to_prediction(claim, *_claim_rows(claim, **given))
 
 
-def _plateaued_rows(m, n_f, amp):
+def _plateaued_rows(m, n_f, amp, f_at_0):
     """(weight, count) rows over x != 0 for the support D of a Boolean f on
-    GF(2^m) with f(0) = 0, n_f = |D| and f_hat(x) in {0, +-amp} for x != 0.
+    GF(2^m) with f(0) = f_at_0, n_f = |D| and f_hat(x) in {0, +-amp} for x != 0.
 
     For x != 0, f_hat(x) = -2 sum_{d in D} (-1)^Tr(xd), so wt(c_x) =
-    n_f/2 + f_hat(x)/4.  With q = 2^m, two sums over x != 0 fix how often
-    f_hat(x) is -amp, 0 and +amp: sum f_hat(x) = q - f_hat(0) = 2 n_f (as
-    f(0) = 0) and, by Parseval, sum f_hat(x)^2 = q^2 - f_hat(0)^2 =
-    4 n_f (q - n_f).  So +-amp occur pair +- skew times, with skew = n_f/amp
-    and pair = 2 n_f (q - n_f)/amp^2, and 0 occurs q - 1 - 2 pair times.
+    n_f/2 + f_hat(x)/4 for either f(0) (if f(0) = 1, d = 0 adds no weight).
+    With q = 2^m and f_hat(0) = q - 2 n_f, two sums over x != 0 fix how often
+    f_hat(x) is -amp, 0 and +amp: sum f_hat(x) = (-1)^f(0) q - f_hat(0) =
+    2 (n_f - f(0) q) and, by Parseval, sum f_hat(x)^2 = q^2 - f_hat(0)^2 =
+    4 n_f (q - n_f).  So +-amp occur pair +- skew times, with skew =
+    (n_f - f(0) q)/amp and pair = 2 n_f (q - n_f)/amp^2, and 0 occurs
+    q - 1 - 2 pair times.
     """
     q = 1 << m
     pair = Fraction(2 * n_f * (q - n_f), amp * amp)
-    skew = Fraction(n_f, amp)
+    skew = Fraction(n_f - f_at_0 * q, amp)
     half, dev = Fraction(n_f, 2), Fraction(amp, 4)
     return [(half - dev, pair - skew), (half, q - 1 - 2 * pair), (half + dev, pair + skew)]
 
@@ -365,26 +366,20 @@ def _claim_rows(claim, *, p, m, n_f, r, e, h):
     The rows are unchecked; _rows_to_prediction checks them.
     """
     if claim in ("thm-part1", "thm-part2"):
-        q = p**m
         if claim == "thm-part1":
             _require(p % 2 == 1, "p odd", f"p = {p}")
         else:
-            _require(q % 4 == 3, "q = 3 (mod 4)", f"q = {q}")
-        if m % 2 == 1:  # the only case of thm-part2, as q = 3 (mod 4) needs m odd
-            rows = [(Fraction((p - 1) * q, 2 * p), q - 1)]
-        else:
-            root = isqrt(q)
-            rows = [
-                (Fraction((p - 1) * (q - root), 2 * p), Fraction(q - 1, 2)),
-                (Fraction((p - 1) * (q + root), 2 * p), Fraction(q - 1, 2)),
-            ]
-        return p, (q - 1) // 2, m, rows
+            _require(p**m % 4 == 3, "q = 3 (mod 4)", f"q = {p**m}")
+        # the squares are the image of x^2, which is 2-to-1 on GF(q)*, and its
+        # bilinear form 2xy has no radical, so r = m
+        return _claim_rows("thm-qfcodes", p=p, m=m, n_f=n_f, r=m, e=2, h=h)
     if claim == "thm-qfcodes":
-        # checked only at e = 2 (verify's qf-* cases) and at e = 1 with p = 2.
-        # Elsewhere the form below is unconfirmed: x^4 is 4-to-1 on GF(3^2) and
-        # GF(3^4) and both codes mismatch it, and e = 3, 6, 8 and 10 are refused
-        # for a non-integral multiplicity.  The theorem's text would say whether
-        # it has a hypothesis on e that is not checked here.
+        # checked only at e = 2 (verify's qf-* cases, and Paley, its e = 2, r = m
+        # case) and at e = 1 with p = 2.  Elsewhere the form below is unconfirmed:
+        # x^4 is 4-to-1 on GF(3^2) and GF(3^4) and both codes mismatch it, and
+        # e = 3, 6, 8 and 10 are refused for a non-integral multiplicity.  The
+        # theorem's text would say whether it has a hypothesis on e that is not
+        # checked here.
         q = p**m
         _require((q - 1) % e == 0, "e divides q-1", f"e = {e}")
         if r % 2 == 1:
@@ -397,10 +392,10 @@ def _claim_rows(claim, *, p, m, n_f, r, e, h):
             ]
         return p, (q - 1) // e, m, rows
     if claim == "thm-hyperovalDS":
+        # for Maschietti's Segre and Glynn I sets, D u {0} is the support of an f
+        # with f(0) = 1 whose f_hat(x) for x != 0 lies in {0, +-2^((m+1)/2)}
         _require(m % 2 == 1 and m >= 5, "m odd, m >= 5", f"m = {m}")
-        mid, dev = 1 << (m - 2), 1 << ((m - 3) // 2)
-        rows = [(mid - dev, mid + dev), (mid, (1 << (m - 1)) - 1), (mid + dev, mid - dev)]
-        return 2, (1 << (m - 1)) - 1, m, rows
+        return 2, (1 << (m - 1)) - 1, m, _plateaued_rows(m, 1 << (m - 1), 1 << ((m + 1) // 2), 1)
     if claim in ("thm-bentcodes", "thm-semibentcodes", "thm-abcodes", "thm-CodeQBFs"):
         f0 = (1 << m) - 2 * n_f  # f_hat(0)
         if claim == "thm-bentcodes":
@@ -415,7 +410,7 @@ def _claim_rows(claim, *, p, m, n_f, r, e, h):
         else:
             _require(m % 2 == 1, "m odd", f"m = {m}")
             amp = 1 << ((m + 1) // 2)
-        return 2, n_f, m, _plateaued_rows(m, n_f, amp)
+        return 2, n_f, m, _plateaued_rows(m, n_f, amp, 0)
     if claim == "thm-HKMcodes":
         _require(h % 2 == 1, "h odd", f"h = {h}")
         _require(m in (None, 3 * h), "m = 3h", f"m = {m}, h = {h}")

@@ -344,6 +344,48 @@ def test_gold_instances_are_bent_or_semibent_with_the_wanted_f_hat_0(m):
     assert len(D) == (1 << (m - 1)) - walsh0 // 2
 
 
+# every GF(p^m) with p in {3, 5, 7, 11, 13} and q <= 3^8
+PALEY_FIELDS = [(p, m) for p in (3, 5, 7, 11, 13) for m in range(1, 9) if p**m <= 3**8]
+
+
+@pytest.mark.parametrize("p,m", PALEY_FIELDS, ids=[f"{p}^{m}" for p, m in PALEY_FIELDS])
+def test_the_paley_set_is_the_image_of_a_two_to_one_rank_m_form(p, m):
+    # the premises that make thm-part1/part2 the thm-qfcodes rows at e = 2, r = m:
+    # x^2 is 2-to-1 on GF(q)*, its image is the squares, and 2xy has no radical
+    F = default_field(p, m)
+    f = FuncSpec(((1, 2),))
+    table = f.table(F)
+    assert designs.eto1_check(table) == 2
+    assert boolfn.quadratic_rank(F, f, traced=False) == m
+    assert np.array_equal(designs.image_set(F, table).elems, designs.paley_set(F).elems)
+
+
+def hyperoval_walsh_off_zero(m, case):
+    """The distinct f_hat(x), x != 0, of f = 1_{D u {0}} for a Maschietti set D."""
+    F = default_field(2, m)
+    table = np.zeros(F.q, dtype=np.int8)
+    table[designs.maschietti_set(F, case).elems] = 1
+    table[0] = 1
+    return set(boolfn.walsh_from_table(F, table).values[1:].tolist())
+
+
+@pytest.mark.parametrize("m", range(5, 16, 2))
+@pytest.mark.parametrize("case", ["segre", "glynn1"])
+def test_segre_and_glynn1_sets_with_0_are_plateaued_supports(case, m):
+    # the premise that makes thm-hyperovalDS the plateaued rows with f(0) = 1
+    amp = 1 << ((m + 1) // 2)
+    assert hyperoval_walsh_off_zero(m, case) <= {0, amp, -amp}
+
+
+@pytest.mark.parametrize("m", [9, 11])
+def test_glynn2_sets_with_0_have_five_walsh_values(m):
+    # why glynn2-conjecture stays a weight set of its own
+    lo, hi = 1 << ((m + 1) // 2), 1 << ((m + 3) // 2)
+    assert hyperoval_walsh_off_zero(m, "glynn2") == {0, lo, -lo, hi, -hi}
+    # the Singer set with 0 is a hyperplane, two-valued off 0
+    assert hyperoval_walsh_off_zero(m, "singer") == {0, -(1 << m)}
+
+
 def test_parseval_holds_for_every_tested_spectrum():
     F = default_field(2, 6)
     for terms in (((1, 3),), ((2, 3),), ((1, 3), (1, 5))):

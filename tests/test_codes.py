@@ -372,6 +372,42 @@ def test_predicted_enumerator_two_weight():
     assert P.counts == {0: 1, 9: 26}
 
 
+def paley_literal(p, m):
+    """(n, k, counts) of thm-part1/part2 as the paper writes them."""
+    q = p**m
+    if m % 2 == 1:
+        rows = {Fraction((p - 1) * q, 2 * p): q - 1}
+    else:
+        root = p ** (m // 2)
+        rows = {Fraction((p - 1) * (q - root), 2 * p): (q - 1) // 2,
+                Fraction((p - 1) * (q + root), 2 * p): (q - 1) // 2}
+    return (q - 1) // 2, m, {0: 1} | rows
+
+
+def hyperoval_literal(m):
+    """(n, k, counts) of thm-hyperovalDS as the paper writes it."""
+    mid, dev = 1 << (m - 2), 1 << ((m - 3) // 2)
+    counts = {0: 1, mid - dev: mid + dev, mid: (1 << (m - 1)) - 1, mid + dev: mid - dev}
+    return (1 << (m - 1)) - 1, m, counts
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 2039])
+def test_the_paley_claims_predict_the_papers_rows(p):
+    # both claims read the thm-qfcodes rows; a change to those shows here
+    for m in range(1, 13):
+        claims = ["thm-part1"] + (["thm-part2"] if p**m % 4 == 3 else [])
+        for claim in claims:
+            P = codes.predicted_enumerator(claim, p=p, m=m)
+            assert (P.claim, P.n, P.k, P.counts) == (claim, *paley_literal(p, m)), (claim, m)
+
+
+def test_the_hyperoval_claim_predicts_the_papers_rows():
+    # the claim reads the plateaued rows at f(0) = 1; a change to those shows here
+    for m in range(5, 62, 2):
+        P = codes.predicted_enumerator("thm-hyperovalDS", m=m)
+        assert (P.n, P.k, P.counts) == hyperoval_literal(m), m
+
+
 def test_predicted_enumerator_preconditions():
     with pytest.raises(errors.PreconditionFailedError):
         codes.predicted_enumerator("thm-bentcodes", m=5, n_f=12)
