@@ -43,8 +43,8 @@ def char_sum(F: Field, S, b) -> np.ndarray:
     (len(bs), p) for a sequence bs of points; a scalar b gives the one row.
     b = 0 or s = 0 gives trace 0 and is counted by hand; every other pair is
     read from trace_exp_table.  The (b, s) grid is gathered in blocks of at
-    most TRACE_BLOCK pairs (and TRACE_BLOCK bins, unless p exceeds it), so no
-    (len(bs) x len(S)) array is formed.
+    most max(TRACE_BLOCK, p) pairs, so no (len(bs) x len(S)) array is formed;
+    a block never has more bins than pairs unless S has < p nonzero elements.
     """
     p = F.p
     S = np.asarray(S, dtype=np.int64).ravel()
@@ -57,7 +57,7 @@ def char_sum(F: Field, S, b) -> np.ndarray:
     if live.size and ls.size:
         T2 = trace_exp_table(F)
         lb = F.log_table[bs[live]]
-        cols = min(ls.size, TRACE_BLOCK)
+        cols = min(ls.size, max(TRACE_BLOCK, p))
         rows = max(1, TRACE_BLOCK // max(cols, p))  # the bincount has rows*p bins
         for lo in range(0, live.size, rows):
             blk = lb[lo : lo + rows, None]

@@ -37,39 +37,14 @@ MAX_FIELD_BITS = 22
 # candidate moduli in the default-modulus scan's first block; later blocks double
 SCAN_BLOCK = 32
 
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
-
-def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin (exact for anything below 3.3e24)."""
-    if n < 2:
-        return False
-    for a in _MR_BASES:
-        if n % a == 0:
-            return n == a
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in _MR_BASES:
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
 
 def factorize(n: int) -> dict[int, int]:
-    """Prime factorization of 1 <= n < 2^32 by trial division.
+    """Prime factorization of an integer 1 <= n < 2^32 by trial division.
 
     A composite n has a prime factor at most sqrt(n) < 2^16, so what is left
     once every divisor f with f^2 <= n is divided out is 1 or a prime.
     """
+    n = operator.index(n)  # a float would come back as its own "prime" factor
     if not 1 <= n < 1 << 32:
         raise ValueError(f"factorize needs 1 <= n < 2^32, got {n}")
     out: dict[int, int] = {}
@@ -82,6 +57,11 @@ def factorize(n: int) -> dict[int, int]:
     if n > 1:
         out[n] = out.get(n, 0) + 1
     return out
+
+
+def is_prime(n: int) -> bool:
+    """n is prime, exactly, because this is factorize: n >= 2^32 raises its ValueError."""
+    return n >= 2 and factorize(n) == {n: 1}
 
 
 def _poly_mulmod(a, b, mod, p):
@@ -271,7 +251,7 @@ class Field:
 
     def __init__(self, p: int, m: int, modulus=None, *,
                  max_bits: int = MAX_FIELD_BITS):
-        if not isinstance(p, numbers.Integral) or not is_prime(int(p)):
+        if not isinstance(p, numbers.Integral):
             raise ToolkitError(f"characteristic {p} is not prime")
         p, m = int(p), operator.index(m)  # numpy integers become Python ints
         if m < 1:
@@ -280,6 +260,8 @@ class Field:
         # p^m >= 2^m, so an m above the cap is refused before p**m is computed
         if m > bits or p**m > 1 << bits:
             raise SizeLimitError(f"GF({p}^{m}) exceeds the field cap 2^{bits}")
+        if not is_prime(p):  # after the cap, so factorize sees p <= 2^bits < 2^32
+            raise ToolkitError(f"characteristic {p} is not prime")
         q = p**m
         self.p, self.m, self.q = p, m, q
         # digits, traces and generator entries lie in [0, p)

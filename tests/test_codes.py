@@ -502,6 +502,12 @@ def test_an_input_out_of_range_is_refused_by_name(claim, change, message):
         codes.predicted_enumerator(claim, **(CLAIM_INPUTS[claim] | change))
 
 
+def test_a_p_beyond_factorize_raises_its_value_error():
+    # p is tested by gf.is_prime, which is factorize and stops at 2^32
+    with pytest.raises(ValueError, match=re.escape("factorize needs 1 <= n < 2^32")):
+        codes.predicted_enumerator("thm-part1", p=(1 << 61) - 1, m=1)
+
+
 def test_a_non_integral_weight_is_refused_as_a_weight():
     # 8 words of weight 2*9/12
     with pytest.raises(errors.PreconditionFailedError, match="^integral weight: 3/2$"):

@@ -50,7 +50,7 @@ def test_many_point_routes_match_their_scalar_definitions(monkeypatch, pm, block
     F = default_field(*pm)
     p = F.p
     S = [0] + list(range(1, F.q, 3))  # 0 in S
-    # the gathers run as one block, as 5-pair pieces of one row, or two b's at a time
+    # the gathers run as one block, as max(5, p)-pair pieces of one row, or two b's at a time
     block = {"one": cyclotomic.TRACE_BLOCK, "split-S": 5, "two-rows": 2 * max(len(S), p)}[blocks]
     monkeypatch.setattr(cyclotomic, "TRACE_BLOCK", block)
     bs = [0, 1, F.q - 1] + list(range(2, F.q, 4))  # b = 0 first
@@ -76,6 +76,22 @@ def test_many_point_routes_match_their_scalar_definitions(monkeypatch, pm, block
     values = designs.evaluate_rows(F, *designs.coefficient_rows([f]), np.arange(F.q), True)[0]
     kernel = np.flatnonzero(values == 0).tolist()
     assert designs.joint_counts(F, f, bs) == [tuple(_oracle_row(F, kernel, b)) for b in bs]
+
+
+def test_char_sum_blocks_are_at_least_p_pairs_wide(monkeypatch):
+    # p = 131 > TRACE_BLOCK = 16: 16-pair blocks would bincount into 131 bins
+    # each, 537 per row; blocks of p pairs take 66 per row
+    F = default_field(131, 2)
+    S = designs.paley_set(F).elems
+    assert S.size == 8580
+    bs = np.arange(1, 6)
+    expected = char_sum(F, S, bs)
+    calls = []
+    bincount = np.bincount
+    monkeypatch.setattr(cyclotomic, "TRACE_BLOCK", 16)
+    monkeypatch.setattr(np, "bincount", lambda *a, **k: calls.append(1) or bincount(*a, **k))
+    assert np.array_equal(char_sum(F, S, bs), expected)
+    assert len(calls) <= 5 * 66
 
 
 @st.composite

@@ -6,8 +6,8 @@ import subprocess
 import sys
 import tracemalloc
 import weakref
-from itertools import product
-from math import prod
+from itertools import product, takewhile
+from math import isqrt, prod
 from pathlib import Path
 
 import numpy as np
@@ -29,11 +29,34 @@ from dscodes.gf import (
     default_field,
     factorize,
     gfp_rank,
-    is_prime,
     parse_modulus,
 )
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+
+def _sieve(n):
+    """Sieve of Eratosthenes: entry k is True iff k < n is prime; the tests' prime oracle."""
+    flags = [False, False] + [True] * (n - 2)
+    for k in range(2, isqrt(n - 1) + 1):
+        if flags[k]:
+            flags[k * k :: k] = [False] * len(flags[k * k :: k])
+    return flags
+
+
+SIEVE = _sieve(1 << 16)
+PRIMES = [k for k, flag in enumerate(SIEVE) if flag]  # every prime below 2^16
+
+
+def _primes_below(n):
+    return [p for p in PRIMES if p < n]
+
+
+def _is_prime_below_2_32(n):
+    """n < 2^32 is prime: the sieve below 2^16, else no sieve prime <= sqrt(n) divides it."""
+    if n < 1 << 16:
+        return SIEVE[n]
+    return all(n % p for p in takewhile(lambda p: p * p <= n, PRIMES))
 
 
 def test_default_moduli_are_the_documented_scan_results():
@@ -85,7 +108,7 @@ def _reference_default_modulus(p, m):
 
 
 # every (p, m >= 2) with q <= 2^14, plus the larger fields the benchmark builds
-SCAN_FIELDS = [(p, m) for p in range(2, 128) if is_prime(p)
+SCAN_FIELDS = [(p, m) for p in _primes_below(128)
                for m in range(2, 15) if p**m <= 1 << 14]
 SCAN_FIELDS += [(2, 15), (3, 9), (7, 5), (3, 13), (2, 19), (2, 21)]
 
@@ -122,7 +145,7 @@ def _smallest_primitive_root(p):
 
 
 def test_prime_fields_take_the_smallest_primitive_root():
-    for p in [p for p in range(2, 1 << 12) if is_prime(p)] + [65521, 4194301]:
+    for p in _primes_below(1 << 12) + [65521, 4194301]:
         F = Field(p, 1)
         assert F.alpha == _smallest_primitive_root(p), p
         assert F.modulus == ((-F.alpha) % p, 1)
@@ -131,12 +154,12 @@ def test_prime_fields_take_the_smallest_primitive_root():
 
 def test_factorize_is_exact_for_every_field_order():
     # no field is built: every q - 1 with p^m <= 2^25, m >= 2, and every p - 1 for p < 2^16
-    orders = [p**m - 1 for p in range(2, 1 << 13) if is_prime(p)
+    orders = [p**m - 1 for p in _primes_below(1 << 13)
               for m in range(2, 26) if p**m <= 1 << 25]
-    orders += [p - 1 for p in range(2, 1 << 16) if is_prime(p)]
+    orders += [p - 1 for p in PRIMES]
     for n in orders:
         fac = factorize(n)
-        assert all(is_prime(r) for r in fac), n
+        assert all(_is_prime_below_2_32(r) for r in fac), n
         assert all(n % r**e == 0 and n % r**(e + 1) for r, e in fac.items()), n
         assert prod(r**e for r, e in fac.items()) == n
 
@@ -163,6 +186,19 @@ except ValueError:
     assert proc.stdout == "refused\n"
 
 
+def test_is_prime_agrees_with_the_sieve():
+    assert [gf.is_prime(n) for n in range(1 << 16)] == SIEVE
+    assert not gf.is_prime(-7)
+    # the largest primes below 2^22 and below 2^32, and composites beside them
+    assert gf.is_prime(4194301) and gf.is_prime(4294967291)
+    assert not gf.is_prime(4194304) and not gf.is_prime(4294967295)
+    with pytest.raises(ValueError, match="2\\^32"):
+        gf.is_prime(1 << 32)
+    for n in (2.5, 3.0):
+        with pytest.raises(TypeError):
+            gf.is_prime(n)
+
+
 def test_alpha_13_is_minus_one_in_gf27():
     F = default_field(3, 3)
     assert F.pow(F.alpha, 13) == 2
@@ -184,6 +220,13 @@ def test_rejects_composite_characteristic():
     for p in (3.0, "3", None):
         with pytest.raises(errors.ToolkitError, match=re.escape(f"characteristic {p} is not prime")):
             Field(p, 2)
+    # primality comes after m and the cap, so factorize never sees a p above the cap
+    with pytest.raises(ValueError, match="^extension degree m must be >= 1$"):
+        Field(6, 0)
+    for p, m in ((4, 30), ((1 << 61) - 1, 1)):
+        message = f"GF({p}^{m}) exceeds the field cap 2^{MAX_FIELD_BITS}"
+        with pytest.raises(errors.SizeLimitError, match=f"^{re.escape(message)}$"):
+            Field(p, m)
 
 
 def test_numpy_integer_arguments_become_python_ints():
@@ -426,7 +469,7 @@ def test_pack_then_unpack_is_the_identity(p, m, sample):
 def test_packing_fits_every_prime_power_up_to_2_25():
     # no field is built: the layout depends on p and m alone
     widths = {}
-    for p in filter(is_prime, range(3, 1 << 13)):
+    for p in _primes_below(1 << 13)[1:]:  # the odd primes
         for m in range(2, 26):
             q = p**m
             if q > 1 << 25:
