@@ -18,12 +18,12 @@ _EXPORTS = {
                "walsh_transform"),
     "codes": ("WeightEnumerator", "codeword", "compare_prediction", "dual_distance_witness",
               "generator_matrix", "griesmer_check", "minimum_distance", "pless_moment_check",
-              "predicted_enumerator", "weight_enumerator", "weight_via_charsum"),
+              "predicted_enumerator", "prediction_for", "weight_enumerator", "weight_via_charsum"),
     "cyclotomic": ("char_sum", "is_rational"),
     "designs": ("AdditiveGroup", "AlmostDifferenceSet", "CyclicGroup", "DefiningSet",
                 "DifferenceSet", "FuncSpec", "IrregularDesign", "boolean_support",
                 "classify_design", "complement_in_group", "defining_set", "eto1_check",
-                "hkm_set", "image_set", "is_skew_set", "maschietti_set", "paley_set",
+                "family", "hkm_set", "image_set", "is_skew_set", "maschietti_set", "paley_set",
                 "parse_func_spec", "to_cyclic_residues"),
     "errors": ("ToolkitError",),
     "gf": ("Field", "default_field", "gfp_rank"),

@@ -11,6 +11,7 @@ import contextlib
 import json
 import os
 import sys
+from functools import partial
 
 # OpenBLAS reads OPENBLAS_NUM_THREADS once, when numpy loads it, and starts
 # that many threads less one, which spin through the import and then sleep.
@@ -73,30 +74,6 @@ def _field(args, what, p=None, m=None):
     return Field(p if p is not None else 2 if args.p is None else args.p,
                  m if m is not None else 1 if args.m is None else args.m,
                  mod, max_bits=args.max_field_bits)
-
-
-def _resolve_family(args):
-    """Build the defining set named by --family; returns (set, context), where
-    context maps "qf-image" or "bool" to the family's function and its q-point
-    table, and "h" to hkm's h."""
-    spec = args.family
-    name, _, rest = spec.partition(":")
-    if name == "paley":
-        return designs.paley_set(_field(args, spec)), {}
-    if name in ("qf-image", "bool"):
-        F = _field(args, spec, p=2 if name == "bool" else None)
-        f = designs.parse_func_spec(F, rest)
-        table = f.table(F)
-        build = designs.image_set if name == "qf-image" else designs.boolean_support
-        return build(F, table), {name: (f, table)}
-    if name == "maschietti":
-        return designs.maschietti_set(_field(args, spec, p=2), rest), {}
-    if name == "hkm":
-        if not rest.isdecimal() or int(rest) < 1:
-            raise ToolkitError(f"hkm index must be a positive integer, got {rest!r}")
-        h = int(rest)
-        return designs.hkm_set(_field(args, spec, p=3, m=3 * h)), {"h": h}
-    raise ToolkitError(f"unknown family {spec!r}")
 
 
 def _design_str(cls):
@@ -177,7 +154,7 @@ def _classified(D, cyclic, classify=True):
 
 
 def cmd_construct(args):
-    D, _ = _resolve_family(args)
+    D, _ = designs.family(args.family, partial(_field, args, args.family))
     F = D.field
     elems, cls = _classified(D, args.dlog, args.classify)
     if args.json:
@@ -196,7 +173,7 @@ def cmd_construct(args):
 
 
 def cmd_analyze_design(args):
-    D, _ = _resolve_family(args)
+    D, _ = designs.family(args.family, partial(_field, args, args.family))
     _, cls = _classified(D, args.group == "cyclic")
     if args.json:
         doc = {"family": args.family, "group": args.group,
@@ -226,42 +203,13 @@ def cmd_walsh(args):
     return 0
 
 
-def _prediction_for(claim, D, ctx):
-    """codes.predicted_enumerator for a claim id, with every input it may read.
-
-    p, m, n_f = |D| and the hkm index go to every claim; e and r are
-    computed from the family's function for the claims that read them.
-    """
-    from . import codes
-
-    if claim not in codes.CLAIMS:
-        raise ToolkitError(f"unknown claim id {claim!r}")
-    F = D.field
-    kw = {"p": F.p, "m": F.m, "n_f": len(D), "h": ctx.get("h")}
-    if claim in ("thm-qfcodes", "thm-CodeQBFs"):
-        family = "qf-image" if claim == "thm-qfcodes" else "bool"
-        if family not in ctx:
-            raise ToolkitError(f"--expect {claim} needs a {family} family")
-        f, table = ctx[family]
-        from . import boolfn
-
-        if claim == "thm-qfcodes":
-            kw["e"] = designs.eto1_check(table)
-            if kw["e"] is None:
-                raise ToolkitError("the map is not e-to-1 on nonzero elements")
-        # thm-CodeQBFs ranks Tr(f), thm-qfcodes the GF(q)-valued f
-        kw["r"] = boolfn.quadratic_rank(F, f, traced=claim == "thm-CodeQBFs")
-    elif claim == "thm-HKMcodes" and kw["h"] is None:
-        raise ToolkitError(f"--expect {claim} needs an hkm family")
-    return codes.predicted_enumerator(claim, **kw)
-
-
 def cmd_code(args):
     from . import codes
 
-    D, ctx = _resolve_family(args)
+    D, ctx = designs.family(args.family, partial(_field, args, args.family))
     # a prediction needs only D and ctx, so a refused claim costs no enumeration
-    pred = _prediction_for(args.expect, D, ctx) if args.expect and args.expect != "none" else None
+    pred = (codes.prediction_for(args.expect, D, ctx)[0]
+            if args.expect and args.expect != "none" else None)
     max_work = codes.DEFAULT_MAX_WORK if args.max_work is None else args.max_work
     E = codes.weight_enumerator(D, max_work=max_work)
     d = codes.minimum_distance(E)
@@ -301,7 +249,7 @@ def cmd_code(args):
 def cmd_export_gen(args):
     from . import codes
 
-    D, _ = _resolve_family(args)
+    D, _ = designs.family(args.family, partial(_field, args, args.family))
     F = D.field
     rows = codes.generator_matrix(D)
     # "p m n", then one line per generator row

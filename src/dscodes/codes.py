@@ -20,7 +20,9 @@ span, which needs no generator matrix.
 
 predicted_enumerator() turns each closed-form claim (identified by an opaque
 claim id) into an exact expected enumerator for comparison against the
-enumeration; comparisons never use floating point.
+enumeration; comparisons never use floating point.  prediction_for() derives
+a claim's inputs from a family's set and context (designs.family), for both
+`code --expect` and the verify cases.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from fractions import Fraction
 import numpy as np
 
 from .cyclotomic import char_sum, trace_exp_table, zero_counts
-from .designs import DEFAULT_MAX_WORK, DefiningSet
+from .designs import DEFAULT_MAX_WORK, DefiningSet, eto1_check
 from .errors import InvariantError, PreconditionFailedError, SizeLimitError, ToolkitError
 from .gf import Field, is_prime
 
@@ -340,6 +342,35 @@ def predicted_enumerator(claim: str, *, p=None, m=None, n_f=None, r=None, e=None
     return _rows_to_prediction(claim, *_claim_rows(claim, **given))
 
 
+def prediction_for(claim: str, D: DefiningSet, ctx: dict):
+    """(Prediction, inputs): predicted_enumerator for a claim id on the set D of
+    a family with context ctx (designs.family), and the inputs it was given.
+
+    p, m, n_f = |D| and the hkm index go to every claim; e and r are computed
+    from the family's function for the claims that read them.
+    """
+    if claim not in CLAIMS:
+        raise ToolkitError(f"unknown claim id {claim!r}")
+    F = D.field
+    kw = {"p": F.p, "m": F.m, "n_f": len(D), "h": ctx.get("h")}
+    if claim in ("thm-qfcodes", "thm-CodeQBFs"):
+        family = "qf-image" if claim == "thm-qfcodes" else "bool"
+        if family not in ctx:
+            raise ToolkitError(f"--expect {claim} needs a {family} family")
+        f, table = ctx[family]
+        from . import boolfn  # loaded only by the claims that rank a form
+
+        if claim == "thm-qfcodes":
+            kw["e"] = eto1_check(table)
+            if kw["e"] is None:
+                raise ToolkitError("the map is not e-to-1 on nonzero elements")
+        # thm-CodeQBFs ranks Tr(f), thm-qfcodes the GF(q)-valued f
+        kw["r"] = boolfn.quadratic_rank(F, f, traced=claim == "thm-CodeQBFs")
+    elif claim == "thm-HKMcodes" and kw["h"] is None:
+        raise ToolkitError(f"--expect {claim} needs an hkm family")
+    return predicted_enumerator(claim, **kw), kw
+
+
 def _plateaued_rows(m, n_f, amp, f_at_0):
     """(weight, count) rows over x != 0 for the support D of a Boolean f on
     GF(2^m) with f(0) = f_at_0, n_f = |D| and f_hat(x) in {0, +-amp} for x != 0.
@@ -374,12 +405,13 @@ def _claim_rows(claim, *, p, m, n_f, r, e, h):
         # bilinear form 2xy has no radical, so r = m
         return _claim_rows("thm-qfcodes", p=p, m=m, n_f=n_f, r=m, e=2, h=h)
     if claim == "thm-qfcodes":
-        # checked only at e = 2 (verify's qf-* cases, and Paley, its e = 2, r = m
-        # case) and at e = 1 with p = 2.  Elsewhere the form below is unconfirmed:
-        # x^4 is 4-to-1 on GF(3^2) and GF(3^4) and both codes mismatch it, and
-        # e = 3, 6, 8 and 10 are refused for a non-integral multiplicity.  The
-        # theorem's text would say whether it has a hypothesis on e that is not
-        # checked here.
+        # the form holds where Tr(x*f(y)) has one rank r for every x != 0, a
+        # hypothesis not checked here.  verify's qf-* cases (e = 2) and Paley
+        # (e = 2, r = m) have it.  The failures are x^(p^k+1) maps whose images
+        # are semiprimitive cyclotomic classes, where that rank drops on one
+        # class of x (Coulter, Acta Arith. 1998): x^4 on GF(3^2) and GF(3^4)
+        # mismatch the form, and e = 3, 6, 8 and 10 give a non-integral
+        # multiplicity.
         q = p**m
         _require((q - 1) % e == 0, "e divides q-1", f"e = {e}")
         if r % 2 == 1:

@@ -304,12 +304,12 @@ def parse_func_spec(F: Field, expr: str) -> FuncSpec:
         if not m:
             raise ValueError(f"bad coefficient {cpart!r}")
         sign, intpart, apow = m.group(1), m.group(2), m.group(3)
-        c = int(intpart) % F.p
-        if m.group(0).find("*") >= 0:
+        # -c*u^k = (-c)*alpha^k: -c is taken in GF(p), and a nonzero c times
+        # alpha^k is alpha^(log c + k), read off the tables
+        c = (-int(intpart) if sign else int(intpart)) % F.p
+        if m.group(0).find("*") >= 0 and c:
             k = int(apow) if apow is not None else 1
-            c = F.mul(c, F.pow(F.alpha, k))
-        if sign:
-            c = F.neg(c)
+            c = int(F.exp_table[(int(F.log_table[c]) + k) % (F.q - 1)])
         e = int(epart)
         if e < 1:
             raise ValueError(f"bad exponent {epart!r}")
@@ -429,6 +429,33 @@ def boolean_support(F: Field, table) -> DefiningSet:
     """D_f = {x: Tr(f(x)) = 1}, the support of the Boolean function Tr(f) on
     GF(2^m), from f's table f.table(F), which it traces itself."""
     return defining_set(F, np.flatnonzero(F.trace_table[table] == 1))
+
+
+def family(spec: str, field):
+    """The defining set a family spec names, and its context.
+
+    field(p=..., m=...) builds the field, called with the p and m the family
+    fixes as keywords and no others: maschietti and bool fix p = 2, hkm:H
+    fixes GF(3^(3H)).  The context maps "qf-image" or "bool" to the family's
+    function and its q-point table, and "h" to hkm's h.
+    """
+    name, _, rest = spec.partition(":")
+    if name == "paley":
+        return paley_set(field()), {}
+    if name in ("qf-image", "bool"):
+        F = field(p=2) if name == "bool" else field()
+        f = parse_func_spec(F, rest)
+        table = f.table(F)
+        build = image_set if name == "qf-image" else boolean_support
+        return build(F, table), {name: (f, table)}
+    if name == "maschietti":
+        return maschietti_set(field(p=2), rest), {}
+    if name == "hkm":
+        if not rest.isdecimal() or int(rest) < 1:
+            raise ToolkitError(f"hkm index must be a positive integer, got {rest!r}")
+        h = int(rest)
+        return hkm_set(field(p=3, m=3 * h)), {"h": h}
+    raise ToolkitError(f"unknown family {spec!r}")
 
 
 def joint_counts(F: Field, f: FuncSpec, bs) -> list:

@@ -256,6 +256,8 @@ class Field:
         p, m = int(p), operator.index(m)  # numpy integers become Python ints
         if m < 1:
             raise ValueError("extension degree m must be >= 1")
+        if p < 2:  # no field, so no size to cap: refused without factorize
+            raise ToolkitError(f"characteristic {p} is not prime")
         bits = min(max_bits, MAX_FIELD_BITS)  # max_bits can only lower the cap
         # p^m >= 2^m, so an m above the cap is refused before p**m is computed
         if m > bits or p**m > 1 << bits:

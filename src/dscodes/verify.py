@@ -4,7 +4,10 @@ Each case is a function of its parameters, registered in CASES under a
 stable id (so CI can pin individual regressions) as a zero-argument callable.
 It builds its family, computes the exact quantity the claim predicts (weight
 enumerator, design parameters, rank, character sum), and compares it against
-the paper's closed form.  Only GLYNN2_ENUMERATORS (m = 5-11) is a frozen table.
+the paper's closed form.  The family-and-claim cases are rows (family spec,
+p, m, claim, check) that _row_case runs through designs.family and
+codes.prediction_for, as `dscodes code --expect` does.  Only
+GLYNN2_ENUMERATORS (m = 5-11) is a frozen table.
 """
 
 from __future__ import annotations
@@ -73,79 +76,64 @@ def _check_prediction(E, pred):
 
 
 @lru_cache(maxsize=None)
-def _family_enumerator(tag, p, m):
-    F = default_field(p, m)
-    if tag == "paley":
-        D = designs.paley_set(F)
-    elif tag in designs.MASCHIETTI_CASES:
-        D = designs.maschietti_set(F, tag)
-    else:
-        raise ValueError(tag)
-    return D, codes.weight_enumerator(D)
+def _family_enumerator(spec, p, m):
+    """(D, context, enumerator) of a family spec (designs.family) over GF(p^m);
+    the row gives None for a p or m that the family fixes."""
+    D, ctx = designs.family(spec, lambda p=p, m=m: default_field(p, m))
+    return D, ctx, codes.weight_enumerator(D)
+
+
+def _row_case(spec, p, m, claim, check=None):
+    """A family-and-claim case: the code of a family spec against a claim.
+
+    The claim's inputs come from codes.prediction_for, as for `dscodes code
+    --family spec --expect claim`.  check(ok, expected, actual, detail, D=,
+    ctx=, E=, pred=, inputs=) adds the family's own checks to the strings.  A
+    row without a claim has only its check, and a callable spec is called for
+    the spec (the Gold instances, which one Walsh transform finds).
+    """
+    D, ctx, E = _family_enumerator(spec() if callable(spec) else spec, p, m)
+    pred, inputs = codes.prediction_for(claim, D, ctx) if claim else (None, {})
+    res = _check_prediction(E, pred) if pred else (True, "", _fmt(E), "")
+    return check(*res, D=D, ctx=ctx, E=E, pred=pred, inputs=inputs) if check else res
 
 
 # ---------------------------------------------------------------------------
 # criterion 1: one-weight codes from skew Paley sets
 
-def _skew_case(p, m):
-    F = default_field(p, m)
-    D, E = _family_enumerator("paley", p, m)
-    skew = designs.is_skew_set(F, D)
-    pred = codes.predicted_enumerator("thm-part2", p=p, m=m)
-    ok, exp, act, detail = _check_prediction(E, pred)
-    d = codes.minimum_distance(E)
-    gries = codes.griesmer_check(E.n, E.k, d, p)
-    ok = ok and skew and gries == "meets"
-    exp = f"skew partition, {exp}, griesmer meets"
-    act = f"skew={skew}, {act}, griesmer {gries}"
-    return ok, exp, act, detail
+def _skew_check(ok, exp, act, detail, *, D, E, **_):
+    skew = designs.is_skew_set(D.field, D)
+    gries = codes.griesmer_check(E.n, E.k, codes.minimum_distance(E), E.p)
+    return (ok and skew and gries == "meets", f"skew partition, {exp}, griesmer meets",
+            f"skew={skew}, {act}, griesmer {gries}", detail)
 
 
 for _p, _m in ((7, 1), (11, 1), (19, 1), (23, 1), (3, 3)):
-    CASES[f"skew-q{_p**_m}"] = partial(_skew_case, _p, _m)
+    CASES[f"skew-q{_p**_m}"] = partial(_row_case, "paley", _p, _m, "thm-part2", _skew_check)
 
 
 # ---------------------------------------------------------------------------
 # criterion 2: quadratic-residue codes
 
-def _qr_case(p, m):
-    _, E = _family_enumerator("paley", p, m)
-    pred = codes.predicted_enumerator("thm-part1", p=p, m=m)
-    return _check_prediction(E, pred)
-
-
 for _p, _m in ((3, 2), (3, 4), (5, 2), (7, 2), (3, 3), (5, 3)):
-    CASES[f"qr-p{_p}m{_m}"] = partial(_qr_case, _p, _m)
+    CASES[f"qr-p{_p}m{_m}"] = partial(_row_case, "paley", _p, _m, "thm-part1")
 
 
 # ---------------------------------------------------------------------------
 # criterion 3: image codes of e-to-1 quadratic forms
 
-def _qf_case(p, m, terms):
-    F = default_field(p, m)
-    f = FuncSpec(terms(F))
-    table = f.table(F)
-    e = designs.eto1_check(table)
+def _qf_check(ok, exp, act, detail, *, inputs, **_):
+    e, r = inputs["e"], inputs["r"]
     if e != 2:
         return False, "e = 2", f"e = {e}", ""
-    r = boolfn.quadratic_rank(F, f, traced=False)
-    D = designs.image_set(F, table)
-    E = codes.weight_enumerator(D)
-    pred = codes.predicted_enumerator("thm-qfcodes", p=p, m=m, r=r, e=e)
-    ok, exp, act, detail = _check_prediction(E, pred)
     return ok, f"e=2, rank-{r} branch: {exp}", f"e={e}, r={r}: {act}", detail
 
 
-CASES["qf-gold-q27"] = partial(_qf_case, 3, 3, lambda F: ((1, 3**1 + 1),))
-
-
-def _trinomial_terms(F):
-    u = F.alpha
-    return ((1, 10), (F.neg(u), 6), (F.neg(F.mul(u, u)), 2))
-
-
-CASES["qf-trin-q27"] = partial(_qf_case, 3, 3, _trinomial_terms)
-CASES["qf-trin-q243"] = partial(_qf_case, 3, 5, _trinomial_terms)
+# the Gold form x^(3+1), and the trinomial x^10 - u x^6 - u^2 x^2 of Ding and Yuan
+for _cid, _spec, _m in (("qf-gold-q27", "qf-image:1@4", 3),
+                        ("qf-trin-q27", "qf-image:1@10,-1*u@6,-1*u^2@2", 3),
+                        ("qf-trin-q243", "qf-image:1@10,-1*u@6,-1*u^2@2", 5)):
+    CASES[_cid] = partial(_row_case, _spec, 3, _m, "thm-qfcodes", _qf_check)
 
 
 # ---------------------------------------------------------------------------
@@ -172,17 +160,14 @@ for _m in (5, 7):
 # ---------------------------------------------------------------------------
 # criteria 5-6: hyperoval codes
 
-def _hyperoval_code_case(case, m):
-    _, E = _family_enumerator(case, 2, m)
-    pred = codes.predicted_enumerator("thm-hyperovalDS", m=m)
-    ok, exp, act, detail = _check_prediction(E, pred)
+def _hyperoval_check(ok, exp, act, detail, *, pred, **_):
     return ok, f"[{pred.n},{pred.k},{min(w for w in pred.counts if w)}] {exp}", act, detail
 
 
-for _m in (5, 7, 9):
-    CASES[f"segre-m{_m}"] = partial(_hyperoval_code_case, "segre", _m)
-for _m in (5, 7):
-    CASES[f"glynn1-m{_m}"] = partial(_hyperoval_code_case, "glynn1", _m)
+for _case, _ms in (("segre", (5, 7, 9)), ("glynn1", (5, 7))):
+    for _m in _ms:
+        CASES[f"{_case}-m{_m}"] = partial(_row_case, f"maschietti:{_case}", None, _m,
+                                          "thm-hyperovalDS", _hyperoval_check)
 
 GLYNN2_ENUMERATORS = {
     5: (15, 5, {0: 1, 6: 10, 8: 15, 10: 6}),
@@ -192,125 +177,101 @@ GLYNN2_ENUMERATORS = {
 }
 
 
-def _glynn2_case(m):
-    _, E = _family_enumerator("glynn2", 2, m)
-    n, k, counts = GLYNN2_ENUMERATORS[m]
-    want = codes.WeightEnumerator(2, m, n, k, counts)
-    ok = (E.n, E.k, E.counts) == (n, k, counts)
-    detail = ""
-    if m >= 9:
-        pred = codes.predicted_enumerator("glynn2-conjecture", m=m)
-        rep = codes.compare_prediction(E, pred)
-        ok = ok and rep.ok
-        detail = "; ".join(rep.mismatches)
-    return ok, _fmt(want), _fmt(E), detail
+def _glynn2_check(ok, exp, act, detail, *, E, **_):
+    n, k, counts = GLYNN2_ENUMERATORS[E.m]
+    want = codes.WeightEnumerator(2, E.m, n, k, counts)
+    return ok and (E.n, E.k, E.counts) == (n, k, counts), _fmt(want), act, detail
 
 
 for _m in (5, 7, 9, 11):
-    CASES[f"glynn2-m{_m}"] = partial(_glynn2_case, _m)
+    # glynn2-conjecture is stated for m >= 9
+    CASES[f"glynn2-m{_m}"] = partial(_row_case, "maschietti:glynn2", None, _m,
+                                     "glynn2-conjecture" if _m >= 9 else None, _glynn2_check)
 
 
 # ---------------------------------------------------------------------------
 # criteria 7-9: bent / semibent / almost bent codes
 
-def _support_and_spectrum(F, f):
-    """The support D_f and the Walsh spectrum of Tr(f), from one q-point table."""
-    tbl = f.table(F, traced=True)
-    D = designs.defining_set(F, np.flatnonzero(tbl == 1))
-    return D, boolfn.walsh_from_table(F, tbl)
-
-
 def _gold_instance(m, coeff, walsh0):
-    """(F, f, D_f, spectrum) for f = coeff*x^3 + a^2*x^2 on GF(2^m) with f_hat(0) = walsh0.
+    """The bool spec of f = coeff*x^3 + a^2*x^2 on GF(2^m) with f_hat(0) = walsh0.
 
     Tr(coeff*x^3) is a Gold function: bent for m even when coeff is not a
     cube, semibent of rank m - 1 for m odd and coeff = 1.  Tr(a^2 x^2) =
     Tr(a x), and adding Tr(a x) to a Boolean g moves g_hat(a) to frequency 0,
     so a is the first frequency where Tr(coeff*x^3) has the value walsh0.
+    coeff is written in the spec grammar, and a^2 as u^(2 log a).
     """
     F = default_field(2, m)
-    g = FuncSpec(((coeff, 3),))
-    a = int(np.flatnonzero(boolfn.walsh_transform(F, g).values == walsh0)[0])
-    f = FuncSpec(g.terms + ((int(F.mul(a, a)), 2),)) if a else g
-    return F, f, *_support_and_spectrum(F, f)
+    g = f"{coeff}@3"
+    a = int(np.flatnonzero(
+        boolfn.walsh_transform(F, designs.parse_func_spec(F, g)).values == walsh0)[0])
+    return f"bool:{g}" + (f",1*u^{2 * int(F.log_table[a]) % (F.q - 1)}@2" if a else "")
 
 
 @lru_cache(maxsize=None)
 def _bent_instance(m):
     # alpha generates GF(2^m)*, of order 2^m - 1, a multiple of 3 for m even: not a cube
-    return _gold_instance(m, default_field(2, m).alpha, 1 << (m // 2))
+    return _gold_instance(m, "1*u", 1 << (m // 2))
 
 
-def _bent_case(m):
-    F, _, D, s = _bent_instance(m)
-    n_f = len(D)
+def _bent_check(ok, exp, act, detail, *, D, ctx, inputs, **_):
+    F, m, n_f = D.field, inputs["m"], inputs["n_f"]
     want_nf = 2 ** (m - 1) - 2 ** ((m - 2) // 2)
-    cls = boolfn.classify_spectrum(s)
-    E = codes.weight_enumerator(D)
-    pred = codes.predicted_enumerator("thm-bentcodes", m=m, n_f=n_f)
-    ok, exp, act, detail = _check_prediction(E, pred)
+    cls = boolfn.classify_spectrum(boolfn.walsh_from_table(F, F.trace_table[ctx["bool"][1]]))
     design = designs.classify_design(AdditiveGroup(F), D.elems)
     want_design = designs.DifferenceSet(2**m, want_nf, 2 ** (m - 2) - 2 ** ((m - 2) // 2))
     ok = ok and n_f == want_nf and cls.variant == "bent" and design == want_design
-    exp = f"bent, n_f={want_nf}, {want_design}, {exp}"
-    act = f"{cls.variant}, n_f={n_f}, {design}, {act}"
-    return ok, exp, act, detail
+    return (ok, f"bent, n_f={want_nf}, {want_design}, {exp}",
+            f"{cls.variant}, n_f={n_f}, {design}, {act}", detail)
 
 
 for _m in (4, 6, 8):
-    CASES[f"bent-m{_m}"] = partial(_bent_case, _m)
+    CASES[f"bent-m{_m}"] = partial(_row_case, lambda m=_m: _bent_instance(m), None, _m,
+                                   "thm-bentcodes", _bent_check)
 
 
 @lru_cache(maxsize=None)
 def _semibent_instance(m):
-    return _gold_instance(m, 1, 1 << ((m + 1) // 2))
+    return _gold_instance(m, "1", 1 << ((m + 1) // 2))
 
 
-def _semibent_case(m):
-    F, spec, D, s = _semibent_instance(m)
-    n_f = len(D)
+def _semibent_check(ok, exp, act, detail, *, D, ctx, E, inputs, **_):
+    F, m, n_f = D.field, inputs["m"], inputs["n_f"]
+    f, table = ctx["bool"]
     want_nf = 2 ** (m - 1) - 2 ** ((m - 1) // 2)
-    cls = boolfn.classify_spectrum(s)
-    r = boolfn.quadratic_rank(F, spec, traced=True)
-    E = codes.weight_enumerator(D)
-    pred = codes.predicted_enumerator("thm-semibentcodes", m=m, n_f=n_f)
-    ok, exp, act, detail = _check_prediction(E, pred)
+    cls = boolfn.classify_spectrum(boolfn.walsh_from_table(F, F.trace_table[table]))
+    # the instance's rank: thm-semibentcodes itself reads only m and n_f
+    r = boolfn.quadratic_rank(F, f, traced=True)
     ok = ok and n_f == want_nf and cls.variant == "semibent" and r == m - 1
     if m == 7:
         ok = ok and (E.n, E.k, codes.minimum_distance(E)) == (56, 7, 24)
-    exp = f"semibent rank {m-1}, n_f={want_nf}, {exp}"
-    act = f"{cls.variant} rank {r}, n_f={n_f}, {act}"
-    return ok, exp, act, detail
+    return (ok, f"semibent rank {m-1}, n_f={want_nf}, {exp}",
+            f"{cls.variant} rank {r}, n_f={n_f}, {act}", detail)
 
 
 for _m in (5, 7):
-    CASES[f"semibent-m{_m}"] = partial(_semibent_case, _m)
+    CASES[f"semibent-m{_m}"] = partial(_row_case, lambda m=_m: _semibent_instance(m), None, _m,
+                                       "thm-semibentcodes", _semibent_check)
 
 
-def _ab_case(m):
-    F = default_field(2, m)
-    g = FuncSpec(((1, 3),))
+def _ab_check(ok, exp, act, detail, *, D, ctx, inputs, **_):
+    F, m, n_f = D.field, inputs["m"], inputs["n_f"]
+    g, table = ctx["bool"]
     ab = boolfn.is_almost_bent(F, g)
-    # lambda_g(1, 0) is f_hat(0) of Tr(g), read off the table of Tr(g) that
-    # also gives D_g; an AB g has it in {0, +-2^((m+1)/2)}, each fixing
+    # lambda_g(1, 0) is f_hat(0) of Tr(g), read off the family's table, which
+    # also gave D_g; an AB g has it in {0, +-2^((m+1)/2)}, each fixing
     # n_f = 2^(m-1) - f_hat(0)/2, and any other value admits no n_f
-    D, s = _support_and_spectrum(F, g)
-    lam0 = int(s.values[0])
+    lam0 = int(boolfn.walsh_from_table(F, F.trace_table[table]).values[0])
     half, shift = 1 << (m - 1), 1 << ((m - 1) // 2)
     admissible = {0: half, 2 * shift: half - shift, -2 * shift: half + shift}
     want_nf = [admissible[lam0]] if lam0 in admissible else []
-    n_f = len(D)
-    E = codes.weight_enumerator(D)
-    pred = codes.predicted_enumerator("thm-abcodes", m=m, n_f=n_f)
-    ok, exp, act, detail = _check_prediction(E, pred)
     ok = ok and ab and n_f in want_nf
-    exp = f"almost bent, n_f in {want_nf}, {exp}"
-    act = f"almost_bent={ab}, lambda(1,0)={lam0}, n_f={n_f}, {act}"
-    return ok, exp, act, detail
+    return (ok, f"almost bent, n_f in {want_nf}, {exp}",
+            f"almost_bent={ab}, lambda(1,0)={lam0}, n_f={n_f}, {act}", detail)
 
 
 for _m in (5, 7):
-    CASES[f"ab-m{_m}"] = partial(_ab_case, _m)
+    CASES[f"ab-m{_m}"] = partial(_row_case, "bool:1@3", None, _m, "thm-abcodes", _ab_check)
 
 
 # ---------------------------------------------------------------------------
@@ -370,15 +331,8 @@ def _hkm_instance(h):
     return D.field, D
 
 
-def _hkm_code_case(h):
-    F, D = _hkm_instance(h)
-    E = codes.weight_enumerator(D)
-    pred = codes.predicted_enumerator("thm-HKMcodes", h=h)
-    return _check_prediction(E, pred)
-
-
-CASES["hkm-h1"] = partial(_hkm_code_case, 1)
-CASES["hkm-h3"] = partial(_hkm_code_case, 3)
+for _h in (1, 3):
+    CASES[f"hkm-h{_h}"] = partial(_row_case, f"hkm:{_h}", None, None, "thm-HKMcodes")
 
 
 def _hkm_lemma_case(h):
@@ -559,18 +513,18 @@ CASES["prop-parseval"] = _parseval_case
 
 def _pless_case():
     _, hd = _hkm_instance(1)
-    bd = _bent_instance(6)[2]
-    smd = _semibent_instance(7)[2]
+    bd = designs.family(_bent_instance(6), lambda p: default_field(p, 6))[0]
+    smd = designs.family(_semibent_instance(7), lambda p: default_field(p, 7))[0]
     instances = [
-        ("skew-q27", *_family_enumerator("paley", 3, 3)),
-        ("qr-p3m2", *_family_enumerator("paley", 3, 2)),
-        ("hkm-h1", hd, codes.weight_enumerator(hd)),
-        ("segre-m5", *_family_enumerator("segre", 2, 5)),
-        ("bent-m6", bd, codes.weight_enumerator(bd)),
-        ("semibent-m7", smd, codes.weight_enumerator(smd)),
+        ("skew-q27", _family_enumerator("paley", 3, 3)),
+        ("qr-p3m2", _family_enumerator("paley", 3, 2)),
+        ("hkm-h1", (hd, None, codes.weight_enumerator(hd))),
+        ("segre-m5", _family_enumerator("maschietti:segre", None, 5)),
+        ("bent-m6", (bd, None, codes.weight_enumerator(bd))),
+        ("semibent-m7", (smd, None, codes.weight_enumerator(smd))),
     ]
     problems = []
-    for name, D, E in instances:
+    for name, (D, _, E) in instances:
         W = codes.dual_distance_witness(D)
         rep = codes.pless_moment_check(E, W)
         if not rep.ok:
@@ -586,11 +540,11 @@ CASES["prop-pless"] = _pless_case
 def _complement_case():
     problems = []
     F7 = default_field(7, 1)
-    Fb, _, Db, _ = _bent_instance(4)
+    Db = designs.family(_bent_instance(4), lambda p: default_field(p, 4))[0]
     for name, G, elems in (
             ("paley GF(7)", AdditiveGroup(F7), designs.paley_set(F7).elems),
             ("hkm h=1", CyclicGroup(13), designs.to_cyclic_residues(_hkm_instance(1)[1], v=13)),
-            ("bent m=4 support", AdditiveGroup(Fb), Db.elems)):
+            ("bent m=4 support", AdditiveGroup(Db.field), Db.elems)):
         cls = designs.classify_design(G, elems)
         ccls = designs.classify_design(G, designs.complement_in_group(G, elems))
         v, k, lam = cls.v, cls.k, cls.lam

@@ -337,7 +337,9 @@ def test_gold_instances_are_bent_or_semibent_with_the_wanted_f_hat_0(m):
     else:
         build, variant, rank = verify._semibent_instance, "semibent", m - 1
     walsh0 = 1 << (m - rank // 2)
-    F, f, D, s = build.__wrapped__(m)
+    D, ctx = designs.family(build.__wrapped__(m), lambda p: default_field(p, m))
+    F, (f, _) = D.field, ctx["bool"]
+    s = boolfn.walsh_transform(F, f)
     assert boolfn.classify_spectrum(s).variant == variant
     assert s.values[0] == walsh0
     assert boolfn.quadratic_rank(F, f, traced=True) == rank

@@ -363,6 +363,7 @@ REFUSALS = [
     ("construct --family maschietti:segre --m 6", "hyperoval exponents need odd m"),
     ("construct --family maschietti:foo --m 5", "unknown hyperoval case 'foo'"),
     ("construct --family paley --p 3 --m 30", "GF(3^30) exceeds the field cap 2^22"),
+    ("construct --family paley --p -5 --m 22", "characteristic -5 is not prime"),
     ("construct --family qf-image:0@2 --p 3 --m 2", "defining set is empty"),
     ("code --family qf-image:1@5 --p 3 --m 3 --expect thm-qfcodes",
      "exponent 5 is not of the form p^i+p^j"),
@@ -424,6 +425,36 @@ def test_each_refusal_is_the_same_under_python_O():
                           capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == [[1, "", f"error: {message}\n"] for _, message in REFUSALS]
+
+
+# the family-and-claim verify cases: rows (spec, p, m, claim, check) that
+# verify._row_case runs; the spec of a Gold instance is a callable
+VERIFY_ROWS = {cid: fn.args for cid, fn in verify.CASES.items()
+               if getattr(fn, "func", None) is verify._row_case}
+
+
+def test_the_family_and_claim_cases_are_rows():
+    prefixes = ("skew-", "qr-", "qf-", "segre-", "glynn1-", "glynn2-", "bent-", "semibent-",
+                "ab-", "hkm-h")
+    assert sorted(VERIFY_ROWS) == sorted(c for c in verify.CASES if c.startswith(prefixes))
+    assert len(VERIFY_ROWS) == 32
+
+
+@pytest.mark.parametrize("cid", sorted(VERIFY_ROWS))
+def test_each_verify_row_reruns_from_the_cli(capsys, cid):
+    # `code --family spec [--p P] [--m M] --expect claim` gives the row's code
+    # and passes its claim; a row without a claim runs with --expect none
+    spec, p, m, claim, *_ = VERIFY_ROWS[cid]
+    spec = spec() if callable(spec) else spec
+    flags = [a for flag, v in (("--p", p), ("--m", m)) if v is not None for a in (flag, str(v))]
+    rc, out, err = run(capsys, "code", "--family", spec, *flags, "--expect", claim or "none",
+                       "--json")
+    assert (rc, err) == (0, "")
+    doc = json.loads(out)
+    E = verify._family_enumerator(spec, p, m)[2]
+    got = doc["enumerator"]
+    assert (got["n"], got["k"], {w["w"]: w["A"] for w in got["weights"]}) == (E.n, E.k, E.counts)
+    assert doc.get("expect", {}).get("verdict") == ("pass" if claim else None)
 
 
 BENCHMARK_DIGESTS = json.loads(

@@ -2,6 +2,7 @@ import json
 import re
 import tracemalloc
 from fractions import Fraction
+from functools import partial
 from itertools import product
 
 import numpy as np
@@ -90,7 +91,7 @@ def reference_generator(F, elems):
                                   ("--family", "maschietti:segre", "--m", "7")])
 def test_generator_matrix_matches_a_polynomial_reference(capsys, argv):
     args = cli.build_parser().parse_args(["export-gen", *argv])
-    D, _ = cli._resolve_family(args)
+    D, _ = designs.family(args.family, partial(cli._field, args, args.family))
     F = D.field
     want = reference_generator(F, D.elems.tolist())
     assert codes.generator_matrix(D).tolist() == want
@@ -307,7 +308,8 @@ def test_transform_state_cap_is_enforced(monkeypatch, routes_taken):
     (("--family", "hkm:3"), "_transform_counts"),
 ])
 def test_the_route_with_the_smaller_count_runs(routes_taken, argv, route):
-    D, _ = cli._resolve_family(cli.build_parser().parse_args(["code", *argv]))
+    args = cli.build_parser().parse_args(["code", *argv])
+    D, _ = designs.family(args.family, partial(cli._field, args, args.family))
     codes.weight_enumerator(D)
     assert routes_taken == [route]
 

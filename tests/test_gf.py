@@ -220,6 +220,10 @@ def test_rejects_composite_characteristic():
     for p in (3.0, "3", None):
         with pytest.raises(errors.ToolkitError, match=re.escape(f"characteristic {p} is not prime")):
             Field(p, 2)
+    # a p below 2 is no field at any size, so it is refused before the cap
+    for p, m in ((0, 23), (1, 30), (-5, 22)):
+        with pytest.raises(errors.ToolkitError, match=f"^characteristic {p} is not prime$"):
+            Field(p, m)
     # primality comes after m and the cap, so factorize never sees a p above the cap
     with pytest.raises(ValueError, match="^extension degree m must be >= 1$"):
         Field(6, 0)
