@@ -196,8 +196,8 @@ def is_almost_bent(F: Field, g: FuncSpec) -> bool:
         raise ToolkitError("almost bent functions live on GF(2^m)")
     if F.m % 2 == 0:
         raise ToolkitError("almost bent functions exist only for odd m")
-    # checked before anything q^2 is built: the stacked state below has
-    # (q-1)*q < 2^(2*AB_DEGREE_LIMIT) = 2^18 entries
+    # checked before anything q^2 is built: the butterfly below holds two
+    # (q-1) x q int32 buffers, under 2^(2*AB_DEGREE_LIMIT + 1) = 2^19 entries in all
     if F.m > AB_DEGREE_LIMIT:
         raise SizeLimitError(f"exhaustive AB check limited to m <= {AB_DEGREE_LIMIT}")
     amp = 1 << ((F.m + 1) // 2)

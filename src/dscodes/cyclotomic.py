@@ -7,8 +7,8 @@ integer exactly when row[1], ..., row[p-1] are equal (the powers zeta^c,
 c = 1..p-1, are linearly independent over Q), and it is then row[0] - row[1].
 
 char_sum evaluates the rows of a set at chosen points b.  fwht and zero_counts
-run exact integer transforms over GF(p)^m, indexed by the base-p digits of the
-element indices, that answer every point at once.
+run exact integer transforms over GF(p)^m that answer every point at once, as
+one digit-pass loop over the base-p index digits; fwht may overwrite its input.
 """
 
 from __future__ import annotations
@@ -71,21 +71,32 @@ def char_sum(F: Field, S, b) -> np.ndarray:
     return counts[0] if np.ndim(b) == 0 else counts
 
 
-def fwht(a):
-    """Walsh-Hadamard butterfly over the last axis of a C-contiguous (..., 2^m) stack.
+def _digit_passes(state, p, passes, step):
+    """Run step(src, dst) `passes` times over state's last axis; return the last dst.
 
-    Works in place and keeps a's dtype.  Every partial sum is a +-1 combination
-    of one row's entries, so it is at most the row's sum of |entries|: q <= 2^25
-    for signs, so int32 is exact for every field below the cap.
+    Pease's constant geometry (J. ACM 1968): step reads src[..., b, rest], b the
+    leading base-p index digit, and writes dst[..., rest, a], a the new trailing
+    one, so one pass per digit puts every digit back.  The buffers then swap.
     """
-    h = 1
-    while h < a.shape[-1]:
-        v = a.reshape(-1, 2, h)  # pairs of h-blocks; a row of 2^m holds whole pairs
-        top = v[:, 0].copy()
-        v[:, 0] += v[:, 1]
-        np.subtract(top, v[:, 1], out=v[:, 1])
-        h *= 2
-    return a
+    src = np.ascontiguousarray(state)
+    dst = np.empty_like(src)
+    lead, rest = src.shape[:-1], src.shape[-1] // p
+    for _ in range(passes):
+        step(src.reshape(*lead, p, rest), dst.reshape(*lead, rest, p))
+        src, dst = dst, src
+    return src
+
+
+def fwht(a):
+    """Walsh-Hadamard transform of the last axis of a (..., 2^m) stack, in a's dtype.
+
+    a may serve as scratch.  A partial sum is at most its row's sum of |entries|,
+    q <= 2^25 for signs, so int32 is exact for every field below the cap.
+    """
+    def add_sub(src, dst):
+        np.add(src[..., 0, :], src[..., 1, :], out=dst[..., 0])
+        np.subtract(src[..., 0, :], src[..., 1, :], out=dst[..., 1])
+    return _digit_passes(a, 2, a.shape[-1].bit_length() - 1, add_sub)
 
 
 def zero_counts(mult, p, m):
@@ -95,28 +106,20 @@ def zero_counts(mult, p, m):
     length p^m.  The counts are int32, exact while n = sum(mult) < 2^30.  For
     p = 2 the Walsh coefficient S(u) = Z(u) - (n - Z(u)) comes from fwht, whose
     partial sums are at most n, and Z(u) = (n + S(u))/2 passes through 2n.
-    For odd p the state A[c, index] starts as A[0, d] = mult[d].  Each pass
-    replaces the leading digit b of the index by a and moves it to the end:
-    A'[c, rest, a] = sum_b A[c - a*b, b, rest], so after m passes
-    A[c, u] = #{d : <u, d> = c}, and every count is at most n.
+    For odd p, m counting passes give A[c, u] = #{d : <u, d> = c} <= n.
     """
     n = int(mult.sum())
     if n >= 1 << 30:
         raise SizeLimitError(f"multiplicities sum to {n}; int32 counts need less than 2^30")
     if p == 2:
         return (n + fwht(mult.astype(np.int32))) // 2
-    rest = mult.size // p
-    state = np.zeros((p, mult.size), dtype=np.int32)
-    state[0] = mult
-    out = np.empty_like(state)
-    for _ in range(m):
-        src = state.reshape(p, p, rest)
-        dst = out.reshape(p, rest, p)
+    def count(src, dst):  # A'[c, rest, a] = sum_b A[c - a*b, b, rest]
         dst[...] = src[:, 0, :, None]  # b = 0 shifts nothing, for every a
         for a in range(p):
             for b in range(1, p):
                 s = a * b % p
                 dst[s:, :, a] += src[: p - s, b]
                 dst[:s, :, a] += src[p - s :, b]
-        state, out = out, state
-    return state[0]
+    state = np.zeros((p, mult.size), dtype=np.int32)
+    state[0] = mult
+    return _digit_passes(state, p, m, count)[0]

@@ -461,9 +461,8 @@ CASES["charsum-weights"] = _charsum_weights_case
 
 def _invariance_case():
     problems = []
-    F = default_field(3, 3)
-    D = designs.paley_set(F)
-    base = codes.weight_enumerator(D)
+    D, _, base = _family_enumerator("paley", 3, 3)  # the skew-q27 row's code
+    F = D.field
     for a in (F.alpha, F.mul(F.alpha, F.alpha), 2):
         scaled = designs.defining_set(F, F.mul(a, D.elems))
         if codes.weight_enumerator(scaled).counts != base.counts:
@@ -497,7 +496,7 @@ def _parseval_case():
             if int(s.values @ s.values) != 1 << (2 * m):
                 problems.append(f"Parseval fails for {terms} on m={m}")
             signs = 1 - 2 * tbl
-            back = fwht(fwht(signs.astype(np.int64).copy()))
+            back = fwht(fwht(signs.astype(np.int64)))
             if not np.array_equal(back, (1 << m) * signs):
                 problems.append(f"inverse transform fails for {terms} on m={m}")
         umap = boolfn._trace_pairing_map(F)
@@ -512,19 +511,17 @@ CASES["prop-parseval"] = _parseval_case
 
 
 def _pless_case():
-    _, hd = _hkm_instance(1)
-    bd = designs.family(_bent_instance(6), lambda p: default_field(p, 6))[0]
-    smd = designs.family(_semibent_instance(7), lambda p: default_field(p, 7))[0]
     instances = [
-        ("skew-q27", _family_enumerator("paley", 3, 3)),
-        ("qr-p3m2", _family_enumerator("paley", 3, 2)),
-        ("hkm-h1", (hd, None, codes.weight_enumerator(hd))),
-        ("segre-m5", _family_enumerator("maschietti:segre", None, 5)),
-        ("bent-m6", (bd, None, codes.weight_enumerator(bd))),
-        ("semibent-m7", (smd, None, codes.weight_enumerator(smd))),
+        ("skew-q27", ("paley", 3, 3)),
+        ("qr-p3m2", ("paley", 3, 2)),
+        ("hkm-h1", ("hkm:1", None, None)),
+        ("segre-m5", ("maschietti:segre", None, 5)),
+        ("bent-m6", (_bent_instance(6), None, 6)),
+        ("semibent-m7", (_semibent_instance(7), None, 7)),
     ]
     problems = []
-    for name, (D, _, E) in instances:
+    for name, args in instances:
+        D, _, E = _family_enumerator(*args)
         W = codes.dual_distance_witness(D)
         rep = codes.pless_moment_check(E, W)
         if not rep.ok:

@@ -104,17 +104,30 @@ def butterfly_stacks(draw):
     return np.array(vals, dtype=dtype).reshape(*lead, 1 << m)
 
 
+def _hadamard(n):
+    """H[u, x] = (-1)^popcount(u & x): the +-1 Hadamard matrix of order n."""
+    return np.array([[(-1) ** bin(u & x).count("1") for x in range(n)] for u in range(n)])
+
+
 @given(butterfly_stacks())
 def test_stacked_fwht_matches_rows_and_the_hadamard_definition(stack):
     n = stack.shape[-1]
-    # H[u, x] = (-1)^popcount(u & x): the +-1 Hadamard matrix of order n
-    hadamard = np.array([[(-1) ** bin(u & x).count("1") for x in range(n)] for u in range(n)])
     got = fwht(stack.copy())
     assert got.dtype == stack.dtype and got.shape == stack.shape
-    assert np.array_equal(got, stack.astype(np.int64) @ hadamard.T)
+    assert np.array_equal(got, stack.astype(np.int64) @ _hadamard(n).T)
     rows = stack.reshape(-1, n)
     by_row = [fwht(row.copy()) for row in rows]
     assert np.array_equal(got.reshape(-1, n), np.array(by_row).reshape(-1, n))
+
+
+@pytest.mark.parametrize("stack", [
+    np.asfortranarray(np.arange(24, dtype=np.int32).reshape(3, 8)),
+    np.arange(32, dtype=np.int64).reshape(8, 4)[:, 1],
+], ids=["fortran-ordered-stack", "column-view"])
+def test_fwht_of_a_non_c_contiguous_stack_is_the_hadamard_product(stack):
+    want = stack.astype(np.int64) @ _hadamard(stack.shape[-1]).T
+    got = fwht(stack)
+    assert got.dtype == stack.dtype and np.array_equal(got, want)
 
 
 def _digits(x, p, m):
