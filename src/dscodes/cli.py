@@ -8,10 +8,17 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import json
+import gc
 import os
 import sys
 from functools import partial
+
+# Run as `python -m dscodes.cli`, the process belongs to main(), which freezes
+# the start-up heap and then turns the collector on; until then it stays off,
+# so no collection walks the objects numpy and the stdlib create while loading.
+# A plain import leaves the collector as the caller set it.
+if __name__ == "__main__":
+    gc.disable()
 
 # OpenBLAS reads OPENBLAS_NUM_THREADS once, when numpy loads it, and starts
 # that many threads less one, which spin through the import and then sleep.
@@ -85,6 +92,8 @@ def _design_str(cls):
 
 
 def _emit(doc):
+    import json  # only --json output needs it, so a plain run never loads it
+
     print(json.dumps(doc, separators=(",", ":")))
 
 
@@ -354,5 +363,22 @@ def entry(argv=None):
         return 1
 
 
+def main(argv=None):
+    """The process entry point (`python -m dscodes.cli`, the dscodes script).
+
+    It runs entry() and returns its exit code.  The heap is frozen before
+    and after the command, and the collector is on while the command runs:
+    the objects that start-up and the command leave behind live until exit,
+    so neither the collections during the run nor the one at interpreter
+    shutdown walk them again.  entry() itself freezes nothing, since tests
+    call it many times in one process.
+    """
+    gc.freeze()
+    gc.enable()
+    rc = entry(argv)
+    gc.freeze()
+    return rc
+
+
 if __name__ == "__main__":
-    sys.exit(entry())
+    sys.exit(main())

@@ -356,7 +356,7 @@ def prediction_for(claim: str, D: DefiningSet, ctx: dict):
     if claim in ("thm-qfcodes", "thm-CodeQBFs"):
         family = "qf-image" if claim == "thm-qfcodes" else "bool"
         if family not in ctx:
-            raise ToolkitError(f"--expect {claim} needs a {family} family")
+            raise ToolkitError(f"{claim} needs a {family} family")
         f, table = ctx[family]
         from . import boolfn  # loaded only by the claims that rank a form
 
@@ -367,7 +367,7 @@ def prediction_for(claim: str, D: DefiningSet, ctx: dict):
         # thm-CodeQBFs ranks Tr(f), thm-qfcodes the GF(q)-valued f
         kw["r"] = boolfn.quadratic_rank(F, f, traced=claim == "thm-CodeQBFs")
     elif claim == "thm-HKMcodes" and kw["h"] is None:
-        raise ToolkitError(f"--expect {claim} needs an hkm family")
+        raise ToolkitError(f"{claim} needs an hkm family")
     return predicted_enumerator(claim, **kw), kw
 
 

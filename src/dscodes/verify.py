@@ -471,11 +471,12 @@ def _invariance_case():
     if codes.weight_enumerator(shuffled).counts != base.counts:
         problems.append("permuting coordinates changed the enumerator")
     alt = Field(3, 3, modulus=(1, 2, 1, 1))  # x^3 + x^2 + 2x + 1; the default is x^3 + 2x + 1
-    for build in (designs.paley_set, lambda G: designs.image_set(G, FuncSpec(((1, 4),)).table(G))):
-        e1 = codes.weight_enumerator(build(F))
-        e2 = codes.weight_enumerator(build(alt))
+    # the default modulus's codes are the skew-q27 and qf-gold-q27 rows'
+    for spec in ("paley", "qf-image:1@4"):
+        e1 = _family_enumerator(spec, 3, 3)[2]
+        e2 = codes.weight_enumerator(designs.family(spec, lambda: alt)[0])
         if e1.counts != e2.counts:
-            problems.append(f"modulus change altered {build} enumerator")
+            problems.append(f"modulus change altered the {spec} enumerator")
     exp_ok = "scaling, permutation, and modulus changes leave enumerators fixed"
     act = "all invariant" if not problems else f"{len(problems)} violations"
     return not problems, exp_ok, act, "; ".join(problems)

@@ -377,17 +377,17 @@ REFUSALS = [
     ("walsh --func 1@0 --m 5", "bad exponent '0'"),
     ("code --family paley --p 3 --m 3 --expect thm-nope", "unknown claim id 'thm-nope'"),
     ("code --family paley --p 3 --m 3 --expect thm-qfcodes",
-     "--expect thm-qfcodes needs a qf-image family"),
+     "thm-qfcodes needs a qf-image family"),
     ("code --family paley --p 3 --m 3 --expect thm-CodeQBFs",
-     "--expect thm-CodeQBFs needs a bool family"),
+     "thm-CodeQBFs needs a bool family"),
     ("code --family paley --p 3 --m 3 --expect thm-HKMcodes",
-     "--expect thm-HKMcodes needs an hkm family"),
+     "thm-HKMcodes needs an hkm family"),
     ("code --family qf-image:1@2,1@4 --p 3 --m 2 --expect thm-qfcodes",
      "the map is not e-to-1 on nonzero elements"),
     ("code --family bool:1@3 --m 5 --expect thm-qfcodes",
-     "--expect thm-qfcodes needs a qf-image family"),
+     "thm-qfcodes needs a qf-image family"),
     ("code --family qf-image:1@5 --m 6 --expect thm-CodeQBFs",
-     "--expect thm-CodeQBFs needs a bool family"),
+     "thm-CodeQBFs needs a bool family"),
     ("construct --family hkm:x", "hkm index must be a positive integer, got 'x'"),
     ("construct --family hkm:0", "hkm index must be a positive integer, got '0'"),
     ("code --family bool:1@3 --m 6 --expect thm-bentcodes", "f_hat(0) in {+-2^(m/2)}: 16"),

@@ -1,6 +1,9 @@
-"""The package's import graph, its lazily resolved public names, and the CLI's numpy load."""
+"""The package's import graph, its lazily resolved public names, the CLI's numpy
+load and its collector policy."""
 
 import ast
+import gc
+import importlib
 import json
 import os
 import subprocess
@@ -11,6 +14,7 @@ import numpy as np
 import pytest
 
 import dscodes
+from dscodes import cli
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -82,6 +86,52 @@ def test_code_reads_the_default_work_budget_from_codes():
             "print(rc, args.max_work, codes.DEFAULT_MAX_WORK)")
     out = _python(code).splitlines()[-1]
     assert out == f"0 None {1 << 34}"
+
+
+# -- the CLI's collector policy -----------------------------------------------
+
+def test_console_script_is_the_process_entry_point():
+    tomllib = pytest.importorskip("tomllib")
+    with open(Path(SRC).parent / "pyproject.toml", "rb") as fh:
+        target = tomllib.load(fh)["project"]["scripts"]["dscodes"]
+    module, _, name = target.partition(":")
+    assert getattr(importlib.import_module(module), name) is cli.main
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_entry_leaves_the_collector_as_it_found_it(enabled, capsys):
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        frozen = gc.get_freeze_count()
+        assert cli.entry(["construct", "--family", "paley", "--p", "3", "--m", "3"]) == 0
+        assert (gc.isenabled(), gc.get_freeze_count()) == (enabled, frozen)
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert capsys.readouterr().out.startswith("family paley over GF(3^3): 13 elements")
+
+
+@pytest.mark.parametrize("prelude,enabled", [("", True), ("gc.disable()\n", False)])
+def test_importing_the_cli_keeps_the_callers_collector_state(prelude, enabled):
+    out = _python("import gc\n" + prelude + "import dscodes.cli\nprint(gc.isenabled())")
+    assert out.split() == [str(enabled)]
+
+
+def test_importing_the_cli_loads_json_only_if_numpy_does():
+    probe = "\nimport sys\nprint('json' in sys.modules)"
+    assert _python("import dscodes.cli" + probe) == _python("import numpy" + probe)
+
+
+def test_run_as_main_exits_with_entrys_code_and_the_collector_on():
+    # python -m dscodes.cli: main() freezes the start-up heap, turns the
+    # collector on for the command and freezes what the command left behind
+    code = ("import gc, runpy, sys\n"
+            "sys.argv = ['dscodes', 'construct', '--family', 'paley', '--p', '4']\n"
+            "try:\n"
+            "    runpy.run_module('dscodes.cli', run_name='__main__')\n"
+            "except SystemExit as exc:\n"
+            "    print(exc.code, gc.isenabled(), gc.get_freeze_count() > 0)")
+    assert _python(code).split() == ["1", "True", "True"]
 
 
 def _imported_modules(tree):
