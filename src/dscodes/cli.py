@@ -13,39 +13,43 @@ import os
 import sys
 from functools import partial
 
-# Run as `python -m dscodes.cli`, the process belongs to main(), which freezes
-# the start-up heap and then turns the collector on; until then it stays off,
-# so no collection walks the objects numpy and the stdlib create while loading.
-# A plain import leaves the collector as the caller set it.
-if __name__ == "__main__":
-    gc.disable()
-
+# Importing this module is the program's start-up, whichever launcher does it:
+# `python -m dscodes.cli`, the dscodes script (`from dscodes.cli import main`)
+# or a test.  numpy and the CLI's own modules load with the collector off, and
+# the heap they make is frozen before the collector goes back on (only if the
+# caller had it on): the freeze empties the young generations, so neither the
+# next allocation nor any later collection, the one at interpreter shutdown
+# included, walks those objects.
 # OpenBLAS reads OPENBLAS_NUM_THREADS once, when numpy loads it, and starts
 # that many threads less one, which spin through the import and then sleep.
 # dscodes calls no BLAS routine (tests/test_invariants.py::
 # test_package_has_no_floating_point bans float dtypes, fft and linalg, and
-# integer @ runs numpy's own loops), so the CLI loads numpy with one thread
-# and then puts the caller's value back.  Importing a library module leaves
-# the variable alone.
-_caller_blas_threads = os.environ.get("OPENBLAS_NUM_THREADS")
+# integer @ runs numpy's own loops), so numpy loads with one thread and the
+# caller's value is put back.  Importing a library module leaves the variable
+# and the collector alone.
+_caller_blas_threads, _caller_gc = os.environ.get("OPENBLAS_NUM_THREADS"), gc.isenabled()
 os.environ["OPENBLAS_NUM_THREADS"] = "1"
+gc.disable()
 try:
     import numpy as np
+
+    # each command imports the modules it runs: construct and analyze-design
+    # need only designs and gf, walsh adds boolfn, code and export-gen add
+    # codes (and boolfn for the claims that rank a form), and verify-paper
+    # adds verify (the module docstring is the --help description)
+    from . import designs
+    from .designs import AdditiveGroup, CyclicGroup
+    from .errors import InvariantError, ToolkitError
+    from .gf import MAX_FIELD_BITS, Field, parse_modulus
 finally:
     if _caller_blas_threads is None:
         del os.environ["OPENBLAS_NUM_THREADS"]
     else:
         os.environ["OPENBLAS_NUM_THREADS"] = _caller_blas_threads
-del _caller_blas_threads
-
-# each command imports the modules it runs: construct and analyze-design need
-# only designs and gf, walsh adds boolfn, code and export-gen add codes (and
-# boolfn for the claims that rank a form), and verify-paper adds verify (the
-# module docstring is the --help description)
-from . import designs
-from .designs import AdditiveGroup, CyclicGroup
-from .errors import InvariantError, ToolkitError
-from .gf import MAX_FIELD_BITS, Field, parse_modulus
+    gc.freeze()
+    if _caller_gc:
+        gc.enable()
+del _caller_blas_threads, _caller_gc
 
 
 class _Parser(argparse.ArgumentParser):
@@ -366,15 +370,12 @@ def entry(argv=None):
 def main(argv=None):
     """The process entry point (`python -m dscodes.cli`, the dscodes script).
 
-    It runs entry() and returns its exit code.  The heap is frozen before
-    and after the command, and the collector is on while the command runs:
-    the objects that start-up and the command leave behind live until exit,
-    so neither the collections during the run nor the one at interpreter
-    shutdown walk them again.  entry() itself freezes nothing, since tests
-    call it many times in one process.
+    It runs entry() and returns its exit code.  Loading froze the start-up
+    heap; main() freezes what the command left behind too, since it lives
+    until exit, so the collection at interpreter shutdown does not walk it.
+    entry() itself freezes nothing, since tests call it many times in one
+    process.
     """
-    gc.freeze()
-    gc.enable()
     rc = entry(argv)
     gc.freeze()
     return rc

@@ -156,6 +156,12 @@ def test_analyze_design_cyclic_group(capsys):
     assert "difference set (v=31, k=15, lam=7)" in out
 
 
+def test_analyze_design_irregular(capsys):
+    rc, out, _ = run(capsys, "analyze-design", "--family", "bool:1@3", "--m", "5")
+    assert (rc, out) == (0, "family bool:1@3, additive group: irregular "
+                            "(v=32, k=16, spectrum=((0, 1), (8, 30)))\n")
+
+
 def test_walsh_semibent(capsys):
     rc, out, _ = run(capsys, "walsh", "--func", "1@3", "--m", "5")
     assert rc == 0
@@ -209,8 +215,11 @@ def test_every_listed_claim_and_no_other_id_gets_past_dispatch():
 
 
 # each mismatch run with every line it lists: the Glynn II code has five
-# weights, not thm-hyperovalDS's three, and x^4 is 4-to-1, outside the e = 2
-# that the qf-* cases check
+# weights, not thm-hyperovalDS's three, x^4 is 4-to-1, outside the e = 2
+# that the qf-* cases check, the 16-point support of Tr(x^3) is not a
+# 15-point hyperoval set, and the Segre code has three weights, not Glynn
+# II's five (the only runs that reach compare_prediction's n: and weights:
+# lines)
 MISMATCHES = [
     ("code --family maschietti:glynn2 --m 9 --expect thm-hyperovalDS", [
         "A_112: enumerated 9, predicted 0",
@@ -226,6 +235,12 @@ MISMATCHES = [
         "k: enumerated 1, predicted 2",
         "A_1: enumerated 0, predicted 4",
         "A_2: enumerated 2, predicted 4"]),
+    ("code --family bool:1@3 --m 5 --expect thm-hyperovalDS", [
+        "n: enumerated 16, predicted 15",
+        "A_6: enumerated 6, predicted 10",
+        "A_10: enumerated 10, predicted 6"]),
+    ("code --family maschietti:segre --m 9 --expect glynn2-conjecture", [
+        "weights: enumerated (120, 128, 136), predicted (112, 120, 128, 136, 144)"]),
 ]
 
 
@@ -375,6 +390,7 @@ REFUSALS = [
     ("code --family paley --p 3 --m 9 --max-work 10",
      "q*m*p^2 = 1594323 exceeds the work budget 10"),
     ("walsh --func 1@0 --m 5", "bad exponent '0'"),
+    ("walsh --func 1@3,2@3 --m 4", "repeated exponent"),
     ("code --family paley --p 3 --m 3 --expect thm-nope", "unknown claim id 'thm-nope'"),
     ("code --family paley --p 3 --m 3 --expect thm-qfcodes",
      "thm-qfcodes needs a qf-image family"),

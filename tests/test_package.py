@@ -19,8 +19,8 @@ from dscodes import cli
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
-def _python(code, flags=(), environ=None):
-    """stdout of code run in a fresh interpreter that imports dscodes from src/.
+def _run(*args, environ=None, text=False):
+    """A fresh interpreter run with args that imports dscodes from src/.
 
     environ maps variable names to the child's values; None removes one.
     """
@@ -31,8 +31,13 @@ def _python(code, flags=(), environ=None):
         else:
             env[name] = value
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, *flags, "-c", code], capture_output=True,
-                          text=True, env=env, timeout=60)
+    return subprocess.run([sys.executable, *args], capture_output=True, text=text,
+                          env=env, timeout=60)
+
+
+def _python(code, flags=(), environ=None):
+    """stdout of code run in a fresh interpreter that imports dscodes from src/."""
+    proc = _run(*flags, "-c", code, environ=environ, text=True)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
 
@@ -105,7 +110,10 @@ def test_entry_leaves_the_collector_as_it_found_it(enabled, capsys):
     try:
         frozen = gc.get_freeze_count()
         assert cli.entry(["construct", "--family", "paley", "--p", "3", "--m", "3"]) == 0
-        assert (gc.isenabled(), gc.get_freeze_count()) == (enabled, frozen)
+        # a freeze would add this test's young objects; the count may fall,
+        # as the first command in a process frees a few weakrefs that the
+        # CLI's import froze
+        assert (gc.isenabled(), gc.get_freeze_count() <= frozen) == (enabled, True)
     finally:
         (gc.enable if was else gc.disable)()
     assert capsys.readouterr().out.startswith("family paley over GF(3^3): 13 elements")
@@ -113,8 +121,9 @@ def test_entry_leaves_the_collector_as_it_found_it(enabled, capsys):
 
 @pytest.mark.parametrize("prelude,enabled", [("", True), ("gc.disable()\n", False)])
 def test_importing_the_cli_keeps_the_callers_collector_state(prelude, enabled):
-    out = _python("import gc\n" + prelude + "import dscodes.cli\nprint(gc.isenabled())")
-    assert out.split() == [str(enabled)]
+    out = _python("import gc\n" + prelude + "import dscodes.cli\n"
+                  "print(gc.isenabled(), gc.get_freeze_count() > 0)")
+    assert out.split() == [str(enabled), "True"]
 
 
 def test_importing_the_cli_loads_json_only_if_numpy_does():
@@ -122,16 +131,45 @@ def test_importing_the_cli_loads_json_only_if_numpy_does():
     assert _python("import dscodes.cli" + probe) == _python("import numpy" + probe)
 
 
-def test_run_as_main_exits_with_entrys_code_and_the_collector_on():
-    # python -m dscodes.cli: main() freezes the start-up heap, turns the
-    # collector on for the command and freezes what the command left behind
-    code = ("import gc, runpy, sys\n"
-            "sys.argv = ['dscodes', 'construct', '--family', 'paley', '--p', '4']\n"
-            "try:\n"
-            "    runpy.run_module('dscodes.cli', run_name='__main__')\n"
-            "except SystemExit as exc:\n"
-            "    print(exc.code, gc.isenabled(), gc.get_freeze_count() > 0)")
-    assert _python(code).split() == ["1", "True", "True"]
+def test_the_console_scripts_import_runs_almost_no_collection():
+    # the dscodes script runs `from dscodes.cli import main` before main()
+    # exists: the load itself must keep the collector off, whoever imports it
+    code = ("import gc\nstarts = []\n"
+            "gc.callbacks.append(lambda phase, info: phase == 'start' and starts.append(info))\n"
+            "from dscodes.cli import main\nprint(len(starts))")
+    assert int(_python(code)) <= 5
+
+
+# the two ways a process loads the CLI, besides `python -m dscodes.cli`: a
+# SystemExit is caught only to report on stderr that the collector is on
+# and the heap frozen
+LAUNCHERS = {
+    "runpy": "import runpy; runpy.run_module('dscodes.cli', run_name='__main__')",
+    "console-script": "import sys; from dscodes.cli import main; sys.exit(main())",
+}
+_LAUNCH = """import gc, sys
+sys.argv = ['dscodes', *{argv!r}]
+try:
+    {launcher}
+except SystemExit:
+    print('collector on:', gc.isenabled(), gc.get_freeze_count() > 0, file=sys.stderr)
+    raise
+"""
+
+
+@pytest.mark.parametrize("launcher", LAUNCHERS)
+@pytest.mark.parametrize("rc,argv", [
+    (0, "code --family paley --p 3 --m 3 --expect thm-part2"),
+    (1, "construct --family paley --p 4"),
+    (2, "code --family qf-image:1@4 --p 3 --m 2 --expect thm-qfcodes"),  # a MISMATCHES entry
+])
+def test_run_as_main_exits_with_entrys_code_and_the_collector_on(launcher, rc, argv):
+    run = _run("-c", _LAUNCH.format(argv=argv.split(), launcher=LAUNCHERS[launcher]))
+    err, _, state = run.stderr.rpartition(b"collector on: ")
+    ref = _run("-m", "dscodes.cli", *argv.split())
+    assert (run.returncode, run.stdout, err) == (ref.returncode, ref.stdout, ref.stderr)
+    assert (run.returncode, state) == (rc, b"True True\n")
+    assert (run.stdout == b"") == (rc == 1)
 
 
 def _imported_modules(tree):
