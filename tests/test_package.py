@@ -140,6 +140,18 @@ def test_the_console_scripts_import_runs_almost_no_collection():
     assert int(_python(code)) <= 5
 
 
+def test_run_as_main_exits_with_entrys_code_and_the_collector_on():
+    # python -m dscodes.cli: the import freezes the start-up heap, main()
+    # runs the command with the collector on and freezes what it left behind
+    code = ("import gc, runpy, sys\n"
+            "sys.argv = ['dscodes', 'construct', '--family', 'paley', '--p', '4']\n"
+            "try:\n"
+            "    runpy.run_module('dscodes.cli', run_name='__main__')\n"
+            "except SystemExit as exc:\n"
+            "    print(exc.code, gc.isenabled(), gc.get_freeze_count() > 0)")
+    assert _python(code).split() == ["1", "True", "True"]
+
+
 # the two ways a process loads the CLI, besides `python -m dscodes.cli`: a
 # SystemExit is caught only to report on stderr that the collector is on
 # and the heap frozen
@@ -163,7 +175,7 @@ except SystemExit:
     (1, "construct --family paley --p 4"),
     (2, "code --family qf-image:1@4 --p 3 --m 2 --expect thm-qfcodes"),  # a MISMATCHES entry
 ])
-def test_run_as_main_exits_with_entrys_code_and_the_collector_on(launcher, rc, argv):
+def test_every_launcher_prints_what_python_m_prints(launcher, rc, argv):
     run = _run("-c", _LAUNCH.format(argv=argv.split(), launcher=LAUNCHERS[launcher]))
     err, _, state = run.stderr.rpartition(b"collector on: ")
     ref = _run("-m", "dscodes.cli", *argv.split())
