@@ -16,10 +16,14 @@ from functools import partial
 # Importing this module is the program's start-up, whichever launcher does it:
 # `python -m dscodes.cli`, the dscodes script (`from dscodes.cli import main`)
 # or a test.  numpy and the CLI's own modules load with the collector off, and
-# the heap they make is frozen before the collector goes back on (only if the
-# caller had it on): the freeze empties the young generations, so neither the
-# next allocation nor any later collection, the one at interpreter shutdown
-# included, walks those objects.
+# then gc.freeze() moves every object the collector tracks into the permanent
+# generation before the collector goes back on (only if the caller had it on).
+# That is the importer's whole heap, not only what loading made: whatever the
+# caller built before the import (a test session's modules, a notebook's
+# objects) is frozen too, and a cycle among those objects that later becomes
+# garbage is never collected.  The freeze empties the young generations, so
+# neither the next allocation nor any later collection, the one at interpreter
+# shutdown included, walks the frozen objects.
 # OpenBLAS reads OPENBLAS_NUM_THREADS once, when numpy loads it, and starts
 # that many threads less one, which spin through the import and then sleep.
 # dscodes calls no BLAS routine (tests/test_invariants.py::

@@ -107,13 +107,16 @@ def test_console_script_is_the_process_entry_point():
 def test_entry_leaves_the_collector_as_it_found_it(enabled, capsys):
     was = gc.isenabled()
     (gc.enable if enabled else gc.disable)()
+    argv = ["construct", "--family", "paley", "--p", "3", "--m", "3"]
     try:
+        # the first command in a process frees a few weakrefs that the CLI's
+        # import froze, so the count is read after one warm-up run; it must
+        # not be 0 then, or entry() released the frozen start-up heap
+        assert cli.entry(argv) == 0
         frozen = gc.get_freeze_count()
-        assert cli.entry(["construct", "--family", "paley", "--p", "3", "--m", "3"]) == 0
-        # a freeze would add this test's young objects; the count may fall,
-        # as the first command in a process frees a few weakrefs that the
-        # CLI's import froze
-        assert (gc.isenabled(), gc.get_freeze_count() <= frozen) == (enabled, True)
+        assert cli.entry(argv) == 0
+        assert (gc.isenabled(), gc.get_freeze_count()) == (enabled, frozen)
+        assert frozen > 0
     finally:
         (gc.enable if was else gc.disable)()
     assert capsys.readouterr().out.startswith("family paley over GF(3^3): 13 elements")
